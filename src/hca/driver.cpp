@@ -184,7 +184,10 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
         &m.histogram(lvl("mapper.copies_per_ili", level)),
     });
   }
-  const SolveContext ctx{seeOptions, cache, cancel, tracer_, &levelMetrics};
+  const std::vector<std::int64_t> heights =
+      ddg.heights(model_.config().latency);
+  const SolveContext ctx{seeOptions, cache, cancel, tracer_, &levelMetrics,
+                         &heights};
   result.legal = solve(ddg, /*path=*/{}, rootWs, /*relayValues=*/{},
                        Boundary{}, ctx, result);
   const auto wallUs = microsBetween(started, monotonicNow());
@@ -813,6 +816,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
                  options_.leafParentMaxInNeighbors);
   }
   problem.latency = model_.config().latency;
+  problem.heights = ctx.heights;
   problem.inWiresPerCluster = spec.inWires;
   problem.outWiresPerCluster = spec.outWires;
 

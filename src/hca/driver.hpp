@@ -264,6 +264,9 @@ class HcaDriver {
     const CancellationToken* cancel = nullptr;
     Tracer* tracer = nullptr;
     const std::vector<LevelMetrics>* levels = nullptr;
+    /// The DDG's scheduling heights under the machine latency model,
+    /// computed once per outer attempt and shared by every SEE call.
+    const std::vector<std::int64_t>* heights = nullptr;
   };
 
   /// SEE options of one (target II, heuristic profile) outer attempt.

@@ -52,11 +52,12 @@ std::optional<PartialSolution> assignGroupDirect(
   return candidate;
 }
 
-/// Recycling pool of DeltaSolution overlays for one search attempt: after
-/// the first beam step every acquire rebases an existing object (two
-/// memcpys of dense state, list clears) — no allocation, and one avoided
-/// PartialSolution deep copy, which is what `SeeStats::copiesAvoided`
-/// counts.
+}  // namespace
+
+/// Recycling pool of DeltaSolution overlays: after the first beam step
+/// every acquire rebases an existing object (two memcpys of dense state,
+/// list clears) — no allocation, and one avoided PartialSolution deep copy,
+/// which is what `SeeStats::copiesAvoided` counts.
 class DeltaPool {
  public:
   explicit DeltaPool(const PreparedProblem& prepared) : prepared_(prepared) {}
@@ -82,11 +83,27 @@ class DeltaPool {
   std::vector<std::unique_ptr<DeltaSolution>> all_;
   std::vector<DeltaSolution*> free_;
 };
-}  // namespace
+
+/// Delta-path storage of one SEE call, shared by its retry-ladder rungs so
+/// a rung after the first allocates nothing: the delta pool and the two
+/// snapshot arenas. Each rung restart()s the arenas, so `arenaBytesPeak`
+/// and the arena budget still measure one rung at a time.
+struct SearchScratch {
+  explicit SearchScratch(const PreparedProblem& prepared) : pool(prepared) {}
+  DeltaPool pool;
+  MonotonicArena arenaA;
+  MonotonicArena arenaB;
+};
 
 SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
                                       const CancellationToken* cancel) const {
-  SeeResult result = runOnce(problem, options_, cancel);
+  // One preparation (and one search scratch) for the whole call: the
+  // ladder rungs below differ from options_ only in the search knobs
+  // runOnce takes explicitly (beam width, candidate keep, eager routing,
+  // route hops), none of which shapes the prepared problem.
+  const PreparedProblem prepared(problem, options_);
+  SearchScratch scratch(prepared);
+  SeeResult result = runOnce(prepared, scratch, options_, cancel);
   if (result.legal || !options_.retryLadder) return result;
   if (cancel != nullptr && cancel->cancelled()) return result;
   // Diversification ladder (part of the node-filter design): a narrower,
@@ -110,7 +127,7 @@ SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
   }
   for (const SeeOptions& attempt : ladder) {
     if (cancel != nullptr && cancel->cancelled()) return result;
-    SeeResult retry = runOnce(problem, attempt, cancel);
+    SeeResult retry = runOnce(prepared, scratch, attempt, cancel);
     retry.stats.merge(result.stats);
     result = std::move(retry);
     if (result.legal) return result;
@@ -119,16 +136,16 @@ SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
 }
 
 SeeResult SpaceExplorationEngine::runOnce(
-    const SeeProblem& problem, const SeeOptions& options,
-    const CancellationToken* cancel) const {
-  return options.legacySearch ? runOnceLegacy(problem, options, cancel)
-                              : runOnceDelta(problem, options, cancel);
+    const PreparedProblem& prepared, SearchScratch& scratch,
+    const SeeOptions& options, const CancellationToken* cancel) const {
+  return options.legacySearch
+             ? runOnceLegacy(prepared, options, cancel)
+             : runOnceDelta(prepared, scratch, options, cancel);
 }
 
 SeeResult SpaceExplorationEngine::runOnceDelta(
-    const SeeProblem& problem, const SeeOptions& options,
-    const CancellationToken* cancel) const {
-  const PreparedProblem prepared(problem, options);
+    const PreparedProblem& prepared, SearchScratch& scratch,
+    const SeeOptions& options, const CancellationToken* cancel) const {
   const WeightedObjective objective(options.weights);
   const IncrementalObjective incremental(options.weights);
 
@@ -137,11 +154,13 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   // `cur`; survivors of a step are flattened into `nxt` (reading their
   // parents from `cur`), then `cur` is reset — its chunks are retained, so
   // steady-state steps allocate nothing — and the buffers swap.
-  MonotonicArena arenaA;
-  MonotonicArena arenaB;
+  MonotonicArena& arenaA = scratch.arenaA;
+  MonotonicArena& arenaB = scratch.arenaB;
+  arenaA.restart();
+  arenaB.restart();
+  DeltaPool& pool = scratch.pool;
   MonotonicArena* cur = &arenaA;
   MonotonicArena* nxt = &arenaB;
-  DeltaPool pool(prepared);
   const FeasibilityOracle& oracle = prepared.oracle();
   RouteScratch routeScratch;
 
@@ -260,7 +279,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
         } else if (eagerRoutes) {
           candidate->reset(state);  // discard the partial direct attempt
           int routed = 0;
-          if (!routeAssignGroupT(prepared, *candidate, group, c, &routed,
+          if (!routeAssignGroupT(prepared, *candidate, group, c,
+                                 options.maxRouteHops, &routed,
                                  &routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
@@ -291,7 +311,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
           }
           DeltaSolution* candidate = pool.acquire(state);
           ++result.stats.copiesAvoided;
-          if (!routeAssignGroupT(prepared, *candidate, group, c, &routed,
+          if (!routeAssignGroupT(prepared, *candidate, group, c,
+                                 options.maxRouteHops, &routed,
                                  &routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
@@ -406,9 +427,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
 }
 
 SeeResult SpaceExplorationEngine::runOnceLegacy(
-    const SeeProblem& problem, const SeeOptions& options,
+    const PreparedProblem& prepared, const SeeOptions& options,
     const CancellationToken* cancel) const {
-  const PreparedProblem prepared(problem, options);
   const WeightedObjective objective(options.weights);
   const FeasibilityOracle& oracle = prepared.oracle();
   RouteScratch routeScratch;
@@ -472,8 +492,9 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
           scored.push_back(std::move(*candidate));
         } else if (eagerRoutes) {
           int routed = 0;
-          auto sol = RouteAllocator::tryAssignGroup(prepared, state, group, c,
-                                                    &routed, &routeScratch);
+          auto sol = RouteAllocator::tryAssignGroup(
+              prepared, state, group, c, options.maxRouteHops, &routed,
+              &routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;
@@ -496,8 +517,9 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
             ++result.stats.oracleRejects;
             continue;
           }
-          auto sol = RouteAllocator::tryAssignGroup(prepared, state, group,
-                                                    c, &routed, &routeScratch);
+          auto sol = RouteAllocator::tryAssignGroup(
+              prepared, state, group, c, options.maxRouteHops, &routed,
+              &routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;

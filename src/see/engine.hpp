@@ -18,6 +18,8 @@
 /// Route Allocator.
 namespace hca::see {
 
+struct SearchScratch;
+
 struct SeeResult {
   bool legal = false;
   PartialSolution solution;
@@ -45,19 +47,25 @@ class SpaceExplorationEngine {
   [[nodiscard]] const SeeOptions& options() const { return options_; }
 
  private:
-  [[nodiscard]] SeeResult runOnce(const SeeProblem& problem,
+  /// One beam search over the shared `prepared` problem. `options` is the
+  /// retry-ladder rung: its beam width, candidate keep, eager routing and
+  /// maxRouteHops drive this search; every other field equals
+  /// prepared.options().
+  [[nodiscard]] SeeResult runOnce(const PreparedProblem& prepared,
+                                  SearchScratch& scratch,
                                   const SeeOptions& options,
                                   const CancellationToken* cancel) const;
   /// Reference beam loop over materialized PartialSolution values (one
   /// full deep copy per candidate). Kept as the byte-identity oracle for
   /// the delta path and selectable via SeeOptions::legacySearch.
-  [[nodiscard]] SeeResult runOnceLegacy(const SeeProblem& problem,
+  [[nodiscard]] SeeResult runOnceLegacy(const PreparedProblem& prepared,
                                         const SeeOptions& options,
                                         const CancellationToken* cancel) const;
   /// Copy-on-write beam loop: pooled DeltaSolution candidates against
   /// arena-backed FlatSolution snapshots; zero steady-state heap
   /// allocation. Byte-identical results to runOnceLegacy.
-  [[nodiscard]] SeeResult runOnceDelta(const SeeProblem& problem,
+  [[nodiscard]] SeeResult runOnceDelta(const PreparedProblem& prepared,
+                                       SearchScratch& scratch,
                                        const SeeOptions& options,
                                        const CancellationToken* cancel) const;
 

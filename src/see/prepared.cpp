@@ -78,7 +78,18 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
                 "relay value without an output wire");
   }
 
-  heights_ = ddg.heights(problem.latency);
+  if (problem.heights != nullptr) {
+    HCA_REQUIRE(problem.heights->size() ==
+                    static_cast<std::size_t>(ddg.numNodes()),
+                "SeeProblem heights sized " << problem.heights->size()
+                                            << " for a DDG of "
+                                            << ddg.numNodes() << " nodes");
+    heights_ = problem.heights;
+  } else {
+    ownHeights_ = ddg.heights(problem.latency);
+    heights_ = &ownHeights_;
+  }
+  const std::vector<std::int64_t>& heights = *heights_;
 
   // Critical-path adjacency for the incremental objective: every
   // intra-iteration WS->WS dependence, keyed by (working-set position of
@@ -91,7 +102,7 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
   }
   maxWsHeight_ = 1;
   for (const DdgNodeId n : problem.workingSet) {
-    maxWsHeight_ = std::max(maxWsHeight_, heights_[n.index()]);
+    maxWsHeight_ = std::max(maxWsHeight_, heights[n.index()]);
   }
   critOperands_.resize(static_cast<std::size_t>(ddg.numNodes()));
   critUses_.resize(static_cast<std::size_t>(ddg.numNodes()));
@@ -238,7 +249,7 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
     item.kind = Item::Kind::kNode;
     item.node = n;
     bucket.members.push_back(item);
-    bucket.maxHeight = std::max(bucket.maxHeight, heights_[n.index()]);
+    bucket.maxHeight = std::max(bucket.maxHeight, heights[n.index()]);
     bucket.minId = std::min(bucket.minId, n.value());
   }
   for (std::size_t i = 0; i < problem.relayValues.size(); ++i) {
@@ -260,10 +271,10 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
     std::sort(bucket.members.begin(), bucket.members.end(),
               [&](const Item& a, const Item& b) {
                 const auto ha = a.kind == Item::Kind::kNode
-                                    ? heights_[a.node.index()]
+                                    ? heights[a.node.index()]
                                     : 0;
                 const auto hb = b.kind == Item::Kind::kNode
-                                    ? heights_[b.node.index()]
+                                    ? heights[b.node.index()]
                                     : 0;
                 if (ha != hb) return ha > hb;
                 const auto ia = a.kind == Item::Kind::kNode

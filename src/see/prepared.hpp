@@ -9,7 +9,8 @@
 
 /// Immutable, preprocessed view of a SeeProblem shared by every search
 /// state: working-set membership, operand/consumer adjacency restricted to
-/// the WS, the priority list, and per-node scheduling heights.
+/// the WS, the priority list, and per-node scheduling heights. Built once
+/// per SpaceExplorationEngine::run and shared by every retry-ladder rung.
 namespace hca::see {
 
 /// One entry of the priority list: either a WS node or a relay value.
@@ -64,6 +65,11 @@ class PreparedProblem {
   PreparedProblem& operator=(PreparedProblem&&) = delete;
 
   [[nodiscard]] const SeeProblem& problem() const { return *problem_; }
+  /// The options the problem was prepared under. Only the fields that shape
+  /// the prepared problem or the assignment semantics (chain grouping,
+  /// maxOpsPerUnit, weights) are read from here: the search knobs the retry
+  /// ladder varies per rung — beam width, candidate keep, eager routing and
+  /// maxRouteHops — reach the search as explicit arguments instead.
   [[nodiscard]] const SeeOptions& options() const { return options_; }
   /// Static feasibility/reachability tables (see/feasibility.hpp), built
   /// once per prepared problem.
@@ -95,13 +101,19 @@ class PreparedProblem {
   [[nodiscard]] ClusterId valueSource(ValueId value) const;
 
   [[nodiscard]] std::int64_t height(DdgNodeId node) const {
-    return heights_[node.index()];
+    return (*heights_)[node.index()];
   }
 
   /// Position of a WS node in `problem().workingSet` (-1 outside the WS):
-  /// the major component of critical-path term keys.
+  /// the major component of critical-path term keys, and the slot of the
+  /// node in the working-set-indexed search states (snapshot.hpp).
   [[nodiscard]] std::int32_t wsIndex(DdgNodeId node) const {
     return wsIndexOf_[node.index()];
+  }
+  /// The whole DDG-indexed wsIndex table, for search states that resolve
+  /// node slots without holding the prepared problem.
+  [[nodiscard]] const std::int32_t* wsIndexTable() const {
+    return wsIndexOf_.data();
   }
   /// Tallest WS height, min 1 — the critical-path normalizer.
   [[nodiscard]] std::int64_t maxWsHeight() const { return maxWsHeight_; }
@@ -132,7 +144,9 @@ class PreparedProblem {
   /// Point lookups (find/count/emplace) only — never iterated, so hash
   /// order cannot reach the result.
   std::unordered_map<ValueId, ClusterId> valueToOutput_;
-  std::vector<std::int64_t> heights_;
+  /// problem().heights when supplied, else &ownHeights_.
+  const std::vector<std::int64_t>* heights_ = nullptr;
+  std::vector<std::int64_t> ownHeights_;
   std::vector<std::int32_t> wsIndexOf_;
   std::int64_t maxWsHeight_ = 1;
   std::vector<std::vector<CritOperand>> critOperands_;

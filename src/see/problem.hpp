@@ -34,6 +34,12 @@ struct SeeProblem {
   const machine::PatternGraph* pg = nullptr;
   machine::PgConstraints constraints;
   ddg::LatencyModel latency;
+  /// Optional precomputed `ddg->heights(latency)` (one entry per DDG node).
+  /// A caller solving many sub-problems of one DDG computes them once and
+  /// shares them; null makes the engine compute them per call. Not part of
+  /// the sub-problem cache key: heights follow from the DDG (fixed per
+  /// cache) and `latency` (in the key).
+  const std::vector<std::int64_t>* heights = nullptr;
 
   /// Interconnect figures used by the copy-pressure cost terms.
   int inWiresPerCluster = 1;

@@ -11,14 +11,14 @@ std::vector<ClusterId> RouteAllocator::findPath(
 
 std::optional<PartialSolution> RouteAllocator::tryAssign(
     const PreparedProblem& prepared, const PartialSolution& base,
-    const Item& item, ClusterId cluster, int* routedOperands,
+    const Item& item, ClusterId cluster, int maxHops, int* routedOperands,
     RouteScratch* scratch) {
   const auto& pg = *prepared.problem().pg;
   if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) {
     return std::nullopt;
   }
   PartialSolution sol = base;
-  if (!routeAndAssignT(prepared, sol, item, cluster, routedOperands,
+  if (!routeAndAssignT(prepared, sol, item, cluster, maxHops, routedOperands,
                        scratch)) {
     return std::nullopt;
   }
@@ -27,11 +27,11 @@ std::optional<PartialSolution> RouteAllocator::tryAssign(
 
 std::optional<PartialSolution> RouteAllocator::tryAssignGroup(
     const PreparedProblem& prepared, const PartialSolution& base,
-    const ItemGroup& group, ClusterId cluster, int* routedOperands,
-    RouteScratch* scratch) {
+    const ItemGroup& group, ClusterId cluster, int maxHops,
+    int* routedOperands, RouteScratch* scratch) {
   PartialSolution sol = base;
-  if (!routeAssignGroupT(prepared, sol, group, cluster, routedOperands,
-                         scratch)) {
+  if (!routeAssignGroupT(prepared, sol, group, cluster, maxHops,
+                         routedOperands, scratch)) {
     return std::nullopt;
   }
   return sol;

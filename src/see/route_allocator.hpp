@@ -322,57 +322,53 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
   return path;
 }
 
-/// Routes the copies `item` needs at `cluster` into `sol`, then assigns.
-/// Returns false (leaving `sol` partially modified — callers work on a
-/// clone or a discardable delta) when some copy cannot be routed.
+/// Routes the copies `item` needs at `cluster` into `sol` (at most
+/// `maxHops` relays per copy), then assigns. Returns false (leaving `sol`
+/// partially modified — callers work on a clone or a discardable delta)
+/// when some copy cannot be routed.
 template <typename Sol>
 bool routeAndAssignT(const PreparedProblem& prepared, Sol& sol,
-                     const Item& item, ClusterId cluster, int* routedOperands,
-                     RouteScratch* scratch = nullptr) {
-  const int maxHops = prepared.options().maxRouteHops;
-
-  // Values that must reach `cluster` (operands of a node item; the source
-  // value of a relay item).
-  std::vector<ValueId> incoming;
-  if (item.kind == Item::Kind::kNode) {
-    incoming = prepared.operandValues(item.node);
-  } else {
-    incoming.push_back(item.value);
-  }
-  for (const ValueId v : incoming) {
-    const ClusterId loc = valueLocationT(prepared, sol, v);
-    if (!loc.valid() || loc == cluster) continue;
-    if (sol.valueDelivered(cluster, v)) continue;
-    if (canAddCopyT(prepared, sol, loc, cluster, v)) continue;  // direct ok
-    const auto path =
-        findPathT(prepared, sol, loc, cluster, v, maxHops, scratch);
+                     const Item& item, ClusterId cluster, int maxHops,
+                     int* routedOperands, RouteScratch* scratch = nullptr) {
+  // Routes one copy of `v` from `src` to `dst` unless it is already there
+  // or directly addable; false when no relay path exists.
+  const auto route = [&](ValueId v, ClusterId src, ClusterId dst) {
+    if (sol.valueDelivered(dst, v)) return true;
+    if (canAddCopyT(prepared, sol, src, dst, v)) return true;  // direct ok
+    const auto path = findPathT(prepared, sol, src, dst, v, maxHops, scratch);
     if (path.empty()) return false;
     applyRouteT(prepared, sol, v, path);
     if (routedOperands != nullptr) ++*routedOperands;
-  }
+    return true;
+  };
 
-  // Values produced here that must reach already-assigned consumers or a
-  // (possibly already-fed) output wire.
-  std::vector<std::pair<ValueId, ClusterId>> outgoing;
+  // Values that must reach `cluster` (operands of a node item; the source
+  // value of a relay item), then values produced here that must reach
+  // already-assigned consumers or a (possibly already-fed) output wire.
+  // Routing only adds copies, never placements, so the consumer clusters
+  // read between routes are those of the state the item started from.
   if (item.kind == Item::Kind::kNode) {
+    for (const ValueId v : prepared.operandValues(item.node)) {
+      const ClusterId loc = valueLocationT(prepared, sol, v);
+      if (!loc.valid() || loc == cluster) continue;
+      if (!route(v, loc, cluster)) return false;
+    }
     const ValueId produced(item.node.value());
     for (const DdgNodeId consumer : prepared.wsConsumers(item.node)) {
       const ClusterId d = sol.clusterOf(consumer);
-      if (d.valid() && d != cluster) outgoing.emplace_back(produced, d);
+      if (!d.valid() || d == cluster) continue;
+      if (!route(produced, cluster, d)) return false;
     }
     const ClusterId out = prepared.outputNodeOf(produced);
-    if (out.valid()) outgoing.emplace_back(produced, out);
+    if (out.valid() && !route(produced, cluster, out)) return false;
   } else {
-    outgoing.emplace_back(item.value, prepared.outputNodeOf(item.value));
-  }
-  for (const auto& [v, dst] : outgoing) {
-    if (sol.valueDelivered(dst, v)) continue;
-    if (canAddCopyT(prepared, sol, cluster, dst, v)) continue;
-    const auto path =
-        findPathT(prepared, sol, cluster, dst, v, maxHops, scratch);
-    if (path.empty()) return false;
-    applyRouteT(prepared, sol, v, path);
-    if (routedOperands != nullptr) ++*routedOperands;
+    const ClusterId loc = valueLocationT(prepared, sol, item.value);
+    if (loc.valid() && loc != cluster && !route(item.value, loc, cluster)) {
+      return false;
+    }
+    if (!route(item.value, cluster, prepared.outputNodeOf(item.value))) {
+      return false;
+    }
   }
 
   if (!canAssignT(prepared, sol, item, cluster)) return false;
@@ -386,7 +382,7 @@ bool routeAndAssignT(const PreparedProblem& prepared, Sol& sol,
 /// discarded (clone) or rebased (delta).
 template <typename Sol>
 bool routeAssignGroupT(const PreparedProblem& prepared, Sol& sol,
-                       const ItemGroup& group, ClusterId cluster,
+                       const ItemGroup& group, ClusterId cluster, int maxHops,
                        int* routedOperands, RouteScratch* scratch = nullptr) {
   const auto& pg = *prepared.problem().pg;
   if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) {
@@ -397,8 +393,8 @@ bool routeAssignGroupT(const PreparedProblem& prepared, Sol& sol,
       assignT(prepared, sol, item, cluster);
       continue;
     }
-    if (!routeAndAssignT(prepared, sol, item, cluster, routedOperands,
-                         scratch)) {
+    if (!routeAndAssignT(prepared, sol, item, cluster, maxHops,
+                         routedOperands, scratch)) {
       return false;
     }
   }
@@ -411,18 +407,18 @@ class RouteAllocator {
   /// operand source that cannot reach `cluster` directly (and, for values
   /// bound to an occupied output wire, routing the value to the wire's
   /// single feeder). Returns the extended solution, or nullopt when no
-  /// routing exists within `options().maxRouteHops` relays per operand.
+  /// routing exists within `maxHops` relays per operand.
   [[nodiscard]] static std::optional<PartialSolution> tryAssign(
       const PreparedProblem& prepared, const PartialSolution& base,
-      const Item& item, ClusterId cluster, int* routedOperands,
+      const Item& item, ClusterId cluster, int maxHops, int* routedOperands,
       RouteScratch* scratch = nullptr);
 
   /// Group variant: places every member of the co-location group on
   /// `cluster`, routing as needed; all-or-nothing.
   [[nodiscard]] static std::optional<PartialSolution> tryAssignGroup(
       const PreparedProblem& prepared, const PartialSolution& base,
-      const ItemGroup& group, ClusterId cluster, int* routedOperands,
-      RouteScratch* scratch = nullptr);
+      const ItemGroup& group, ClusterId cluster, int maxHops,
+      int* routedOperands, RouteScratch* scratch = nullptr);
 
   /// BFS over cluster nodes: shortest relay path src -> dst for `value`,
   /// where every hop respects the in-neighbor budgets in `solution`.

@@ -5,7 +5,6 @@
 #include <new>
 
 #include "see/solution_ops.hpp"
-#include "support/check.hpp"
 
 namespace hca::see {
 
@@ -23,9 +22,46 @@ void copyInto(T* dst, const T* src, std::size_t count) {
 
 bool critKeyLess(const CritTerm& a, const CritTerm& b) { return a.key < b.key; }
 
+/// Writes a snapshot's CSR rows (per PG node, or per arc): each row is the
+/// parent's row followed by the delta's additions to it in append order —
+/// the chronological list order the legacy mutation sequence produces.
+/// Between touched rows the parent's layout only shifts by the additions
+/// before it, so each untouched run of rows moves with one memcpy and a
+/// shifted offset copy: the cost follows the edits, not the row count.
+/// `touched` is scratch.
+template <typename Row>
+void mergeCsr(std::int32_t rows, const std::int32_t* parentOff,
+              const ValueId* parentVals,
+              const std::vector<std::pair<Row, ValueId>>& adds,
+              std::vector<std::int32_t>& touched, std::int32_t* off,
+              ValueId* vals) {
+  touched.clear();
+  for (const auto& add : adds) touched.push_back(add.first.value());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::int32_t shift = 0;
+  std::int32_t next = 0;  // first row not written yet
+  const auto copyRowsUpTo = [&](std::int32_t end) {  // rows [next, end)
+    for (std::int32_t i = next; i < end; ++i) off[i] = parentOff[i] + shift;
+    copyInto(vals + parentOff[next] + shift, parentVals + parentOff[next],
+             static_cast<std::size_t>(parentOff[end] - parentOff[next]));
+    next = end;
+  };
+  for (const std::int32_t row : touched) {
+    copyRowsUpTo(row + 1);
+    std::int32_t slot = parentOff[row + 1] + shift;
+    for (const auto& [r, v] : adds) {
+      if (r.value() == row) vals[slot++] = v;
+    }
+    shift = slot - parentOff[row + 1];
+  }
+  copyRowsUpTo(rows);
+  off[rows] = parentOff[rows] + shift;
+}
+
 }  // namespace
 
-FlatSolution* FlatSolution::allocate(std::int32_t numNodes,
+FlatSolution* FlatSolution::allocate(std::int32_t numWs,
                                      std::int32_t numRelays,
                                      std::int32_t numPg, std::int32_t numArcs,
                                      std::int32_t inTotal,
@@ -35,11 +71,11 @@ FlatSolution* FlatSolution::allocate(std::int32_t numNodes,
                                      MonotonicArena& arena) {
   auto* flat = new (arena.allocate(sizeof(FlatSolution), alignof(FlatSolution)))
       FlatSolution;
-  flat->numNodes_ = numNodes;
+  flat->numWs_ = numWs;
   flat->numRelays_ = numRelays;
   flat->numPg_ = numPg;
   flat->numArcs_ = numArcs;
-  const auto n = static_cast<std::size_t>(numNodes);
+  const auto n = static_cast<std::size_t>(numWs);
   const auto r = static_cast<std::size_t>(numRelays);
   const auto p = static_cast<std::size_t>(numPg);
   const auto a = static_cast<std::size_t>(numArcs);
@@ -68,8 +104,8 @@ const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
                                               const PreparedProblem& prepared,
                                               MonotonicArena& arena) {
   const auto& pg = *prepared.problem().pg;
-  const auto numNodes =
-      static_cast<std::int32_t>(sol.nodeCluster_.size());
+  const auto& ws = prepared.problem().workingSet;
+  const auto numWs = static_cast<std::int32_t>(ws.size());
   const auto numRelays =
       static_cast<std::int32_t>(sol.relayCluster_.size());
   const std::int32_t numPg = pg.numNodes();
@@ -105,11 +141,14 @@ const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
     }
   }
 
-  FlatSolution* flat = allocate(numNodes, numRelays, numPg, numArcs, inTotal,
+  FlatSolution* flat = allocate(numWs, numRelays, numPg, numArcs, inTotal,
                                 outTotal, flowTotal,
                                 static_cast<std::int32_t>(terms.size()),
                                 arena);
-  copyInto(flat->nodeCluster_, sol.nodeCluster_);
+  flat->wsIndexOf_ = prepared.wsIndexTable();
+  for (std::int32_t i = 0; i < numWs; ++i) {
+    flat->nodeCluster_[i] = sol.clusterOf(ws[static_cast<std::size_t>(i)]);
+  }
   copyInto(flat->relayCluster_, sol.relayCluster_);
   copyInto(flat->usage_, sol.usage_);
   copyInto(flat->inNbrMask_, sol.inNbrMask_);
@@ -144,13 +183,13 @@ const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
   return flat;
 }
 
-const FlatSolution* FlatSolution::fromDelta(const DeltaSolution& delta,
+const FlatSolution* FlatSolution::fromDelta(DeltaSolution& delta,
                                             MonotonicArena& arena) {
   const FlatSolution& parent = *delta.parent_;
   const std::int32_t numPg = parent.numPg_;
   const std::int32_t numArcs = parent.numArcs_;
   FlatSolution* flat = allocate(
-      parent.numNodes_, parent.numRelays_, numPg, numArcs,
+      parent.numWs_, parent.numRelays_, numPg, numArcs,
       parent.inOff_[numPg] + static_cast<std::int32_t>(delta.inAdds_.size()),
       parent.outOff_[numPg] + static_cast<std::int32_t>(delta.outAdds_.size()),
       parent.flowOff_[numArcs] +
@@ -158,6 +197,7 @@ const FlatSolution* FlatSolution::fromDelta(const DeltaSolution& delta,
       parent.numCritTerms_ + static_cast<std::int32_t>(delta.critAdds_.size()),
       arena);
 
+  flat->wsIndexOf_ = parent.wsIndexOf_;
   copyInto(flat->nodeCluster_, delta.nodeCluster_);
   copyInto(flat->relayCluster_, delta.relayCluster_);
   copyInto(flat->usage_, delta.usage_);
@@ -165,73 +205,18 @@ const FlatSolution* FlatSolution::fromDelta(const DeltaSolution& delta,
   copyInto(flat->inCount_, delta.inCount_);
   copyInto(flat->outCount_, delta.outCount_);
 
-  // CSR rebuild: parent slice first, then this delta's additions in append
-  // order — the chronological list order the legacy mutation sequence
-  // produces. `cursor_` tracks each row's next free slot.
-  auto& cursor = delta.cursor_;
-  const auto fillCsr = [&cursor](std::int32_t rows, const std::int32_t* counts,
-                                 std::int32_t* off, ValueId* vals,
-                                 const std::int32_t* parentOff,
-                                 const ValueId* parentVals) {
-    std::int32_t total = 0;
-    for (std::int32_t i = 0; i < rows; ++i) {
-      off[i] = total;
-      total += counts[i];
-      const std::int32_t parentLen = parentOff[i + 1] - parentOff[i];
-      copyInto(vals + off[i], parentVals + parentOff[i],
-               static_cast<std::size_t>(parentLen));
-      cursor[static_cast<std::size_t>(i)] = off[i] + parentLen;
-    }
-    off[rows] = total;
-  };
+  mergeCsr(numPg, parent.inOff_, parent.inVals_, delta.inAdds_,
+           delta.touchedRows_, flat->inOff_, flat->inVals_);
+  mergeCsr(numPg, parent.outOff_, parent.outVals_, delta.outAdds_,
+           delta.touchedRows_, flat->outOff_, flat->outVals_);
+  mergeCsr(numArcs, parent.flowOff_, parent.flowVals_, delta.flowAdds_,
+           delta.touchedRows_, flat->flowOff_, flat->flowVals_);
 
-  fillCsr(numPg, flat->inCount_, flat->inOff_, flat->inVals_, parent.inOff_,
-          parent.inVals_);
-  for (const auto& [dst, v] : delta.inAdds_) {
-    flat->inVals_[cursor[dst.index()]++] = v;
-  }
-  fillCsr(numPg, flat->outCount_, flat->outOff_, flat->outVals_,
-          parent.outOff_, parent.outVals_);
-  for (const auto& [src, v] : delta.outAdds_) {
-    flat->outVals_[cursor[src.index()]++] = v;
-  }
-
-  // Flow rows: per-arc counts are not tracked densely (arcs outnumber PG
-  // nodes); derive them into the offset array first.
-  for (std::int32_t i = 0; i <= numArcs; ++i) {
-    flat->flowOff_[i] = parent.flowOff_[i];
-  }
-  std::vector<std::int32_t>& arcExtra = delta.cursor_;  // reused scratch
-  HCA_CHECK(arcExtra.size() >= static_cast<std::size_t>(numArcs + 1),
-            "delta scratch not sized for arcs");
-  std::fill(arcExtra.begin(),
-            arcExtra.begin() + static_cast<std::ptrdiff_t>(numArcs), 0);
-  for (const auto& [arc, v] : delta.flowAdds_) {
-    (void)v;
-    ++arcExtra[arc.index()];
-  }
-  std::int32_t flowTotal = 0;
-  for (std::int32_t i = 0; i < numArcs; ++i) {
-    const std::int32_t len =
-        parent.flowOff_[i + 1] - parent.flowOff_[i] + arcExtra[i];
-    const std::int32_t off = flowTotal;
-    copyInto(flat->flowVals_ + off, parent.flowVals_ + parent.flowOff_[i],
-             static_cast<std::size_t>(parent.flowOff_[i + 1] -
-                                      parent.flowOff_[i]));
-    arcExtra[i] = off + (parent.flowOff_[i + 1] - parent.flowOff_[i]);
-    flat->flowOff_[i] = off;
-    flowTotal += len;
-  }
-  flat->flowOff_[numArcs] = flowTotal;
-  for (const auto& [arc, v] : delta.flowAdds_) {
-    flat->flowVals_[arcExtra[arc.index()]++] = v;
-  }
-
-  // Merge the sorted parent terms with the (sorted) additions.
-  std::vector<CritTerm> sortedAdds(delta.critAdds_);
-  std::sort(sortedAdds.begin(), sortedAdds.end(), critKeyLess);
+  // Merge the sorted parent terms with the additions, sorted in place
+  // (keys are unique, so the order — and a repeat sort — is deterministic).
+  std::sort(delta.critAdds_.begin(), delta.critAdds_.end(), critKeyLess);
   std::merge(parent.critTerms_, parent.critTerms_ + parent.numCritTerms_,
-             sortedAdds.begin(), sortedAdds.end(), flat->critTerms_,
+             delta.critAdds_.begin(), delta.critAdds_.end(), flat->critTerms_,
              critKeyLess);
 
   flat->totalCopies_ = delta.totalCopies_;
@@ -243,7 +228,14 @@ const FlatSolution* FlatSolution::fromDelta(const DeltaSolution& delta,
 void FlatSolution::toPartial(const PreparedProblem& prepared,
                              PartialSolution* out) const {
   const auto& pg = *prepared.problem().pg;
-  out->nodeCluster_.assign(nodeCluster_, nodeCluster_ + numNodes_);
+  const auto& ws = prepared.problem().workingSet;
+  out->nodeCluster_.assign(
+      static_cast<std::size_t>(prepared.problem().ddg->numNodes()),
+      ClusterId::invalid());
+  for (std::int32_t i = 0; i < numWs_; ++i) {
+    out->nodeCluster_[ws[static_cast<std::size_t>(i)].index()] =
+        nodeCluster_[i];
+  }
   out->relayCluster_.assign(relayCluster_, relayCluster_ + numRelays_);
   out->usage_.assign(usage_, usage_ + numPg_);
   out->inNbrMask_.assign(inNbrMask_, inNbrMask_ + numPg_);
@@ -285,16 +277,14 @@ bool FlatSolution::flowContains(PgArcId arc, ValueId v) const {
 
 void DeltaSolution::init(const PreparedProblem& prepared) {
   const auto& pg = *prepared.problem().pg;
-  nodeCluster_.resize(
-      static_cast<std::size_t>(prepared.problem().ddg->numNodes()));
+  wsIndexOf_ = prepared.wsIndexTable();
+  nodeCluster_.resize(prepared.problem().workingSet.size());
   relayCluster_.resize(prepared.problem().relayValues.size());
   const auto p = static_cast<std::size_t>(pg.numNodes());
   usage_.resize(p);
   inNbrMask_.resize(p);
   inCount_.resize(p);
   outCount_.resize(p);
-  // Scratch must cover both per-PG-node and per-arc cursor use.
-  cursor_.resize(std::max(p, static_cast<std::size_t>(pg.numArcs())) + 1);
 }
 
 void DeltaSolution::reset(const FlatSolution* parent) {

@@ -29,6 +29,13 @@
 ///    shared with the parent and only *additions* (new copies, newly
 ///    delivered values, completed critical-path terms) are recorded.
 ///
+/// Both store node assignments by working-set position
+/// (`PreparedProblem::wsIndex`), not by DDG node id: a sub-problem's WS is
+/// a small slice of the DDG (about 13 of h264deblocking's 225 nodes at a
+/// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|). The
+/// DDG-indexed `PartialSolution` is converted to and from at the engine
+/// boundary only (`fromPartial` / `toPartial`).
+///
 /// Byte-identity with the legacy path (the contract the identity tests
 /// enforce): both representations run the assignment semantics of
 /// solution_ops.hpp; the incremental objective evaluates the same formulas
@@ -53,16 +60,20 @@ class FlatSolution {
                                          const PreparedProblem& prepared,
                                          MonotonicArena& arena);
   /// Flattens parent + delta into a new snapshot in `arena` (which must
-  /// not be the arena holding the delta's parent mid-reset).
-  static const FlatSolution* fromDelta(const DeltaSolution& delta,
+  /// not be the arena holding the delta's parent mid-reset). Sorts the
+  /// delta's critical-path additions in place; the objective has usually
+  /// sorted them already.
+  static const FlatSolution* fromDelta(DeltaSolution& delta,
                                        MonotonicArena& arena);
   /// Reconstructs the value-semantics state for the engine boundary
   /// (SeeResult / driver / mapper). Produces exactly the PartialSolution
-  /// the legacy search would have built: same list contents, same order.
+  /// the legacy search would have built: same list contents, same order,
+  /// and invalid clusters for every DDG node outside the working set.
   void toPartial(const PreparedProblem& prepared, PartialSolution* out) const;
 
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
-    return nodeCluster_[node.index()];
+    const std::int32_t slot = wsIndexOf_[node.index()];
+    return slot < 0 ? ClusterId::invalid() : nodeCluster_[slot];
   }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];
@@ -93,18 +104,19 @@ class FlatSolution {
 
   /// Allocates an uninitialized snapshot with CSR capacity for the given
   /// totals.
-  static FlatSolution* allocate(std::int32_t numNodes, std::int32_t numRelays,
+  static FlatSolution* allocate(std::int32_t numWs, std::int32_t numRelays,
                                 std::int32_t numPg, std::int32_t numArcs,
                                 std::int32_t inTotal, std::int32_t outTotal,
                                 std::int32_t flowTotal,
                                 std::int32_t critTotal,
                                 MonotonicArena& arena);
 
-  std::int32_t numNodes_ = 0;
+  std::int32_t numWs_ = 0;
   std::int32_t numRelays_ = 0;
   std::int32_t numPg_ = 0;
   std::int32_t numArcs_ = 0;
-  ClusterId* nodeCluster_ = nullptr;
+  const std::int32_t* wsIndexOf_ = nullptr;  // PreparedProblem::wsIndexTable
+  ClusterId* nodeCluster_ = nullptr;          // per working-set position
   ClusterId* relayCluster_ = nullptr;
   machine::ResourceUsage* usage_ = nullptr;
   std::uint64_t* inNbrMask_ = nullptr;
@@ -129,17 +141,19 @@ class FlatSolution {
 class DeltaSolution {
  public:
   /// Sizes the dense arrays for the problem; called once per pooled
-  /// instance per search attempt.
+  /// instance per SEE call (the retry-ladder rungs share the pool).
   void init(const PreparedProblem& prepared);
   /// Rebases onto `parent`: memcpys the dense state, clears the edit
-  /// lists. O(dense bytes), zero allocations in steady state.
+  /// lists. O(|WS| + PG nodes), zero allocations in steady state.
   void reset(const FlatSolution* parent);
 
   [[nodiscard]] const FlatSolution* parent() const { return parent_; }
 
   // --- reads -----------------------------------------------------------
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
-    return nodeCluster_[node.index()];
+    const std::int32_t slot = wsIndexOf_[node.index()];
+    return slot < 0 ? ClusterId::invalid()
+                    : nodeCluster_[static_cast<std::size_t>(slot)];
   }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];
@@ -163,13 +177,18 @@ class DeltaSolution {
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
-  /// Stable hash of the assignment vector — same FNV-1a stream as
-  /// PartialSolution::signature().
+  /// FNV-1a hash of the working-set-indexed assignment and the relay
+  /// placements (frontier deduplication). Not the same stream as
+  /// PartialSolution::signature(), which hashes the DDG-indexed vector:
+  /// equal states hash equal within one search, which is all the node
+  /// filter needs.
   [[nodiscard]] std::uint64_t signature() const;
 
   // --- writes (Sol interface) ------------------------------------------
+  /// `node` must be in the working set (assignT only places WS nodes).
   void setNodeCluster(DdgNodeId node, ClusterId cluster) {
-    nodeCluster_[node.index()] = cluster;
+    nodeCluster_[static_cast<std::size_t>(wsIndexOf_[node.index()])] =
+        cluster;
   }
   void setRelayCluster(std::size_t relayIndex, ClusterId cluster) {
     relayCluster_[relayIndex] = cluster;
@@ -192,8 +211,9 @@ class DeltaSolution {
   friend class FlatSolution;
 
   const FlatSolution* parent_ = nullptr;
+  const std::int32_t* wsIndexOf_ = nullptr;  // PreparedProblem::wsIndexTable
   // Dense overlay, memcpy'd from the parent on reset.
-  std::vector<ClusterId> nodeCluster_;
+  std::vector<ClusterId> nodeCluster_;  // per working-set position
   std::vector<ClusterId> relayCluster_;
   std::vector<machine::ResourceUsage> usage_;
   std::vector<std::uint64_t> inNbrMask_;
@@ -204,8 +224,8 @@ class DeltaSolution {
   std::vector<std::pair<ClusterId, ValueId>> outAdds_;  // (src, value)
   std::vector<std::pair<PgArcId, ValueId>> flowAdds_;
   std::vector<CritTerm> critAdds_;
-  // Materialization scratch (per-PG-node / per-arc write cursors).
-  mutable std::vector<std::int32_t> cursor_;
+  // Materialization scratch: the rows an edit list touches.
+  std::vector<std::int32_t> touchedRows_;
   int totalCopies_ = 0;
   int assigned_ = 0;
   double objective_ = 0.0;

@@ -74,7 +74,9 @@ void MonotonicArena::grow(std::size_t bytes) {
   }
   const std::size_t size = bytes > chunkBytes_ ? bytes : chunkBytes_;
   Chunk chunk;
-  chunk.data = std::make_unique<std::byte[]>(size);
+  // Uninitialized: every byte is written before it is read, and a zeroed
+  // chunk would cost a memset per chunk for nothing.
+  chunk.data = std::make_unique_for_overwrite<std::byte[]>(size);
   chunk.size = size;
   chunks_.push_back(std::move(chunk));
   bytesReserved_ += size;
@@ -87,6 +89,11 @@ void MonotonicArena::reset() {
   chunkIndex_ = 0;
   cursor_ = 0;
   bytesUsed_ = 0;
+}
+
+void MonotonicArena::restart() {
+  reset();
+  peakBytesUsed_ = 0;
 }
 
 MonotonicArena::GlobalStats MonotonicArena::globalStats() {

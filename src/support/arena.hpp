@@ -54,10 +54,14 @@ class MonotonicArena {
   /// Rewinds to empty, keeping every chunk for reuse. All memory handed out
   /// since the last reset is invalidated.
   void reset();
+  /// reset() plus a fresh high-water mark: the arena starts a new,
+  /// independently measured use (the next retry-ladder rung of one SEE
+  /// call) on the chunks of the previous one.
+  void restart();
 
   /// Live bytes handed out since the last reset (including alignment pad).
   [[nodiscard]] std::size_t bytesUsed() const { return bytesUsed_; }
-  /// High-water mark of `bytesUsed()` over the arena's lifetime.
+  /// High-water mark of `bytesUsed()` since construction or restart().
   [[nodiscard]] std::size_t peakBytesUsed() const { return peakBytesUsed_; }
   /// Total chunk capacity currently owned.
   [[nodiscard]] std::size_t bytesReserved() const { return bytesReserved_; }

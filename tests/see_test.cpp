@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
 #include "machine/rcp.hpp"
 #include "see/engine.hpp"
 #include "see/route_allocator.hpp"
+#include "see/serialize.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 
 namespace hca::see {
 namespace {
@@ -391,8 +394,8 @@ TEST(RouteAllocatorTest, FindsMultiHopPath) {
   EXPECT_FALSE(sol.canAssign(prepared, negItem, ClusterId(2)));
   // ...but the route allocator relays through cluster 1.
   int routed = 0;
-  const auto extended =
-      RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(2), &routed);
+  const auto extended = RouteAllocator::tryAssign(
+      prepared, sol, negItem, ClusterId(2), /*maxHops=*/3, &routed);
   ASSERT_TRUE(extended.has_value());
   EXPECT_EQ(routed, 1);
   EXPECT_EQ(extended->clusterOf(negItem.node), ClusterId(2));
@@ -424,30 +427,24 @@ TEST(RouteAllocatorTest, RespectsHopLimit) {
   problem.workingSet = fullWorkingSet(ddg);
   problem.pg = &pg;
 
-  SeeOptions tight;
-  tight.maxRouteHops = 2;  // not enough for 3 relays
-  const PreparedProblem preparedTight(problem, tight);
-  auto sol = PartialSolution::initial(preparedTight);
+  // The hop budget is a per-call argument (the retry ladder varies it over
+  // one prepared problem), not a property of the preparation.
+  const PreparedProblem prepared(problem, SeeOptions{});
+  auto sol = PartialSolution::initial(prepared);
   Item loadItem, negItem;
-  for (const auto& group : preparedTight.items()) {
+  for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
       if (item.kind != Item::Kind::kNode) continue;
       if (ddg.node(item.node).op == ddg::Op::kLoad) loadItem = item;
       if (ddg.node(item.node).op == ddg::Op::kNeg) negItem = item;
     }
   }
-  sol.assign(preparedTight, loadItem, ClusterId(0));
-  EXPECT_FALSE(RouteAllocator::tryAssign(preparedTight, sol, negItem,
-                                         ClusterId(4), nullptr)
-                   .has_value());
-
-  SeeOptions loose;
-  loose.maxRouteHops = 3;
-  const PreparedProblem preparedLoose(problem, loose);
-  auto sol2 = PartialSolution::initial(preparedLoose);
-  sol2.assign(preparedLoose, loadItem, ClusterId(0));
-  EXPECT_TRUE(RouteAllocator::tryAssign(preparedLoose, sol2, negItem,
-                                        ClusterId(4), nullptr)
+  sol.assign(prepared, loadItem, ClusterId(0));
+  EXPECT_FALSE(RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(4),
+                                         /*maxHops=*/2, nullptr)
+                   .has_value());  // not enough for 3 relays
+  EXPECT_TRUE(RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(4),
+                                        /*maxHops=*/3, nullptr)
                   .has_value());
 }
 
@@ -976,6 +973,193 @@ TEST(DeltaSearchTest, MatchesLegacyWithEagerRouting) {
     options.eagerRouting = eager;
     roundTrip(problem, options);
   }
+}
+
+/// The whole result — winning solution, frontier alternatives, failure
+/// item and reason, every counter — as its checkpoint JSON. With
+/// `dropCowCounters` the three counters only the delta path keeps
+/// (copiesAvoided, snapshotsMaterialized, arenaBytesPeak) are zeroed, so a
+/// legacy and a delta result compare equal exactly when they are the same
+/// search.
+std::string resultJson(SeeResult result, bool dropCowCounters) {
+  if (dropCowCounters) {
+    result.stats.copiesAvoided = 0;
+    result.stats.snapshotsMaterialized = 0;
+    result.stats.arenaBytesPeak = 0;
+  }
+  std::ostringstream os;
+  JsonWriter json(os);
+  writeSeeResult(json, result);
+  return os.str();
+}
+
+TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
+  // The consumer can only run on cluster 4 (the one ALU); its operand
+  // arrives on an input node wired to cluster 0 alone, and the clusters
+  // form a line 0 -> 1 -> 2 -> 3 -> 4. Delivering it takes four relays
+  // (clusters 0..3). With maxRouteHops = 2 the primary search, the greedy
+  // rung and the eager-routing rung all fail; only the `deeper` rung
+  // (maxRouteHops + 2 = 4) can route it. The rungs share one prepared
+  // problem, so this fails if a rung's hop budget is read from the
+  // preparation instead of the rung.
+  DdgBuilder b;
+  b.store(b.cst(1), b.neg(b.load(b.cst(0), 0, "x"), "y"));
+  const auto ddg = b.finish();
+  DdgNodeId x, y;
+  for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
+    if (ddg.node(DdgNodeId(v)).name == "x") x = DdgNodeId(v);
+    if (ddg.node(DdgNodeId(v)).name == "y") y = DdgNodeId(v);
+  }
+  ASSERT_TRUE(x.valid() && y.valid());
+
+  machine::PatternGraph pg;
+  for (int i = 0; i < 4; ++i) pg.addCluster(machine::ResourceTable(0, 1));
+  pg.addCluster(machine::ResourceTable(1, 0));
+  for (int i = 0; i < 4; ++i) pg.addArc(ClusterId(i), ClusterId(i + 1));
+  const ValueId xv(x.value());
+  const ClusterId in = pg.addInputNode({xv}, "in");
+  pg.addArc(in, ClusterId(0));
+
+  SeeProblem problem;
+  problem.ddg = &ddg;
+  problem.workingSet = {y};
+  problem.pg = &pg;
+  problem.constraints.maxInNeighbors = -1;
+  problem.valueSources.emplace(xv, in);
+
+  SeeOptions options;
+  options.maxRouteHops = 2;
+  SeeOptions noLadder = options;
+  noLadder.retryLadder = false;
+  EXPECT_FALSE(SpaceExplorationEngine(noLadder).run(problem).legal);
+  SeeOptions greedy = noLadder;
+  greedy.beamWidth = 1;
+  greedy.candidateKeep = 1;
+  EXPECT_FALSE(SpaceExplorationEngine(greedy).run(problem).legal);
+  SeeOptions eager = noLadder;
+  eager.eagerRouting = true;
+  EXPECT_FALSE(SpaceExplorationEngine(eager).run(problem).legal);
+  SeeOptions deeper = greedy;
+  deeper.beamWidth = 2;
+  deeper.candidateKeep = 2;
+  deeper.maxRouteHops = 4;
+  EXPECT_TRUE(SpaceExplorationEngine(deeper).run(problem).legal);
+
+  options.legacySearch = true;
+  const SeeResult legacy = SpaceExplorationEngine(options).run(problem);
+  options.legacySearch = false;
+  const SeeResult delta = SpaceExplorationEngine(options).run(problem);
+  ASSERT_TRUE(delta.legal) << delta.failureReason;
+  EXPECT_EQ(delta.solution.clusterOf(y), ClusterId(4));
+  // The value crosses in -> 0 -> 1 -> 2 -> 3 -> 4.
+  EXPECT_EQ(delta.solution.flow().totalCopies(), 5);
+  expectSameSearch(legacy, delta);
+  EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
+}
+
+/// A leaf-sized sub-problem of h264deblocking's 225-node DDG: 13 working-set
+/// nodes on 8 clusters, their out-of-WS operands arriving on two input
+/// wires and three of their values leaving on output wires.
+struct LeafOfH264 {
+  ddg::Kernel kernel = ddg::buildH264Deblocking();
+  machine::PatternGraph pg;
+  SeeProblem problem;
+
+  LeafOfH264() {
+    const ddg::Ddg& ddg = kernel.ddg;
+    for (int i = 0; i < 8; ++i) {
+      pg.addCluster(machine::ResourceTable::computationNode());
+    }
+    pg.connectClustersCompletely();
+    problem.ddg = &ddg;
+    for (std::int32_t v = 0; problem.workingSet.size() < 13; v += 5) {
+      if (ddg::isInstruction(ddg.node(DdgNodeId(v)).op)) {
+        problem.workingSet.emplace_back(v);
+      }
+    }
+    const auto contains = [](const auto& list, const auto& x) {
+      return std::find(list.begin(), list.end(), x) != list.end();
+    };
+    std::vector<ValueId> external;  // distinct out-of-WS operand values
+    std::vector<ValueId> leaving;
+    for (const DdgNodeId n : problem.workingSet) {
+      for (const auto& operand : ddg.node(n).operands) {
+        const ValueId v(operand.src.value());
+        if (ddg::isInstruction(ddg.node(operand.src).op) &&
+            !contains(problem.workingSet, operand.src) &&
+            !contains(external, v)) {
+          external.push_back(v);
+        }
+      }
+      if (leaving.size() < 3 && ddg.node(n).op != ddg::Op::kStore) {
+        leaving.emplace_back(n.value());
+      }
+    }
+    // Alternate the external values over two input wires.
+    std::vector<ValueId> wires[2];
+    for (std::size_t i = 0; i < external.size(); ++i) {
+      wires[i % 2].push_back(external[i]);
+    }
+    for (const auto& values : wires) {
+      const ClusterId in = pg.addInputNode(values);
+      for (const ValueId v : values) problem.valueSources.emplace(v, in);
+    }
+    for (const ValueId v : leaving) {
+      problem.outputRequirements.push_back({pg.addOutputNode({}, {v}), {v}});
+    }
+    pg.connectBoundaryNodes();
+    problem.pg = &pg;
+    problem.constraints.maxInNeighbors = 2;
+    problem.inWiresPerCluster = 2;
+    problem.outWiresPerCluster = 2;
+  }
+};
+
+TEST(DeltaSearchTest, WorkingSetLocalStateOnLargeDdg) {
+  const LeafOfH264 leaf;
+  const ddg::Ddg& ddg = leaf.kernel.ddg;
+  ASSERT_EQ(ddg.numNodes(), 225);
+  ASSERT_EQ(leaf.problem.workingSet.size(), 13u);
+
+  SeeOptions options;
+  options.legacySearch = true;
+  const SeeResult legacy = SpaceExplorationEngine(options).run(leaf.problem);
+  options.legacySearch = false;
+  const SeeResult delta = SpaceExplorationEngine(options).run(leaf.problem);
+  ASSERT_TRUE(delta.legal) << delta.failureReason;
+  expectSameSearch(legacy, delta);
+  // Same PartialSolution (every alternative, field for field) and the same
+  // counters apart from the delta-only ones.
+  EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
+  EXPECT_GT(delta.stats.arenaBytesPeak, 0);
+
+  // The working-set-indexed snapshots convert back to DDG-indexed states:
+  // every WS node placed, every other DDG node unassigned.
+  for (const PartialSolution& alt : delta.alternatives) {
+    for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
+      const DdgNodeId n(v);
+      const bool inWs =
+          std::find(leaf.problem.workingSet.begin(),
+                    leaf.problem.workingSet.end(),
+                    n) != leaf.problem.workingSet.end();
+      EXPECT_EQ(alt.clusterOf(n).valid(), inWs) << "node " << v;
+    }
+  }
+}
+
+TEST(DeltaSearchTest, SuppliedHeightsMatchComputedHeights) {
+  LeafOfH264 leaf;
+  const auto heights = leaf.kernel.ddg.heights(leaf.problem.latency);
+  const SpaceExplorationEngine engine;
+  const SeeResult computed = engine.run(leaf.problem);
+  leaf.problem.heights = &heights;
+  const SeeResult supplied = engine.run(leaf.problem);
+  EXPECT_EQ(resultJson(computed, false), resultJson(supplied, false));
+
+  const std::vector<std::int64_t> truncated(heights.begin(),
+                                            heights.end() - 1);
+  leaf.problem.heights = &truncated;
+  EXPECT_THROW((void)engine.run(leaf.problem), InvalidArgumentError);
 }
 
 }  // namespace

@@ -21,6 +21,10 @@
 #                 hard error). This is a smoke test: it fails on crash,
 #                 assertion, or sanitizer abort inside the benchmarked
 #                 paths, never on timing.
+#   4a. perfbench — the benchmark's helper unit tests, then one short
+#                 table1-direct run of perfbench/run.py as a smoke. It fails
+#                 when the benchmark cannot build or run or an output check
+#                 reports "correct": false, never on timing
 #   4b. prune   — pruning identity gate: a Release `hcac --compare` between
 #                 a --dominance-pruning run and a default run of the same
 #                 kernel; any deterministic-counter mismatch besides the
@@ -90,6 +94,24 @@ cmake --build "${root}/build-perf" -j "${jobs}" --target bench_micro hcac
   ./bench_micro --strict-build \
     --benchmark_min_time=0.01 --benchmark_repetitions=1)
 echo "ci: perf smoke passed (timings informational; BENCH_micro.json written)"
+
+echo "=== ci: perfbench (helper tests + table1-direct smoke) ==="
+(cd "${root}" && python3 -m unittest discover -s perfbench -p 'test_*.py')
+# Two seconds of table1-direct: enough for the warm-up round's output checks
+# and one timed round. The verdict is the "correct" field of the result
+# line (the last line on stdout; build output goes to stderr); the timings
+# are not looked at.
+perf_log="$(mktemp)"
+(cd "${root}" && python3 perfbench/run.py --workload table1-direct \
+  --seed 1 --seconds 2 --trace 0) >"${perf_log}" || {
+    echo "ci: perfbench smoke failed to run"
+    cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
+tail -n 1 "${perf_log}" | python3 -c \
+  'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' || {
+    echo "ci: perfbench smoke reported \"correct\": false"
+    cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
+rm -f "${perf_log}"
+echo "ci: perfbench smoke passed (timings not checked)"
 
 echo "=== ci: pruning identity gate (hcac --compare, on vs off) ==="
 # Dominance pruning must be invisible to the search: it only drops states
