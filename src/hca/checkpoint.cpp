@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "ddg/serialize.hpp"
+#include "hca/report.hpp"
 #include "see/serialize.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
@@ -119,63 +121,21 @@ const std::vector<JsonValue>& asArray(const JsonValue& v, const char* what) {
 
 // --- HcaStats ---------------------------------------------------------------
 
-// Same field names as the run report (hca/report.cpp), so the two formats
-// stay cross-readable by the same tooling.
-void writeStats(JsonWriter& json, const HcaStats& s) {
-  json.beginObject();
-  json.key("problemsSolved").value(s.problemsSolved);
-  json.key("backtrackAttempts").value(s.backtrackAttempts);
-  json.key("outerAttempts").value(s.outerAttempts);
-  json.key("achievedTargetIi").value(s.achievedTargetIi);
-  json.key("attemptsCancelled").value(s.attemptsCancelled);
-  json.key("statesExplored").value(s.statesExplored);
-  json.key("candidatesEvaluated").value(s.candidatesEvaluated);
-  json.key("routeInvocations").value(s.routeInvocations);
-  json.key("cacheHits").value(s.cacheHits);
-  json.key("cacheMisses").value(s.cacheMisses);
-  json.key("maxWirePressure").value(s.maxWirePressure);
-  json.key("seeCopiesAvoided").value(s.seeCopiesAvoided);
-  json.key("seeSnapshotsMaterialized").value(s.seeSnapshotsMaterialized);
-  json.key("seeArenaBytesPeak").value(s.seeArenaBytesPeak);
-  json.key("seeOracleRejects").value(s.seeOracleRejects);
-  json.key("seeRouteMemoHits").value(s.seeRouteMemoHits);
-  json.key("seeDominancePruned").value(s.seeDominancePruned);
-  json.endObject();
-}
-
 HcaStats parseStats(const JsonValue& v) {
   HcaStats s;
-  s.problemsSolved = asI32(member(v, "problemsSolved"), "problemsSolved");
-  s.backtrackAttempts =
-      asI32(member(v, "backtrackAttempts"), "backtrackAttempts");
-  s.outerAttempts = asI32(member(v, "outerAttempts"), "outerAttempts");
-  s.achievedTargetIi =
-      asI32(member(v, "achievedTargetIi"), "achievedTargetIi");
-  s.attemptsCancelled =
-      asI32(member(v, "attemptsCancelled"), "attemptsCancelled");
-  s.statesExplored = asInt(member(v, "statesExplored"), "statesExplored");
-  s.candidatesEvaluated =
-      asInt(member(v, "candidatesEvaluated"), "candidatesEvaluated");
-  s.routeInvocations =
-      asInt(member(v, "routeInvocations"), "routeInvocations");
-  s.cacheHits = asInt(member(v, "cacheHits"), "cacheHits");
-  s.cacheMisses = asInt(member(v, "cacheMisses"), "cacheMisses");
-  s.maxWirePressure = asI32(member(v, "maxWirePressure"), "maxWirePressure");
-  s.seeCopiesAvoided =
-      asInt(member(v, "seeCopiesAvoided"), "seeCopiesAvoided");
-  s.seeSnapshotsMaterialized = asInt(member(v, "seeSnapshotsMaterialized"),
-                                     "seeSnapshotsMaterialized");
-  s.seeArenaBytesPeak =
-      asInt(member(v, "seeArenaBytesPeak"), "seeArenaBytesPeak");
-  // Counters added after the first checkpoint schema: absent in older
-  // files, parsed as 0.
-  const auto optInt = [&v](const char* key) {
-    const JsonValue* m = v.find(key);
-    return m == nullptr ? std::int64_t{0} : asInt(*m, key);
-  };
-  s.seeOracleRejects = optInt("seeOracleRejects");
-  s.seeRouteMemoHits = optInt("seeRouteMemoHits");
-  s.seeDominancePruned = optInt("seeDominancePruned");
+  forEachRunCounter(
+      [&v](const RunCounter& c, auto& value) {
+        const JsonValue* m = c.field == see::CounterField::kRequired
+                                 ? &member(v, c.key)
+                                 : v.find(c.key);
+        if (m == nullptr) return;  // optional and absent: 0
+        if constexpr (std::is_same_v<decltype(+value), int>) {
+          value = asI32(*m, c.key);
+        } else {
+          value = asInt(*m, c.key);
+        }
+      },
+      s);
   return s;
 }
 
@@ -229,7 +189,7 @@ std::string serializeCheckpoint(const CheckpointData& data) {
     json.key("profile").value(a.profile);
     json.key("failureReason").value(a.failureReason);
     json.key("stats");
-    writeStats(json, a.stats);
+    writeStatsJson(json, a.stats);
     json.endObject();
   }
   json.endArray();

@@ -90,6 +90,32 @@ std::string lvl(const char* base, int level) {
 
 }  // namespace
 
+LevelMetrics::LevelMetrics(MetricsRegistry& m, int level)
+    : cacheHits(&m.counter(lvl("cache.hits", level))),
+      cacheMisses(&m.counter(lvl("cache.misses", level))),
+      seeProblems(&m.counter(lvl("see.problems", level))),
+      hcaBacktracks(&m.counter(lvl("hca.backtracks", level))),
+      mapperFailures(&m.counter(lvl("mapper.failures", level))),
+      mapperMaxValuesPerWire(
+          &m.histogram(lvl("mapper.max_values_per_wire", level))),
+      mapperWireUtilization(&m.histogram(lvl("mapper.wire_utilization", level))),
+      mapperCopiesPerIli(&m.histogram(lvl("mapper.copies_per_ili", level))) {
+  for (std::size_t i = 0; i < seeSeries.size(); ++i) {
+    if (const char* metric = see::kSeeCounters[i].metric) {
+      seeSeries[i] = &m.counter(lvl(metric, level));
+    }
+  }
+}
+
+void LevelMetrics::addSee(const see::SeeStats& s) const {
+  for (std::size_t i = 0; i < seeSeries.size(); ++i) {
+    if (seeSeries[i] != nullptr) {
+      const see::SeeCounter& c = see::kSeeCounters[i];
+      see::mergeCounter(c.merge, *seeSeries[i], s.*c.member);
+    }
+  }
+}
+
 HcaDriver::HcaDriver(machine::DspFabricModel model, HcaOptions options)
     : model_(std::move(model)),
       options_(options),
@@ -160,29 +186,7 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
   std::vector<LevelMetrics> levelMetrics;
   levelMetrics.reserve(static_cast<std::size_t>(model_.numLevels()));
   for (int level = 0; level < model_.numLevels(); ++level) {
-    MetricsRegistry& m = result.metrics;
-    levelMetrics.push_back(LevelMetrics{
-        &m.counter(lvl("cache.hits", level)),
-        &m.counter(lvl("cache.misses", level)),
-        &m.counter(lvl("see.problems", level)),
-        &m.counter(lvl("see.expansions", level)),
-        &m.counter(lvl("see.pruned", level)),
-        &m.counter(lvl("see.candidates", level)),
-        &m.counter(lvl("see.candidate_rejections", level)),
-        &m.counter(lvl("see.route_invocations", level)),
-        &m.counter(lvl("see.route_failures", level)),
-        &m.counter(lvl("see.routed_operands", level)),
-        &m.counter(lvl("see.copies_avoided", level)),
-        &m.counter(lvl("see.snapshots", level)),
-        &m.counter(lvl("see.oracle_rejects", level)),
-        &m.counter(lvl("see.route_memo_hits", level)),
-        &m.counter(lvl("see.dominance_pruned", level)),
-        &m.counter(lvl("hca.backtracks", level)),
-        &m.counter(lvl("mapper.failures", level)),
-        &m.histogram(lvl("mapper.max_values_per_wire", level)),
-        &m.histogram(lvl("mapper.wire_utilization", level)),
-        &m.histogram(lvl("mapper.copies_per_ili", level)),
-    });
+    levelMetrics.emplace_back(result.metrics, level);
   }
   const std::vector<std::int64_t> heights =
       ddg.heights(model_.config().latency);
@@ -726,17 +730,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       result.stats = best.stats;
       result.metrics = std::move(best.metrics);
       ++result.stats.outerAttempts;
-      result.stats.statesExplored += flat.seeStats.statesExplored;
-      result.stats.candidatesEvaluated += flat.seeStats.candidatesEvaluated;
-      result.stats.routeInvocations += flat.seeStats.routeInvocations;
-      result.stats.seeCopiesAvoided += flat.seeStats.copiesAvoided;
-      result.stats.seeSnapshotsMaterialized +=
-          flat.seeStats.snapshotsMaterialized;
-      result.stats.seeArenaBytesPeak = std::max(
-          result.stats.seeArenaBytesPeak, flat.seeStats.arenaBytesPeak);
-      result.stats.seeOracleRejects += flat.seeStats.oracleRejects;
-      result.stats.seeRouteMemoHits += flat.seeStats.routeMemoHits;
-      result.stats.seeDominancePruned += flat.seeStats.dominancePruned;
+      result.stats.addSee(flat.seeStats);
       result.stats.problemsSolved += flat.hierarchy.problemsChecked;
       result.stats.maxWirePressure = flat.hierarchy.maxWirePressure;
       result.stats.achievedTargetIi = 0;  // no target II was honored
@@ -883,32 +877,11 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
 
   record->seeStats = seeResult.stats;
   ++result.stats.problemsSolved;
-  result.stats.statesExplored += seeResult.stats.statesExplored;
-  result.stats.candidatesEvaluated += seeResult.stats.candidatesEvaluated;
-  result.stats.routeInvocations += seeResult.stats.routeInvocations;
-  result.stats.seeCopiesAvoided += seeResult.stats.copiesAvoided;
-  result.stats.seeSnapshotsMaterialized +=
-      seeResult.stats.snapshotsMaterialized;
-  result.stats.seeArenaBytesPeak = std::max(
-      result.stats.seeArenaBytesPeak, seeResult.stats.arenaBytesPeak);
-  result.stats.seeOracleRejects += seeResult.stats.oracleRejects;
-  result.stats.seeRouteMemoHits += seeResult.stats.routeMemoHits;
-  result.stats.seeDominancePruned += seeResult.stats.dominancePruned;
+  result.stats.addSee(seeResult.stats);
   // Per-level search-pressure series (cache hits replay the recorded
   // SeeStats, so the counters are byte-identical with the cache on or off).
   ++*lm.seeProblems;
-  *lm.seeExpansions += seeResult.stats.statesExplored;
-  *lm.seePruned += seeResult.stats.statesPruned;
-  *lm.seeCandidates += seeResult.stats.candidatesEvaluated;
-  *lm.seeCandidateRejections += seeResult.stats.candidateRejections;
-  *lm.seeRouteInvocations += seeResult.stats.routeInvocations;
-  *lm.seeRouteFailures += seeResult.stats.routeFailures;
-  *lm.seeRoutedOperands += seeResult.stats.routedOperands;
-  *lm.seeCopiesAvoided += seeResult.stats.copiesAvoided;
-  *lm.seeSnapshots += seeResult.stats.snapshotsMaterialized;
-  *lm.seeOracleRejects += seeResult.stats.oracleRejects;
-  *lm.seeRouteMemoHits += seeResult.stats.routeMemoHits;
-  *lm.seeDominancePruned += seeResult.stats.dominancePruned;
+  lm.addSee(seeResult.stats);
 
   if (!seeResult.legal) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,6 +213,31 @@ struct HcaResult {
   std::unique_ptr<HcaFailureReport> failure;
 };
 
+/// Pre-resolved handles into one attempt's `MetricsRegistry` for one
+/// hierarchy level: `std::map` node addresses are stable, so resolving the
+/// `.L<level>` names once per attempt keeps the per-sub-problem
+/// instrumentation down to raw pointer bumps (no string building or map
+/// lookups on the solve hot path).
+struct LevelMetrics {
+  /// Resolves (creating at 0) every `.L<level>` series of `m`.
+  LevelMetrics(MetricsRegistry& m, int level);
+
+  /// Adds one SEE search's counters to the level's SEE series.
+  void addSee(const see::SeeStats& s) const;
+
+  std::int64_t* cacheHits;
+  std::int64_t* cacheMisses;
+  std::int64_t* seeProblems;
+  std::int64_t* hcaBacktracks;
+  std::int64_t* mapperFailures;
+  Histogram* mapperMaxValuesPerWire;
+  Histogram* mapperWireUtilization;
+  Histogram* mapperCopiesPerIli;
+  /// One handle per `see::kSeeCounters` row; null where the row has no
+  /// per-level metric.
+  std::array<std::int64_t*, std::size(see::kSeeCounters)> seeSeries{};
+};
+
 class HcaDriver {
  public:
   HcaDriver(machine::DspFabricModel model, HcaOptions options = {});
@@ -223,34 +250,6 @@ class HcaDriver {
   struct Boundary {
     std::vector<mapper::WireValues> inputs;
     std::vector<mapper::WireValues> outputs;
-  };
-
-  /// Pre-resolved handles into one attempt's `MetricsRegistry` for one
-  /// hierarchy level: `std::map` node addresses are stable, so resolving
-  /// the `.L<level>` names once per attempt keeps the per-sub-problem
-  /// instrumentation down to raw pointer bumps (no string building or map
-  /// lookups on the solve hot path).
-  struct LevelMetrics {
-    std::int64_t* cacheHits;
-    std::int64_t* cacheMisses;
-    std::int64_t* seeProblems;
-    std::int64_t* seeExpansions;
-    std::int64_t* seePruned;
-    std::int64_t* seeCandidates;
-    std::int64_t* seeCandidateRejections;
-    std::int64_t* seeRouteInvocations;
-    std::int64_t* seeRouteFailures;
-    std::int64_t* seeRoutedOperands;
-    std::int64_t* seeCopiesAvoided;
-    std::int64_t* seeSnapshots;
-    std::int64_t* seeOracleRejects;
-    std::int64_t* seeRouteMemoHits;
-    std::int64_t* seeDominancePruned;
-    std::int64_t* hcaBacktracks;
-    std::int64_t* mapperFailures;
-    Histogram* mapperMaxValuesPerWire;
-    Histogram* mapperWireUtilization;
-    Histogram* mapperCopiesPerIli;
   };
 
   /// Per-attempt execution context threaded through the recursion: the

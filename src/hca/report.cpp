@@ -1,5 +1,6 @@
 #include "hca/report.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -26,6 +27,19 @@ std::vector<int> levelsPresent(const MetricsRegistry& metrics) {
     }
   }
   return levels;
+}
+
+/// The SEE counters reported per level, in `levels[]` key order.
+std::vector<const see::SeeCounter*> seeLevelsColumns() {
+  std::vector<const see::SeeCounter*> columns;
+  for (const see::SeeCounter& c : see::kSeeCounters) {
+    if (c.levelsKey != nullptr) columns.push_back(&c);
+  }
+  std::sort(columns.begin(), columns.end(),
+            [](const see::SeeCounter* a, const see::SeeCounter* b) {
+              return a->levelsSlot < b->levelsSlot;
+            });
+  return columns;
 }
 
 void writeHistogramSummary(JsonWriter& json, const Histogram* h) {
@@ -91,30 +105,13 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
     json.null();
   }
 
-  const HcaStats& s = result.stats;
-  json.key("stats").beginObject();
-  json.key("problemsSolved").value(s.problemsSolved);
-  json.key("backtrackAttempts").value(s.backtrackAttempts);
-  json.key("outerAttempts").value(s.outerAttempts);
-  json.key("achievedTargetIi").value(s.achievedTargetIi);
-  json.key("attemptsCancelled").value(s.attemptsCancelled);
-  json.key("statesExplored").value(s.statesExplored);
-  json.key("candidatesEvaluated").value(s.candidatesEvaluated);
-  json.key("routeInvocations").value(s.routeInvocations);
-  json.key("cacheHits").value(s.cacheHits);
-  json.key("cacheMisses").value(s.cacheMisses);
-  json.key("maxWirePressure").value(s.maxWirePressure);
-  json.key("seeCopiesAvoided").value(s.seeCopiesAvoided);
-  json.key("seeSnapshotsMaterialized").value(s.seeSnapshotsMaterialized);
-  json.key("seeArenaBytesPeak").value(s.seeArenaBytesPeak);
-  json.key("seeOracleRejects").value(s.seeOracleRejects);
-  json.key("seeRouteMemoHits").value(s.seeRouteMemoHits);
-  json.key("seeDominancePruned").value(s.seeDominancePruned);
-  json.endObject();
+  json.key("stats");
+  writeStatsJson(json, result.stats);
 
   // Per-level breakdown: the `.L<n>` series of the registry, one row per
   // hierarchy level that solved at least one sub-problem.
   const MetricsRegistry& m = result.metrics;
+  const std::vector<const see::SeeCounter*> seeColumns = seeLevelsColumns();
   json.key("levels").beginArray();
   for (const int level : levelsPresent(m)) {
     json.beginObject();
@@ -123,21 +120,9 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
                                ? model->levelName(level)
                                : strCat("L", level));
     json.key("problems").value(m.counterValue(lvl("see.problems", level)));
-    json.key("expansions").value(m.counterValue(lvl("see.expansions", level)));
-    json.key("pruned").value(m.counterValue(lvl("see.pruned", level)));
-    json.key("candidates").value(m.counterValue(lvl("see.candidates", level)));
-    json.key("candidateRejections")
-        .value(m.counterValue(lvl("see.candidate_rejections", level)));
-    json.key("routeInvocations")
-        .value(m.counterValue(lvl("see.route_invocations", level)));
-    json.key("routeFailures")
-        .value(m.counterValue(lvl("see.route_failures", level)));
-    json.key("oracleRejects")
-        .value(m.counterValue(lvl("see.oracle_rejects", level)));
-    json.key("routeMemoHits")
-        .value(m.counterValue(lvl("see.route_memo_hits", level)));
-    json.key("dominancePruned")
-        .value(m.counterValue(lvl("see.dominance_pruned", level)));
+    for (const see::SeeCounter* c : seeColumns) {
+      json.key(c->levelsKey).value(m.counterValue(lvl(c->metric, level)));
+    }
     json.key("cacheHits").value(m.counterValue(lvl("cache.hits", level)));
     json.key("cacheMisses").value(m.counterValue(lvl("cache.misses", level)));
     json.key("backtracks").value(m.counterValue(lvl("hca.backtracks", level)));
@@ -169,28 +154,25 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
   json.endObject();
 }
 
+void writeStatsJson(JsonWriter& json, const HcaStats& stats) {
+  json.beginObject();
+  forEachRunCounter(
+      [&json](const RunCounter& c, const auto& value) {
+        json.key(c.key).value(value);
+      },
+      stats);
+  json.endObject();
+}
+
 std::map<std::string, std::int64_t> deterministicCounters(
     const HcaStats& stats) {
-  // attemptsCancelled is deliberately absent: it counts attempts cut short
-  // by deadlines or portfolio soft-cancellation, both wall-clock effects.
-  return {
-      {"problemsSolved", stats.problemsSolved},
-      {"backtrackAttempts", stats.backtrackAttempts},
-      {"outerAttempts", stats.outerAttempts},
-      {"achievedTargetIi", stats.achievedTargetIi},
-      {"statesExplored", stats.statesExplored},
-      {"candidatesEvaluated", stats.candidatesEvaluated},
-      {"routeInvocations", stats.routeInvocations},
-      {"cacheHits", stats.cacheHits},
-      {"cacheMisses", stats.cacheMisses},
-      {"maxWirePressure", stats.maxWirePressure},
-      {"seeCopiesAvoided", stats.seeCopiesAvoided},
-      {"seeSnapshotsMaterialized", stats.seeSnapshotsMaterialized},
-      {"seeArenaBytesPeak", stats.seeArenaBytesPeak},
-      {"seeOracleRejects", stats.seeOracleRejects},
-      {"seeRouteMemoHits", stats.seeRouteMemoHits},
-      {"seeDominancePruned", stats.seeDominancePruned},
-  };
+  std::map<std::string, std::int64_t> counters;
+  forEachRunCounter(
+      [&counters](const RunCounter& c, const auto& value) {
+        if (c.deterministic) counters.emplace(c.key, value);
+      },
+      stats);
+  return counters;
 }
 
 double runWallUs(const HcaResult& result) {

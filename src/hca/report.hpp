@@ -56,6 +56,11 @@ void writeRunReport(JsonWriter& json, const HcaResult& result,
                     const machine::DspFabricModel* model = nullptr,
                     const ReportMeta* meta = nullptr);
 
+/// Emits `stats` as a JSON object keyed by member name, in counter-table
+/// order: the report's "stats" member and each checkpointed attempt's stats
+/// (so the two formats stay cross-readable by the same tooling).
+void writeStatsJson(JsonWriter& json, const HcaStats& stats);
+
 /// Pretty-prints the run outcome and metrics registry to `os`.
 void printRunStats(std::ostream& os, const HcaResult& result);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -167,21 +168,96 @@ struct SeeStats {
 
   /// Folds another search's counters into this one (retry-ladder rungs,
   /// per-level aggregation in the driver's metrics registry).
-  void merge(const SeeStats& other) {
-    statesExplored += other.statesExplored;
-    candidatesEvaluated += other.candidatesEvaluated;
-    statesPruned += other.statesPruned;
-    routeInvocations += other.routeInvocations;
-    routedOperands += other.routedOperands;
-    candidateRejections += other.candidateRejections;
-    routeFailures += other.routeFailures;
-    copiesAvoided += other.copiesAvoided;
-    snapshotsMaterialized += other.snapshotsMaterialized;
-    arenaBytesPeak = std::max(arenaBytesPeak, other.arenaBytesPeak);
-    oracleRejects += other.oracleRejects;
-    routeMemoHits += other.routeMemoHits;
-    dominancePruned += other.dominancePruned;
-  }
+  void merge(const SeeStats& other);
 };
+
+/// How a counter combines when two searches or attempts are folded.
+enum class CounterMerge {
+  kSum,     ///< effort counters add up
+  kMax,     ///< high-water marks keep the larger value
+  kWinner,  ///< a property of the winning attempt: merging leaves it alone
+};
+
+/// Whether a serialized snapshot (SEE result, checkpointed attempt) must
+/// carry a counter. Counters added after the first checkpoint schema are
+/// optional: a missing key reads as 0, so older files still load.
+enum class CounterField { kRequired, kOptional };
+
+template <class T>
+constexpr void mergeCounter(CounterMerge op, T& into, T from) {
+  if (op == CounterMerge::kSum) into += from;
+  if (op == CounterMerge::kMax) into = std::max(into, from);
+}
+
+// The counter table (DESIGN.md section 4l): one row per search counter, in
+// declaration order, which is also the key order of every JSON object the
+// rows feed. Both merges, both serializers, the SeeStats -> HcaStats fold,
+// the per-level metrics and the run report's counters are generated from
+// it, so adding a counter means declaring its field and appending a row.
+//
+//   RUN(member, merge, field, deterministic)
+//     An HcaStats-only counter; its report/checkpoint key is its name.
+//   SEE(member, key, merge, field, metric, levelsKey, levelsSlot)
+//     A SeeStats counter: short SEE-result key, per-level metric base name
+//     (`<metric>.L<n>`), key and position among the SEE keys of the
+//     report's levels[] rows (nullptr / -1 = none).
+//   SEE_RUN(member, key, merge, field, metric, levelsKey, levelsSlot, run)
+//     A SEE row that also accumulates into HcaStats::run.
+// clang-format off
+#define HCA_COUNTER_TABLE(RUN, SEE, SEE_RUN)                                                                                             \
+  RUN(    problemsSolved,    kSum,    kRequired, true)                                                                                   \
+  RUN(    backtrackAttempts, kSum,    kRequired, true)                                                                                   \
+  RUN(    outerAttempts,     kSum,    kRequired, true)                                                                                   \
+  RUN(    achievedTargetIi,  kWinner, kRequired, true)                                                                                   \
+  RUN(    attemptsCancelled, kSum,    kRequired, false)                                                                                  \
+  SEE_RUN(statesExplored,        "se", kSum, kRequired, "see.expansions",           "expansions",          0,  statesExplored)           \
+  SEE_RUN(candidatesEvaluated,   "ce", kSum, kRequired, "see.candidates",           "candidates",          2,  candidatesEvaluated)      \
+  SEE(    statesPruned,          "sp", kSum, kRequired, "see.pruned",               "pruned",              1)                            \
+  SEE_RUN(routeInvocations,      "ri", kSum, kRequired, "see.route_invocations",    "routeInvocations",    4,  routeInvocations)         \
+  SEE(    routedOperands,        "ro", kSum, kRequired, "see.routed_operands",      nullptr,               -1)                           \
+  SEE(    candidateRejections,   "cr", kSum, kRequired, "see.candidate_rejections", "candidateRejections", 3)                            \
+  SEE(    routeFailures,         "rf", kSum, kRequired, "see.route_failures",       "routeFailures",       5)                            \
+  RUN(    cacheHits,         kSum,    kRequired, true)                                                                                   \
+  RUN(    cacheMisses,       kSum,    kRequired, true)                                                                                   \
+  RUN(    maxWirePressure,   kWinner, kRequired, true)                                                                                   \
+  SEE_RUN(copiesAvoided,         "ca", kSum, kRequired, "see.copies_avoided",       nullptr,               -1, seeCopiesAvoided)         \
+  SEE_RUN(snapshotsMaterialized, "sm", kSum, kRequired, "see.snapshots",            nullptr,               -1, seeSnapshotsMaterialized) \
+  SEE_RUN(arenaBytesPeak,        "ap", kMax, kRequired, nullptr,                    nullptr,               -1, seeArenaBytesPeak)        \
+  SEE_RUN(oracleRejects,         "or", kSum, kOptional, "see.oracle_rejects",       "oracleRejects",       6,  seeOracleRejects)         \
+  SEE_RUN(routeMemoHits,         "mh", kSum, kOptional, "see.route_memo_hits",      "routeMemoHits",       7,  seeRouteMemoHits)         \
+  SEE_RUN(dominancePruned,       "dp", kSum, kOptional, "see.dominance_pruned",     "dominancePruned",     8,  seeDominancePruned)
+// clang-format on
+
+/// Row kind an expansion site ignores.
+#define HCA_COUNTER_SKIP(...)
+
+/// The SeeStats view of one SEE or SEE_RUN row.
+struct SeeCounter {
+  std::int64_t SeeStats::*member;
+  const char* key;
+  CounterMerge merge;
+  CounterField field;
+  const char* metric;
+  const char* levelsKey;
+  int levelsSlot;
+};
+
+#define HCA_SEE_COUNTER(member, key, merge, field, metric, levelsKey, slot, \
+                        ...)                                                 \
+  SeeCounter{&SeeStats::member, key,      CounterMerge::merge,              \
+             CounterField::field, metric, levelsKey, slot},
+inline constexpr SeeCounter kSeeCounters[] = {HCA_COUNTER_TABLE(
+    HCA_COUNTER_SKIP, HCA_SEE_COUNTER, HCA_SEE_COUNTER)};
+#undef HCA_SEE_COUNTER
+
+static_assert(sizeof(SeeStats) ==
+                  std::size(kSeeCounters) * sizeof(std::int64_t),
+              "every SeeStats field needs a row in HCA_COUNTER_TABLE");
+
+inline void SeeStats::merge(const SeeStats& other) {
+  for (const SeeCounter& c : kSeeCounters) {
+    mergeCounter(c.merge, this->*c.member, other.*c.member);
+  }
+}
 
 }  // namespace hca::see

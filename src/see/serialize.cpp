@@ -124,44 +124,19 @@ Item parseItem(const JsonValue& v) {
 
 void writeStats(JsonWriter& json, const SeeStats& s) {
   json.beginObject();
-  json.key("se").value(s.statesExplored);
-  json.key("ce").value(s.candidatesEvaluated);
-  json.key("sp").value(s.statesPruned);
-  json.key("ri").value(s.routeInvocations);
-  json.key("ro").value(s.routedOperands);
-  json.key("cr").value(s.candidateRejections);
-  json.key("rf").value(s.routeFailures);
-  json.key("ca").value(s.copiesAvoided);
-  json.key("sm").value(s.snapshotsMaterialized);
-  json.key("ap").value(s.arenaBytesPeak);
-  json.key("or").value(s.oracleRejects);
-  json.key("mh").value(s.routeMemoHits);
-  json.key("dp").value(s.dominancePruned);
+  for (const SeeCounter& c : kSeeCounters) json.key(c.key).value(s.*c.member);
   json.endObject();
-}
-
-/// Optional integer member: snapshots written before the counter existed
-/// parse as 0 (checkpoint back-compat).
-std::int64_t asIntOr0(const JsonValue& v, const char* key) {
-  const JsonValue* m = v.find(key);
-  return m == nullptr ? 0 : asInt(*m, key);
 }
 
 SeeStats parseStats(const JsonValue& v) {
   SeeStats s;
-  s.statesExplored = asInt(member(v, "se"), "stats.se");
-  s.candidatesEvaluated = asInt(member(v, "ce"), "stats.ce");
-  s.statesPruned = asInt(member(v, "sp"), "stats.sp");
-  s.routeInvocations = asInt(member(v, "ri"), "stats.ri");
-  s.routedOperands = asInt(member(v, "ro"), "stats.ro");
-  s.candidateRejections = asInt(member(v, "cr"), "stats.cr");
-  s.routeFailures = asInt(member(v, "rf"), "stats.rf");
-  s.copiesAvoided = asInt(member(v, "ca"), "stats.ca");
-  s.snapshotsMaterialized = asInt(member(v, "sm"), "stats.sm");
-  s.arenaBytesPeak = asInt(member(v, "ap"), "stats.ap");
-  s.oracleRejects = asIntOr0(v, "or");
-  s.routeMemoHits = asIntOr0(v, "mh");
-  s.dominancePruned = asIntOr0(v, "dp");
+  for (const SeeCounter& c : kSeeCounters) {
+    if (c.field == CounterField::kRequired) {
+      s.*c.member = asInt(member(v, c.key), c.key);
+    } else if (const JsonValue* m = v.find(c.key)) {
+      s.*c.member = asInt(*m, c.key);
+    }
+  }
   return s;
 }
 

@@ -30,8 +30,12 @@
 #                 kernel; any deterministic-counter mismatch besides the
 #                 three oracle counters (seeOracleRejects, seeRouteMemoHits,
 #                 seeDominancePruned and their per-level metrics) fails
-#   5. robust   — kill-and-resume smoke (SIGTERM mid-search, then --resume
-#                 must complete legally) and a 3-job batch manifest with
+#   5. robust   — kill-and-resume identity (SIGTERM mid-search, then --resume
+#                 must complete legally, and its --report-out must
+#                 `hcac --compare` clean against an uninterrupted run's,
+#                 with metrics.* excused: the metrics registry is not
+#                 checkpointed, so a resumed run's registry only covers
+#                 the attempts it re-ran) and a 3-job batch manifest with
 #                 one deliberately failing job (retry/backoff/isolation
 #                 must run, the summary must be non-zero-exit and still
 #                 report the two good jobs ok)
@@ -161,11 +165,22 @@ for delay in 2 5 10 30; do
 done
 [[ -s "${work}/resume.ckpt" ]] || { echo "ci: no checkpoint written"; exit 1; }
 "${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
-  --checkpoint-out "${work}/resume.ckpt" --resume >"${work}/resumed.log" 2>&1
+  --checkpoint-out "${work}/resume.ckpt" --resume \
+  --report-out "${work}/resumed.json" >"${work}/resumed.log" 2>&1
 grep -q "resuming from" "${work}/resumed.log" || {
   echo "ci: resumed run did not load the checkpoint"
   cat "${work}/resumed.log"; exit 1; }
-echo "ci: kill-and-resume smoke passed"
+# Resume identity: the resumed run's stats must equal an uninterrupted
+# run's. metrics.* is excused because the metrics registry is not
+# checkpointed (hca/checkpoint.hpp): a resumed run's registry only covers
+# the attempts it re-ran.
+"${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
+  --report-out "${work}/uninterrupted.json" >"${work}/uninterrupted.log" 2>&1
+"${hcac}" --compare "${work}/uninterrupted.json" "${work}/resumed.json" \
+  --ignore-counters 'metrics.*' >"${work}/resume_compare.log" 2>&1 || {
+    echo "ci: resumed run differs from the uninterrupted run"
+    cat "${work}/resume_compare.log"; exit 1; }
+echo "ci: kill-and-resume identity passed"
 
 # Batch isolation: three jobs, the middle one fails every try by injection.
 # The batch must exit non-zero, retry the bad job with backoff, and still
