@@ -86,16 +86,17 @@ void onRcpRing(const ddg::Ddg& ddg) {
     std::printf("   assignment failed: %s\n", result.failureReason.c_str());
     return;
   }
+  const see::PartialSolution solution = result.materialize();
   std::printf("   legal; placements:\n");
   for (const DdgNodeId n : problem.workingSet) {
     const auto& node = ddg.node(n);
     std::printf("     %-6s %-8s -> %s%s\n",
                 std::string(ddg::opName(node.op)).c_str(), node.name.c_str(),
-                pg.node(result.solution.clusterOf(n)).name.c_str(),
+                pg.node(solution.clusterOf(n)).name.c_str(),
                 ddg::isMemoryOp(node.op) ? "  (memory-capable PE)" : "");
   }
   std::printf("   inter-cluster copies: %d\n",
-              result.solution.flow().totalCopies());
+              solution.flow().totalCopies());
 }
 
 }  // namespace

@@ -62,17 +62,16 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
     return result;
   }
 
+  const see::PartialSolution solution = seeResult.materialize();
   result.assignment.assign(static_cast<std::size_t>(ddg.numNodes()),
                            CnId::invalid());
   for (const DdgNodeId n : problem.workingSet) {
-    result.assignment[n.index()] =
-        CnId(seeResult.solution.clusterOf(n).value());
+    result.assignment[n.index()] = CnId(solution.clusterOf(n).value());
   }
   for (const ClusterId c : pg.clusterNodes()) {
     result.maxCnPressure =
         std::max(result.maxCnPressure,
-                 seeResult.solution.usage(c).instructions +
-                     seeResult.solution.distinctValuesIn(c));
+                 solution.usage(c).instructions + solution.distinctValuesIn(c));
   }
 
   // Post-hoc: can the MUX hierarchy actually realize this assignment?

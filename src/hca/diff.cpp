@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "hca/records.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
@@ -37,6 +38,16 @@ const JsonValue& member(const JsonValue& v, const char* name,
   return *m;
 }
 
+/// The HcaStats counters HCA_COUNTER_TABLE marks non-deterministic (they
+/// depend on scheduling or the wall clock).
+std::set<std::string> nonDeterministicStats() {
+  std::set<std::string> names;
+  forEachRunCounter([&names](const RunCounter& c) {
+    if (!c.deterministic) names.insert(c.key);
+  });
+  return names;
+}
+
 /// Timing-dependent series never enter the exact-compare set: pool
 /// behaviour depends on scheduling, and anything wall-based is noise.
 bool deterministicMetricName(const std::string& name) {
@@ -60,8 +71,9 @@ ReportView viewOf(const JsonValue& report, const char* which) {
   const JsonValue& stats = member(report, "stats", which);
   HCA_REQUIRE(stats.isObject(),
               "compare: " << which << " report 'stats' is not an object");
+  const std::set<std::string> skipped = nonDeterministicStats();
   for (const auto& [name, value] : stats.object) {
-    if (name == "attemptsCancelled") continue;  // wall-clock dependent
+    if (skipped.count(name) != 0) continue;
     HCA_REQUIRE(value.kind == JsonValue::Kind::kNumber,
                 "compare: " << which << " report stats." << name
                             << " is not a number");

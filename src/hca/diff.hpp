@@ -12,11 +12,12 @@
 /// Answers "did this change make the compiler faster or slower, and
 /// where?" by diffing two run reports of the same workload/machine:
 ///
-///  * *Deterministic counters* — the report's "stats" block minus
-///    `attemptsCancelled`, plus every deterministic counter of the metrics
-///    registry — are compared *exactly*. The search is deterministic, so
-///    any difference means the change altered search behaviour; each
-///    mismatching series is named in the verdict.
+///  * *Deterministic counters* — the report's "stats" block minus the
+///    counters HCA_COUNTER_TABLE marks non-deterministic
+///    (`attemptsCancelled`), plus every deterministic counter of the
+///    metrics registry — are compared *exactly*. The search is
+///    deterministic, so any difference means the change altered search
+///    behaviour; each mismatching series is named in the verdict.
 ///  * *Wall-clock* — inherently noisy — is compared against a
 ///    variance-aware threshold computed from the baseline history:
 ///    mean + k·stddev over the matching (workload, machine) records

@@ -83,6 +83,17 @@ void runVerifyEach(const ddg::Ddg& ddg, const machine::DspFabricModel& model,
              ":\n", outcome.formatted));
 }
 
+/// Drops the frontier states past the `maxAlternatives` the driver tries,
+/// before a result is cached.
+void keepAlternatives(see::SeeResult& result, int maxAlternatives) {
+  const auto keep = static_cast<std::size_t>(std::max(1, maxAlternatives));
+  if (result.frontier.size() <= keep) return;
+  result.frontier.erase(
+      result.frontier.begin() + static_cast<std::ptrdiff_t>(keep),
+      result.frontier.end());
+  result.frontier.shrink_to_fit();
+}
+
 /// Per-level metric name: `base + ".L" + level` (DESIGN.md section 4e).
 std::string lvl(const char* base, int level) {
   return strCat(base, ".L", level);
@@ -583,7 +594,9 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   if (options_.checkpoint != nullptr && cachePtr != nullptr) {
     if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
       for (const auto& [key, seeResult] : *entries) {
-        cachePtr->insert(key, seeResult);
+        see::SeeResult restored = seeResult;
+        keepAlternatives(restored, options_.maxAlternatives);
+        cachePtr->insert(key, std::move(restored));
       }
     }
   }
@@ -592,10 +605,14 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // run totals and as across-shard distributions (a hot shard shows up as
   // a max far above the p50). Applied once per runLadder return; the
   // nested degraded-bandwidth ladder harvests its own cache first and the
-  // counters sum.
+  // counters sum. Once the cache's entries are dropped (before the
+  // degraded-bandwidth rung), the counters come from the snapshot taken
+  // then.
+  std::vector<SubproblemCache::ShardStats> droppedShards;
   const auto harvestCache = [&](HcaResult& r) {
     if (cachePtr == nullptr) return;
-    const auto shards = cachePtr->shardStats();
+    const auto shards =
+        droppedShards.empty() ? cachePtr->shardStats() : droppedShards;
     for (const auto& s : shards) {
       r.metrics.add("cache.hits", s.hits);
       r.metrics.add("cache.misses", s.misses);
@@ -603,6 +620,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       r.metrics.add("cache.entries", s.entries);
       r.metrics.observe("cache.shard_hits", static_cast<double>(s.hits));
       r.metrics.observe("cache.shard_entries", static_cast<double>(s.entries));
+      r.metrics.observe("cache.shard_bytes", static_cast<double>(s.bytes));
     }
     r.metrics.add("cache.shards", static_cast<std::int64_t>(shards.size()));
   };
@@ -683,6 +701,13 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       escalations.push_back("degraded-bandwidth re-run (N=M=K=2)");
       best.metrics.add("ladder.rung.degraded_bandwidth", 1);
       TraceSpan rung(tracer_, "hca", "rung:degraded-bandwidth");
+      // No rung after this one looks up this ladder's cache, so its
+      // entries are freed before the nested ladder fills its own. A
+      // checkpoint keeps its own references to the entries it snapshots.
+      if (cachePtr != nullptr) {
+        droppedShards = cachePtr->shardStats();
+        cachePtr->dropEntries();
+      }
       HcaOptions degradedOptions = options_;
       degradedOptions.degradedFallback = false;
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
@@ -867,6 +892,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     if (ctx.cache != nullptr && !aborted) {
       ++result.stats.cacheMisses;
       ++*lm.cacheMisses;
+      keepAlternatives(freshResult, options_.maxAlternatives);
       cacheEntry = ctx.cache->insert(cacheKey, std::move(freshResult));
       seePtr = cacheEntry.get();
     } else {
@@ -896,10 +922,14 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   }
 
   // --- Try the frontier's assignments in order; backtrack on deep failure.
+  // Snapshots are read by working-set position.
+  HCA_CHECK(seeResult.workingSet == record->workingSet,
+            "SEE result of sub-problem [" << strJoin(path, ".")
+                                          << "] is for another working set");
   const auto clusters = record->pg.clusterNodes();
   const int numAlternatives = std::min<int>(
       std::max(1, options_.maxAlternatives),
-      static_cast<int>(seeResult.alternatives.size()));
+      static_cast<int>(seeResult.frontier.size()));
   std::string lastFailure;
   for (int alt = 0; alt < numAlternatives; ++alt) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
@@ -911,7 +941,8 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
       ++result.stats.backtrackAttempts;
       ++*lm.hcaBacktracks;
     }
-    const auto& solution = seeResult.alternatives[static_cast<std::size_t>(alt)];
+    const see::FlatSolution& solution =
+        seeResult.frontier[static_cast<std::size_t>(alt)].state();
 
     // Snapshot for rollback.
     const std::size_t savedRecords = result.records.size();
@@ -919,7 +950,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     const std::size_t savedRelays = result.relays.size();
 
     auto attempt = std::make_unique<ProblemRecord>(*record);
-    attempt->flow = solution.flow();
+    attempt->flow = solution.copyFlow();
     attempt->clusterSummaries.clear();
     for (const ClusterId c : clusters) {
       ClusterSummary summary;
@@ -938,14 +969,13 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     };
     attempt->wsChild.clear();
     attempt->wsChild.reserve(attempt->workingSet.size());
-    for (const DdgNodeId n : attempt->workingSet) {
-      attempt->wsChild.push_back(childOf(solution.clusterOf(n)));
+    for (std::size_t i = 0; i < attempt->workingSet.size(); ++i) {
+      attempt->wsChild.push_back(childOf(solution.clusterAt(i)));
     }
     attempt->relayChild.clear();
     attempt->relayChild.reserve(attempt->relayValues.size());
     for (std::size_t i = 0; i < attempt->relayValues.size(); ++i) {
-      attempt->relayChild.push_back(
-          childOf(solution.relayCluster(static_cast<int>(i))));
+      attempt->relayChild.push_back(childOf(solution.relayCluster(i)));
     }
 
     // --- Map copies onto wires, derive the children's ILIs (Fig. 9/11). ----

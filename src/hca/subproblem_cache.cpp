@@ -136,15 +136,9 @@ SubproblemCache::SubproblemCache(int numShards, int maxEntriesPerShard,
   HCA_REQUIRE(numShards >= 1, "cache needs at least one shard");
 }
 
-std::int64_t SubproblemCache::approxEntryBytes(const std::string& key,
-                                               const see::SeeResult& result) {
-  std::int64_t bytes = static_cast<std::int64_t>(
-      sizeof(see::SeeResult) + key.size() + result.failureReason.size());
-  bytes += static_cast<std::int64_t>(result.solution.approxBytes());
-  for (const see::PartialSolution& alt : result.alternatives) {
-    bytes += static_cast<std::int64_t>(alt.approxBytes());
-  }
-  return bytes;
+std::int64_t SubproblemCache::entryBytes(const std::string& key,
+                                         const see::SeeResult& result) {
+  return static_cast<std::int64_t>(key.size()) + result.bytes();
 }
 
 SubproblemCache::Shard& SubproblemCache::shardOf(const std::string& key) const {
@@ -165,6 +159,14 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::lookup(
   return it->second;
 }
 
+void SubproblemCache::evictOldest(Shard& shard) {
+  const Map::value_type* victim = shard.insertionOrder.front();
+  shard.insertionOrder.pop_front();
+  shard.bytes -= entryBytes(victim->first, *victim->second);
+  shard.map.erase(shard.map.find(victim->first));
+  ++shard.evictions;
+}
+
 std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
     const std::string& key, see::SeeResult result) {
   auto entry = std::make_shared<const see::SeeResult>(std::move(result));
@@ -173,45 +175,20 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
   if (maxEntriesPerShard_ > 0 &&
       static_cast<int>(shard.map.size()) >= maxEntriesPerShard_ &&
       shard.map.find(key) == shard.map.end()) {
-    // Evict the oldest-inserted resident. The order list can carry keys of
-    // already-evicted entries after repeated churn; skip those.
-    while (!shard.insertionOrder.empty()) {
-      const std::string victim = std::move(shard.insertionOrder.front());
-      shard.insertionOrder.erase(shard.insertionOrder.begin());
-      const auto vit = shard.map.find(victim);
-      if (vit != shard.map.end()) {
-        shard.bytes -= approxEntryBytes(victim, *vit->second);
-        shard.map.erase(vit);
-        ++shard.evictions;
-        break;
-      }
-    }
+    evictOldest(shard);
   }
   const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
   if (inserted) {
-    shard.insertionOrder.push_back(key);
-    shard.bytes += approxEntryBytes(key, *it->second);
+    shard.insertionOrder.push_back(&*it);
+    shard.bytes += entryBytes(key, *it->second);
     // Byte-budget shedding: drop oldest-inserted residents (never the entry
-    // just stored — the caller is about to replay it) until back under the
-    // ceiling. Evicted sub-problems are re-solved on their next miss, so
-    // the budget degrades hit rate, never correctness.
+    // just stored, the newest — the caller is about to replay it) until
+    // back under the ceiling. Evicted sub-problems are re-solved on their
+    // next miss, so the budget degrades hit rate, never correctness.
     if (maxBytesPerShard_ > 0) {
-      std::size_t cursor = 0;
       while (shard.bytes > maxBytesPerShard_ &&
-             cursor < shard.insertionOrder.size()) {
-        const std::string& victim = shard.insertionOrder[cursor];
-        if (victim == key) {
-          ++cursor;
-          continue;
-        }
-        const auto vit = shard.map.find(victim);
-        if (vit != shard.map.end()) {
-          shard.bytes -= approxEntryBytes(victim, *vit->second);
-          shard.map.erase(vit);
-          ++shard.evictions;
-        }
-        shard.insertionOrder.erase(shard.insertionOrder.begin() +
-                                   static_cast<std::ptrdiff_t>(cursor));
+             shard.insertionOrder.size() > 1) {
+        evictOldest(shard);
       }
     }
   }
@@ -236,6 +213,15 @@ std::int64_t SubproblemCache::bytesUsed() const {
   return total;
 }
 
+void SubproblemCache::dropEntries() {
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mutex);
+    shard.insertionOrder.clear();
+    shard.map.clear();
+    shard.bytes = 0;
+  }
+}
+
 std::vector<SubproblemCache::ShardStats> SubproblemCache::shardStats() const {
   std::vector<ShardStats> out;
   out.reserve(shards_.size());
@@ -258,9 +244,8 @@ void SubproblemCache::forEach(
                                  result)>& fn) const {
   for (const Shard& shard : shards_) {
     MutexLock lock(shard.mutex);
-    for (const std::string& key : shard.insertionOrder) {
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) fn(key, it->second);
+    for (const Map::value_type* entry : shard.insertionOrder) {
+      fn(entry->first, entry->second);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -56,7 +57,7 @@ class SubproblemCache {
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
     std::int64_t entries = 0;
-    std::int64_t bytes = 0;  ///< approximate resident footprint
+    std::int64_t bytes = 0;  ///< resident footprint (entryBytes sum)
   };
 
   /// `maxEntriesPerShard` <= 0 = unbounded (the default — one run's
@@ -66,10 +67,10 @@ class SubproblemCache {
   /// sub-problems are simply re-solved on the next miss.
   ///
   /// `maxBytesPerShard` <= 0 = no byte ceiling. When set, every insert
-  /// updates the shard's approximate byte tally (key plus an estimate of
-  /// the SeeResult's vectors) and sheds oldest-inserted entries until the
-  /// shard is back under its ceiling — the cache half of the driver's
-  /// `HcaOptions::memoryBudgetBytes` contract: degrade hit rate, never OOM.
+  /// adds the entry's bytes (entryBytes) to the shard's tally and sheds
+  /// oldest-inserted entries until the shard is back under its ceiling —
+  /// the cache half of the driver's `HcaOptions::memoryBudgetBytes`
+  /// contract: degrade hit rate, never OOM.
   explicit SubproblemCache(int numShards = 16, int maxEntriesPerShard = 0,
                            std::int64_t maxBytesPerShard = 0);
 
@@ -89,8 +90,12 @@ class SubproblemCache {
 
   [[nodiscard]] std::int64_t entries() const;
 
-  /// Approximate resident bytes across all shards.
+  /// Resident bytes across all shards.
   [[nodiscard]] std::int64_t bytesUsed() const;
+
+  /// Frees every entry (not an eviction: the counters are untouched). The
+  /// driver calls it once a cache will see no more lookups.
+  void dropEntries();
 
   /// Snapshot of the per-shard counters, in shard order.
   [[nodiscard]] std::vector<ShardStats> shardStats() const;
@@ -106,20 +111,25 @@ class SubproblemCache {
                    const std::shared_ptr<const see::SeeResult>& result)>& fn)
       const;
 
-  /// Approximate heap footprint of one cache entry (key + result), the
-  /// unit of the byte accounting above.
-  [[nodiscard]] static std::int64_t approxEntryBytes(
-      const std::string& key, const see::SeeResult& result);
+  /// Footprint of one cache entry, the unit of the byte accounting above:
+  /// its key plus the bytes its result owns (SeeResult::bytes — the
+  /// frontier snapshot blocks, chiefly). Map-node and allocator overhead
+  /// are not counted.
+  [[nodiscard]] static std::int64_t entryBytes(const std::string& key,
+                                               const see::SeeResult& result);
 
  private:
+  using Map =
+      std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>>;
+
   struct Shard {
     mutable Mutex mutex;
     /// Point lookups only; every walk (forEach, eviction) goes through
     /// `insertionOrder` below, so hash order never reaches a result.
-    std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>> map
-        HCA_GUARDED_BY(mutex);
-    /// Keys in insertion order, for bounded-mode eviction.
-    std::vector<std::string> insertionOrder HCA_GUARDED_BY(mutex);
+    Map map HCA_GUARDED_BY(mutex);
+    /// The map's entries in insertion order — oldest first, the eviction
+    /// order. Map nodes never move, so this holds each key once.
+    std::deque<Map::value_type*> insertionOrder HCA_GUARDED_BY(mutex);
     std::int64_t hits HCA_GUARDED_BY(mutex) = 0;
     std::int64_t misses HCA_GUARDED_BY(mutex) = 0;
     std::int64_t evictions HCA_GUARDED_BY(mutex) = 0;
@@ -127,6 +137,8 @@ class SubproblemCache {
   };
 
   [[nodiscard]] Shard& shardOf(const std::string& key) const;
+  /// Erases the shard's oldest entry.
+  static void evictOldest(Shard& shard) HCA_REQUIRES(shard.mutex);
 
   const int maxEntriesPerShard_;
   const std::int64_t maxBytesPerShard_;

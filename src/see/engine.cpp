@@ -52,7 +52,32 @@ std::optional<PartialSolution> assignGroupDirect(
   return candidate;
 }
 
+/// A result that maps its snapshots back to `prepared`'s working set.
+SeeResult emptyResult(const PreparedProblem& prepared) {
+  SeeResult result;
+  result.workingSet = prepared.problem().workingSet;
+  result.ddgNodes = prepared.problem().ddg->numNodes();
+  return result;
+}
+
 }  // namespace
+
+PartialSolution SeeResult::materialize(std::size_t i) const {
+  HCA_CHECK(i < frontier.size(), "no frontier state " << i);
+  PartialSolution out;
+  frontier[i].state().toPartial(workingSet, ddgNodes, &out);
+  return out;
+}
+
+std::int64_t SeeResult::bytes() const {
+  std::size_t total = sizeof(*this) +
+                      workingSet.capacity() * sizeof(DdgNodeId) +
+                      (frontier.capacity() - frontier.size()) *
+                          sizeof(FrontierSnapshot) +
+                      failureReason.size();
+  for (const FrontierSnapshot& state : frontier) total += state.bytes();
+  return static_cast<std::int64_t>(total);
+}
 
 /// Recycling pool of DeltaSolution overlays: after the first beam step
 /// every acquire rebases an existing object (two memcpys of dense state,
@@ -149,7 +174,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   const WeightedObjective objective(options.weights);
   const IncrementalObjective incremental(options.weights);
 
-  SeeResult result;
+  SeeResult result = emptyResult(prepared);
   // Double-buffered snapshot arenas: the live frontier's snapshots sit in
   // `cur`; survivors of a step are flattened into `nxt` (reading their
   // parents from `cur`), then `cur` is reset — its chunks are retained, so
@@ -179,6 +204,15 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     frontier.push_back(FlatSolution::fromPartial(initial, prepared, *cur));
     ++result.stats.snapshotsMaterialized;
   }
+  // An illegal result keeps the best state of the frontier it stopped at.
+  const auto fail = [&](const ItemGroup& group, std::string reason) {
+    result.legal = false;
+    result.failedItem = group.members.front();
+    result.failureReason = std::move(reason);
+    result.frontier.emplace_back(*frontier.front());
+    finishStats();
+    return std::move(result);
+  };
 
   // Per-step work vectors, hoisted out of the loop so their capacity is
   // reused across steps (zero steady-state allocation).
@@ -205,35 +239,19 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
     const ItemGroup& group = prepared.items()[gi];
     if (cancel != nullptr && cancel->cancelled()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason = "cancelled";
-      frontier.front()->toPartial(prepared, &result.solution);
-      finishStats();
-      return result;
+      return fail(group, "cancelled");
     }
     if (options.maxBeamSteps > 0 &&
         result.stats.statesExplored >= options.maxBeamSteps) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
-          strCat("beam step budget exhausted (", options.maxBeamSteps, ")");
-      frontier.front()->toPartial(prepared, &result.solution);
-      finishStats();
-      return result;
+      return fail(group, strCat("beam step budget exhausted (",
+                                options.maxBeamSteps, ")"));
     }
     if (options.arenaBudgetBytes > 0 &&
         static_cast<std::int64_t>(arenaA.peakBytesUsed() +
                                   arenaB.peakBytesUsed()) >
             options.arenaBudgetBytes) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
-          strCat("memory budget exceeded (", options.arenaBudgetBytes,
-                 " arena bytes)");
-      frontier.front()->toPartial(prepared, &result.solution);
-      finishStats();
-      return result;
+      return fail(group, strCat("memory budget exceeded (",
+                                options.arenaBudgetBytes, " arena bytes)"));
     }
     next.clear();
     parentOf.clear();
@@ -344,15 +362,11 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     }
 
     if (next.empty()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
+      std::string reason =
           strCat("no candidates for ", describeGroup(group),
                  " in any frontier state (communication patterns exhausted)");
-      HCA_DEBUG("SEE failed: " << result.failureReason);
-      frontier.front()->toPartial(prepared, &result.solution);
-      finishStats();
-      return result;
+      HCA_DEBUG("SEE failed: " << reason);
+      return fail(group, std::move(reason));
     }
 
     // Node filter: keep the beam, deduped, but parent-diverse — the best
@@ -417,11 +431,10 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   }
 
   result.legal = true;
-  result.alternatives.resize(frontier.size());
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    frontier[i]->toPartial(prepared, &result.alternatives[i]);
+  result.frontier.reserve(frontier.size());
+  for (const FlatSolution* state : frontier) {
+    result.frontier.emplace_back(*state);
   }
-  result.solution = result.alternatives.front();
   finishStats();
   return result;
 }
@@ -433,7 +446,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
   const FeasibilityOracle& oracle = prepared.oracle();
   RouteScratch routeScratch;
 
-  SeeResult result;
+  SeeResult result = emptyResult(prepared);
   const auto finishStats = [&] {
     result.stats.routeMemoHits += routeScratch.memoHits();
     result.stats.oracleRejects += routeScratch.hopRejects();
@@ -442,26 +455,24 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
   frontier.push_back(PartialSolution::initial(prepared));
   frontier.back().setObjective(
       objective.evaluate(prepared, frontier.back()));
+  const auto fail = [&](const ItemGroup& group, std::string reason) {
+    result.legal = false;
+    result.failedItem = group.members.front();
+    result.failureReason = std::move(reason);
+    result.frontier.emplace_back(frontier.front(), result.workingSet);
+    finishStats();
+    return std::move(result);
+  };
 
   for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
     const ItemGroup& group = prepared.items()[gi];
     if (cancel != nullptr && cancel->cancelled()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason = "cancelled";
-      result.solution = frontier.front();
-      finishStats();
-      return result;
+      return fail(group, "cancelled");
     }
     if (options.maxBeamSteps > 0 &&
         result.stats.statesExplored >= options.maxBeamSteps) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
-          strCat("beam step budget exhausted (", options.maxBeamSteps, ")");
-      result.solution = frontier.front();
-      finishStats();
-      return result;
+      return fail(group, strCat("beam step budget exhausted (",
+                                options.maxBeamSteps, ")"));
     }
     std::vector<PartialSolution> next;
     std::vector<int> parentOf;  // parallel to next: index into frontier
@@ -546,15 +557,11 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
     }
 
     if (next.empty()) {
-      result.legal = false;
-      result.failedItem = group.members.front();
-      result.failureReason =
+      std::string reason =
           strCat("no candidates for ", describeGroup(group),
                  " in any frontier state (communication patterns exhausted)");
-      HCA_DEBUG("SEE failed: " << result.failureReason);
-      result.solution = frontier.front();
-      finishStats();
-      return result;
+      HCA_DEBUG("SEE failed: " << reason);
+      return fail(group, std::move(reason));
     }
 
     // Node filter: keep the beam, deduped, but parent-diverse — the best
@@ -602,8 +609,10 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
   }
 
   result.legal = true;
-  result.solution = frontier.front();
-  result.alternatives = std::move(frontier);
+  result.frontier.reserve(frontier.size());
+  for (const PartialSolution& state : frontier) {
+    result.frontier.emplace_back(state, result.workingSet);
+  }
   finishStats();
   return result;
 }

@@ -5,6 +5,7 @@
 #include "see/cost.hpp"
 #include "see/partial_solution.hpp"
 #include "see/problem.hpp"
+#include "see/snapshot.hpp"
 #include "support/thread_pool.hpp"
 
 /// The Space Exploration Engine (paper Section 3, Figures 4 and 5).
@@ -22,15 +23,26 @@ struct SearchScratch;
 
 struct SeeResult {
   bool legal = false;
-  PartialSolution solution;
-  /// The final frontier (best first, solution == alternatives.front()):
-  /// callers that discover deeper infeasibilities (the hierarchical driver)
-  /// can fall back to the runner-up assignments.
-  std::vector<PartialSolution> alternatives;
+  /// The final frontier, best first, as compact snapshots: callers that
+  /// discover deeper infeasibilities (the hierarchical driver) can fall
+  /// back to the runner-up assignments. An illegal result holds its one
+  /// best partial state.
+  std::vector<FrontierSnapshot> frontier;
+  /// What maps a snapshot back to DDG node ids: working-set position i is
+  /// node workingSet[i] of a `ddgNodes`-node DDG.
+  std::vector<DdgNodeId> workingSet;
+  std::int32_t ddgNodes = 0;
   SeeStats stats;
   /// On failure: the item no frontier state could place.
   Item failedItem;
   std::string failureReason;
+
+  /// Frontier state `i` as a DDG-indexed PartialSolution, for callers that
+  /// need its value interface (flat ICA, the checkpoint JSON, tests).
+  [[nodiscard]] PartialSolution materialize(std::size_t i = 0) const;
+  /// Bytes the result owns: the object, its snapshots and their blocks,
+  /// the working set and the failure reason.
+  [[nodiscard]] std::int64_t bytes() const;
 };
 
 class SpaceExplorationEngine {

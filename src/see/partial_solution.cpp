@@ -92,24 +92,4 @@ std::uint64_t PartialSolution::signature() const {
   return h;
 }
 
-std::size_t PartialSolution::approxBytes() const {
-  std::size_t bytes = sizeof(*this);
-  bytes += nodeCluster_.capacity() * sizeof(ClusterId);
-  bytes += relayCluster_.capacity() * sizeof(ClusterId);
-  bytes += usage_.capacity() * sizeof(machine::ResourceUsage);
-  bytes += inNbrMask_.capacity() * sizeof(std::uint64_t);
-  for (std::size_t arc = 0; arc < flow_.numArcLists(); ++arc) {
-    bytes += sizeof(std::vector<ValueId>) +
-             flow_.copiesOn(PgArcId(static_cast<std::int32_t>(arc))).capacity() *
-                 sizeof(ValueId);
-  }
-  for (const auto& values : inValues_) {
-    bytes += sizeof(values) + values.capacity() * sizeof(ValueId);
-  }
-  for (const auto& values : outValues_) {
-    bytes += sizeof(values) + values.capacity() * sizeof(ValueId);
-  }
-  return bytes;
-}
-
 }  // namespace hca::see

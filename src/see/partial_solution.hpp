@@ -16,9 +16,9 @@
 ///
 /// This is the *materialized* representation: plain value semantics, full
 /// deep copies. The beam-search hot path works on `DeltaSolution` overlays
-/// (see snapshot.hpp) instead and materializes a PartialSolution only at
-/// the engine boundary; both representations run the same assignment
-/// semantics from solution_ops.hpp.
+/// (see snapshot.hpp) instead, and a search result materializes a
+/// PartialSolution only for a caller that asks for one; both
+/// representations run the same assignment semantics from solution_ops.hpp.
 namespace hca::see {
 
 class FlatSolution;
@@ -88,9 +88,6 @@ class PartialSolution {
 
   /// Stable hash of the assignment vector (frontier deduplication).
   [[nodiscard]] std::uint64_t signature() const;
-
-  /// Approximate heap footprint in bytes (sub-problem cache accounting).
-  [[nodiscard]] std::size_t approxBytes() const;
 
   // --- Sol interface (solution_ops.hpp) --------------------------------
   [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {

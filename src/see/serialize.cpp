@@ -221,16 +221,47 @@ struct SolutionSerializer {
                 "SEE snapshot: per-cluster vectors disagree on node count");
     return s;
   }
+
+  /// The file keeps DDG-indexed states only, so the working set of their
+  /// snapshots is every node some state assigns, in ascending id order.
+  /// For a legal result that is the sub-problem's working set itself: every
+  /// state places all of it, and the driver builds working sets in
+  /// ascending id order.
+  static void mapWorkingSet(const std::vector<PartialSolution>& states,
+                            SeeResult* result) {
+    const std::size_t ddgNodes = states.front().nodeCluster_.size();
+    std::vector<char> assigned(ddgNodes, 0);
+    for (const PartialSolution& s : states) {
+      HCA_REQUIRE(s.nodeCluster_.size() == ddgNodes,
+                  "SEE snapshot: frontier states disagree on DDG size");
+      for (std::size_t v = 0; v < ddgNodes; ++v) {
+        if (s.nodeCluster_[v].valid()) assigned[v] = 1;
+      }
+    }
+    result->ddgNodes = static_cast<std::int32_t>(ddgNodes);
+    for (std::size_t v = 0; v < ddgNodes; ++v) {
+      if (assigned[v] != 0) {
+        result->workingSet.emplace_back(static_cast<std::int32_t>(v));
+      }
+    }
+  }
 };
 
 void writeSeeResult(JsonWriter& json, const SeeResult& result) {
   json.beginObject();
   json.key("legal").value(result.legal);
+  // The frontier in its materialized form: "solution" is the best state
+  // (empty for a result without one); a legal result lists every state as
+  // "alternatives", an illegal one none.
   json.key("solution");
-  SolutionSerializer::write(json, result.solution);
+  SolutionSerializer::write(json, result.frontier.empty()
+                                      ? PartialSolution{}
+                                      : result.materialize(0));
   json.key("alternatives").beginArray();
-  for (const PartialSolution& alt : result.alternatives) {
-    SolutionSerializer::write(json, alt);
+  if (result.legal) {
+    for (std::size_t i = 0; i < result.frontier.size(); ++i) {
+      SolutionSerializer::write(json, result.materialize(i));
+    }
   }
   json.endArray();
   json.key("stats");
@@ -247,10 +278,20 @@ SeeResult parseSeeResult(const JsonValue& value) {
   HCA_REQUIRE(legal.kind == JsonValue::Kind::kBool,
               "SEE snapshot: 'legal' must be a bool");
   result.legal = legal.boolean;
-  result.solution = SolutionSerializer::parse(member(value, "solution"));
-  for (const JsonValue& alt :
-       asArray(member(value, "alternatives"), "alternatives")) {
-    result.alternatives.push_back(SolutionSerializer::parse(alt));
+  std::vector<PartialSolution> states;
+  if (result.legal) {
+    for (const JsonValue& alt :
+         asArray(member(value, "alternatives"), "alternatives")) {
+      states.push_back(SolutionSerializer::parse(alt));
+    }
+    HCA_REQUIRE(!states.empty(),
+                "SEE snapshot: a legal result needs at least one alternative");
+  } else {
+    states.push_back(SolutionSerializer::parse(member(value, "solution")));
+  }
+  SolutionSerializer::mapWorkingSet(states, &result);
+  for (const PartialSolution& state : states) {
+    result.frontier.emplace_back(state, result.workingSet);
   }
   result.stats = parseStats(member(value, "stats"));
   result.failedItem = parseItem(member(value, "failedItem"));

@@ -5,9 +5,10 @@
 
 /// Snapshot (de)serialization of completed SEE searches.
 ///
-/// A `SeeResult` is a pure value: the winning `PartialSolution`, the final
-/// frontier of runner-up alternatives, and the search statistics — nothing
-/// in it references the problem it was solved from except by id. That makes
+/// A `SeeResult` is a pure value: the final frontier (owned snapshots) and
+/// the search statistics — nothing in it references the problem it was
+/// solved from except by id. The file stores the frontier materialized, as
+/// DDG-indexed PartialSolutions ("solution" plus "alternatives"). That makes
 /// a finished search checkpointable: the HCA checkpoint layer persists the
 /// sub-problem cache as (key, SeeResult) pairs so a resumed run replays
 /// byte-identical solves instead of re-searching (hca/checkpoint.hpp).

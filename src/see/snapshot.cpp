@@ -59,76 +59,145 @@ void mergeCsr(std::int32_t rows, const std::int32_t* parentOff,
   off[rows] = parentOff[rows] + shift;
 }
 
+/// Lays arrays out in one block, aligned as the types require: with a null
+/// base it only measures (the sizing pass), with the block it places them
+/// at the same offsets.
+class BlockLayout {
+ public:
+  explicit BlockLayout(std::byte* base) : base_(base) {}
+
+  template <typename T>
+  T* allocateArray(std::size_t count) {
+    offset_ = (offset_ + alignof(T) - 1) & ~(alignof(T) - 1);
+    T* at = base_ == nullptr ? nullptr : reinterpret_cast<T*>(base_ + offset_);
+    offset_ += count * sizeof(T);
+    return at;
+  }
+  [[nodiscard]] std::size_t size() const { return offset_; }
+
+ private:
+  std::byte* base_;
+  std::size_t offset_ = 0;
+};
+
 }  // namespace
 
-FlatSolution* FlatSolution::allocate(std::int32_t numWs,
-                                     std::int32_t numRelays,
-                                     std::int32_t numPg, std::int32_t numArcs,
-                                     std::int32_t inTotal,
-                                     std::int32_t outTotal,
-                                     std::int32_t flowTotal,
-                                     std::int32_t critTotal,
-                                     MonotonicArena& arena) {
+template <typename Alloc>
+void FlatSolution::allocateArrays(const Shape& shape, Alloc& alloc) {
+  numWs_ = shape.numWs;
+  numRelays_ = shape.numRelays;
+  numPg_ = shape.numPg;
+  numArcs_ = shape.numArcs;
+  const auto n = static_cast<std::size_t>(shape.numWs);
+  const auto r = static_cast<std::size_t>(shape.numRelays);
+  const auto p = static_cast<std::size_t>(shape.numPg);
+  const auto a = static_cast<std::size_t>(shape.numArcs);
+  nodeCluster_ = alloc.template allocateArray<ClusterId>(n);
+  relayCluster_ = alloc.template allocateArray<ClusterId>(r);
+  usage_ = alloc.template allocateArray<machine::ResourceUsage>(p);
+  inNbrMask_ = alloc.template allocateArray<std::uint64_t>(p);
+  inCount_ = alloc.template allocateArray<std::int32_t>(p);
+  outCount_ = alloc.template allocateArray<std::int32_t>(p);
+  inOff_ = alloc.template allocateArray<std::int32_t>(p + 1);
+  inVals_ = alloc.template allocateArray<ValueId>(
+      static_cast<std::size_t>(shape.inTotal));
+  outOff_ = alloc.template allocateArray<std::int32_t>(p + 1);
+  outVals_ = alloc.template allocateArray<ValueId>(
+      static_cast<std::size_t>(shape.outTotal));
+  flowOff_ = alloc.template allocateArray<std::int32_t>(a + 1);
+  flowVals_ = alloc.template allocateArray<ValueId>(
+      static_cast<std::size_t>(shape.flowTotal));
+  critTerms_ = alloc.template allocateArray<CritTerm>(
+      static_cast<std::size_t>(shape.critTotal));
+  numCritTerms_ = shape.critTotal;
+}
+
+FlatSolution* FlatSolution::create(const Shape& shape, MonotonicArena& arena) {
   auto* flat = new (arena.allocate(sizeof(FlatSolution), alignof(FlatSolution)))
       FlatSolution;
-  flat->numWs_ = numWs;
-  flat->numRelays_ = numRelays;
-  flat->numPg_ = numPg;
-  flat->numArcs_ = numArcs;
-  const auto n = static_cast<std::size_t>(numWs);
-  const auto r = static_cast<std::size_t>(numRelays);
-  const auto p = static_cast<std::size_t>(numPg);
-  const auto a = static_cast<std::size_t>(numArcs);
-  flat->nodeCluster_ = arena.allocateArray<ClusterId>(n);
-  flat->relayCluster_ = arena.allocateArray<ClusterId>(r);
-  flat->usage_ = arena.allocateArray<machine::ResourceUsage>(p);
-  flat->inNbrMask_ = arena.allocateArray<std::uint64_t>(p);
-  flat->inCount_ = arena.allocateArray<std::int32_t>(p);
-  flat->outCount_ = arena.allocateArray<std::int32_t>(p);
-  flat->inOff_ = arena.allocateArray<std::int32_t>(p + 1);
-  flat->inVals_ =
-      arena.allocateArray<ValueId>(static_cast<std::size_t>(inTotal));
-  flat->outOff_ = arena.allocateArray<std::int32_t>(p + 1);
-  flat->outVals_ =
-      arena.allocateArray<ValueId>(static_cast<std::size_t>(outTotal));
-  flat->flowOff_ = arena.allocateArray<std::int32_t>(a + 1);
-  flat->flowVals_ =
-      arena.allocateArray<ValueId>(static_cast<std::size_t>(flowTotal));
-  flat->critTerms_ =
-      arena.allocateArray<CritTerm>(static_cast<std::size_t>(critTotal));
-  flat->numCritTerms_ = critTotal;
+  flat->allocateArrays(shape, arena);
   return flat;
+}
+
+FlatSolution::Shape FlatSolution::shape() const {
+  Shape shape;
+  shape.numWs = numWs_;
+  shape.numRelays = numRelays_;
+  shape.numPg = numPg_;
+  shape.numArcs = numArcs_;
+  shape.inTotal = inOff_[numPg_];
+  shape.outTotal = outOff_[numPg_];
+  shape.flowTotal = flowOff_[numArcs_];
+  shape.critTotal = numCritTerms_;
+  return shape;
+}
+
+FlatSolution::Shape FlatSolution::shapeOf(const PartialSolution& sol,
+                                          std::size_t numWs) {
+  Shape shape;
+  shape.numWs = static_cast<std::int32_t>(numWs);
+  shape.numRelays = static_cast<std::int32_t>(sol.relayCluster_.size());
+  shape.numPg = static_cast<std::int32_t>(sol.usage_.size());
+  shape.numArcs = static_cast<std::int32_t>(sol.flow_.numArcLists());
+  for (std::int32_t i = 0; i < shape.numPg; ++i) {
+    shape.inTotal += static_cast<std::int32_t>(
+        sol.inValues_[static_cast<std::size_t>(i)].size());
+    shape.outTotal += static_cast<std::int32_t>(
+        sol.outValues_[static_cast<std::size_t>(i)].size());
+  }
+  for (std::int32_t i = 0; i < shape.numArcs; ++i) {
+    shape.flowTotal +=
+        static_cast<std::int32_t>(sol.flow_.copiesOn(PgArcId(i)).size());
+  }
+  return shape;
+}
+
+void FlatSolution::fillFrom(const PartialSolution& sol,
+                            const std::vector<DdgNodeId>& workingSet) {
+  for (std::int32_t i = 0; i < numWs_; ++i) {
+    nodeCluster_[i] = sol.clusterOf(workingSet[static_cast<std::size_t>(i)]);
+  }
+  copyInto(relayCluster_, sol.relayCluster_);
+  copyInto(usage_, sol.usage_);
+  copyInto(inNbrMask_, sol.inNbrMask_);
+  std::int32_t inOff = 0;
+  std::int32_t outOff = 0;
+  for (std::int32_t i = 0; i < numPg_; ++i) {
+    const auto& in = sol.inValues_[static_cast<std::size_t>(i)];
+    const auto& out = sol.outValues_[static_cast<std::size_t>(i)];
+    inCount_[i] = static_cast<std::int32_t>(in.size());
+    outCount_[i] = static_cast<std::int32_t>(out.size());
+    inOff_[i] = inOff;
+    outOff_[i] = outOff;
+    copyInto(inVals_ + inOff, in);
+    copyInto(outVals_ + outOff, out);
+    inOff += static_cast<std::int32_t>(in.size());
+    outOff += static_cast<std::int32_t>(out.size());
+  }
+  inOff_[numPg_] = inOff;
+  outOff_[numPg_] = outOff;
+  std::int32_t flowOff = 0;
+  for (std::int32_t i = 0; i < numArcs_; ++i) {
+    const auto& vals = sol.flow_.copiesOn(PgArcId(i));
+    flowOff_[i] = flowOff;
+    copyInto(flowVals_ + flowOff, vals);
+    flowOff += static_cast<std::int32_t>(vals.size());
+  }
+  flowOff_[numArcs_] = flowOff;
+  totalCopies_ = sol.flow_.totalCopies();
+  assigned_ = sol.assigned_;
+  objective_ = sol.objective_;
 }
 
 const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
                                               const PreparedProblem& prepared,
                                               MonotonicArena& arena) {
-  const auto& pg = *prepared.problem().pg;
   const auto& ws = prepared.problem().workingSet;
-  const auto numWs = static_cast<std::int32_t>(ws.size());
-  const auto numRelays =
-      static_cast<std::int32_t>(sol.relayCluster_.size());
-  const std::int32_t numPg = pg.numNodes();
-  const std::int32_t numArcs = pg.numArcs();
-
-  std::int32_t inTotal = 0;
-  std::int32_t outTotal = 0;
-  for (std::int32_t i = 0; i < numPg; ++i) {
-    inTotal += static_cast<std::int32_t>(
-        sol.inValues_[static_cast<std::size_t>(i)].size());
-    outTotal += static_cast<std::int32_t>(
-        sol.outValues_[static_cast<std::size_t>(i)].size());
-  }
-  std::int32_t flowTotal = 0;
-  for (std::int32_t i = 0; i < numArcs; ++i) {
-    flowTotal +=
-        static_cast<std::int32_t>(sol.flow_.copiesOn(PgArcId(i)).size());
-  }
   // Derive the critical-path terms by the same scan the full criterion
   // runs; the (WS position, operand position) visit order is ascending key
   // order, so the result is already sorted.
   std::vector<CritTerm> terms;
-  for (const DdgNodeId n : prepared.problem().workingSet) {
+  for (const DdgNodeId n : ws) {
     const ClusterId cn = sol.clusterOf(n);
     if (!cn.valid()) continue;
     for (const CritOperand& co : prepared.critOperands(n)) {
@@ -140,46 +209,12 @@ const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
                    prepared.height(n) + 1});
     }
   }
-
-  FlatSolution* flat = allocate(numWs, numRelays, numPg, numArcs, inTotal,
-                                outTotal, flowTotal,
-                                static_cast<std::int32_t>(terms.size()),
-                                arena);
+  Shape shape = shapeOf(sol, ws.size());
+  shape.critTotal = static_cast<std::int32_t>(terms.size());
+  FlatSolution* flat = create(shape, arena);
   flat->wsIndexOf_ = prepared.wsIndexTable();
-  for (std::int32_t i = 0; i < numWs; ++i) {
-    flat->nodeCluster_[i] = sol.clusterOf(ws[static_cast<std::size_t>(i)]);
-  }
-  copyInto(flat->relayCluster_, sol.relayCluster_);
-  copyInto(flat->usage_, sol.usage_);
-  copyInto(flat->inNbrMask_, sol.inNbrMask_);
-  std::int32_t inOff = 0;
-  std::int32_t outOff = 0;
-  for (std::int32_t i = 0; i < numPg; ++i) {
-    const auto& in = sol.inValues_[static_cast<std::size_t>(i)];
-    const auto& out = sol.outValues_[static_cast<std::size_t>(i)];
-    flat->inCount_[i] = static_cast<std::int32_t>(in.size());
-    flat->outCount_[i] = static_cast<std::int32_t>(out.size());
-    flat->inOff_[i] = inOff;
-    flat->outOff_[i] = outOff;
-    copyInto(flat->inVals_ + inOff, in);
-    copyInto(flat->outVals_ + outOff, out);
-    inOff += static_cast<std::int32_t>(in.size());
-    outOff += static_cast<std::int32_t>(out.size());
-  }
-  flat->inOff_[numPg] = inOff;
-  flat->outOff_[numPg] = outOff;
-  std::int32_t flowOff = 0;
-  for (std::int32_t i = 0; i < numArcs; ++i) {
-    const auto& vals = sol.flow_.copiesOn(PgArcId(i));
-    flat->flowOff_[i] = flowOff;
-    copyInto(flat->flowVals_ + flowOff, vals);
-    flowOff += static_cast<std::int32_t>(vals.size());
-  }
-  flat->flowOff_[numArcs] = flowOff;
+  flat->fillFrom(sol, ws);
   copyInto(flat->critTerms_, terms);
-  flat->totalCopies_ = sol.flow_.totalCopies();
-  flat->assigned_ = sol.assigned_;
-  flat->objective_ = sol.objective_;
   return flat;
 }
 
@@ -188,14 +223,12 @@ const FlatSolution* FlatSolution::fromDelta(DeltaSolution& delta,
   const FlatSolution& parent = *delta.parent_;
   const std::int32_t numPg = parent.numPg_;
   const std::int32_t numArcs = parent.numArcs_;
-  FlatSolution* flat = allocate(
-      parent.numWs_, parent.numRelays_, numPg, numArcs,
-      parent.inOff_[numPg] + static_cast<std::int32_t>(delta.inAdds_.size()),
-      parent.outOff_[numPg] + static_cast<std::int32_t>(delta.outAdds_.size()),
-      parent.flowOff_[numArcs] +
-          static_cast<std::int32_t>(delta.flowAdds_.size()),
-      parent.numCritTerms_ + static_cast<std::int32_t>(delta.critAdds_.size()),
-      arena);
+  Shape shape = parent.shape();
+  shape.inTotal += static_cast<std::int32_t>(delta.inAdds_.size());
+  shape.outTotal += static_cast<std::int32_t>(delta.outAdds_.size());
+  shape.flowTotal += static_cast<std::int32_t>(delta.flowAdds_.size());
+  shape.critTotal += static_cast<std::int32_t>(delta.critAdds_.size());
+  FlatSolution* flat = create(shape, arena);
 
   flat->wsIndexOf_ = parent.wsIndexOf_;
   copyInto(flat->nodeCluster_, delta.nodeCluster_);
@@ -225,15 +258,13 @@ const FlatSolution* FlatSolution::fromDelta(DeltaSolution& delta,
   return flat;
 }
 
-void FlatSolution::toPartial(const PreparedProblem& prepared,
+void FlatSolution::toPartial(const std::vector<DdgNodeId>& workingSet,
+                             std::int32_t ddgNodes,
                              PartialSolution* out) const {
-  const auto& pg = *prepared.problem().pg;
-  const auto& ws = prepared.problem().workingSet;
-  out->nodeCluster_.assign(
-      static_cast<std::size_t>(prepared.problem().ddg->numNodes()),
-      ClusterId::invalid());
+  out->nodeCluster_.assign(static_cast<std::size_t>(ddgNodes),
+                           ClusterId::invalid());
   for (std::int32_t i = 0; i < numWs_; ++i) {
-    out->nodeCluster_[ws[static_cast<std::size_t>(i)].index()] =
+    out->nodeCluster_[workingSet[static_cast<std::size_t>(i)].index()] =
         nodeCluster_[i];
   }
   out->relayCluster_.assign(relayCluster_, relayCluster_ + numRelays_);
@@ -247,14 +278,20 @@ void FlatSolution::toPartial(const PreparedProblem& prepared,
     out->outValues_[static_cast<std::size_t>(i)].assign(
         outVals_ + outOff_[i], outVals_ + outOff_[i + 1]);
   }
-  out->flow_ = machine::CopyFlow(pg);
-  for (std::int32_t a = 0; a < numArcs_; ++a) {
-    for (std::int32_t j = flowOff_[a]; j < flowOff_[a + 1]; ++j) {
-      out->flow_.addCopy(PgArcId(a), flowVals_[j]);
-    }
-  }
+  out->flow_ = copyFlow();
   out->assigned_ = assigned_;
   out->objective_ = objective_;
+}
+
+machine::CopyFlow FlatSolution::copyFlow() const {
+  machine::CopyFlow flow;
+  flow.resetArcs(static_cast<std::size_t>(numArcs_));
+  for (std::int32_t a = 0; a < numArcs_; ++a) {
+    for (std::int32_t j = flowOff_[a]; j < flowOff_[a + 1]; ++j) {
+      flow.addCopy(PgArcId(a), flowVals_[j]);
+    }
+  }
+  return flow;
 }
 
 bool FlatSolution::inValuesContain(ClusterId c, ValueId v) const {
@@ -273,6 +310,49 @@ bool FlatSolution::flowContains(PgArcId arc, ValueId v) const {
     if (flowVals_[i] == v) return true;
   }
   return false;
+}
+
+FrontierSnapshot::FrontierSnapshot(const FlatSolution& state) {
+  FlatSolution::Shape shape = state.shape();
+  shape.critTotal = 0;
+  allocate(shape);
+  const auto p = static_cast<std::size_t>(shape.numPg);
+  const auto a = static_cast<std::size_t>(shape.numArcs);
+  copyInto(state_.nodeCluster_, state.nodeCluster_,
+           static_cast<std::size_t>(shape.numWs));
+  copyInto(state_.relayCluster_, state.relayCluster_,
+           static_cast<std::size_t>(shape.numRelays));
+  copyInto(state_.usage_, state.usage_, p);
+  copyInto(state_.inNbrMask_, state.inNbrMask_, p);
+  copyInto(state_.inCount_, state.inCount_, p);
+  copyInto(state_.outCount_, state.outCount_, p);
+  copyInto(state_.inOff_, state.inOff_, p + 1);
+  copyInto(state_.inVals_, state.inVals_,
+           static_cast<std::size_t>(shape.inTotal));
+  copyInto(state_.outOff_, state.outOff_, p + 1);
+  copyInto(state_.outVals_, state.outVals_,
+           static_cast<std::size_t>(shape.outTotal));
+  copyInto(state_.flowOff_, state.flowOff_, a + 1);
+  copyInto(state_.flowVals_, state.flowVals_,
+           static_cast<std::size_t>(shape.flowTotal));
+  state_.totalCopies_ = state.totalCopies_;
+  state_.assigned_ = state.assigned_;
+  state_.objective_ = state.objective_;
+}
+
+FrontierSnapshot::FrontierSnapshot(const PartialSolution& sol,
+                                   const std::vector<DdgNodeId>& workingSet) {
+  allocate(FlatSolution::shapeOf(sol, workingSet.size()));
+  state_.fillFrom(sol, workingSet);
+}
+
+void FrontierSnapshot::allocate(const FlatSolution::Shape& shape) {
+  BlockLayout sizing(nullptr);
+  state_.allocateArrays(shape, sizing);
+  blockBytes_ = sizing.size();
+  block_ = std::make_unique_for_overwrite<std::byte[]>(blockBytes_);
+  BlockLayout placing(block_.get());
+  state_.allocateArrays(shape, placing);
 }
 
 void DeltaSolution::init(const PreparedProblem& prepared) {

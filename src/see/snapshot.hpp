@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
@@ -33,8 +35,8 @@
 /// (`PreparedProblem::wsIndex`), not by DDG node id: a sub-problem's WS is
 /// a small slice of the DDG (about 13 of h264deblocking's 225 nodes at a
 /// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|). The
-/// DDG-indexed `PartialSolution` is converted to and from at the engine
-/// boundary only (`fromPartial` / `toPartial`).
+/// DDG-indexed `PartialSolution` is converted to and from only where a
+/// caller needs one (`fromPartial` / `toPartial`).
 ///
 /// Byte-identity with the legacy path (the contract the identity tests
 /// enforce): both representations run the assignment semantics of
@@ -52,7 +54,9 @@ namespace hca::see {
 
 class DeltaSolution;
 
-/// Immutable arena-backed snapshot of one frontier state.
+/// Immutable snapshot of one frontier state: arena-backed during the
+/// search, or held in a `FrontierSnapshot`'s own block once the search
+/// returns it.
 class FlatSolution {
  public:
   /// Snapshots the (typically initial) materialized state into `arena`.
@@ -65,18 +69,34 @@ class FlatSolution {
   /// sorted them already.
   static const FlatSolution* fromDelta(DeltaSolution& delta,
                                        MonotonicArena& arena);
-  /// Reconstructs the value-semantics state for the engine boundary
-  /// (SeeResult / driver / mapper). Produces exactly the PartialSolution
-  /// the legacy search would have built: same list contents, same order,
-  /// and invalid clusters for every DDG node outside the working set.
-  void toPartial(const PreparedProblem& prepared, PartialSolution* out) const;
+  /// Reconstructs the value-semantics state: working-set position i is DDG
+  /// node `workingSet[i]`, every other of the `ddgNodes` nodes is left
+  /// unassigned. Produces exactly the PartialSolution the legacy search
+  /// would have built: same list contents, same order.
+  void toPartial(const std::vector<DdgNodeId>& workingSet,
+                 std::int32_t ddgNodes, PartialSolution* out) const;
 
+  /// Needs the working-set index table, which only search-time snapshots
+  /// carry; a FrontierSnapshot's state is read by position (clusterAt).
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
     const std::int32_t slot = wsIndexOf_[node.index()];
     return slot < 0 ? ClusterId::invalid() : nodeCluster_[slot];
   }
+  /// Cluster of the node at working-set position `wsPos`.
+  [[nodiscard]] ClusterId clusterAt(std::size_t wsPos) const {
+    return nodeCluster_[wsPos];
+  }
+  [[nodiscard]] ClusterId relayCluster(std::size_t relayIndex) const {
+    return relayCluster_[relayIndex];
+  }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];
+  }
+  [[nodiscard]] int distinctValuesIn(ClusterId c) const {
+    return inCount_[c.index()];
+  }
+  [[nodiscard]] int distinctValuesOut(ClusterId c) const {
+    return outCount_[c.index()];
   }
   [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {
     return inNbrMask_[c.index()];
@@ -92,6 +112,8 @@ class FlatSolution {
   [[nodiscard]] bool flowIsReal(PgArcId arc) const {
     return flowOff_[arc.index() + 1] > flowOff_[arc.index()];
   }
+  /// The copies per PG arc, in list order.
+  [[nodiscard]] machine::CopyFlow copyFlow() const;
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
@@ -101,15 +123,34 @@ class FlatSolution {
 
  private:
   friend class DeltaSolution;
+  friend class FrontierSnapshot;
 
-  /// Allocates an uninitialized snapshot with CSR capacity for the given
-  /// totals.
-  static FlatSolution* allocate(std::int32_t numWs, std::int32_t numRelays,
-                                std::int32_t numPg, std::int32_t numArcs,
-                                std::int32_t inTotal, std::int32_t outTotal,
-                                std::int32_t flowTotal,
-                                std::int32_t critTotal,
-                                MonotonicArena& arena);
+  /// Array lengths of one snapshot.
+  struct Shape {
+    std::int32_t numWs = 0;
+    std::int32_t numRelays = 0;
+    std::int32_t numPg = 0;
+    std::int32_t numArcs = 0;
+    std::int32_t inTotal = 0;
+    std::int32_t outTotal = 0;
+    std::int32_t flowTotal = 0;
+    std::int32_t critTotal = 0;
+  };
+  [[nodiscard]] Shape shape() const;
+  /// The shape of `sol` over a `numWs`-node working set, without
+  /// critical-path terms.
+  static Shape shapeOf(const PartialSolution& sol, std::size_t numWs);
+
+  /// An uninitialized snapshot of the given shape in `arena`.
+  static FlatSolution* create(const Shape& shape, MonotonicArena& arena);
+  /// Points every array at fresh uninitialized storage from `alloc`, in
+  /// one fixed order (the arena's byte accounting depends on it).
+  template <typename Alloc>
+  void allocateArrays(const Shape& shape, Alloc& alloc);
+  /// Fills every array but the critical-path terms from `sol`; the arrays
+  /// must have `shapeOf(sol, workingSet.size())`.
+  void fillFrom(const PartialSolution& sol,
+                const std::vector<DdgNodeId>& workingSet);
 
   std::int32_t numWs_ = 0;
   std::int32_t numRelays_ = 0;
@@ -133,6 +174,41 @@ class FlatSolution {
   int totalCopies_ = 0;
   int assigned_ = 0;
   double objective_ = 0.0;
+};
+
+/// A frontier state the search hands back (SeeResult::frontier): the
+/// FlatSolution layout in one exact-size heap block the snapshot owns, so
+/// it outlives the search arenas and the PreparedProblem. It keeps no
+/// working-set index table — nodes are read by working-set position — and
+/// no critical-path terms, which only a search parent needs.
+class FrontierSnapshot {
+ public:
+  explicit FrontierSnapshot(const FlatSolution& state);
+  /// Snapshots a materialized state whose working set is `workingSet`.
+  FrontierSnapshot(const PartialSolution& sol,
+                   const std::vector<DdgNodeId>& workingSet);
+  FrontierSnapshot(const FrontierSnapshot& other)
+      : FrontierSnapshot(other.state_) {}
+  FrontierSnapshot& operator=(const FrontierSnapshot& other) {
+    return *this = FrontierSnapshot(other);
+  }
+  FrontierSnapshot(FrontierSnapshot&&) noexcept = default;
+  FrontierSnapshot& operator=(FrontierSnapshot&&) noexcept = default;
+
+  [[nodiscard]] const FlatSolution& state() const { return state_; }
+  /// Bytes this snapshot occupies: the object plus its block.
+  [[nodiscard]] std::size_t bytes() const {
+    return sizeof(*this) + blockBytes_;
+  }
+
+ private:
+  /// Sizes and allocates the block for `shape` and points the state's
+  /// arrays into it.
+  void allocate(const FlatSolution::Shape& shape);
+
+  FlatSolution state_;
+  std::unique_ptr<std::byte[]> block_;
+  std::size_t blockBytes_ = 0;
 };
 
 /// Pooled copy-on-write candidate: dense overlay + edit lists against an

@@ -68,8 +68,10 @@ const ddg::Kernel& kernelNamed(const std::string& name) {
 /// Full identity: verdict, placement, reconfiguration stream and every
 /// HcaStats counter. This is the checkpoint contract, which is strictly
 /// stronger than the portfolio determinism contract (that one exempts the
-/// effort counters; resume identity does not).
-void expectIdenticalRun(const HcaResult& a, const HcaResult& b) {
+/// effort counters; resume identity does not). Without `cacheCounters` the
+/// cache's own hit/miss counters are left out (cache on against off).
+void expectIdenticalRun(const HcaResult& a, const HcaResult& b,
+                        bool cacheCounters = true) {
   ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
   EXPECT_EQ(a.failureReason, b.failureReason);
   EXPECT_EQ(a.fallbackUsed, b.fallbackUsed);
@@ -85,7 +87,12 @@ void expectIdenticalRun(const HcaResult& a, const HcaResult& b) {
   }
   EXPECT_EQ(a.reconfig.toString(), b.reconfig.toString());
   core::forEachRunCounter(
-      [](const core::RunCounter& c, const auto& x, const auto& y) {
+      [cacheCounters](const core::RunCounter& c, const auto& x,
+                      const auto& y) {
+        const std::string key = c.key;
+        if (!cacheCounters && (key == "cacheHits" || key == "cacheMisses")) {
+          return;
+        }
         EXPECT_EQ(x, y) << c.key;
       },
       a.stats, b.stats);
@@ -734,6 +741,38 @@ TEST(ResumeIdentityTest, H264deblocking) {
                       /*cancelAfter=*/5);
 }
 
+TEST(ResumeIdentityTest, FullFrontierCheckpointResumesIdentically) {
+  // Checkpoints written before the driver trimmed cached results keep each
+  // legal entry's whole final frontier — 16 states at the default beam,
+  // more than the 12 alternatives the driver tries. Padding a fresh
+  // checkpoint's entries back to 16 states stands in for such a file: the
+  // states past maxAlternatives are never read, so it resumes to the same
+  // run, and the entries are trimmed again on the way into the cache.
+  const ddg::Kernel& kernel = kernelNamed("fir2dim");
+  const std::string path = tmpPath("full_frontier.ckpt");
+  removeFileIfExists(path);
+  const HcaDriver plain(paperFabric(), HcaOptions{});
+  const HcaResult uninterrupted = plain.run(kernel.ddg);
+  ASSERT_FALSE(runWithCheckpoint(kernel, HcaOptions{}, path, 1).legal);
+
+  CheckpointData data = core::parseCheckpoint(readFile(path));
+  int padded = 0;
+  for (auto& [scope, entries] : data.cacheByScope) {
+    for (auto& [key, result] : entries) {
+      if (!result.legal || result.frontier.size() < 12) continue;
+      ++padded;
+      while (result.frontier.size() < 16) {
+        result.frontier.push_back(result.frontier.back());
+      }
+    }
+  }
+  ASSERT_GT(padded, 0);
+  atomicWriteFile(path, core::serializeCheckpoint(data));
+
+  const HcaResult resumed = runWithCheckpoint(kernel, HcaOptions{}, path);
+  expectIdenticalRun(uninterrupted, resumed);
+}
+
 TEST(ResumeIdentityTest, DoubleInterruptionThenResume) {
   // Crash, resume, crash again, resume again: the second checkpoint is a
   // superset of the first, and the final run is still byte-identical.
@@ -809,7 +848,7 @@ TEST(MemoryBudgetTest, CacheShedsOldestUnderByteCeiling) {
   see::SeeResult result;
   result.failureReason = std::string(256, 'x');
   const std::int64_t perEntry =
-      core::SubproblemCache::approxEntryBytes("key-000", result);
+      core::SubproblemCache::entryBytes("key-000", result);
   // Room for about three entries in the single shard.
   core::SubproblemCache cache(/*numShards=*/1, /*maxEntriesPerShard=*/0,
                               /*maxBytesPerShard=*/3 * perEntry + 16);
@@ -826,6 +865,48 @@ TEST(MemoryBudgetTest, CacheShedsOldestUnderByteCeiling) {
   // Oldest-first: the first key is gone, the last one is resident.
   EXPECT_EQ(cache.lookup("key-000"), nullptr);
   EXPECT_NE(cache.lookup("key-007"), nullptr);
+}
+
+// --- trimmed cache entries --------------------------------------------------
+
+TEST(CacheTrimTest, CachedEntriesHoldAtMostMaxAlternatives) {
+  // The driver tries at most maxAlternatives states of a frontier, so that
+  // is all a cached result keeps; the checkpoint shows what was cached.
+  const ddg::Kernel& kernel = kernelNamed("fir2dim");
+  const std::string path = tmpPath("trimmed_entries.ckpt");
+  removeFileIfExists(path);
+  HcaOptions options;
+  options.maxAlternatives = 3;
+  (void)runWithCheckpoint(kernel, options, path);
+  ASSERT_TRUE(fileExists(path)) << "no attempt failed: nothing cached";
+  const CheckpointData data = core::parseCheckpoint(readFile(path));
+  int atCap = 0;
+  for (const auto& [scope, entries] : data.cacheByScope) {
+    for (const auto& [key, result] : entries) {
+      EXPECT_LE(result.frontier.size(), 3u) << scope;
+      if (result.legal && result.frontier.size() == 3u) ++atCap;
+    }
+  }
+  // The 16-wide beam returns more than three states: trimming happened.
+  EXPECT_GT(atCap, 0);
+}
+
+TEST(CacheTrimTest, CacheOnAndOffAgreeForEveryMaxAlternatives) {
+  // fir2dim backtracks and hits the cache hundreds of times, so the
+  // alternatives loop reads trimmed cached frontiers.
+  const ddg::Kernel& kernel = kernelNamed("fir2dim");
+  for (const int maxAlternatives : {1, 3, 12}) {
+    SCOPED_TRACE("maxAlternatives=" + std::to_string(maxAlternatives));
+    HcaOptions cached;
+    cached.maxAlternatives = maxAlternatives;
+    HcaOptions uncached = cached;
+    uncached.enableSubproblemCache = false;
+    const HcaResult on = HcaDriver(paperFabric(), cached).run(kernel.ddg);
+    const HcaResult off = HcaDriver(paperFabric(), uncached).run(kernel.ddg);
+    expectIdenticalRun(on, off, /*cacheCounters=*/false);
+    EXPECT_GT(on.stats.cacheHits, 0);
+    if (maxAlternatives > 1) EXPECT_GT(on.stats.backtrackAttempts, 0);
+  }
 }
 
 TEST(MemoryBudgetTest, ForEachVisitsInInsertionOrder) {

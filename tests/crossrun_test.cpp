@@ -175,6 +175,31 @@ TEST(DiffTest, IdenticalSyntheticReportsAreClean) {
   EXPECT_FALSE(diff.hasWallThreshold);
 }
 
+TEST(DiffTest, NonDeterministicRunCountersStayOutOfTheExactSet) {
+  // The counter table, not a name list, decides: every RUN row marked
+  // non-deterministic may differ between two reports without a mismatch.
+  const std::string base = syntheticReport("fir2dim", 1000.0, 2);
+  const std::string cancelled = "\"attemptsCancelled\":7";
+  ASSERT_NE(base.find(cancelled), std::string::npos);
+  int rows = 0;
+  core::forEachRunCounter([&](const core::RunCounter& c) {
+    if (c.deterministic) return;
+    ++rows;
+    const auto withValue = [&](int value) {
+      std::string report = base;
+      report.replace(report.find(cancelled), cancelled.size(),
+                     strCat("\"", c.key, "\":", value));
+      return report;
+    };
+    const core::ReportDiff diff =
+        core::diffReportTexts(withValue(1), withValue(2));
+    EXPECT_FALSE(diff.regression()) << c.key;
+    EXPECT_TRUE(diff.mismatches.empty()) << c.key;
+    EXPECT_EQ(diff.seriesCompared, 3) << c.key;
+  });
+  EXPECT_GT(rows, 0);
+}
+
 TEST(DiffTest, PerturbedCounterNamesTheRegressedSeries) {
   const core::ReportDiff diff =
       core::diffReportTexts(syntheticReport("fir2dim", 1000.0, 2),

@@ -330,6 +330,25 @@ TEST(CacheStatsTest, BoundedCacheEvictsOldestFirst) {
   EXPECT_EQ(stats[0].entries, 2);
 }
 
+TEST(CacheStatsTest, DroppedEntriesFreeTheirBytesAndKeepTheCounters) {
+  core::SubproblemCache cache(/*numShards=*/1);
+  see::SeeResult result;
+  result.failureReason = "no candidates";
+  cache.insert("k1", result);
+  EXPECT_NE(cache.lookup("k1"), nullptr);
+  EXPECT_EQ(cache.lookup("k2"), nullptr);
+  EXPECT_EQ(cache.bytesUsed(),
+            core::SubproblemCache::entryBytes("k1", result));
+  cache.dropEntries();
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.bytesUsed(), 0);
+  const auto stats = cache.shardStats();
+  EXPECT_EQ(stats[0].hits, 1);
+  EXPECT_EQ(stats[0].misses, 1);
+  EXPECT_EQ(stats[0].evictions, 0);
+  EXPECT_EQ(cache.lookup("k1"), nullptr);
+}
+
 // --- driver integration -----------------------------------------------------
 
 struct SolveSpanInfo {
@@ -452,6 +471,34 @@ TEST(DriverTraceTest, UntracedRunCollectsMetricsOnly) {
   }
   EXPECT_EQ(hits, result.stats.cacheHits);
   EXPECT_EQ(misses, result.stats.cacheMisses);
+  const Histogram* bytes = result.metrics.findHistogram("cache.shard_bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->stats().count(),
+            result.metrics.counterValue("cache.shards"));
+  EXPECT_GT(bytes->stats().sum(), 0.0);
+}
+
+TEST(DriverTraceTest, DroppedLadderCacheStillReportsItsEntries) {
+  // Under a tight beam budget fir2dim falls back to the degraded-bandwidth
+  // rung, before which the root ladder frees its cache entries. The
+  // cache.* metrics must still count them: without evictions every miss
+  // inserted one entry, in either ladder.
+  const auto kernels = ddg::table1Kernels();
+  machine::DspFabricConfig config;
+  config.n = config.m = config.k = 8;
+  core::HcaOptions options;
+  options.maxBeamSteps = 40;
+  const core::HcaResult result =
+      core::HcaDriver(machine::DspFabricModel(config), options)
+          .run(kernels[0].ddg);
+  ASSERT_EQ(kernels[0].name, "fir2dim");
+  ASSERT_EQ(result.fallbackUsed, "degraded-bandwidth");
+  EXPECT_GT(result.metrics.counterValue("cache.entries"), 0);
+  EXPECT_EQ(result.metrics.counterValue("cache.entries"),
+            result.metrics.counterValue("cache.misses"));
+  EXPECT_EQ(result.metrics.counterValue("cache.misses"),
+            result.stats.cacheMisses);
+  EXPECT_EQ(result.metrics.counterValue("cache.shards"), 32);
 }
 
 TEST(ReportTest, RunReportJsonIsValidAndComplete) {

@@ -115,8 +115,9 @@ TEST(EngineTest, AssignsEverythingOnGenerousMachine) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  const PartialSolution solution = result.materialize();
   for (const DdgNodeId n : problem.workingSet) {
-    EXPECT_TRUE(result.solution.clusterOf(n).valid());
+    EXPECT_TRUE(solution.clusterOf(n).valid());
   }
   EXPECT_GT(result.stats.candidatesEvaluated, 0);
 }
@@ -129,7 +130,7 @@ TEST(EngineTest, SingleClusterNeedsNoCopies) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal);
-  EXPECT_EQ(result.solution.flow().totalCopies(), 0);
+  EXPECT_EQ(result.materialize().flow().totalCopies(), 0);
 }
 
 TEST(EngineTest, CopiesAppearWhenDependencesCrossClusters) {
@@ -143,7 +144,8 @@ TEST(EngineTest, CopiesAppearWhenDependencesCrossClusters) {
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  EXPECT_GT(result.solution.flow().totalCopies(), 0);
+  const PartialSolution solution = result.materialize();
+  EXPECT_GT(solution.flow().totalCopies(), 0);
 }
 
 TEST(EngineTest, HeterogeneousResourcesRespected) {
@@ -160,9 +162,10 @@ TEST(EngineTest, HeterogeneousResourcesRespected) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  const PartialSolution solution = result.materialize();
   for (const DdgNodeId n : problem.workingSet) {
     if (ddg::isMemoryOp(ddg.node(n).op)) {
-      EXPECT_EQ(result.solution.clusterOf(n).value() % 2, 0)
+      EXPECT_EQ(solution.clusterOf(n).value() % 2, 0)
           << "memory op on AG-less cluster";
     }
   }
@@ -176,8 +179,8 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   const auto r1 = engine.run(problem);
   const auto r2 = engine.run(problem);
   ASSERT_TRUE(r1.legal);
-  EXPECT_EQ(r1.solution.signature(), r2.solution.signature());
-  EXPECT_EQ(r1.solution.objective(), r2.solution.objective());
+  EXPECT_EQ(r1.materialize().signature(), r2.materialize().signature());
+  EXPECT_EQ(r1.materialize().objective(), r2.materialize().objective());
 }
 
 TEST(EngineTest, EmptyWorkingSetIsLegal) {
@@ -189,7 +192,7 @@ TEST(EngineTest, EmptyWorkingSetIsLegal) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   EXPECT_TRUE(result.legal);
-  EXPECT_EQ(result.solution.assignedCount(), 0);
+  EXPECT_EQ(result.materialize().assignedCount(), 0);
 }
 
 // --- constraints ----------------------------------------------------------------
@@ -212,9 +215,10 @@ TEST(ConstraintTest, MaxInNeighborsEnforced) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  const PartialSolution solution = result.materialize();
   // Verify the constraint on the result.
   for (const ClusterId c : pg.clusterNodes()) {
-    EXPECT_LE(result.solution.flow().realInNeighbors(pg, c).size(), 1u);
+    EXPECT_LE(solution.flow().realInNeighbors(pg, c).size(), 1u);
   }
 }
 
@@ -250,10 +254,11 @@ TEST(ConstraintTest, OutputUnaryFanInForcesCoLocation) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  EXPECT_EQ(result.solution.clusterOf(DdgNodeId(kv.value())),
-            result.solution.clusterOf(DdgNodeId(hv.value())));
+  const PartialSolution solution = result.materialize();
+  EXPECT_EQ(solution.clusterOf(DdgNodeId(kv.value())),
+            solution.clusterOf(DdgNodeId(hv.value())));
   // Output node has exactly one real in-neighbor.
-  EXPECT_EQ(result.solution.flow().realInNeighbors(pg, out).size(), 1u);
+  EXPECT_EQ(solution.flow().realInNeighbors(pg, out).size(), 1u);
 }
 
 TEST(ConstraintTest, InputNodeValuesConsumedViaBoundary) {
@@ -291,12 +296,13 @@ TEST(ConstraintTest, InputNodeValuesConsumedViaBoundary) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  const PartialSolution solution = result.materialize();
   // The boundary value flows from the input node to the add's cluster.
-  const ClusterId addCluster = result.solution.clusterOf(
+  const ClusterId addCluster = solution.clusterOf(
       DdgNodeId(extV.value() + 2));  // cst(1) then add follow ext
   bool found = false;
   for (const PgArcId arc : pg.outArcs(in)) {
-    for (const ValueId v : result.solution.flow().copiesOn(arc)) {
+    for (const ValueId v : solution.flow().copiesOn(arc)) {
       if (v == extV) found = true;
     }
   }
@@ -338,9 +344,10 @@ TEST(RouteAllocatorTest, PaperFigure6RoutesThroughIntermediate) {
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  const PartialSolution solution = result.materialize();
   // Constraint must hold in the final flow.
   for (const ClusterId c : pg.clusterNodes()) {
-    EXPECT_LE(result.solution.flow().realInNeighbors(pg, c).size(), 1u);
+    EXPECT_LE(solution.flow().realInNeighbors(pg, c).size(), 1u);
   }
 }
 
@@ -471,15 +478,16 @@ TEST(RelayTest, RelayValueParkedAndWired) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const ClusterId parked = result.solution.relayCluster(0);
+  const PartialSolution solution = result.materialize();
+  const ClusterId parked = solution.relayCluster(0);
   EXPECT_TRUE(parked.valid());
   // Value flows in -> parked -> out.
   const auto aIn = *pg.arcBetween(in, parked);
   const auto aOut = *pg.arcBetween(parked, out);
-  EXPECT_TRUE(result.solution.flow().isReal(aIn));
-  EXPECT_TRUE(result.solution.flow().isReal(aOut));
+  EXPECT_TRUE(solution.flow().isReal(aIn));
+  EXPECT_TRUE(solution.flow().isReal(aOut));
   // The relay consumes an issue slot.
-  EXPECT_EQ(result.solution.usage(parked).instructions, 1);
+  EXPECT_EQ(solution.usage(parked).instructions, 1);
 }
 
 // --- cost criteria --------------------------------------------------------------
@@ -591,7 +599,7 @@ TEST(FilterTest, WiderBeamExploresMoreWithComparableQuality) {
   ASSERT_TRUE(r2.legal);
   // Beam search is not strictly monotone in the beam width, but a wider
   // beam must stay within a whisker of greedy and explore far more states.
-  EXPECT_LE(r2.solution.objective(), r1.solution.objective() * 1.02);
+  EXPECT_LE(r2.materialize().objective(), r1.materialize().objective() * 1.02);
   EXPECT_GT(r2.stats.candidatesEvaluated, r1.stats.candidatesEvaluated);
 }
 
@@ -871,18 +879,18 @@ TEST(DominanceTest, PruningNeverChangesTheSearch) {
   ASSERT_TRUE(on.legal);
   // Same beam, same counters, same mapping — the pass only prunes states
   // the node filter discarded anyway.
-  EXPECT_EQ(off.solution.signature(), on.solution.signature());
-  EXPECT_DOUBLE_EQ(off.solution.objective(), on.solution.objective());
+  EXPECT_EQ(off.materialize().signature(), on.materialize().signature());
+  EXPECT_DOUBLE_EQ(off.materialize().objective(), on.materialize().objective());
   EXPECT_EQ(off.stats.statesExplored, on.stats.statesExplored);
   EXPECT_EQ(off.stats.candidatesEvaluated, on.stats.candidatesEvaluated);
   EXPECT_EQ(off.stats.statesPruned, on.stats.statesPruned);
   EXPECT_EQ(off.stats.routeInvocations, on.stats.routeInvocations);
   EXPECT_EQ(off.stats.routeFailures, on.stats.routeFailures);
   EXPECT_EQ(off.stats.oracleRejects, on.stats.oracleRejects);
-  ASSERT_EQ(off.alternatives.size(), on.alternatives.size());
-  for (std::size_t i = 0; i < off.alternatives.size(); ++i) {
-    EXPECT_EQ(off.alternatives[i].signature(),
-              on.alternatives[i].signature());
+  ASSERT_EQ(off.frontier.size(), on.frontier.size());
+  for (std::size_t i = 0; i < off.frontier.size(); ++i) {
+    EXPECT_EQ(off.materialize(i).signature(),
+              on.materialize(i).signature());
   }
   // ...and it actually observed dominated discards on this workload.
   EXPECT_EQ(off.stats.dominancePruned, 0);
@@ -905,18 +913,18 @@ void expectSameSearch(const SeeResult& legacy, const SeeResult& delta) {
   EXPECT_EQ(legacy.stats.routeInvocations, delta.stats.routeInvocations);
   EXPECT_EQ(legacy.stats.routeFailures, delta.stats.routeFailures);
   EXPECT_EQ(legacy.stats.routedOperands, delta.stats.routedOperands);
-  ASSERT_EQ(legacy.alternatives.size(), delta.alternatives.size());
-  for (std::size_t i = 0; i < legacy.alternatives.size(); ++i) {
-    const auto& ls = legacy.alternatives[i];
-    const auto& ds = delta.alternatives[i];
+  ASSERT_EQ(legacy.frontier.size(), delta.frontier.size());
+  for (std::size_t i = 0; i < legacy.frontier.size(); ++i) {
+    const auto& ls = legacy.materialize(i);
+    const auto& ds = delta.materialize(i);
     EXPECT_EQ(ls.signature(), ds.signature()) << "frontier state " << i;
     EXPECT_DOUBLE_EQ(ls.objective(), ds.objective()) << "frontier state " << i;
     EXPECT_EQ(ls.flow().totalCopies(), ds.flow().totalCopies())
         << "frontier state " << i;
   }
   if (legacy.legal) {
-    EXPECT_EQ(legacy.solution.signature(), delta.solution.signature());
-    EXPECT_DOUBLE_EQ(legacy.solution.objective(), delta.solution.objective());
+    EXPECT_EQ(legacy.materialize().signature(), delta.materialize().signature());
+    EXPECT_DOUBLE_EQ(legacy.materialize().objective(), delta.materialize().objective());
   }
 }
 
@@ -1050,29 +1058,29 @@ TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
   options.legacySearch = false;
   const SeeResult delta = SpaceExplorationEngine(options).run(problem);
   ASSERT_TRUE(delta.legal) << delta.failureReason;
-  EXPECT_EQ(delta.solution.clusterOf(y), ClusterId(4));
+  EXPECT_EQ(delta.materialize().clusterOf(y), ClusterId(4));
   // The value crosses in -> 0 -> 1 -> 2 -> 3 -> 4.
-  EXPECT_EQ(delta.solution.flow().totalCopies(), 5);
+  EXPECT_EQ(delta.materialize().flow().totalCopies(), 5);
   expectSameSearch(legacy, delta);
   EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
 }
 
-/// A leaf-sized sub-problem of h264deblocking's 225-node DDG: 13 working-set
-/// nodes on 8 clusters, their out-of-WS operands arriving on two input
-/// wires and three of their values leaving on output wires.
-struct LeafOfH264 {
-  ddg::Kernel kernel = ddg::buildH264Deblocking();
+/// A slice of a Table 1 kernel shaped like an HCA leaf sub-problem: up to
+/// 13 instructions (every `stride`-th node) on 8 fully connected clusters,
+/// their out-of-slice operands arriving on two input wires and up to three
+/// of their values leaving on output wires. On h264deblocking's 225-node
+/// DDG with stride 5 it is 13 working-set nodes of a large DDG.
+struct KernelSlice {
+  ddg::Kernel kernel;
   machine::PatternGraph pg;
   SeeProblem problem;
 
-  LeafOfH264() {
+  KernelSlice(ddg::Kernel k, int stride) : kernel(std::move(k)) {
     const ddg::Ddg& ddg = kernel.ddg;
-    for (int i = 0; i < 8; ++i) {
-      pg.addCluster(machine::ResourceTable::computationNode());
-    }
-    pg.connectClustersCompletely();
+    pg = smallPg(8);
     problem.ddg = &ddg;
-    for (std::int32_t v = 0; problem.workingSet.size() < 13; v += 5) {
+    for (std::int32_t v = 0;
+         v < ddg.numNodes() && problem.workingSet.size() < 13; v += stride) {
       if (ddg::isInstruction(ddg.node(DdgNodeId(v)).op)) {
         problem.workingSet.emplace_back(v);
       }
@@ -1116,7 +1124,7 @@ struct LeafOfH264 {
 };
 
 TEST(DeltaSearchTest, WorkingSetLocalStateOnLargeDdg) {
-  const LeafOfH264 leaf;
+  const KernelSlice leaf(ddg::buildH264Deblocking(), 5);
   const ddg::Ddg& ddg = leaf.kernel.ddg;
   ASSERT_EQ(ddg.numNodes(), 225);
   ASSERT_EQ(leaf.problem.workingSet.size(), 13u);
@@ -1135,7 +1143,8 @@ TEST(DeltaSearchTest, WorkingSetLocalStateOnLargeDdg) {
 
   // The working-set-indexed snapshots convert back to DDG-indexed states:
   // every WS node placed, every other DDG node unassigned.
-  for (const PartialSolution& alt : delta.alternatives) {
+  for (std::size_t i = 0; i < delta.frontier.size(); ++i) {
+    const PartialSolution alt = delta.materialize(i);
     for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
       const DdgNodeId n(v);
       const bool inWs =
@@ -1148,7 +1157,7 @@ TEST(DeltaSearchTest, WorkingSetLocalStateOnLargeDdg) {
 }
 
 TEST(DeltaSearchTest, SuppliedHeightsMatchComputedHeights) {
-  LeafOfH264 leaf;
+  KernelSlice leaf(ddg::buildH264Deblocking(), 5);
   const auto heights = leaf.kernel.ddg.heights(leaf.problem.latency);
   const SpaceExplorationEngine engine;
   const SeeResult computed = engine.run(leaf.problem);
@@ -1160,6 +1169,113 @@ TEST(DeltaSearchTest, SuppliedHeightsMatchComputedHeights) {
                                             heights.end() - 1);
   leaf.problem.heights = &truncated;
   EXPECT_THROW((void)engine.run(leaf.problem), InvalidArgumentError);
+}
+
+
+// --- frontier snapshots --------------------------------------------------------
+
+/// FNV-1a 64 of a result's checkpoint JSON.
+std::uint64_t digest(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// A result whose frontier is rebuilt from its own materialized states.
+SeeResult rebuiltFromPartials(const SeeResult& result) {
+  SeeResult copy = result;
+  copy.frontier.clear();
+  for (std::size_t i = 0; i < result.frontier.size(); ++i) {
+    copy.frontier.emplace_back(result.materialize(i), result.workingSet);
+  }
+  return copy;
+}
+
+TEST(FrontierSnapshotTest, MaterializedFrontierMatchesPinnedPartialSolutions) {
+  // The digests pin the checkpoint JSON (every frontier state field for
+  // field, flow-list order included, plus the counters both search paths
+  // share) that these searches produced when SeeResult still held
+  // PartialSolutions built by the delta path's toPartial and by the legacy
+  // path directly. A changed digest means the snapshots no longer
+  // materialize to the same states.
+  struct Pin {
+    const char* kernel;
+    std::uint64_t whole;  ///< all instructions on 8 clusters
+    std::uint64_t slice;  ///< KernelSlice
+  };
+  const Pin pins[] = {
+      {"fir2dim", 0xeee3588b07bc6323ULL, 0x78c46930ea1d96a3ULL},
+      {"idcthor", 0x419af4afa827cef2ULL, 0xbf5e6df09e329290ULL},
+      {"mpeg2inter", 0xdbf19a8be0136647ULL, 0x6b98bb005ec7f06dULL},
+      {"h264deblocking", 0xd36303e164dd8e4aULL, 0xaa8a83f2ec26d605ULL},
+  };
+  auto kernels = ddg::table1Kernels();
+  ASSERT_EQ(kernels.size(), std::size(pins));
+  const auto pg = smallPg(8);
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    ASSERT_EQ(kernels[k].name, pins[k].kernel);
+    const KernelSlice slice(kernels[k], 3);
+    const SeeProblem whole = baseProblem(kernels[k].ddg, pg);
+    for (const bool legacy : {false, true}) {
+      SCOPED_TRACE(std::string(pins[k].kernel) +
+                   (legacy ? " legacy" : " delta"));
+      SeeOptions options;
+      options.legacySearch = legacy;
+      const SpaceExplorationEngine engine(options);
+      for (const auto& [problem, pin] :
+           {std::pair{&whole, pins[k].whole},
+            std::pair{&slice.problem, pins[k].slice}}) {
+        const SeeResult result = engine.run(*problem);
+        ASSERT_EQ(result.workingSet, problem->workingSet);
+        ASSERT_EQ(result.frontier.size(), result.legal ? 4u : 1u);
+        const std::string json = resultJson(result, true);
+        EXPECT_EQ(digest(json), pin);
+        // Snapshotting the materialized states again changes nothing.
+        EXPECT_EQ(resultJson(rebuiltFromPartials(result), true), json);
+      }
+    }
+  }
+}
+
+TEST(FrontierSnapshotTest, ReadsMatchTheMaterializedState) {
+  const KernelSlice slice(ddg::buildH264Deblocking(), 3);
+  const SeeResult result = SpaceExplorationEngine().run(slice.problem);
+  ASSERT_TRUE(result.legal) << result.failureReason;
+  const auto& ws = slice.problem.workingSet;
+  for (std::size_t i = 0; i < result.frontier.size(); ++i) {
+    const FlatSolution& state = result.frontier[i].state();
+    const PartialSolution partial = result.materialize(i);
+    for (std::size_t pos = 0; pos < ws.size(); ++pos) {
+      EXPECT_EQ(state.clusterAt(pos), partial.clusterOf(ws[pos]));
+    }
+    for (std::int32_t c = 0; c < slice.pg.numNodes(); ++c) {
+      const ClusterId id(c);
+      EXPECT_EQ(state.usage(id).instructions, partial.usage(id).instructions);
+      EXPECT_EQ(state.distinctValuesIn(id), partial.distinctValuesIn(id));
+      EXPECT_EQ(state.distinctValuesOut(id), partial.distinctValuesOut(id));
+    }
+    const machine::CopyFlow flow = state.copyFlow();
+    ASSERT_EQ(flow.numArcLists(), partial.flow().numArcLists());
+    for (std::int32_t a = 0; a < slice.pg.numArcs(); ++a) {
+      EXPECT_EQ(flow.copiesOn(PgArcId(a)), partial.flow().copiesOn(PgArcId(a)));
+    }
+    // A copy owns its own block of the same size.
+    const FrontierSnapshot copy = result.frontier[i];
+    EXPECT_EQ(copy.bytes(), result.frontier[i].bytes());
+    EXPECT_NE(&copy.state().usage(ClusterId(0)), &state.usage(ClusterId(0)));
+    EXPECT_EQ(copy.state().objective(), state.objective());
+  }
+  std::int64_t bytes = sizeof(SeeResult);
+  bytes += static_cast<std::int64_t>(result.workingSet.capacity() *
+                                         sizeof(DdgNodeId) +
+                                     result.failureReason.size());
+  for (const FrontierSnapshot& state : result.frontier) {
+    bytes += static_cast<std::int64_t>(state.bytes());
+  }
+  EXPECT_EQ(result.bytes(), bytes);
 }
 
 }  // namespace

@@ -20,7 +20,9 @@
 #                 repetitions, --strict-build so a debug-grade binary is a
 #                 hard error). This is a smoke test: it fails on crash,
 #                 assertion, or sanitizer abort inside the benchmarked
-#                 paths, never on timing.
+#                 paths, never on timing. It also runs the memory tripwire:
+#                 a Release `hcac --kernel h264deblocking` must peak under
+#                 100 MB of RSS (tools/peak_rss.py)
 #   4a. perfbench — the benchmark's helper unit tests, then one short
 #                 table1-direct run of perfbench/run.py as a smoke. It fails
 #                 when the benchmark cannot build or run or an output check
@@ -97,6 +99,10 @@ cmake --build "${root}/build-perf" -j "${jobs}" --target bench_micro hcac
 (cd "${root}/build-perf/bench" &&
   ./bench_micro --strict-build \
     --benchmark_min_time=0.01 --benchmark_repetitions=1)
+# Memory tripwire: h264deblocking's peak RSS must stay under 100 MB (the
+# trimmed, compact sub-problem cache keeps it near 30 MB).
+python3 "${root}/tools/peak_rss.py" --max-mb 100 -- \
+  "${root}/build-perf/tools/hcac" --kernel h264deblocking
 echo "ci: perf smoke passed (timings informational; BENCH_micro.json written)"
 
 echo "=== ci: perfbench (helper tests + table1-direct smoke) ==="
