@@ -1,7 +1,7 @@
 // E6: google-benchmark micro-benchmarks of the tool-chain components:
 // recurrence-MII computation, the reference interpreter, one SEE run, the
-// Mapper, the full HCA pipeline, the modulo scheduler, plus the PR's
-// copy-vs-delta beam expansion and arena-vs-heap allocation comparisons.
+// Mapper, the full HCA pipeline, the modulo scheduler, plus the
+// arena-vs-heap allocation comparison.
 //
 // Emits BENCH_micro.json (google-benchmark JSON) unless the caller passes
 // an explicit --benchmark_out flag.
@@ -81,25 +81,11 @@ void BM_Interpreter(benchmark::State& state) {
 BENCHMARK(BM_Interpreter);
 
 void BM_SeeSingleLevel(benchmark::State& state) {
-  // One RCP assignment: the paper's single-level framework workload.
+  // One RCP assignment: the paper's single-level framework workload, on
+  // the copy-on-write delta beam.
   const SeeFixture fx;
   see::SeeOptions options;
   options.weights.targetIi = 8;
-  const see::SpaceExplorationEngine engine(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(fx.problem));
-  }
-}
-BENCHMARK(BM_SeeSingleLevel);
-
-void BM_SeeCopyVsDelta(benchmark::State& state) {
-  // The PR's core trade: arg 0 = delta/CoW beam expansion (default path),
-  // arg 1 = legacy deep-copy expansion. Identical results by contract; the
-  // ratio of the two rows is the per-SEE-run speedup.
-  const SeeFixture fx;
-  see::SeeOptions options;
-  options.weights.targetIi = 8;
-  options.legacySearch = state.range(0) != 0;
   const see::SpaceExplorationEngine engine(options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(fx.problem));
@@ -112,10 +98,7 @@ void BM_SeeCopyVsDelta(benchmark::State& state) {
   state.counters["arena_peak_bytes"] =
       static_cast<double>(result.stats.arenaBytesPeak);
 }
-BENCHMARK(BM_SeeCopyVsDelta)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("legacy");
+BENCHMARK(BM_SeeSingleLevel);
 
 void BM_ArenaAlloc(benchmark::State& state) {
   // Steady-state beam-step allocation pattern: a burst of small blocks,

@@ -7,16 +7,11 @@
 // final MII, and — beyond the paper — the II actually achieved by the
 // modulo scheduler plus the end-to-end simulator verdict. `sec` is
 // wall-clock (the portfolio sweep is multi-threaded when HCA_THREADS != 1)
-// and `cache%` is the sub-problem memoization hit rate. `legacy_s` re-runs
-// the same kernel with the pre-CoW deep-copy SEE expansion
-// (SeeOptions::legacySearch) and `speedup` is legacy_s / sec — the
-// before/after record for the copy-on-write beam search.
+// and `cache%` is the sub-problem memoization hit rate.
 //
 // Environment variables:
 //   HCA_THREADS        outer-sweep thread count (default 1, 0 = hardware
 //                      concurrency, clamped to the core count)
-//   HCA_TABLE1_LEGACY  set to 0 to skip the legacy re-run (halves runtime;
-//                      legacy_s/speedup columns report "-")
 
 #include <chrono>
 #include <cstdio>
@@ -53,10 +48,6 @@ int main(int argc, char** argv) {
   if (const char* threadsEnv = std::getenv("HCA_THREADS")) {
     options.numThreads = std::atoi(threadsEnv);
   }
-  bool runLegacy = true;
-  if (const char* legacyEnv = std::getenv("HCA_TABLE1_LEGACY")) {
-    runLegacy = std::atoi(legacyEnv) != 0;
-  }
   const int threads = ThreadPool::effectiveThreads(
       options.numThreads, options.allowOversubscribe);
 
@@ -64,10 +55,10 @@ int main(int argc, char** argv) {
   std::printf("Machine: %s, threads: %d\n\n", config.toString().c_str(),
               threads);
   std::printf(
-      "%-16s %7s %6s %6s %6s | %5s %8s %9s | %8s %6s %5s %6s %8s %7s\n",
-      "Loop", "N_Instr", "MIIRec", "MIIRes", "iniMII", "legal", "finalMII",
-      "paperMII", "schedII", "simOK", "sec", "cache%", "legacy_s", "speedup");
-  std::printf("%s\n", std::string(128, '-').c_str());
+      "%-16s %7s %6s %6s %6s | %5s %8s %9s | %8s %6s %5s %6s\n", "Loop",
+      "N_Instr", "MIIRec", "MIIRes", "iniMII", "legal", "finalMII",
+      "paperMII", "schedII", "simOK", "sec", "cache%");
+  std::printf("%s\n", std::string(111, '-').c_str());
 
   // Machine-readable twin of the printed table: one row per kernel, each
   // embedding the full per-phase run report (levels, metrics registry).
@@ -94,34 +85,6 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
 
-    // Before/after record: the same kernel through the pre-CoW deep-copy
-    // SEE path. Results are byte-identical by contract; only time differs.
-    double legacySeconds = -1.0;
-    if (runLegacy) {
-      core::HcaOptions legacyOptions = options;
-      legacyOptions.see.legacySearch = true;
-      const auto l0 = std::chrono::steady_clock::now();
-      const core::HcaDriver legacyDriver(model, legacyOptions);
-      const auto legacyResult = legacyDriver.run(kernel.ddg);
-      legacySeconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - l0)
-              .count();
-      if (legacyResult.legal != result.legal) {
-        std::fprintf(stderr, "WARNING: legacy/delta legality mismatch on %s\n",
-                     kernel.name.c_str());
-      }
-    }
-    const double speedup =
-        legacySeconds > 0.0 && seconds > 0.0 ? legacySeconds / seconds : -1.0;
-    char legacyCol[32], speedupCol[32];
-    if (runLegacy) {
-      std::snprintf(legacyCol, sizeof legacyCol, "%8.1f", legacySeconds);
-      std::snprintf(speedupCol, sizeof speedupCol, "%6.2fx", speedup);
-    } else {
-      std::snprintf(legacyCol, sizeof legacyCol, "%8s", "-");
-      std::snprintf(speedupCol, sizeof speedupCol, "%7s", "-");
-    }
-
     const auto cacheTotal =
         result.stats.cacheHits + result.stats.cacheMisses;
     const double cachePct =
@@ -137,17 +100,14 @@ int main(int argc, char** argv) {
     json.key("legal").value(result.legal);
     json.key("paperMii").value(kernel.paper.finalMii);
     json.key("seconds").value(seconds);
-    json.key("legacySeconds").value(legacySeconds);
-    json.key("speedup").value(speedup);
     json.key("cachePct").value(cachePct);
 
     if (!result.legal) {
       std::printf(
-          "%-16s %7d %6d %6d %6d | %5s %8s %9d | %8s %6s %5.1f %5.1f%% %s "
-          "%s\n",
+          "%-16s %7d %6d %6d %6d | %5s %8s %9d | %8s %6s %5.1f %5.1f%%\n",
           kernel.name.c_str(), stats.numInstructions, miiRec, miiRes,
           std::max(miiRec, miiRes), "no", "-", kernel.paper.finalMii, "-",
-          "-", seconds, cachePct, legacyCol, speedupCol);
+          "-", seconds, cachePct);
       json.key("iniMii").value(std::max(miiRec, miiRes));
       core::ReportMeta meta;
       meta.workload = kernel.name;
@@ -176,12 +136,10 @@ int main(int argc, char** argv) {
                        : "NO";
     }
     std::printf(
-        "%-16s %7d %6d %6d %6d | %5s %8d %9d | %8d %6s %5.1f %5.1f%% %s "
-        "%s\n",
+        "%-16s %7d %6d %6d %6d | %5s %8d %9d | %8d %6s %5.1f %5.1f%%\n",
         kernel.name.c_str(), stats.numInstructions, miiRec, miiRes,
         mii.iniMii, "yes", mii.finalMii, kernel.paper.finalMii,
-        sched.ok ? sched.schedule.ii : -1, simVerdict, seconds, cachePct,
-        legacyCol, speedupCol);
+        sched.ok ? sched.schedule.ii : -1, simVerdict, seconds, cachePct);
     json.key("iniMii").value(mii.iniMii);
     json.key("finalMii").value(mii.finalMii);
     json.key("schedII").value(sched.ok ? sched.schedule.ii : -1);
@@ -207,8 +165,7 @@ int main(int argc, char** argv) {
       "paper reports 3/3/8/6 with months of hand-tuning. schedII is the\n"
       "modulo scheduler's achieved II (>= finalMII by construction); simOK\n"
       "verifies the scheduled fabric execution against the reference\n"
-      "interpreter. legacy_s/speedup compare the pre-CoW deep-copy SEE\n"
-      "expansion against the default delta path (identical results).\n"
+      "interpreter.\n"
       "See bench_parallel for the threads/cache scaling sweep.\n"
       "Per-kernel rows with embedded per-phase run reports: "
       "BENCH_table1.json\n");

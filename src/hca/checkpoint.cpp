@@ -311,7 +311,9 @@ std::string runFingerprint(const ddg::Ddg& ddg,
      << s.maxOpsPerUnit << ',' << s.enableRouteAllocator << ','
      << s.eagerRouting << ',' << s.retryLadder << ',' << s.maxRouteHops << ','
      << s.maxBeamSteps << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
-     << ',' << s.dominancePruning
+     // Retired dominance-pruning flag: a literal 0 keeps the fingerprints
+     // of existing checkpoints.
+     << ",0"
      << ',' << bits(s.weights.iiEstimate) << ',' << bits(s.weights.copyCount)
      << ',' << bits(s.weights.loadBalance) << ','
      << bits(s.weights.criticalPath) << ',' << bits(s.weights.wiringSlack)

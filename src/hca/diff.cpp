@@ -194,7 +194,7 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
   }
   for (const std::string& name : names) {
     // An entry ending in '*' ignores every series with that prefix — the
-    // per-level metric families (see.dominance_pruned.L0, .L1, ...) have a
+    // per-level metric families (see.oracle_rejects.L0, .L1, ...) have a
     // workload-dependent level count no caller can enumerate up front.
     const bool ignored = std::any_of(
         options.ignoreCounters.begin(), options.ignoreCounters.end(),

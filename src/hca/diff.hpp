@@ -77,9 +77,9 @@ struct DiffOptions {
   /// Deterministic series to exclude from the exact compare (still listed
   /// in the verdict as informational when they differ). Lets a gate
   /// tolerate counters that legitimately diverge between the two runs,
-  /// e.g. `stats.seeDominancePruned` when comparing pruning on vs off. A
+  /// e.g. `stats.seeOracleRejects` when comparing oracle changes. A
   /// trailing '*' matches every series with that prefix
-  /// (`metrics.see.dominance_pruned.*` covers all levels).
+  /// (`metrics.see.oracle_rejects.*` covers all levels).
   std::vector<std::string> ignoreCounters;
 };
 

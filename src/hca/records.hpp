@@ -95,9 +95,9 @@ struct HcaStats {
   /// SEE candidates rejected by the feasibility oracle before any solution
   /// state was materialized (see SeeStats::oracleRejects).
   std::int64_t seeOracleRejects = 0;
-  /// SEE route searches answered from the negative route memo.
+  /// Always 0: the retired SEE counters (see SeeStats::routeMemoHits),
+  /// kept so reports, checkpoints and history keep their schema.
   std::int64_t seeRouteMemoHits = 0;
-  /// SEE frontier expansions dropped by dominance pruning.
   std::int64_t seeDominancePruned = 0;
 
   /// Folds another attempt's counters into this one. `achievedTargetIi`

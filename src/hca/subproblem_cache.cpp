@@ -66,12 +66,6 @@ void appendOptions(std::string& out, const see::SeeOptions& o) {
   appendDouble(out, o.weights.criticalPath);
   appendDouble(out, o.weights.wiringSlack);
   appendI32(out, o.weights.targetIi);
-  // Dominance pruning is a heuristic that may change the search result, so
-  // (unlike legacySearch) it fragments the cache by design. The tag is
-  // only appended when the flag is on: default-option runs must keep the
-  // exact pre-flag key bytes (the key feeds the shard hash, and the
-  // cache.shard_* histograms are deterministic artifacts).
-  if (o.dominancePruning) out.append("dp1");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <memory>
 #include <unordered_set>
 
-#include "see/dominance.hpp"
 #include "see/feasibility.hpp"
 #include "see/route_allocator.hpp"
 #include "see/snapshot.hpp"
@@ -48,6 +47,21 @@ std::optional<PartialSolution> assignGroupDirect(
   for (const Item& item : group.members) {
     if (!candidate.canAssign(prepared, item, cluster)) return std::nullopt;
     candidate.assign(prepared, item, cluster);
+  }
+  return candidate;
+}
+
+/// Places every member of `group` on `cluster` on a clone of `state`,
+/// routing as needed; nullopt when some copy cannot be routed within
+/// `maxHops` relays.
+std::optional<PartialSolution> tryAssignGroup(
+    const PreparedProblem& prepared, const PartialSolution& state,
+    const ItemGroup& group, ClusterId cluster, int maxHops,
+    int* routedOperands, RouteScratch* scratch) {
+  PartialSolution candidate = state;
+  if (!routeAssignGroupT(prepared, candidate, group, cluster, maxHops,
+                         routedOperands, scratch)) {
+    return std::nullopt;
   }
   return candidate;
 }
@@ -193,7 +207,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     result.stats.arenaBytesPeak =
         std::max(static_cast<std::int64_t>(arenaA.peakBytesUsed()),
                  static_cast<std::int64_t>(arenaB.peakBytesUsed()));
-    result.stats.routeMemoHits += routeScratch.memoHits();
     result.stats.oracleRejects += routeScratch.hopRejects();
   };
 
@@ -222,7 +235,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   std::vector<std::size_t> order;
   std::vector<char> isParentBest;
   std::vector<char> selected;
-  std::vector<char> dominated;
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> seenSigs;
   std::vector<const FlatSolution*> survivors;
@@ -397,18 +409,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
       selected[i] = 1;
       chosen.push_back(i);
     }
-    // Dominance pruning (opt-in): drop strictly-dominated expansions from
-    // the discard set. Selection above never consults the dominance
-    // relation — a dominated state the filter chose stays chosen — so the
-    // surviving beam, and with it every downstream counter and the final
-    // mapping, is byte-identical with the flag on or off (the hard
-    // constraint of the oracle work); what the pass buys is the
-    // dominancePruned counter quantifying how much of the frontier churn
-    // was covered outright by a sibling. See dominance.hpp.
-    if (options.dominancePruning) {
-      result.stats.dominancePruned += static_cast<std::int64_t>(
-          markDominated(prepared, next, selected, dominated));
-    }
     std::sort(chosen.begin(), chosen.end(), [&](std::size_t a, std::size_t b) {
       return next[a]->objective() < next[b]->objective();
     });
@@ -448,7 +448,6 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
 
   SeeResult result = emptyResult(prepared);
   const auto finishStats = [&] {
-    result.stats.routeMemoHits += routeScratch.memoHits();
     result.stats.oracleRejects += routeScratch.hopRejects();
   };
   std::vector<PartialSolution> frontier;
@@ -503,9 +502,9 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
           scored.push_back(std::move(*candidate));
         } else if (eagerRoutes) {
           int routed = 0;
-          auto sol = RouteAllocator::tryAssignGroup(
-              prepared, state, group, c, options.maxRouteHops, &routed,
-              &routeScratch);
+          auto sol = tryAssignGroup(prepared, state, group, c,
+                                    options.maxRouteHops, &routed,
+                                    &routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;
@@ -528,9 +527,9 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
             ++result.stats.oracleRejects;
             continue;
           }
-          auto sol = RouteAllocator::tryAssignGroup(
-              prepared, state, group, c, options.maxRouteHops, &routed,
-              &routeScratch);
+          auto sol = tryAssignGroup(prepared, state, group, c,
+                                    options.maxRouteHops, &routed,
+                                    &routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;

@@ -116,20 +116,11 @@ struct SeeOptions {
   bool chainGrouping = true;
   /// Runs the beam loop on materialized PartialSolution values (full deep
   /// copy per candidate) instead of the arena-backed copy-on-write delta
-  /// path. The two paths produce byte-identical results (enforced by the
-  /// delta-identity test suite); this switch exists for that comparison and
-  /// as an escape hatch. Deliberately *not* part of the sub-problem cache
-  /// key.
+  /// path. For tests only: the delta-identity and SEE suites compare the
+  /// delta path against this reference, which must give byte-identical
+  /// results. No tool or bench sets it. Deliberately *not* part of the
+  /// sub-problem cache key.
   bool legacySearch = false;
-  /// Frontier dominance pruning (see/dominance.hpp): before the node filter
-  /// selects the beam, drop expansions that are dominated by a
-  /// better-or-equal-scored sibling with a pointwise better-or-equal
-  /// resource-residual vector. A heuristic (unlike the feasibility oracle it
-  /// can change the search trajectory), so it defaults to off, *is* part of
-  /// the sub-problem cache key and checkpoint fingerprint, and leaves the
-  /// legacy path untouched. The identity test suite asserts the final
-  /// mapping survives it on the Table 1 kernels.
-  bool dominancePruning = false;
   CostWeights weights;
 };
 
@@ -143,7 +134,7 @@ struct SeeStats {
   /// `candidateKeep` expansions per state).
   std::int64_t candidateRejections = 0;
   /// Route-allocator attempts that found no relay path to the target
-  /// cluster (tryAssignGroup returned nothing).
+  /// cluster (routeAssignGroupT returned false).
   std::int64_t routeFailures = 0;
   /// Candidates expanded as pooled copy-on-write deltas instead of full
   /// PartialSolution deep copies (delta path only; one per delta rebase).
@@ -159,11 +150,11 @@ struct SeeStats {
   /// these is work the pre-oracle engine spent on a provably-doomed
   /// candidate.
   std::int64_t oracleRejects = 0;
-  /// findPathT failures answered from the negative route memo (exact
-  /// region-state match with an earlier failed BFS) instead of a re-search.
+  /// Always 0. The negative route memo and dominance pruning that fed
+  /// these two counters never fired on any bench and were removed; the
+  /// fields and their counter-table rows stay so the report, checkpoint and
+  /// history schemas (and the readers of those files) are unchanged.
   std::int64_t routeMemoHits = 0;
-  /// Frontier expansions dropped by dominance pruning (0 unless
-  /// SeeOptions::dominancePruning).
   std::int64_t dominancePruned = 0;
 
   /// Folds another search's counters into this one (retry-ladder rungs,

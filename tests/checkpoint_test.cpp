@@ -408,6 +408,28 @@ TEST(CheckpointFormatPinTest, OutOfRangeInt32CounterRejected) {
   EXPECT_EQ(parseKind(bytes), CheckpointError::Kind::kBadPayload);
 }
 
+// The run fingerprint and the sub-problem cache key are pinned to the bytes
+// they had when the dominance-pruning option still existed: checkpoints
+// written then must still resume, and default-option keys must keep their
+// shard hashes. The fingerprint still carries the retired flag as a 0.
+TEST(CheckpointFormatPinTest, Fir2dimFingerprintAndCacheKeyArePinned) {
+  const ddg::Ddg& ddg = kernelNamed("fir2dim").ddg;
+  const machine::DspFabricModel model = paperFabric();
+  const HcaOptions options;
+  EXPECT_EQ(core::runFingerprint(ddg, model, options), "f60da47e663e4acf");
+
+  // The root (level 0) sub-problem over the whole DDG.
+  std::vector<DdgNodeId> workingSet;
+  for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
+    workingSet.emplace_back(v);
+  }
+  const machine::LevelSpec spec = model.levelSpec(0);
+  const std::string key = core::subproblemKey(
+      model.patternGraphAt({}), model.constraints(0), model.config().latency,
+      spec.inWires, spec.outWires, {}, {}, workingSet, {}, options.see);
+  EXPECT_EQ(core::fnv1a64(key), 0xcbbb4acab4826d9eULL);
+}
+
 // --- counter table -----------------------------------------------------------
 //
 // Every row of HCA_COUNTER_TABLE must reach every consumer under its own

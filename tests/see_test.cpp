@@ -352,8 +352,8 @@ TEST(RouteAllocatorTest, PaperFigure6RoutesThroughIntermediate) {
 }
 
 TEST(RouteAllocatorTest, FindsMultiHopPath) {
-  // Directly exercise tryAssign: line topology 0 -> 1 -> 2, value produced
-  // at 0, consumer forced to 2.
+  // Directly exercise routeAndAssignT: line topology 0 -> 1 -> 2, value
+  // produced at 0, consumer forced to 2.
   DdgBuilder b;
   const auto x = b.load(b.cst(0), 0, "x");
   const auto y = b.neg(x, "y");
@@ -400,19 +400,19 @@ TEST(RouteAllocatorTest, FindsMultiHopPath) {
   }
   EXPECT_FALSE(sol.canAssign(prepared, negItem, ClusterId(2)));
   // ...but the route allocator relays through cluster 1.
+  PartialSolution extended = sol;
   int routed = 0;
-  const auto extended = RouteAllocator::tryAssign(
-      prepared, sol, negItem, ClusterId(2), /*maxHops=*/3, &routed);
-  ASSERT_TRUE(extended.has_value());
+  ASSERT_TRUE(routeAndAssignT(prepared, extended, negItem, ClusterId(2),
+                              /*maxHops=*/3, &routed));
   EXPECT_EQ(routed, 1);
-  EXPECT_EQ(extended->clusterOf(negItem.node), ClusterId(2));
+  EXPECT_EQ(extended.clusterOf(negItem.node), ClusterId(2));
   // The value crosses both arcs.
   const ValueId xv(loadItem.node.value());
   const auto a01 = *pg.arcBetween(ClusterId(0), ClusterId(1));
   const auto a12 = *pg.arcBetween(ClusterId(1), ClusterId(2));
-  EXPECT_EQ(extended->flow().copiesOn(a01).size(), 1u);
-  EXPECT_EQ(extended->flow().copiesOn(a01)[0], xv);
-  EXPECT_EQ(extended->flow().copiesOn(a12)[0], xv);
+  EXPECT_EQ(extended.flow().copiesOn(a01).size(), 1u);
+  EXPECT_EQ(extended.flow().copiesOn(a01)[0], xv);
+  EXPECT_EQ(extended.flow().copiesOn(a12)[0], xv);
 }
 
 TEST(RouteAllocatorTest, RespectsHopLimit) {
@@ -447,12 +447,12 @@ TEST(RouteAllocatorTest, RespectsHopLimit) {
     }
   }
   sol.assign(prepared, loadItem, ClusterId(0));
-  EXPECT_FALSE(RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(4),
-                                         /*maxHops=*/2, nullptr)
-                   .has_value());  // not enough for 3 relays
-  EXPECT_TRUE(RouteAllocator::tryAssign(prepared, sol, negItem, ClusterId(4),
-                                        /*maxHops=*/3, nullptr)
-                  .has_value());
+  PartialSolution tooShort = sol;  // 2 hops: not enough for 3 relays
+  EXPECT_FALSE(routeAndAssignT(prepared, tooShort, negItem, ClusterId(4),
+                               /*maxHops=*/2, nullptr));
+  PartialSolution enough = sol;
+  EXPECT_TRUE(routeAndAssignT(prepared, enough, negItem, ClusterId(4),
+                              /*maxHops=*/3, nullptr));
 }
 
 // --- relays -------------------------------------------------------------------
@@ -747,154 +747,6 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
                   .empty());
   EXPECT_FALSE(findPathT(prepared, sol, ClusterId(0), ClusterId(4), v, 3)
                    .empty());
-}
-
-// --- negative route memo ------------------------------------------------------
-
-/// A 26-cluster directed line and a two-chain DDG: big enough that a memo
-/// region can clear the explored-node floor, with independent value chains
-/// to edit budgets inside and outside a recorded region.
-struct MemoFixture {
-  ddg::Ddg ddg;
-  machine::PatternGraph pg;
-  SeeProblem problem;
-
-  MemoFixture() {
-    DdgBuilder b;
-    const auto x1 = b.load(b.cst(0), 0, "x1");
-    b.store(b.cst(1), b.neg(x1, "y1"));
-    const auto x2 = b.load(b.cst(2), 0, "x2");
-    b.store(b.cst(3), b.neg(x2, "y2"));
-    ddg = b.finish();
-    for (int i = 0; i < 26; ++i) {
-      pg.addCluster(machine::ResourceTable::computationNode());
-    }
-    for (int i = 0; i < 25; ++i) pg.addArc(ClusterId(i), ClusterId(i + 1));
-    problem = baseProblem(ddg, pg);
-  }
-
-  [[nodiscard]] Item itemNamed(const PreparedProblem& prepared,
-                               const std::string& name) const {
-    for (const auto& group : prepared.items()) {
-      for (const auto& item : group.members) {
-        if (item.kind == Item::Kind::kNode &&
-            ddg.node(item.node).name == name) {
-          return item;
-        }
-      }
-    }
-    ADD_FAILURE() << "no item named " << name;
-    return {};
-  }
-
-  [[nodiscard]] ValueId valueNamed(const std::string& name) const {
-    for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
-      if (ddg.node(DdgNodeId(v)).name == name) return ValueId(v);
-    }
-    ADD_FAILURE() << "no value named " << name;
-    return ValueId();
-  }
-};
-
-TEST(RouteMemoTest, CheapFailuresAreNeverRecorded) {
-  // Below the explored-node floor re-running the BFS is cheaper than a
-  // lookup, so recording must be a no-op and lookups must keep missing.
-  MemoFixture f;
-  SeeOptions options;
-  options.chainGrouping = false;
-  const PreparedProblem prepared(f.problem, options);
-  const auto sol = PartialSolution::initial(prepared);
-  const ValueId v = f.valueNamed("x1");
-  RouteScratch scratch;
-  const std::uint64_t tinyRegion = 0b11;  // 2 nodes: far below the floor
-  for (int i = 0; i < 3; ++i) {
-    scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                          tinyRegion);
-  }
-  EXPECT_FALSE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                       ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 0);
-}
-
-TEST(RouteMemoTest, InvalidatedExactlyByBudgetTouchingEdits) {
-  MemoFixture f;
-  SeeOptions options;
-  options.chainGrouping = false;
-  const PreparedProblem prepared(f.problem, options);
-  auto sol = PartialSolution::initial(prepared);
-  const ValueId v = f.valueNamed("x1");
-  const std::uint64_t region = (std::uint64_t{1} << 24) - 1;  // nodes 0..23
-  RouteScratch scratch;
-  // First failure arms, second stores the slice of the current budgets.
-  scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                        region);
-  scratch.recordFailure(prepared, sol, ClusterId(0), ClusterId(25), v, 27,
-                        region);
-  EXPECT_TRUE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                      ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 1);
-
-  // An edit outside the region — x2's chain on clusters 24/25 only touches
-  // arc 24->25 and cluster 25's in-neighbor mask — must keep the hit: the
-  // failed search never saw those budgets (the slice does cover
-  // inNbrMask(24), as the head of region-node 23's out-arc, but not 25's).
-  const Item x2 = f.itemNamed(prepared, "x2");
-  const Item y2 = f.itemNamed(prepared, "y2");
-  ASSERT_TRUE(canAssignT(prepared, sol, x2, ClusterId(24)));
-  assignT(prepared, sol, x2, ClusterId(24));
-  ASSERT_TRUE(canAssignT(prepared, sol, y2, ClusterId(25)));
-  assignT(prepared, sol, y2, ClusterId(25));
-  EXPECT_TRUE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                      ClusterId(25), v, 27));
-
-  // An edit inside the region — x1's copy crosses arc 0->1, changing a
-  // flow byte and cluster 1's in-neighbor mask the slice covers — must
-  // invalidate the entry.
-  const Item x1 = f.itemNamed(prepared, "x1");
-  const Item y1 = f.itemNamed(prepared, "y1");
-  ASSERT_TRUE(canAssignT(prepared, sol, x1, ClusterId(0)));
-  assignT(prepared, sol, x1, ClusterId(0));
-  ASSERT_TRUE(canAssignT(prepared, sol, y1, ClusterId(1)));
-  assignT(prepared, sol, y1, ClusterId(1));
-  EXPECT_FALSE(scratch.hasKnownFailure(prepared, sol, ClusterId(0),
-                                       ClusterId(25), v, 27));
-  EXPECT_EQ(scratch.memoHits(), 2);
-}
-
-// --- dominance pruning --------------------------------------------------------
-
-TEST(DominanceTest, PruningNeverChangesTheSearch) {
-  const auto kernel = ddg::buildFir2Dim();
-  const auto pg = smallPg(8);
-  const auto problem = baseProblem(kernel.ddg, pg);
-  SeeOptions options;
-  // A narrow beam with a generous candidate keep maximizes the discard
-  // set, which is where dominated states appear on this workload.
-  options.beamWidth = 2;
-  options.candidateKeep = 8;
-  const auto off = SpaceExplorationEngine(options).run(problem);
-  options.dominancePruning = true;
-  const auto on = SpaceExplorationEngine(options).run(problem);
-  ASSERT_TRUE(off.legal);
-  ASSERT_TRUE(on.legal);
-  // Same beam, same counters, same mapping — the pass only prunes states
-  // the node filter discarded anyway.
-  EXPECT_EQ(off.materialize().signature(), on.materialize().signature());
-  EXPECT_DOUBLE_EQ(off.materialize().objective(), on.materialize().objective());
-  EXPECT_EQ(off.stats.statesExplored, on.stats.statesExplored);
-  EXPECT_EQ(off.stats.candidatesEvaluated, on.stats.candidatesEvaluated);
-  EXPECT_EQ(off.stats.statesPruned, on.stats.statesPruned);
-  EXPECT_EQ(off.stats.routeInvocations, on.stats.routeInvocations);
-  EXPECT_EQ(off.stats.routeFailures, on.stats.routeFailures);
-  EXPECT_EQ(off.stats.oracleRejects, on.stats.oracleRejects);
-  ASSERT_EQ(off.frontier.size(), on.frontier.size());
-  for (std::size_t i = 0; i < off.frontier.size(); ++i) {
-    EXPECT_EQ(off.materialize(i).signature(),
-              on.materialize(i).signature());
-  }
-  // ...and it actually observed dominated discards on this workload.
-  EXPECT_EQ(off.stats.dominancePruned, 0);
-  EXPECT_GT(on.stats.dominancePruned, 0);
 }
 
 // --- copy-on-write delta path -----------------------------------------------

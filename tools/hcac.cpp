@@ -75,15 +75,6 @@ void usage() {
       "                       0 = hardware_concurrency). Clamped to the\n"
       "                       core count unless --oversubscribe is given\n"
       "  --oversubscribe      honor a --threads value above the core count\n"
-      "  --legacy-see         use the materialized (deep-copy) SEE beam\n"
-      "                       loop instead of the copy-on-write delta path\n"
-      "                       (byte-identical results; for comparison)\n"
-      "  --dominance-pruning  prune discarded beam states strictly\n"
-      "                       dominated by a sibling and report the count\n"
-      "                       (seeDominancePruned); never changes the\n"
-      "                       surviving beam or the mapping (off by\n"
-      "                       default: the scan is quadratic in frontier\n"
-      "                       size)\n"
       "  --verify-each        run every registered invariant check between\n"
       "                       pipeline stages and on the final result\n"
       "  --verify LIST        like --verify-each, restricted to a comma-\n"
@@ -146,10 +137,10 @@ void usage() {
       "  --wall-sigma K       compare mode: threshold width k (default 3)\n"
       "  --diff-out FILE      compare mode: write the machine verdict JSON\n"
       "  --ignore-counters L  compare mode: comma-separated deterministic\n"
-      "                       series (e.g. stats.seeDominancePruned) that\n"
+      "                       series (e.g. stats.seeOracleRejects) that\n"
       "                       never gate; differences become notes. A\n"
       "                       trailing '*' matches a prefix, e.g.\n"
-      "                       metrics.see.dominance_pruned.*\n"
+      "                       metrics.see.oracle_rejects.*\n"
       "  (every VALUE flag also accepts --flag=VALUE)\n");
 }
 
@@ -252,8 +243,6 @@ int runTool(int argc, char** argv) {
   int maxBeamSteps = 0;
   int numThreads = 1;
   bool oversubscribe = false;
-  bool legacySee = false;
-  bool dominancePruning = false;
   bool schedule = false;
   int simulateIterations = 0;
   bool emitReconfig = false;
@@ -310,8 +299,6 @@ int runTool(int argc, char** argv) {
       maxBeamSteps = parseIntFlag(arg, value());
     else if (arg == "--threads") numThreads = parseIntFlag(arg, value());
     else if (arg == "--oversubscribe") oversubscribe = true;
-    else if (arg == "--legacy-see") legacySee = true;
-    else if (arg == "--dominance-pruning") dominancePruning = true;
     else if (arg == "--verify-each") verifyEach = true;
     else if (arg == "--verify") {
       verifyEach = true;
@@ -388,8 +375,6 @@ int runTool(int argc, char** argv) {
       base.failurePolicy = core::FailurePolicy::kDegrade;
     }
     base.maxBeamSteps = maxBeamSteps;
-    base.see.legacySearch = legacySee;
-    base.see.dominancePruning = dominancePruning;
     base.verifyEach = verifyEach;
     base.verifyChecks = verifyChecks;
     core::BatchOptions batchTemplate;
@@ -455,8 +440,6 @@ int runTool(int argc, char** argv) {
   hcaOptions.maxBeamSteps = maxBeamSteps;
   hcaOptions.numThreads = numThreads;
   hcaOptions.allowOversubscribe = oversubscribe;
-  hcaOptions.see.legacySearch = legacySee;
-  hcaOptions.see.dominancePruning = dominancePruning;
   hcaOptions.verifyEach = verifyEach;
   hcaOptions.verifyChecks = verifyChecks;
   hcaOptions.memoryBudgetBytes =
