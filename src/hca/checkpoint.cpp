@@ -321,11 +321,13 @@ std::string runFingerprint(const ddg::Ddg& ddg,
   // s.legacySearch is excluded (byte-identical to the delta path), and so
   // are the results-invisible driver options (deadline, threads, tracing,
   // verification) — see the header contract.
-  id << "hca:" << o.leafParentMaxInNeighbors << ',' << o.maxAlternatives << ','
-     << o.backtrackBudget << ',' << o.targetIiSlack << ',' << o.searchProfiles
-     << ',' << o.degradedFallback << ',' << o.enableSubproblemCache << ','
-     << static_cast<int>(o.failurePolicy) << ',' << o.maxBeamSteps << ','
-     << o.memoryBudgetBytes << '\n';
+  // The leaf-parent in-neighbor cap (4) and the backtrack budget (256) are
+  // driver constants now; their literals keep the fingerprints of existing
+  // checkpoints.
+  id << "hca:4," << o.maxAlternatives << ",256," << o.targetIiSlack << ','
+     << o.searchProfiles << ',' << o.degradedFallback << ','
+     << o.enableSubproblemCache << ',' << static_cast<int>(o.failurePolicy)
+     << ',' << o.maxBeamSteps << ',' << o.memoryBudgetBytes << '\n';
   return hex64(fnv1a64(id.str()));
 }
 

@@ -43,6 +43,15 @@ std::string HcaFailureReport::toString() const {
 
 namespace {
 
+/// Constraint tightening for problems whose children are leaf crossbars:
+/// the in-neighbor budget of each sub-cluster is capped so the wires
+/// funneled into it stay consumable by its CNs (each CN has only
+/// `cnInWires` static selects, and intra-leaf chains consume selects too).
+constexpr int kLeafParentMaxInNeighbors = 4;
+/// Cap on hierarchical backtracking attempts (runner-up assignments tried
+/// after a child sub-problem failed) across one attempt's problem tree.
+constexpr int kBacktrackBudget = 256;
+
 /// A !legal HcaResult carrying a structured report (kDegrade paths).
 HcaResult failureResult(FailureCause cause, std::string message,
                         std::vector<std::string> escalations = {}) {
@@ -828,11 +837,9 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   // of incoming wires (Section 4.1: "the constraints must ensure that the
   // module Mapper will be able to map PG onto the Machine Model").
   const bool childrenAreLeaves = level + 1 == model_.numLevels() - 1;
-  if (childrenAreLeaves && options_.leafParentMaxInNeighbors > 0 &&
-      problem.constraints.maxInNeighbors > 0) {
-    problem.constraints.maxInNeighbors =
-        std::min(problem.constraints.maxInNeighbors,
-                 options_.leafParentMaxInNeighbors);
+  if (childrenAreLeaves && problem.constraints.maxInNeighbors > 0) {
+    problem.constraints.maxInNeighbors = std::min(
+        problem.constraints.maxInNeighbors, kLeafParentMaxInNeighbors);
   }
   problem.latency = model_.config().latency;
   problem.heights = ctx.heights;
@@ -937,7 +944,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
       return false;
     }
     if (alt > 0) {
-      if (result.stats.backtrackAttempts >= options_.backtrackBudget) break;
+      if (result.stats.backtrackAttempts >= kBacktrackBudget) break;
       ++result.stats.backtrackAttempts;
       ++*lm.hcaBacktracks;
     }

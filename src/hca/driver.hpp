@@ -75,18 +75,10 @@ struct HcaOptions {
   }
 
   see::SeeOptions see;
-  /// Constraint tightening for problems whose children are leaf crossbars:
-  /// the in-neighbor budget of each sub-cluster is capped so the wires
-  /// funneled into it stay consumable by its CNs (each CN has only
-  /// `cnInWires` static selects, and intra-leaf chains consume selects
-  /// too). <= 0 disables the tightening and uses the raw MUX capacity.
-  int leafParentMaxInNeighbors = 4;
   /// Hierarchical backtracking: when a child sub-problem turns out to be
   /// infeasible, up to this many runner-up assignments from the parent's
   /// final search frontier are tried before the parent itself fails.
   int maxAlternatives = 12;
-  /// Global cap on backtracking attempts across the whole problem tree.
-  int backtrackBudget = 256;
   /// Outer search loop: like modulo scheduling's II search, the driver
   /// first maps at the loop's iniMII and, when no legal clusterization is
   /// found, re-runs with one more cycle of target slack (which lets the

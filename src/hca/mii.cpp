@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "see/cost.hpp"
 #include "support/check.hpp"
 #include "support/str.hpp"
 
@@ -38,17 +39,14 @@ MiiReport computeMii(const ddg::Ddg& ddg,
   for (const auto& record : result.records) {
     const machine::LevelSpec spec = model.levelSpec(record->level);
     for (const ClusterSummary& s : record->clusterSummaries) {
-      const auto& rt = record->pg.node(s.cluster).resources;
-      // Issue pressure: instructions plus one receive per incoming value.
-      const int issue =
-          ceilDiv(s.instructions + s.distinctValuesIn, rt.issueSlots());
-      const int alu = ceilDiv(s.aluOps, std::max(rt.alu(), 1));
-      const int ag = rt.ag() > 0 ? ceilDiv(s.agOps, rt.ag()) : 0;
-      const int inPressure = ceilDiv(s.distinctValuesIn, spec.inWires);
-      const int outPressure = ceilDiv(s.distinctValuesOut, spec.outWires);
-      report.maxClusterMii =
-          std::max({report.maxClusterMii, issue, alu, ag, inPressure,
-                    outPressure});
+      report.maxClusterMii = std::max(
+          report.maxClusterMii,
+          see::clusterMiiBound(record->pg.node(s.cluster).resources,
+                               {.alu = s.aluOps,
+                                .ag = s.agOps,
+                                .instructions = s.instructions},
+                               s.distinctValuesIn, s.distinctValuesOut,
+                               spec.inWires, spec.outWires));
     }
     report.maxWirePressure =
         std::max(report.maxWirePressure, record->mapResult.maxValuesPerWire);

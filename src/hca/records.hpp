@@ -53,7 +53,8 @@ struct HcaStats {
   /// a hit replays the recorded result of an identical solve.
   int problemsSolved = 0;
   /// Runner-up assignments tried after a child sub-problem failed, summed
-  /// over all attempts (each attempt has its own `backtrackBudget`).
+  /// over all attempts (each attempt has its own backtrack budget,
+  /// `kBacktrackBudget` in driver.cpp).
   int backtrackAttempts = 0;
   /// (target II, profile) attempts *started* across the whole run. An
   /// attempt soft-cancelled before it started is counted in

@@ -1,123 +1,58 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 
-/// Pluggable cost criteria (paper Section 3: "the assignment n -> c is
-/// evaluated by an objective function based on a collection of cost
-/// criteria"). Each criterion scores a whole partial solution; the
-/// WeightedObjective combines them. Lower is better.
+/// The SEE objective (paper Section 3: "the assignment n -> c is evaluated
+/// by an objective function based on a collection of cost criteria"): five
+/// weighted criteria (`CostWeights`), lower is better.
+///
+/// Every formula is a template over the solution representation, so the
+/// search scoring a `DeltaSolution` overlay and the legacy reference
+/// scoring a materialized `PartialSolution` run the *same code*: per-cluster
+/// loops iterate `prepared.clusters()` in order, so the floating-point
+/// accumulation sequence, and therefore the resulting bits, are identical
+/// for equal inputs. A `Sol` must provide usage(c), distinctValuesIn/Out(c),
+/// realInNeighborCount(c), totalCopies() and criticalPathScore(prepared) —
+/// the one term each representation implements itself.
 namespace hca::see {
 
-class CostCriterion {
- public:
-  virtual ~CostCriterion() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual double score(const PreparedProblem& prepared,
-                                     const PartialSolution& solution)
-      const = 0;
-};
-
-/// The paper's main cost factor (Section 4.2): an estimate of
-/// maxClsMII = max over clusters of the per-cluster MII, accounting for the
-/// issue slots (instructions plus one receive per distinct incoming value)
-/// and the copy pressure the Mapper will have to serialize over the
-/// cluster's input/output wires.
-class IiEstimateCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "ii-estimate"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-
-  /// The per-cluster MII estimate itself, exposed for the final metric.
-  static int clusterMii(const PreparedProblem& prepared,
-                        const PartialSolution& solution, ClusterId cluster);
-  static int maxClusterMii(const PreparedProblem& prepared,
-                           const PartialSolution& solution);
-};
-
-/// Total number of inter-cluster copies (arc/value pairs).
-class CopyCountCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "copy-count"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Spread of issue-slot occupancy across clusters (max - mean, normalized
-/// by issue width): keeps the assignment from piling work on one cluster
-/// before the II term starts to bite.
-class LoadBalanceCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "load-balance"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Penalizes consumed reconfiguration budget: every distinct real
-/// in-neighbor eats one of a cluster's few input-wire selects, and a
-/// saturated cluster blocks all later assignments that need to reach it.
-/// Quadratic in the per-cluster utilization so saturation hurts most.
-class WiringSlackCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "wiring-slack"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-/// Penalizes copies on dependence edges with little slack: separating the
-/// critical path across clusters adds its copy latency to the schedule
-/// even when the II is unaffected.
-class CriticalPathCriterion : public CostCriterion {
- public:
-  [[nodiscard]] std::string name() const override { return "critical-path"; }
-  [[nodiscard]] double score(const PreparedProblem& prepared,
-                             const PartialSolution& solution) const override;
-};
-
-// --- Shared score implementations -----------------------------------------
-//
-// The formulas below are templates over the solution representation so the
-// legacy criteria (scoring a materialized PartialSolution) and the
-// incremental evaluator of the delta-based hot path (scoring a
-// DeltaSolution overlay) are the *same code* — per-cluster loops iterate
-// `prepared.clusters()` in order, so the floating-point accumulation
-// sequence, and therefore the resulting bits, are identical for equal
-// inputs. A `Sol` must provide usage(c), distinctValuesIn/Out(c), and
-// realInNeighborCount(c).
-
-namespace cost_detail {
-inline int ceilDiv(int a, int b) { return b <= 0 ? 0 : (a + b - 1) / b; }
-}  // namespace cost_detail
+/// Per-cluster MII estimate (paper Section 4.2), without a floor: the
+/// largest of the issue pressure (every instruction plus one receive per
+/// incoming value, spread over the CNs the cluster embraces), the
+/// functional-unit pressures and the wire serialization of the distinct
+/// values crossing the cluster boundary over the wires the Mapper can
+/// balance them on. Shared by the search's estimate and the final MII
+/// report.
+inline int clusterMiiBound(const machine::ResourceTable& rt,
+                           const machine::ResourceUsage& usage, int valuesIn,
+                           int valuesOut, int inWires, int outWires) {
+  const auto ceilDiv = [](int a, int b) {
+    return b <= 0 ? 0 : (a + b - 1) / b;
+  };
+  const int issue = ceilDiv(usage.instructions + valuesIn, rt.issueSlots());
+  const int alu = ceilDiv(usage.alu, std::max(rt.alu(), 1));
+  const int ag = rt.ag() > 0 ? ceilDiv(usage.ag, rt.ag()) : 0;
+  const int inPressure = ceilDiv(valuesIn, inWires);
+  const int outPressure = ceilDiv(valuesOut, outWires);
+  return std::max({issue, alu, ag, inPressure, outPressure});
+}
 
 template <typename Sol>
 int clusterMiiT(const PreparedProblem& prepared, const Sol& solution,
                 ClusterId cluster) {
-  using cost_detail::ceilDiv;
-  const auto& pg = *prepared.problem().pg;
-  const auto& rt = pg.node(cluster).resources;
-  const auto& usage = solution.usage(cluster);
-  const int recvs = solution.distinctValuesIn(cluster);
-  // Issue pressure: every instruction plus one receive per incoming value,
-  // spread over the CNs the cluster embraces.
-  const int issue = ceilDiv(usage.instructions + recvs, rt.issueSlots());
-  // Functional-unit pressure.
-  const int alu = ceilDiv(usage.alu, std::max(rt.alu(), 1));
-  const int ag = rt.ag() > 0 ? ceilDiv(usage.ag, rt.ag()) : 0;
-  // Wire serialization: distinct values crossing the cluster boundary,
-  // spread over the wires the Mapper can balance them on.
-  const int inPressure = ceilDiv(solution.distinctValuesIn(cluster),
-                                 prepared.problem().inWiresPerCluster);
-  const int outPressure = ceilDiv(solution.distinctValuesOut(cluster),
-                                  prepared.problem().outWiresPerCluster);
-  return std::max({issue, alu, ag, inPressure, outPressure, 1});
+  const SeeProblem& problem = prepared.problem();
+  return std::max(
+      clusterMiiBound(problem.pg->node(cluster).resources,
+                      solution.usage(cluster),
+                      solution.distinctValuesIn(cluster),
+                      solution.distinctValuesOut(cluster),
+                      problem.inWiresPerCluster, problem.outWiresPerCluster),
+      1);
 }
 
+/// The paper's main cost factor (Section 4.2): an estimate of maxClsMII.
 template <typename Sol>
 double iiEstimateScoreT(const PreparedProblem& prepared, const Sol& solution) {
   // Per-cluster MIIs are clamped to the loop's target II (iniMII): the
@@ -136,6 +71,9 @@ double iiEstimateScoreT(const PreparedProblem& prepared, const Sol& solution) {
   return maxMii + 0.1 * (sum / numClusters);
 }
 
+/// Spread of issue-slot occupancy across clusters (max - mean, normalized
+/// by issue width): keeps the assignment from piling work on one cluster
+/// before the II term starts to bite.
 template <typename Sol>
 double loadBalanceScoreT(const PreparedProblem& prepared,
                          const Sol& solution) {
@@ -153,6 +91,10 @@ double loadBalanceScoreT(const PreparedProblem& prepared,
   return maxLoad - mean;
 }
 
+/// Penalizes consumed reconfiguration budget: every distinct real
+/// in-neighbor eats one of a cluster's few input-wire selects, and a
+/// saturated cluster blocks all later assignments that need to reach it.
+/// Quadratic in the per-cluster utilization so saturation hurts most.
 template <typename Sol>
 double wiringSlackScoreT(const PreparedProblem& prepared,
                          const Sol& solution) {
@@ -167,23 +109,31 @@ double wiringSlackScoreT(const PreparedProblem& prepared,
   return penalty;
 }
 
-/// Weighted combination of the standard criteria.
-class WeightedObjective {
- public:
-  explicit WeightedObjective(const CostWeights& weights);
-
-  /// Adds a custom criterion with the given weight.
-  void add(std::unique_ptr<CostCriterion> criterion, double weight);
-
-  [[nodiscard]] double evaluate(const PreparedProblem& prepared,
-                                const PartialSolution& solution) const;
-
-  /// Per-criterion breakdown (diagnostics).
-  [[nodiscard]] std::vector<std::pair<std::string, double>> breakdown(
-      const PreparedProblem& prepared, const PartialSolution& solution) const;
-
- private:
-  std::vector<std::pair<std::unique_ptr<CostCriterion>, double>> criteria_;
-};
+/// The objective: the weighted terms in a fixed order — ii estimate, copy
+/// count (inter-cluster arc/value pairs), load balance, critical path
+/// (copies on dependences with little slack), wiring slack — skipping zero
+/// weights. `Sol` is non-const for `DeltaSolution`, whose critical-path
+/// score sorts its pending terms in place.
+template <typename Sol>
+double objectiveT(const PreparedProblem& prepared, const CostWeights& weights,
+                  Sol& solution) {
+  double total = 0;
+  if (weights.iiEstimate != 0.0) {
+    total += weights.iiEstimate * iiEstimateScoreT(prepared, solution);
+  }
+  if (weights.copyCount != 0.0) {
+    total += weights.copyCount * static_cast<double>(solution.totalCopies());
+  }
+  if (weights.loadBalance != 0.0) {
+    total += weights.loadBalance * loadBalanceScoreT(prepared, solution);
+  }
+  if (weights.criticalPath != 0.0) {
+    total += weights.criticalPath * solution.criticalPathScore(prepared);
+  }
+  if (weights.wiringSlack != 0.0) {
+    total += weights.wiringSlack * wiringSlackScoreT(prepared, solution);
+  }
+  return total;
+}
 
 }  // namespace hca::see

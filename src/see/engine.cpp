@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_set>
 
+#include "see/cost.hpp"
 #include "see/feasibility.hpp"
 #include "see/route_allocator.hpp"
 #include "see/snapshot.hpp"
@@ -185,9 +186,6 @@ SeeResult SpaceExplorationEngine::runOnce(
 SeeResult SpaceExplorationEngine::runOnceDelta(
     const PreparedProblem& prepared, SearchScratch& scratch,
     const SeeOptions& options, const CancellationToken* cancel) const {
-  const WeightedObjective objective(options.weights);
-  const IncrementalObjective incremental(options.weights);
-
   SeeResult result = emptyResult(prepared);
   // Double-buffered snapshot arenas: the live frontier's snapshots sit in
   // `cur`; survivors of a step are flattened into `nxt` (reading their
@@ -213,8 +211,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   std::vector<const FlatSolution*> frontier;
   {
     PartialSolution initial = PartialSolution::initial(prepared);
-    initial.setObjective(objective.evaluate(prepared, initial));
-    frontier.push_back(FlatSolution::fromPartial(initial, prepared, *cur));
+    initial.setObjective(objectiveT(prepared, options.weights, initial));
+    frontier.push_back(FlatSolution::fromInitial(initial, prepared, *cur));
     ++result.stats.snapshotsMaterialized;
   }
   // An illegal result keeps the best state of the frontier it stopped at.
@@ -304,7 +302,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
         }
         if (direct) {
           ++result.stats.candidatesEvaluated;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(
+              objectiveT(prepared, options.weights, *candidate));
           scored.push_back(candidate);
         } else if (eagerRoutes) {
           candidate->reset(state);  // discard the partial direct attempt
@@ -318,7 +317,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
           }
           ++result.stats.candidatesEvaluated;
           result.stats.routedOperands += routed;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(
+              objectiveT(prepared, options.weights, *candidate));
           scored.push_back(candidate);
         } else {
           pool.release(candidate);
@@ -349,7 +349,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
             continue;
           }
           ++result.stats.candidatesEvaluated;
-          candidate->setObjective(incremental.evaluate(prepared, *candidate));
+          candidate->setObjective(
+              objectiveT(prepared, options.weights, *candidate));
           scored.push_back(candidate);
         }
         result.stats.routedOperands += routed;
@@ -442,7 +443,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
 SeeResult SpaceExplorationEngine::runOnceLegacy(
     const PreparedProblem& prepared, const SeeOptions& options,
     const CancellationToken* cancel) const {
-  const WeightedObjective objective(options.weights);
   const FeasibilityOracle& oracle = prepared.oracle();
   RouteScratch routeScratch;
 
@@ -453,7 +453,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
   std::vector<PartialSolution> frontier;
   frontier.push_back(PartialSolution::initial(prepared));
   frontier.back().setObjective(
-      objective.evaluate(prepared, frontier.back()));
+      objectiveT(prepared, options.weights, frontier.back()));
   const auto fail = [&](const ItemGroup& group, std::string reason) {
     result.legal = false;
     result.failedItem = group.members.front();
@@ -498,7 +498,8 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
         }
         if (auto candidate = assignGroupDirect(prepared, state, group, c)) {
           ++result.stats.candidatesEvaluated;
-          candidate->setObjective(objective.evaluate(prepared, *candidate));
+          candidate->setObjective(
+              objectiveT(prepared, options.weights, *candidate));
           scored.push_back(std::move(*candidate));
         } else if (eagerRoutes) {
           int routed = 0;
@@ -511,7 +512,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
           }
           ++result.stats.candidatesEvaluated;
           result.stats.routedOperands += routed;
-          sol->setObjective(objective.evaluate(prepared, *sol));
+          sol->setObjective(objectiveT(prepared, options.weights, *sol));
           scored.push_back(std::move(*sol));
         }
       }
@@ -535,7 +536,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
             continue;
           }
           ++result.stats.candidatesEvaluated;
-          sol->setObjective(objective.evaluate(prepared, *sol));
+          sol->setObjective(objectiveT(prepared, options.weights, *sol));
           scored.push_back(std::move(*sol));
         }
         result.stats.routedOperands += routed;

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "see/cost.hpp"
 #include "see/partial_solution.hpp"
 #include "see/problem.hpp"
 #include "see/snapshot.hpp"

@@ -81,6 +81,26 @@ void PartialSolution::applyRoute(const PreparedProblem& prepared,
   applyRouteT(prepared, *this, value, path);
 }
 
+double PartialSolution::criticalPathScore(
+    const PreparedProblem& prepared) const {
+  const auto& ddg = *prepared.problem().ddg;
+  const std::int64_t maxHeight = prepared.maxWsHeight();
+  double penalty = 0;
+  for (const DdgNodeId n : prepared.problem().workingSet) {
+    const ClusterId cn = clusterOf(n);
+    if (!cn.valid()) continue;
+    for (const auto& operand : ddg.node(n).operands) {
+      if (operand.distance != 0) continue;
+      if (!prepared.inWorkingSet(operand.src)) continue;
+      const ClusterId cp = clusterOf(operand.src);
+      if (!cp.valid() || cp == cn) continue;
+      penalty += static_cast<double>(prepared.height(n) + 1) /
+                 static_cast<double>(maxHeight);
+    }
+  }
+  return penalty;
+}
+
 std::uint64_t PartialSolution::signature() const {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
   const auto mix = [&](std::int32_t v) {

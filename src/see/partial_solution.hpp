@@ -81,7 +81,15 @@ class PartialSolution {
   [[nodiscard]] int realInNeighborCount(ClusterId c) const {
     return __builtin_popcountll(inNbrMask_[c.index()]);
   }
+  [[nodiscard]] int totalCopies() const { return flow_.totalCopies(); }
   [[nodiscard]] int assignedCount() const { return assigned_; }
+
+  /// Critical-path criterion of the objective (cost.hpp): every copy on an
+  /// intra-iteration dependence inside the working set, weighted by how
+  /// tall its consumer still is — cutting near the top of the critical
+  /// path is worse. A full scan, in (working-set position, operand
+  /// position) order.
+  [[nodiscard]] double criticalPathScore(const PreparedProblem& prepared) const;
 
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
@@ -110,8 +118,8 @@ class PartialSolution {
   /// in-neighbor mask and the distinct in/out value lists.
   bool addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst, ValueId value);
   void noteAssigned() { ++assigned_; }
-  /// Materialized states don't track critical-path terms — the legacy
-  /// CriticalPathCriterion rescans; only DeltaSolution accumulates them.
+  /// Materialized states don't track critical-path terms —
+  /// criticalPathScore rescans; only DeltaSolution accumulates them.
   void addCritTerm(std::uint64_t /*key*/, std::int64_t /*num*/) {}
 
  private:

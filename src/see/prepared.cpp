@@ -91,11 +91,12 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
   }
   const std::vector<std::int64_t>& heights = *heights_;
 
-  // Critical-path adjacency for the incremental objective: every
+  // Critical-path adjacency for the delta path's critical-path score: every
   // intra-iteration WS->WS dependence, keyed by (working-set position of
   // the consumer, operand position) so the delta evaluator can sum penalty
-  // terms in exactly the order CriticalPathCriterion's full scan visits
-  // them. Self-references are skipped — equal clusters never pay.
+  // terms in exactly the order PartialSolution::criticalPathScore's full
+  // scan visits them. Self-references are skipped — equal clusters never
+  // pay.
   wsIndexOf_.assign(static_cast<std::size_t>(ddg.numNodes()), -1);
   for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
     wsIndexOf_[problem.workingSet[i].index()] = static_cast<std::int32_t>(i);

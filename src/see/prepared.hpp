@@ -31,8 +31,9 @@ struct ItemGroup {
 
 /// One cross-cluster critical-path penalty term, keyed so that summing all
 /// terms in ascending key order reproduces the exact floating-point
-/// accumulation order of CriticalPathCriterion's full scan (working-set
-/// position, then operand position). `num / maxWsHeight` is the term value.
+/// accumulation order of PartialSolution::criticalPathScore's full scan
+/// (working-set position, then operand position). `num / maxWsHeight` is
+/// the term value.
 struct CritTerm {
   std::uint64_t key = 0;   // wsIndex(consumer) << 32 | operandIndex
   std::int64_t num = 0;    // height(consumer) + 1

@@ -5,6 +5,7 @@
 #include <new>
 
 #include "see/solution_ops.hpp"
+#include "support/check.hpp"
 
 namespace hca::see {
 
@@ -189,32 +190,15 @@ void FlatSolution::fillFrom(const PartialSolution& sol,
   objective_ = sol.objective_;
 }
 
-const FlatSolution* FlatSolution::fromPartial(const PartialSolution& sol,
+const FlatSolution* FlatSolution::fromInitial(const PartialSolution& initial,
                                               const PreparedProblem& prepared,
                                               MonotonicArena& arena) {
+  HCA_CHECK(initial.assignedCount() == 0,
+            "fromInitial needs an unassigned state");
   const auto& ws = prepared.problem().workingSet;
-  // Derive the critical-path terms by the same scan the full criterion
-  // runs; the (WS position, operand position) visit order is ascending key
-  // order, so the result is already sorted.
-  std::vector<CritTerm> terms;
-  for (const DdgNodeId n : ws) {
-    const ClusterId cn = sol.clusterOf(n);
-    if (!cn.valid()) continue;
-    for (const CritOperand& co : prepared.critOperands(n)) {
-      const ClusterId cp = sol.clusterOf(co.src);
-      if (!cp.valid() || cp == cn) continue;
-      terms.push_back(
-          CritTerm{PreparedProblem::critKey(prepared.wsIndex(n),
-                                            co.operandIndex),
-                   prepared.height(n) + 1});
-    }
-  }
-  Shape shape = shapeOf(sol, ws.size());
-  shape.critTotal = static_cast<std::int32_t>(terms.size());
-  FlatSolution* flat = create(shape, arena);
+  FlatSolution* flat = create(shapeOf(initial, ws.size()), arena);
   flat->wsIndexOf_ = prepared.wsIndexTable();
-  flat->fillFrom(sol, ws);
-  copyInto(flat->critTerms_, terms);
+  flat->fillFrom(initial, ws);
   return flat;
 }
 
@@ -468,31 +452,6 @@ double DeltaSolution::criticalPathScore(const PreparedProblem& prepared) {
     penalty += static_cast<double>(t.num) / maxHeight;
   }
   return penalty;
-}
-
-double IncrementalObjective::evaluate(const PreparedProblem& prepared,
-                                      DeltaSolution& delta) const {
-  // Mirrors WeightedObjective::evaluate over the construction order of the
-  // standard criteria — ii, copy, load, critical, wiring — with the same
-  // zero-weight skip, so the accumulation sequence is identical.
-  double total = 0;
-  if (weights_.iiEstimate != 0.0) {
-    total += weights_.iiEstimate * iiEstimateScoreT(prepared, delta);
-  }
-  if (weights_.copyCount != 0.0) {
-    total +=
-        weights_.copyCount * static_cast<double>(delta.totalCopies());
-  }
-  if (weights_.loadBalance != 0.0) {
-    total += weights_.loadBalance * loadBalanceScoreT(prepared, delta);
-  }
-  if (weights_.criticalPath != 0.0) {
-    total += weights_.criticalPath * delta.criticalPathScore(prepared);
-  }
-  if (weights_.wiringSlack != 0.0) {
-    total += weights_.wiringSlack * wiringSlackScoreT(prepared, delta);
-  }
-  return total;
 }
 
 }  // namespace hca::see

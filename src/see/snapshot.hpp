@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
-#include "see/cost.hpp"
 #include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 #include "support/arena.hpp"
@@ -36,20 +35,22 @@
 /// a small slice of the DDG (about 13 of h264deblocking's 225 nodes at a
 /// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|). The
 /// DDG-indexed `PartialSolution` is converted to and from only where a
-/// caller needs one (`fromPartial` / `toPartial`).
+/// caller needs one (`fromInitial` / `toPartial`).
 ///
 /// Byte-identity with the legacy path (the contract the identity tests
 /// enforce): both representations run the assignment semantics of
-/// solution_ops.hpp; the incremental objective evaluates the same formulas
-/// over `prepared.clusters()` in the same order (cost.hpp templates); and
-/// the critical-path criterion — the one term whose floating-point sum
-/// order depends on *which* dependences cross clusters — is reproduced by
-/// keeping penalty terms sorted by (working-set position, operand position)
-/// and summing the parent/delta merge in that order, exactly the order the
-/// full scan visits them. Integer aggregates (copy totals, usage, counts)
-/// are exact by construction. When deltas flatten (materialization), list
-/// contents are parent-order followed by append-order — the chronological
-/// order the legacy mutation sequence produces.
+/// solution_ops.hpp and are scored by the one objective template of
+/// cost.hpp, whose per-cluster loops run over `prepared.clusters()` in the
+/// same order. The critical-path criterion — the one term whose
+/// floating-point sum order depends on *which* dependences cross clusters,
+/// and the one term each representation implements itself — is reproduced
+/// by keeping penalty terms sorted by (working-set position, operand
+/// position) and summing the parent/delta merge in that order, exactly the
+/// order `PartialSolution::criticalPathScore`'s full scan visits them.
+/// Integer aggregates (copy totals, usage, counts) are exact by
+/// construction. When deltas flatten (materialization), list contents are
+/// parent-order followed by append-order — the chronological order the
+/// legacy mutation sequence produces.
 namespace hca::see {
 
 class DeltaSolution;
@@ -59,8 +60,10 @@ class DeltaSolution;
 /// returns it.
 class FlatSolution {
  public:
-  /// Snapshots the (typically initial) materialized state into `arena`.
-  static const FlatSolution* fromPartial(const PartialSolution& sol,
+  /// Snapshots the search's initial state (`PartialSolution::initial`,
+  /// objective set) into `arena`. Nothing is assigned yet, so the snapshot
+  /// has no critical-path terms.
+  static const FlatSolution* fromInitial(const PartialSolution& initial,
                                          const PreparedProblem& prepared,
                                          MonotonicArena& arena);
   /// Flattens parent + delta into a new snapshot in `arena` (which must
@@ -117,9 +120,6 @@ class FlatSolution {
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
-
-  [[nodiscard]] const CritTerm* critTerms() const { return critTerms_; }
-  [[nodiscard]] std::int32_t numCritTerms() const { return numCritTerms_; }
 
  private:
   friend class DeltaSolution;
@@ -223,8 +223,6 @@ class DeltaSolution {
   /// lists. O(|WS| + PG nodes), zero allocations in steady state.
   void reset(const FlatSolution* parent);
 
-  [[nodiscard]] const FlatSolution* parent() const { return parent_; }
-
   // --- reads -----------------------------------------------------------
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
     const std::int32_t slot = wsIndexOf_[node.index()];
@@ -305,22 +303,6 @@ class DeltaSolution {
   int totalCopies_ = 0;
   int assigned_ = 0;
   double objective_ = 0.0;
-};
-
-/// Evaluates the standard weighted objective over a DeltaSolution without
-/// materializing it: same criteria, same order, same skip rule, same
-/// floating-point accumulation sequence as WeightedObjective over the
-/// equivalent PartialSolution — so the resulting double is bit-identical.
-class IncrementalObjective {
- public:
-  explicit IncrementalObjective(const CostWeights& weights)
-      : weights_(weights) {}
-
-  [[nodiscard]] double evaluate(const PreparedProblem& prepared,
-                                DeltaSolution& delta) const;
-
- private:
-  CostWeights weights_;
 };
 
 }  // namespace hca::see

@@ -11,9 +11,11 @@
 /// reconfiguration stream, same FinalMapping, same aggregate HcaStats — for
 /// every Table 1 kernel, under both failure policies. Only the wall-clock
 /// and the CoW-specific counters (copies avoided, snapshots, arena bytes)
-/// may differ. Carries the ctest `tsan` label: the delta pools and arenas
-/// are per-attempt, so a ThreadSanitizer build of the parallel sweep is the
-/// proof that no state leaked across portfolio threads.
+/// may differ. Each case also runs the delta path as a four-thread
+/// portfolio sweep, which must give the serial legacy run's outputs. Carries
+/// the ctest `tsan` label: the delta pools and arenas are per-attempt, so a
+/// ThreadSanitizer build of that sweep is the proof that no state leaked
+/// across portfolio threads.
 namespace hca::core {
 namespace {
 
@@ -47,9 +49,8 @@ void expectIdenticalStats(const HcaStats& legacy, const HcaStats& delta) {
   }
 }
 
-/// Placement, relays, reconfiguration stream and every counter but the
-/// CoW ones.
-void expectIdenticalResults(const HcaResult& a, const HcaResult& b) {
+/// Placement, relays and reconfiguration stream.
+void expectIdenticalOutputs(const HcaResult& a, const HcaResult& b) {
   ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
   EXPECT_EQ(a.failureReason, b.failureReason);
   ASSERT_EQ(a.assignment.size(), b.assignment.size());
@@ -66,6 +67,11 @@ void expectIdenticalResults(const HcaResult& a, const HcaResult& b) {
   for (std::size_t i = 0; i < a.reconfig.settings.size(); ++i) {
     EXPECT_EQ(a.reconfig.settings[i], b.reconfig.settings[i]);
   }
+}
+
+/// The outputs and every counter but the CoW ones.
+void expectIdenticalResults(const HcaResult& a, const HcaResult& b) {
+  expectIdenticalOutputs(a, b);
   expectIdenticalStats(a.stats, b.stats);
 }
 
@@ -116,13 +122,27 @@ TEST_P(DeltaIdentityTest, DeltaPathByteMatchesLegacyPath) {
   HcaOptions legacyOptions = options;
   legacyOptions.see.legacySearch = true;
 
+  // The portfolio's stats are not compared: its cancelled attempts and
+  // cache counters legitimately differ from a serial sweep's.
+  HcaOptions parallelOptions = options;
+  parallelOptions.numThreads = 4;
+  parallelOptions.allowOversubscribe = true;
+
   const auto legacy = HcaDriver(model, legacyOptions).run(k.ddg);
   const auto delta = HcaDriver(model, options).run(k.ddg);
+  const auto parallel = HcaDriver(model, parallelOptions).run(k.ddg);
   expectIdenticalResults(legacy, delta);
+  {
+    SCOPED_TRACE("four-thread delta sweep");
+    expectIdenticalOutputs(legacy, parallel);
+  }
 
   if (legacy.legal) {
-    expectIdenticalMappings(buildFinalMapping(k.ddg, model, legacy),
-                            buildFinalMapping(k.ddg, model, delta));
+    const FinalMapping reference = buildFinalMapping(k.ddg, model, legacy);
+    expectIdenticalMappings(reference, buildFinalMapping(k.ddg, model, delta));
+    SCOPED_TRACE("four-thread delta sweep");
+    expectIdenticalMappings(reference,
+                            buildFinalMapping(k.ddg, model, parallel));
   }
 }
 

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <sstream>
 
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
 #include "machine/rcp.hpp"
+#include "see/cost.hpp"
 #include "see/engine.hpp"
 #include "see/route_allocator.hpp"
 #include "see/serialize.hpp"
+#include "see/solution_ops.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
+#include "support/str.hpp"
 
 namespace hca::see {
 namespace {
@@ -502,17 +507,16 @@ TEST(CostTest, IiEstimateGrowsWithLoad) {
   const PreparedProblem prepared(problem, SeeOptions{});
 
   auto sol = PartialSolution::initial(prepared);
-  const IiEstimateCriterion ii;
-  const double before = ii.score(prepared, sol);
+  const double before = iiEstimateScoreT(prepared, sol);
   // Pile everything on cluster 0.
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
       sol.assign(prepared, item, ClusterId(0));
     }
   }
-  EXPECT_GT(ii.score(prepared, sol), before);
-  EXPECT_EQ(IiEstimateCriterion::clusterMii(prepared, sol, ClusterId(0)), 4);
-  EXPECT_EQ(IiEstimateCriterion::clusterMii(prepared, sol, ClusterId(1)), 1);
+  EXPECT_GT(iiEstimateScoreT(prepared, sol), before);
+  EXPECT_EQ(clusterMiiT(prepared, sol, ClusterId(0)), 4);
+  EXPECT_EQ(clusterMiiT(prepared, sol, ClusterId(1)), 1);
 }
 
 TEST(CostTest, BalancedBeatsUnbalanced) {
@@ -520,7 +524,6 @@ TEST(CostTest, BalancedBeatsUnbalanced) {
   const auto pg = smallPg(2);
   auto problem = baseProblem(ddg, pg);
   const PreparedProblem prepared(problem, SeeOptions{});
-  const LoadBalanceCriterion balance;
 
   auto lumped = PartialSolution::initial(prepared);
   for (const auto& group : prepared.items()) {
@@ -535,7 +538,8 @@ TEST(CostTest, BalancedBeatsUnbalanced) {
       spread.assign(prepared, item, ClusterId(i++ % 2));
     }
   }
-  EXPECT_LT(balance.score(prepared, spread), balance.score(prepared, lumped));
+  EXPECT_LT(loadBalanceScoreT(prepared, spread),
+            loadBalanceScoreT(prepared, lumped));
 }
 
 TEST(CostTest, CopyCountCountsFlow) {
@@ -550,31 +554,78 @@ TEST(CostTest, CopyCountCountsFlow) {
       sol.assign(prepared, item, ClusterId(i++ % 2));
     }
   }
-  const CopyCountCriterion copies;
-  EXPECT_EQ(copies.score(prepared, sol),
+  CostWeights copiesOnly;
+  copiesOnly.iiEstimate = 0;
+  copiesOnly.copyCount = 1;
+  copiesOnly.loadBalance = 0;
+  copiesOnly.criticalPath = 0;
+  copiesOnly.wiringSlack = 0;
+  EXPECT_EQ(sol.totalCopies(), sol.flow().totalCopies());
+  EXPECT_EQ(objectiveT(prepared, copiesOnly, sol),
             static_cast<double>(sol.flow().totalCopies()));
   EXPECT_GT(sol.flow().totalCopies(), 0);
 }
 
 TEST(CostTest, WeightedObjectiveCombines) {
+  // Diamond: loads a, c feed s = a + c, which is stored. Placing a and s on
+  // cluster 0 and c and the store on cluster 1 cuts two intra-iteration
+  // dependences (c -> s, s -> store), so the critical-path term is live.
   const auto ddg = diamondDdg();
   const auto pg = smallPg(2);
   auto problem = baseProblem(ddg, pg);
-  const PreparedProblem prepared(problem, SeeOptions{});
-  const auto sol = PartialSolution::initial(prepared);
+  problem.constraints.maxInNeighbors = 2;  // wiring slack is live too
+  SeeOptions noChains;
+  noChains.chainGrouping = false;  // one item per node, height order
+  const PreparedProblem prepared(problem, noChains);
+  ASSERT_EQ(prepared.items().size(), 4u);
+  const std::array<ClusterId, 4> placement = {ClusterId(0), ClusterId(1),
+                                              ClusterId(0), ClusterId(1)};
 
-  CostWeights weights;
-  weights.iiEstimate = 10;
-  weights.copyCount = 0;
-  weights.loadBalance = 0;
-  weights.criticalPath = 0;
-  const WeightedObjective objective(weights);
-  const IiEstimateCriterion ii;
-  EXPECT_DOUBLE_EQ(objective.evaluate(prepared, sol),
-                   10 * ii.score(prepared, sol));
-  const auto breakdown = objective.breakdown(prepared, sol);
-  EXPECT_EQ(breakdown.size(), 5u);
-  EXPECT_EQ(breakdown[0].first, "ii-estimate");
+  CostWeights weights;  // every default weight is non-zero
+  ASSERT_NE(weights.iiEstimate, 0.0);
+  ASSERT_NE(weights.copyCount, 0.0);
+  ASSERT_NE(weights.loadBalance, 0.0);
+  ASSERT_NE(weights.criticalPath, 0.0);
+  ASSERT_NE(weights.wiringSlack, 0.0);
+  CostWeights iiOnly;
+  iiOnly.iiEstimate = 10;
+  iiOnly.copyCount = 0;
+  iiOnly.loadBalance = 0;
+  iiOnly.criticalPath = 0;
+  iiOnly.wiringSlack = 0;
+
+  // The same state twice: a PartialSolution, and a DeltaSolution over a
+  // snapshot of the first three placements with the store added on top, so
+  // the delta's critical-path score merges parent and delta terms.
+  auto partial = PartialSolution::initial(prepared);
+  partial.setObjective(objectiveT(prepared, weights, partial));
+  MonotonicArena arena;
+  DeltaSolution first;
+  first.init(prepared);
+  first.reset(FlatSolution::fromInitial(partial, prepared, arena));
+  DeltaSolution second;
+  second.init(prepared);
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    if (i == 3) {
+      first.setObjective(objectiveT(prepared, weights, first));
+      second.reset(FlatSolution::fromDelta(first, arena));
+    }
+    DeltaSolution& delta = i < 3 ? first : second;
+    const Item& item = prepared.items()[i].members.front();
+    ASSERT_TRUE(partial.canAssign(prepared, item, placement[i]));
+    ASSERT_TRUE(canAssignT(prepared, delta, item, placement[i]));
+    partial.assign(prepared, item, placement[i]);
+    assignT(prepared, delta, item, placement[i]);
+  }
+
+  EXPECT_GT(partial.criticalPathScore(prepared), 0.0);
+  EXPECT_GT(wiringSlackScoreT(prepared, partial), 0.0);
+  EXPECT_EQ(partial.criticalPathScore(prepared),
+            second.criticalPathScore(prepared));
+  EXPECT_EQ(objectiveT(prepared, weights, partial),
+            objectiveT(prepared, weights, second));
+  EXPECT_EQ(objectiveT(prepared, iiOnly, partial),
+            10 * iiEstimateScoreT(prepared, partial));
 }
 
 // --- beam / filters --------------------------------------------------------------
@@ -752,7 +803,8 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
 // --- copy-on-write delta path -----------------------------------------------
 
 /// The delta/arena path and the legacy deep-copy path are the same search;
-/// results must match field for field (modulo the CoW-only counters).
+/// results must match field for field (modulo the CoW-only counters), and
+/// objectives bit for bit.
 void expectSameSearch(const SeeResult& legacy, const SeeResult& delta) {
   ASSERT_EQ(legacy.legal, delta.legal)
       << legacy.failureReason << " vs " << delta.failureReason;
@@ -770,13 +822,14 @@ void expectSameSearch(const SeeResult& legacy, const SeeResult& delta) {
     const auto& ls = legacy.materialize(i);
     const auto& ds = delta.materialize(i);
     EXPECT_EQ(ls.signature(), ds.signature()) << "frontier state " << i;
-    EXPECT_DOUBLE_EQ(ls.objective(), ds.objective()) << "frontier state " << i;
+    EXPECT_EQ(ls.objective(), ds.objective()) << "frontier state " << i;
     EXPECT_EQ(ls.flow().totalCopies(), ds.flow().totalCopies())
         << "frontier state " << i;
   }
   if (legacy.legal) {
     EXPECT_EQ(legacy.materialize().signature(), delta.materialize().signature());
-    EXPECT_DOUBLE_EQ(legacy.materialize().objective(), delta.materialize().objective());
+    EXPECT_EQ(legacy.materialize().objective(),
+              delta.materialize().objective());
   }
 }
 
@@ -833,6 +886,58 @@ TEST(DeltaSearchTest, MatchesLegacyWithEagerRouting) {
     options.eagerRouting = eager;
     roundTrip(problem, options);
   }
+}
+
+TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
+  // Random loop bodies under random search knobs, so the reference is
+  // checked beyond the hand-written kernels. Ring-wired fabrics and tight
+  // in-neighbor budgets send some cases through the route allocator; op
+  // caps make some infeasible.
+  int legal = 0;
+  int routed = 0;
+  constexpr int kSeeds = 128;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed);
+    ddg::RandomDdgParams params;
+    params.numInstructions = static_cast<int>(rng.range(8, 40));
+    const auto ddg = ddg::randomDdg(rng, params);
+    const int clusters = static_cast<int>(rng.range(2, 8));
+    machine::PatternGraph pg;
+    for (int i = 0; i < clusters; ++i) {
+      pg.addCluster(machine::ResourceTable::computationNode());
+    }
+    const bool ring = rng.below(2) == 1;
+    if (ring) {
+      for (int i = 0; i < clusters; ++i) {
+        const ClusterId a(i);
+        const ClusterId b((i + 1) % clusters);
+        if (!pg.arcBetween(a, b)) pg.addArc(a, b);
+        if (!pg.arcBetween(b, a)) pg.addArc(b, a);
+      }
+    } else {
+      pg.connectClustersCompletely();
+    }
+    auto problem = baseProblem(ddg, pg);
+    problem.constraints.maxInNeighbors =
+        rng.below(2) == 1 ? -1 : static_cast<int>(rng.range(1, 2));
+    SeeOptions options;
+    options.beamWidth = static_cast<int>(rng.range(1, 6));
+    options.candidateKeep = static_cast<int>(rng.range(1, 4));
+    options.eagerRouting = rng.below(2) == 1;
+    options.maxOpsPerUnit = static_cast<int>(rng.range(0, 2));
+    options.chainGrouping = rng.below(2) == 1;
+    SCOPED_TRACE(strCat("seed ", seed, ": ", params.numInstructions,
+                        " instructions on ", clusters,
+                        ring ? " ring" : " complete", " clusters"));
+    roundTrip(problem, options);
+    const auto result = SpaceExplorationEngine(options).run(problem);
+    legal += result.legal ? 1 : 0;
+    routed += result.stats.routedOperands > 0 ? 1 : 0;
+  }
+  // The cases must cover legal and illegal outcomes and routed operands.
+  EXPECT_GT(legal, 0);
+  EXPECT_LT(legal, kSeeds);
+  EXPECT_GT(routed, 0);
 }
 
 /// The whole result — winning solution, frontier alternatives, failure

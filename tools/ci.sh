@@ -2,6 +2,10 @@
 # The repo's CI entry point (also runnable locally): tier-1 tests, the
 # thread-safety-analysis build, and the clang-tidy profile.
 #
+# The ThreadSanitizer sweep runs as its own CI job (the `tsan` job of
+# .github/workflows/ci.yml), not here: tools/run_tsan_tier1.sh builds a
+# -DHCA_SANITIZE=thread tree (build-tsan/) and runs `ctest -L tsan`.
+#
 #   1. tier-1   — cmake + build + full ctest suite (the acceptance bar every
 #                 change must keep green)
 #   2. tsa      — a clang build with -Wthread-safety -Werror=thread-safety
