@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <set>
 
@@ -42,6 +44,21 @@ std::string HcaFailureReport::toString() const {
 }
 
 namespace {
+
+/// A SEE result's frontier objectives as hex bit patterns, best first: the
+/// `see` span's record of how the search scored its surviving states, which
+/// two runs must reproduce bit for bit.
+std::string frontierObjectives(const see::SeeResult& result) {
+  std::string out;
+  for (const see::FrontierSnapshot& state : result.frontier) {
+    char bits[24];
+    std::snprintf(bits, sizeof(bits), "%s%016llx", out.empty() ? "" : " ",
+                  static_cast<unsigned long long>(
+                      std::bit_cast<std::uint64_t>(state.state().objective())));
+    out += bits;
+  }
+  return out;
+}
 
 /// Constraint tightening for problems whose children are leaf crossbars:
 /// the in-neighbor budget of each sub-cluster is capped so the wires
@@ -890,6 +907,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     if (seeSpan.active()) {
       seeSpan.arg("states", std::to_string(freshResult.stats.statesExplored));
       seeSpan.arg("legal", freshResult.legal ? "true" : "false");
+      seeSpan.arg("objectives", frontierObjectives(freshResult));
     }
     // Never cache a search aborted by cancellation: its "illegal" verdict
     // is an artifact of the abort, not a property of the sub-problem. A

@@ -90,10 +90,10 @@ class PatternGraph {
   [[nodiscard]] std::int32_t numArcs() const {
     return static_cast<std::int32_t>(arcs_.size());
   }
-  // The five topology accessors below are the innermost reads of the SEE
-  // search (hundreds of millions of calls per compile), so they are
-  // defined inline; arcBetween answers from a dense adjacency index
-  // instead of scanning the out-arc list.
+  // The five topology accessors below are defined inline; arcBetween
+  // answers from a dense adjacency index instead of scanning the out-arc
+  // list. The SEE search does not call them per candidate: it reads the
+  // dense view its PreparedProblem builds from them (see/prepared.hpp).
   [[nodiscard]] const PgNode& node(ClusterId id) const {
     HCA_REQUIRE(id.valid() && id.value() < numNodes(),
                 "PG node id out of range: " << id.value());

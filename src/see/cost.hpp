@@ -44,69 +44,114 @@ int clusterMiiT(const PreparedProblem& prepared, const Sol& solution,
                 ClusterId cluster) {
   const SeeProblem& problem = prepared.problem();
   return std::max(
-      clusterMiiBound(problem.pg->node(cluster).resources,
-                      solution.usage(cluster),
+      clusterMiiBound(prepared.resources(cluster), solution.usage(cluster),
                       solution.distinctValuesIn(cluster),
                       solution.distinctValuesOut(cluster),
                       problem.inWiresPerCluster, problem.outWiresPerCluster),
       1);
 }
 
-/// The paper's main cost factor (Section 4.2): an estimate of maxClsMII.
-template <typename Sol>
-double iiEstimateScoreT(const PreparedProblem& prepared, const Sol& solution) {
-  // Per-cluster MIIs are clamped to the loop's target II (iniMII): the
-  // final MII is max(iniMII, maxClsMII), so only excess above the target
-  // costs anything. The max dominates; the clamped average (scaled down)
-  // breaks ties between states with equal bottlenecks.
-  const int target = std::max(1, prepared.options().weights.targetIi);
-  double sum = 0;
-  int maxMii = target;
-  for (const ClusterId c : prepared.clusters()) {
-    const int mii = std::max(clusterMiiT(prepared, solution, c), target);
-    sum += mii;
-    maxMii = std::max(maxMii, mii);
-  }
-  const auto numClusters = static_cast<double>(prepared.clusters().size());
-  return maxMii + 0.1 * (sum / numClusters);
-}
+/// One cluster's share of the three per-cluster criteria below.
+struct ClusterTerms {
+  int mii = 1;        ///< clusterMiiT
+  double load = 0;    ///< issue-slot occupancy
+  double slack = 0;   ///< squared in-neighbor utilization (0: no MUX cap)
+};
 
-/// Spread of issue-slot occupancy across clusters (max - mean, normalized
-/// by issue width): keeps the assignment from piling work on one cluster
-/// before the II term starts to bite.
 template <typename Sol>
-double loadBalanceScoreT(const PreparedProblem& prepared,
-                         const Sol& solution) {
-  const auto& pg = *prepared.problem().pg;
-  double sum = 0;
-  double maxLoad = 0;
-  for (const ClusterId c : prepared.clusters()) {
-    const double load =
-        static_cast<double>(solution.usage(c).instructions) /
-        std::max(1, pg.node(c).resources.issueSlots());
-    sum += load;
-    maxLoad = std::max(maxLoad, load);
-  }
-  const double mean = sum / static_cast<double>(prepared.clusters().size());
-  return maxLoad - mean;
-}
-
-/// Penalizes consumed reconfiguration budget: every distinct real
-/// in-neighbor eats one of a cluster's few input-wire selects, and a
-/// saturated cluster blocks all later assignments that need to reach it.
-/// Quadratic in the per-cluster utilization so saturation hurts most.
-template <typename Sol>
-double wiringSlackScoreT(const PreparedProblem& prepared,
-                         const Sol& solution) {
+ClusterTerms clusterTermsT(const PreparedProblem& prepared,
+                           const Sol& solution, ClusterId cluster) {
+  ClusterTerms terms;
+  terms.mii = clusterMiiT(prepared, solution, cluster);
+  terms.load = static_cast<double>(solution.usage(cluster).instructions) /
+               std::max(1, prepared.resources(cluster).issueSlots());
   const int maxIn = prepared.problem().constraints.maxInNeighbors;
-  if (maxIn <= 0) return 0.0;
-  double penalty = 0;
-  for (const ClusterId c : prepared.clusters()) {
-    const double used = static_cast<double>(solution.realInNeighborCount(c)) /
-                        static_cast<double>(maxIn);
-    penalty += used * used;
+  if (maxIn > 0) {
+    const double used =
+        static_cast<double>(solution.realInNeighborCount(cluster)) /
+        static_cast<double>(maxIn);
+    terms.slack = used * used;
   }
-  return penalty;
+  return terms;
+}
+
+/// The three criteria that loop over clusters, from one pass.
+struct ClusterScores {
+  double iiEstimate = 0;
+  double loadBalance = 0;
+  double wiringSlack = 0;
+};
+
+/// ii estimate — the paper's main cost factor (Section 4.2): an estimate of
+/// maxClsMII. Per-cluster MIIs are clamped to the loop's target II
+/// (iniMII): the final MII is max(iniMII, maxClsMII), so only excess above
+/// the target costs anything. The max dominates; the clamped average
+/// (scaled down) breaks ties between states with equal bottlenecks.
+///
+/// load balance — spread of issue-slot occupancy across clusters (max -
+/// mean, normalized by issue width): keeps the assignment from piling work
+/// on one cluster before the II term starts to bite.
+///
+/// wiring slack — penalizes consumed reconfiguration budget: every
+/// distinct real in-neighbor eats one of a cluster's few input-wire
+/// selects, and a saturated cluster blocks all later assignments that need
+/// to reach it. Quadratic in the per-cluster utilization so saturation
+/// hurts most.
+///
+/// The MII sum is an integer and the doubles are summed in cluster order,
+/// so each score has the bits of a plain loop over clusterTermsT. A
+/// solution that knows its parent's terms and which clusters it touched (a
+/// DeltaSolution) recomputes only those and reads the rest from the
+/// parent's table; clusters() ascends by PG id, so the touched clusters'
+/// positions come out of the mask in order.
+template <typename Sol>
+ClusterScores clusterScoresT(const PreparedProblem& prepared,
+                             const Sol& solution) {
+  const int target = std::max(1, prepared.options().weights.targetIi);
+  const auto& clusters = prepared.clusters();
+  const std::size_t n = clusters.size();
+  std::int64_t miiSum = 0;
+  int maxMii = target;
+  double loadSum = 0;
+  double maxLoad = 0;
+  double slackSum = 0;
+  const auto add = [&](const ClusterTerms& t) {
+    const int mii = std::max(t.mii, target);
+    miiSum += mii;
+    maxMii = std::max(maxMii, mii);
+    loadSum += t.load;
+    maxLoad = std::max(maxLoad, t.load);
+    slackSum += t.slack;
+  };
+  const auto scores = [&] {
+    const auto numClusters = static_cast<double>(n);
+    ClusterScores out;
+    out.iiEstimate =
+        maxMii + 0.1 * (static_cast<double>(miiSum) / numClusters);
+    out.loadBalance = maxLoad - loadSum / numClusters;
+    out.wiringSlack =
+        prepared.problem().constraints.maxInNeighbors > 0 ? slackSum : 0.0;
+    return out;
+  };
+  if constexpr (requires { solution.parentTerms(); }) {
+    if (const ClusterTerms* parent = solution.parentTerms()) {
+      std::size_t i = 0;
+      for (std::uint64_t touched =
+               solution.touchedNodes() & prepared.clusterMask();
+           touched != 0; touched &= touched - 1) {
+        const std::uint64_t lowest = touched & (~touched + 1);
+        const auto pos = static_cast<std::size_t>(
+            __builtin_popcountll(prepared.clusterMask() & (lowest - 1)));
+        for (; i < pos; ++i) add(parent[i]);
+        add(clusterTermsT(prepared, solution, clusters[pos]));
+        i = pos + 1;
+      }
+      for (; i < n; ++i) add(parent[i]);
+      return scores();
+    }
+  }
+  for (const ClusterId c : clusters) add(clusterTermsT(prepared, solution, c));
+  return scores();
 }
 
 /// The objective: the weighted terms in a fixed order — ii estimate, copy
@@ -117,21 +162,22 @@ double wiringSlackScoreT(const PreparedProblem& prepared,
 template <typename Sol>
 double objectiveT(const PreparedProblem& prepared, const CostWeights& weights,
                   Sol& solution) {
+  const ClusterScores scores = clusterScoresT(prepared, solution);
   double total = 0;
   if (weights.iiEstimate != 0.0) {
-    total += weights.iiEstimate * iiEstimateScoreT(prepared, solution);
+    total += weights.iiEstimate * scores.iiEstimate;
   }
   if (weights.copyCount != 0.0) {
     total += weights.copyCount * static_cast<double>(solution.totalCopies());
   }
   if (weights.loadBalance != 0.0) {
-    total += weights.loadBalance * loadBalanceScoreT(prepared, solution);
+    total += weights.loadBalance * scores.loadBalance;
   }
   if (weights.criticalPath != 0.0) {
     total += weights.criticalPath * solution.criticalPathScore(prepared);
   }
   if (weights.wiringSlack != 0.0) {
-    total += weights.wiringSlack * wiringSlackScoreT(prepared, solution);
+    total += weights.wiringSlack * scores.wiringSlack;
   }
   return total;
 }

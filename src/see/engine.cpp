@@ -102,7 +102,8 @@ class DeltaPool {
  public:
   explicit DeltaPool(const PreparedProblem& prepared) : prepared_(prepared) {}
 
-  DeltaSolution* acquire(const FlatSolution* parent) {
+  DeltaSolution* acquire(const FlatSolution* parent,
+                         const ClusterTerms* parentTerms) {
     DeltaSolution* d = nullptr;
     if (!free_.empty()) {
       d = free_.back();
@@ -112,7 +113,7 @@ class DeltaPool {
       all_.back()->init(prepared_);
       d = all_.back().get();
     }
-    d->reset(parent);
+    d->reset(parent, parentTerms);
     return d;
   }
 
@@ -236,6 +237,9 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> seenSigs;
   std::vector<const FlatSolution*> survivors;
+  // The expanded parent's clusterTermsT per cluster position: its
+  // candidates recompute only the clusters they touch (cost.hpp).
+  std::vector<ClusterTerms> parentTerms;
   // Membership-only replacement for the legacy unordered_set (frontiers
   // are small; a linear scan beats hashing and allocates nothing).
   const auto insertSig = [&seenSigs](std::uint64_t sig) {
@@ -269,6 +273,10 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
     for (const FlatSolution* state : frontier) {
       ++parentIndex;
       ++result.stats.statesExplored;
+      parentTerms.clear();
+      for (const ClusterId c : prepared.clusters()) {
+        parentTerms.push_back(clusterTermsT(prepared, *state, c));
+      }
       // Enumerate candidates via isAssignable, score survivors. With eager
       // routing, clusters that are only reachable through relays are
       // offered too (at their true copy cost).
@@ -290,7 +298,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
           if (eagerRoutes) ++result.stats.routeFailures;
           continue;
         }
-        DeltaSolution* candidate = pool.acquire(state);
+        DeltaSolution* candidate = pool.acquire(state, parentTerms.data());
         ++result.stats.copiesAvoided;
         bool direct = true;
         for (const Item& item : group.members) {
@@ -306,7 +314,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
               objectiveT(prepared, options.weights, *candidate));
           scored.push_back(candidate);
         } else if (eagerRoutes) {
-          candidate->reset(state);  // discard the partial direct attempt
+          // Discard the partial direct attempt.
+          candidate->reset(state, parentTerms.data());
           int routed = 0;
           if (!routeAssignGroupT(prepared, *candidate, group, c,
                                  options.maxRouteHops, &routed,
@@ -339,7 +348,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
             ++result.stats.oracleRejects;
             continue;
           }
-          DeltaSolution* candidate = pool.acquire(state);
+          DeltaSolution* candidate = pool.acquire(state, parentTerms.data());
           ++result.stats.copiesAvoided;
           if (!routeAssignGroupT(prepared, *candidate, group, c,
                                  options.maxRouteHops, &routed,

@@ -6,14 +6,13 @@ namespace hca::see {
 
 FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
     : prepared_(&prepared) {
-  const auto& pg = *prepared.problem().pg;
-  numPg_ = static_cast<std::size_t>(pg.numNodes());
+  numPg_ = static_cast<std::size_t>(prepared.numPg());
 
   for (const ClusterId c : prepared.clusters()) {
-    if (pg.node(c).dead) continue;
+    if (prepared.isDead(c)) continue;
     aliveMask_ |= detail::pgBit(c);
-    if (pg.node(c).outWireCap != 0) sendMask_ |= detail::pgBit(c);
-    const auto& rt = pg.node(c).resources;
+    if (prepared.canSend(c)) sendMask_ |= detail::pgBit(c);
+    const auto& rt = prepared.resources(c);
     if (rt.count(ddg::ResourceClass::kAlu) > 0) {
       rcMask_[static_cast<int>(ddg::ResourceClass::kAlu)] |= detail::pgBit(c);
     }
@@ -26,12 +25,11 @@ FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
   // sender with a surviving output wire, an arc, and a live receiver.
   arcOutMask_.assign(numPg_, 0);
   arcInMask_.assign(numPg_, 0);
-  for (std::int32_t u = 0; u < pg.numNodes(); ++u) {
+  for (std::int32_t u = 0; u < prepared.numPg(); ++u) {
     const ClusterId src(u);
-    if (pg.node(src).dead || pg.node(src).outWireCap == 0) continue;
-    for (const PgArcId a : pg.outArcs(src)) {
-      const ClusterId dst = pg.arc(a).dst;
-      if (pg.node(dst).dead) continue;
+    if (!prepared.canSend(src)) continue;
+    for (const ClusterId dst : prepared.outHeads(src)) {
+      if (prepared.isDead(dst)) continue;
       arcOutMask_[src.index()] |= detail::pgBit(dst);
       arcInMask_[dst.index()] |= detail::pgBit(src);
     }
@@ -65,27 +63,23 @@ FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
 // dynamic BFS with all budget checks assumed to pass, so a static
 // kUnreachable implies dynamic unreachability at any budget.
 void FeasibilityOracle::buildHopMatrix() const {
-  const auto& pg = *prepared_->problem().pg;
+  const PreparedProblem& prep = *prepared_;
   hop_.assign(numPg_ * numPg_, kUnreachable);
   std::vector<ClusterId> queue;
-  for (std::int32_t s = 0; s < pg.numNodes(); ++s) {
+  for (std::int32_t s = 0; s < prep.numPg(); ++s) {
     const ClusterId src(s);
     std::uint8_t* dist = &hop_[static_cast<std::size_t>(s) * numPg_];
     dist[src.index()] = 0;
-    if (pg.node(src).dead || pg.node(src).outWireCap == 0) continue;
+    if (!prep.canSend(src)) continue;
     queue.clear();
     queue.push_back(src);
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const ClusterId u = queue[head];
       if (dist[u.index()] == kUnreachable - 1) continue;
-      for (const PgArcId a : pg.outArcs(u)) {
-        const ClusterId w = pg.arc(a).dst;
-        if (pg.node(w).dead || dist[w.index()] != kUnreachable) continue;
+      for (const ClusterId w : prep.outHeads(u)) {
+        if (prep.isDead(w) || dist[w.index()] != kUnreachable) continue;
         dist[w.index()] = static_cast<std::uint8_t>(dist[u.index()] + 1);
-        if (pg.node(w).kind == machine::PgNodeKind::kCluster &&
-            pg.node(w).outWireCap != 0) {
-          queue.push_back(w);
-        }
+        if (prep.isCluster(w) && prep.canSend(w)) queue.push_back(w);
       }
     }
   }

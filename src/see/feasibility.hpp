@@ -104,7 +104,6 @@ template <typename Sol>
 std::uint64_t FeasibilityOracle::directFeasibleMask(
     const Sol& state, std::size_t groupIndex) const {
   const PreparedProblem& prep = *prepared_;
-  const auto& pg = *prep.problem().pg;
   const auto& constraints = prep.problem().constraints;
   const auto& options = prep.options();
   const ItemGroup& group = prep.items()[groupIndex];
@@ -122,7 +121,7 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
     if (roomBuilt) return;
     roomBuilt = true;
     for (const ClusterId c : prep.clusters()) {
-      const int cap = detail::effectiveInCap(pg.node(c), constraints);
+      const int cap = prep.inCap(c);
       if (cap < 0 ||
           __builtin_popcountll(state.inNbrMask(c)) < cap) {
         room |= detail::pgBit(c);
@@ -223,7 +222,7 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
       const std::uint64_t bit = rest & (~rest + 1);
       rest ^= bit;
       const ClusterId c(__builtin_ctzll(bit));
-      const auto& rt = pg.node(c).resources;
+      const auto& rt = prep.resources(c);
       const auto& usage = state.usage(c);
       if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit ||
           (needAlu && usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) ||

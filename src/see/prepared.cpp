@@ -29,20 +29,66 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
     inWs_[n.index()] = 1;
   }
 
+  // Dense pattern-graph view (prepared.hpp): the search's topology reads,
+  // validated once here.
+  const machine::PatternGraph& pg = *problem.pg;
+  numPg_ = pg.numNodes();
+  const auto numPg = static_cast<std::size_t>(numPg_);
+  inCap_.resize(numPg);
+  resources_.resize(numPg);
+  arcId_.assign(numPg * numPg, PgArcId::invalid());
+  outHeadOff_.assign(numPg + 1, 0);
+  outHeadMask_.assign(numPg, 0);
+  for (std::int32_t u = 0; u < numPg_; ++u) {
+    const ClusterId id(u);
+    const machine::PgNode& node = pg.node(id);
+    const std::uint64_t bit = detail::pgBit(id);
+    if (node.kind == machine::PgNodeKind::kCluster) clusterMask_ |= bit;
+    if (node.kind == machine::PgNodeKind::kOutput) outputMask_ |= bit;
+    if (node.dead) deadMask_ |= bit;
+    if (!node.dead && node.outWireCap != 0) sendMask_ |= bit;
+    int cap = problem.constraints.maxInNeighbors;
+    if (node.inWireCap >= 0) {
+      cap = cap < 0 ? node.inWireCap : std::min(cap, node.inWireCap);
+    }
+    inCap_[id.index()] = cap;
+    resources_[id.index()] = node.resources;
+    for (const PgArcId a : pg.outArcs(id)) {
+      const ClusterId head = pg.arc(a).dst;
+      arcId_[id.index() * numPg + head.index()] = a;
+      outHeads_.push_back(head);
+      outHeadMask_[id.index()] |= detail::pgBit(head);
+    }
+    outHeadOff_[id.index() + 1] = static_cast<std::int32_t>(outHeads_.size());
+  }
+
+  // Dense value -> output node / source tables. A value is named by the
+  // DDG node producing it.
+  valueOutput_.assign(static_cast<std::size_t>(ddg.numNodes()),
+                      ClusterId::invalid());
+  valueSource_.assign(static_cast<std::size_t>(ddg.numNodes()),
+                      ClusterId::invalid());
+  const auto slotOf = [&ddg](std::vector<ClusterId>& table,
+                             ValueId v) -> ClusterId& {
+    HCA_REQUIRE(v.valid() && v.value() < ddg.numNodes(),
+                "value " << to_string(v) << " is not a DDG node");
+    return table[v.index()];
+  };
   for (const auto& [out, values] : problem.outputRequirements) {
-    HCA_REQUIRE(
-        problem.pg->node(out).kind == machine::PgNodeKind::kOutput,
-        "output requirement target is not an output node");
+    HCA_REQUIRE(out.valid() && out.value() < numPg_ && isOutput(out),
+                "output requirement target is not an output node");
     for (const ValueId v : values) {
-      const auto [it, inserted] = valueToOutput_.emplace(v, out);
-      HCA_REQUIRE(inserted, "value assigned to two output wires");
+      ClusterId& slot = slotOf(valueOutput_, v);
+      HCA_REQUIRE(!slot.valid(), "value assigned to two output wires");
+      slot = out;
     }
   }
-  // hca-lint: ordered-ok(validation only; visit order cannot affect result)
+  // hca-lint: ordered-ok(each key writes its own slot; order cannot matter)
   for (const auto& [value, source] : problem.valueSources) {
-    HCA_REQUIRE(problem.pg->node(source).kind != machine::PgNodeKind::kOutput,
-                "value source cannot be an output node");
-    (void)value;
+    HCA_REQUIRE(source.valid() && source.value() < numPg_,
+                "value source is not a PG node");
+    HCA_REQUIRE(!isOutput(source), "value source cannot be an output node");
+    slotOf(valueSource_, value) = source;
   }
 
   // Operand values / consumer adjacency restricted to the problem.
@@ -65,17 +111,15 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
       } else {
         // Out-of-WS producer: a source (input node) must be registered.
         HCA_REQUIRE(
-            problem.valueSources.count(v) != 0,
+            valueSource(v).valid(),
             "operand value " << to_string(v)
                              << " has no registered source (missing ILI?)");
       }
     }
   }
   for (const ValueId v : problem.relayValues) {
-    HCA_REQUIRE(problem.valueSources.count(v) != 0,
-                "relay value without a source");
-    HCA_REQUIRE(valueToOutput_.count(v) != 0,
-                "relay value without an output wire");
+    HCA_REQUIRE(valueSource(v).valid(), "relay value without a source");
+    HCA_REQUIRE(outputNodeOf(v).valid(), "relay value without an output wire");
   }
 
   if (problem.heights != nullptr) {
@@ -192,8 +236,7 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
   if (options.chainGrouping) {
     int minIssue = 1 << 20;
     for (const ClusterId c : clusters_) {
-      minIssue =
-          std::min(minIssue, problem.pg->node(c).resources.issueSlots());
+      minIssue = std::min(minIssue, resources(c).issueSlots());
     }
     int cap = std::max(
         2, options.weights.targetIi * std::max(minIssue, 1) / 2);
@@ -307,16 +350,5 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
 }
 
 PreparedProblem::~PreparedProblem() = default;
-
-ClusterId PreparedProblem::outputNodeOf(ValueId value) const {
-  const auto it = valueToOutput_.find(value);
-  return it == valueToOutput_.end() ? ClusterId::invalid() : it->second;
-}
-
-ClusterId PreparedProblem::valueSource(ValueId value) const {
-  const auto it = problem_->valueSources.find(value);
-  return it == problem_->valueSources.end() ? ClusterId::invalid()
-                                            : it->second;
-}
 
 }  // namespace hca::see

@@ -2,16 +2,23 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "see/problem.hpp"
 
 /// Immutable, preprocessed view of a SeeProblem shared by every search
 /// state: working-set membership, operand/consumer adjacency restricted to
-/// the WS, the priority list, and per-node scheduling heights. Built once
-/// per SpaceExplorationEngine::run and shared by every retry-ladder rung.
+/// the WS, the priority list, per-node scheduling heights, and a dense view
+/// of the pattern graph (node flags, in-neighbor caps, arc ids, out-heads)
+/// that the assignment semantics read instead of the PatternGraph. Built
+/// once per SpaceExplorationEngine::run and shared by every retry-ladder
+/// rung.
 namespace hca::see {
+
+namespace detail {
+constexpr std::uint64_t pgBit(ClusterId c) { return 1ULL << c.index(); }
+}  // namespace detail
 
 /// One entry of the priority list: either a WS node or a relay value.
 struct Item {
@@ -96,10 +103,62 @@ class PreparedProblem {
     return wsConsumers_[node.index()];
   }
   /// Output node a value must reach, or invalid if none.
-  [[nodiscard]] ClusterId outputNodeOf(ValueId value) const;
+  [[nodiscard]] ClusterId outputNodeOf(ValueId value) const {
+    return value.index() < valueOutput_.size() ? valueOutput_[value.index()]
+                                               : ClusterId::invalid();
+  }
   /// Input node (or assigned producer lookup key) for out-of-WS sources;
   /// invalid if the value has no registered source.
-  [[nodiscard]] ClusterId valueSource(ValueId value) const;
+  [[nodiscard]] ClusterId valueSource(ValueId value) const {
+    return value.index() < valueSource_.size() ? valueSource_[value.index()]
+                                               : ClusterId::invalid();
+  }
+
+  // --- Dense pattern-graph view ------------------------------------------
+  // Every PG read of the assignment semantics, tabulated once: node ids
+  // are validated here, so the search's per-candidate reads are plain
+  // array and mask lookups. Masks are indexed by PG node (at most 64).
+
+  [[nodiscard]] std::int32_t numPg() const { return numPg_; }
+  /// kCluster nodes, dead ones included.
+  [[nodiscard]] std::uint64_t clusterMask() const { return clusterMask_; }
+  /// Alive kCluster nodes: the only relays a route may pass through.
+  [[nodiscard]] std::uint64_t aliveClusterMask() const {
+    return clusterMask_ & ~deadMask_;
+  }
+  [[nodiscard]] bool isCluster(ClusterId c) const {
+    return (clusterMask_ & detail::pgBit(c)) != 0;
+  }
+  [[nodiscard]] bool isDead(ClusterId c) const {
+    return (deadMask_ & detail::pgBit(c)) != 0;
+  }
+  [[nodiscard]] bool isOutput(ClusterId c) const {
+    return (outputMask_ & detail::pgBit(c)) != 0;
+  }
+  /// Alive with at least one surviving output wire: may originate a copy.
+  [[nodiscard]] bool canSend(ClusterId c) const {
+    return (sendMask_ & detail::pgBit(c)) != 0;
+  }
+  /// In-neighbor budget of a node: the level's MUX capacity tightened by
+  /// the node's surviving-wire override. -1 = unlimited.
+  [[nodiscard]] int inCap(ClusterId c) const { return inCap_[c.index()]; }
+  [[nodiscard]] const machine::ResourceTable& resources(ClusterId c) const {
+    return resources_[c.index()];
+  }
+  /// The arc src -> dst, invalid when there is none.
+  [[nodiscard]] PgArcId arcId(ClusterId src, ClusterId dst) const {
+    return arcId_[src.index() * static_cast<std::size_t>(numPg_) +
+                  dst.index()];
+  }
+  /// Heads of `c`'s out-arcs, in arc order (PatternGraph::outArcs order).
+  [[nodiscard]] std::span<const ClusterId> outHeads(ClusterId c) const {
+    return {outHeads_.data() + outHeadOff_[c.index()],
+            outHeads_.data() + outHeadOff_[c.index() + 1]};
+  }
+  /// The same heads as a mask.
+  [[nodiscard]] std::uint64_t outHeadMask(ClusterId c) const {
+    return outHeadMask_[c.index()];
+  }
 
   [[nodiscard]] std::int64_t height(DdgNodeId node) const {
     return (*heights_)[node.index()];
@@ -142,9 +201,20 @@ class PreparedProblem {
   std::vector<char> inWs_;
   std::vector<std::vector<ValueId>> operandValues_;
   std::vector<std::vector<DdgNodeId>> wsConsumers_;
-  /// Point lookups (find/count/emplace) only — never iterated, so hash
-  /// order cannot reach the result.
-  std::unordered_map<ValueId, ClusterId> valueToOutput_;
+  /// Per DDG value: its output node / registered source (invalid = none).
+  std::vector<ClusterId> valueOutput_;
+  std::vector<ClusterId> valueSource_;
+  std::int32_t numPg_ = 0;
+  std::uint64_t clusterMask_ = 0;
+  std::uint64_t deadMask_ = 0;
+  std::uint64_t outputMask_ = 0;
+  std::uint64_t sendMask_ = 0;
+  std::vector<int> inCap_;
+  std::vector<machine::ResourceTable> resources_;
+  std::vector<PgArcId> arcId_;  // numPg x numPg, row-major by source
+  std::vector<std::int32_t> outHeadOff_;  // CSR per PG node
+  std::vector<ClusterId> outHeads_;
+  std::vector<std::uint64_t> outHeadMask_;
   /// problem().heights when supplied, else &ownHeights_.
   const std::vector<std::int64_t>* heights_ = nullptr;
   std::vector<std::int64_t> ownHeights_;

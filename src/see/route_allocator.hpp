@@ -22,22 +22,20 @@
 /// entry points and the delta-based hot path run the same code.
 namespace hca::see {
 
-/// Reusable route-allocator state for one search attempt: the BFS scratch
-/// buffers, stamp-validated so steady-state findPathT calls allocate
-/// nothing, and the count of searches the hop matrix rejected.
+/// Reusable route-allocator state for one search attempt: the BFS
+/// buffers, reused so steady-state findPathT calls allocate nothing, and
+/// the count of searches the hop matrix rejected.
 class RouteScratch {
  public:
   RouteScratch() = default;
 
   /// Sizes the buffers for the problem; cheap to call repeatedly.
   void init(const PreparedProblem& prepared) {
-    const auto n =
-        static_cast<std::size_t>(prepared.problem().pg->numNodes());
+    const auto n = static_cast<std::size_t>(prepared.numPg());
     if (parent_.size() != n) {
       parent_.assign(n, ClusterId::invalid());
       depth_.assign(n, 0);
-      stamp_.assign(n, 0);
-      curStamp_ = 0;
+      feeds_.assign(n, 0);
     }
   }
 
@@ -46,33 +44,23 @@ class RouteScratch {
   [[nodiscard]] std::int64_t hopRejects() const { return hopRejects_; }
   void noteHopReject() { ++hopRejects_; }
 
-  // --- BFS scratch (used by findPathT) ----------------------------------
-  void beginSearch() {
-    if (++curStamp_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0U);
-      curStamp_ = 1;
-    }
-    queue_.clear();
-  }
-  [[nodiscard]] bool seen(ClusterId c) const {
-    return stamp_[c.index()] == curStamp_;
-  }
+  // --- BFS scratch (used by findPathT; read only for visited nodes) ------
   [[nodiscard]] int depthOf(ClusterId c) const { return depth_[c.index()]; }
   [[nodiscard]] ClusterId parentOf(ClusterId c) const {
     return parent_[c.index()];
   }
   void visit(ClusterId c, int depth, ClusterId from) {
-    stamp_[c.index()] = curStamp_;
     depth_[c.index()] = depth;
     parent_[c.index()] = from;
   }
   std::vector<ClusterId>& queue() { return queue_; }
+  /// Per node: the nodes whose in-neighbor masks already list it.
+  std::vector<std::uint64_t>& feeds() { return feeds_; }
 
  private:
   std::vector<ClusterId> parent_;
   std::vector<int> depth_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t curStamp_ = 0;
+  std::vector<std::uint64_t> feeds_;
   std::vector<ClusterId> queue_;
   std::int64_t hopRejects_ = 0;
 };
@@ -82,12 +70,21 @@ class RouteScratch {
 /// Returns the inclusive node path, empty when unreachable. With a
 /// `scratch`, reuses its BFS buffers; the returned path is the same either
 /// way.
+///
+/// A dequeued node's out-heads are walked in arc order, so visit order,
+/// parents and paths are those of a walk over PatternGraph::outArcs with
+/// canAddCopyT deciding every hop. Masks decide most hops before the walk:
+/// heads already seen or unable to take the hop are dropped (only alive
+/// clusters relay; the destination may be any live node), and under an
+/// unlimited out-neighbor budget a hop into an alive cluster is open
+/// exactly when the sender already feeds it or it has in-neighbor room —
+/// canAddCopyT's answer there (DESIGN.md §4k). Output heads, and every hop
+/// when maxOutNeighbors applies, still call canAddCopyT.
 template <typename Sol>
 std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
                                  const Sol& solution, ClusterId src,
                                  ClusterId dst, ValueId value, int maxHops,
                                  RouteScratch* scratch = nullptr) {
-  const auto& pg = *prepared.problem().pg;
   const int maxPathNodes = maxHops + 2;  // src + relays + dst
 
   // Static fast-reject: the oracle's hop distance ignores every budget, so
@@ -106,28 +103,60 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
   std::optional<RouteScratch> local;
   RouteScratch& rs = scratch != nullptr ? *scratch : local.emplace();
   rs.init(prepared);
-  rs.beginSearch();
-  rs.visit(src, 0, ClusterId::invalid());
-  rs.queue().push_back(src);
-  for (std::size_t head = 0; head < rs.queue().size(); ++head) {
-    const ClusterId u = rs.queue()[head];
-    if (u == dst) break;
-    if (rs.depthOf(u) + 1 >= maxPathNodes) continue;
-    for (const PgArcId a : pg.outArcs(u)) {
-      const ClusterId w = pg.arc(a).dst;
-      if (rs.seen(w)) continue;
-      // Only relay through (alive) cluster nodes; the destination may be
-      // anything — canAddCopy refuses dead destinations itself.
-      if (w != dst && (pg.node(w).kind != machine::PgNodeKind::kCluster ||
-                       pg.node(w).dead)) {
-        continue;
+  const std::uint64_t relays = prepared.aliveClusterMask();
+  const std::uint64_t enterable =
+      relays | (prepared.isDead(dst) ? 0 : detail::pgBit(dst));
+  // Heads whose hop the masks decide (alive clusters, when no out-neighbor
+  // cap applies) and their budget state: those with in-neighbor room, and
+  // per node the ones it already feeds.
+  const std::uint64_t maskDecided =
+      prepared.problem().constraints.maxOutNeighbors < 0 ? relays : 0;
+  std::uint64_t room = 0;
+  std::vector<std::uint64_t>& feeds = rs.feeds();
+  if (maskDecided != 0) {
+    std::fill(feeds.begin(), feeds.end(), 0);
+    for (std::uint64_t rest = maskDecided; rest != 0; rest &= rest - 1) {
+      const ClusterId w(__builtin_ctzll(rest));
+      const std::uint64_t wBit = detail::pgBit(w);
+      const std::uint64_t senders = solution.inNbrMask(w);
+      const int cap = prepared.inCap(w);
+      if (cap < 0 || __builtin_popcountll(senders) < cap) room |= wBit;
+      for (std::uint64_t s = senders; s != 0; s &= s - 1) {
+        feeds[static_cast<std::size_t>(__builtin_ctzll(s))] |= wBit;
       }
-      if (!canAddCopyT(prepared, solution, u, w, value)) continue;
-      rs.visit(w, rs.depthOf(u) + 1, u);
-      rs.queue().push_back(w);
     }
   }
-  if (!rs.seen(dst)) return {};
+
+  std::uint64_t seen = detail::pgBit(src);
+  auto& queue = rs.queue();
+  queue.clear();
+  rs.visit(src, 0, ClusterId::invalid());
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const ClusterId u = queue[head];
+    if (u == dst) break;
+    const int depth = rs.depthOf(u);
+    if (depth + 1 >= maxPathNodes) continue;
+    if (!prepared.canSend(u)) continue;  // canAddCopyT refuses every hop
+    // Heads are distinct, so masks taken before the walk stay exact.
+    const std::uint64_t open = prepared.outHeadMask(u) & enterable & ~seen;
+    const std::uint64_t pass = open & maskDecided & (room | feeds[u.index()]);
+    std::uint64_t todo = pass | (open & ~maskDecided);
+    for (const ClusterId w : prepared.outHeads(u)) {
+      if (todo == 0) break;
+      const std::uint64_t wBit = detail::pgBit(w);
+      if ((todo & wBit) == 0) continue;
+      todo &= ~wBit;
+      if ((pass & wBit) == 0 &&
+          !canAddCopyT(prepared, solution, u, w, value)) {
+        continue;
+      }
+      seen |= wBit;
+      rs.visit(w, depth + 1, u);
+      queue.push_back(w);
+    }
+  }
+  if ((seen & detail::pgBit(dst)) == 0) return {};
   std::vector<ClusterId> path;
   for (ClusterId v = dst; v.valid(); v = rs.parentOf(v)) {
     path.push_back(v);
@@ -200,10 +229,7 @@ template <typename Sol>
 bool routeAssignGroupT(const PreparedProblem& prepared, Sol& sol,
                        const ItemGroup& group, ClusterId cluster, int maxHops,
                        int* routedOperands, RouteScratch* scratch = nullptr) {
-  const auto& pg = *prepared.problem().pg;
-  if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) {
-    return false;
-  }
+  if (!prepared.isCluster(cluster)) return false;
   for (const Item& item : group.members) {
     if (canAssignT(prepared, sol, item, cluster)) {
       assignT(prepared, sol, item, cluster);

@@ -287,6 +287,15 @@ bool FlatSolution::inValuesContain(ClusterId c, ValueId v) const {
   return false;
 }
 
+bool FlatSolution::outValuesContain(ClusterId c, ValueId v) const {
+  const std::int32_t begin = outOff_[c.index()];
+  const std::int32_t end = outOff_[c.index() + 1];
+  for (std::int32_t i = begin; i < end; ++i) {
+    if (outVals_[i] == v) return true;
+  }
+  return false;
+}
+
 bool FlatSolution::flowContains(PgArcId arc, ValueId v) const {
   const std::int32_t begin = flowOff_[arc.index()];
   const std::int32_t end = flowOff_[arc.index() + 1];
@@ -351,8 +360,11 @@ void DeltaSolution::init(const PreparedProblem& prepared) {
   outCount_.resize(p);
 }
 
-void DeltaSolution::reset(const FlatSolution* parent) {
+void DeltaSolution::reset(const FlatSolution* parent,
+                          const ClusterTerms* parentTerms) {
   parent_ = parent;
+  parentTerms_ = parentTerms;
+  touched_ = 0;
   copyInto(nodeCluster_.data(), parent->nodeCluster_, nodeCluster_.size());
   copyInto(relayCluster_.data(), parent->relayCluster_, relayCluster_.size());
   copyInto(usage_.data(), parent->usage_, usage_.size());
@@ -393,34 +405,26 @@ bool DeltaSolution::flowIsReal(PgArcId arc) const {
   return false;
 }
 
+bool DeltaSolution::valueSentFrom(ClusterId src, ValueId value) const {
+  if (parent_->outValuesContain(src, value)) return true;
+  for (const auto& [s, v] : outAdds_) {
+    if (s == src && v == value) return true;
+  }
+  return false;
+}
+
 bool DeltaSolution::addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst,
                                 ValueId value) {
   if (flowContains(arc, value)) return false;
   flowAdds_.emplace_back(arc, value);
   ++totalCopies_;
+  touched_ |= detail::pgBit(src) | detail::pgBit(dst);
   inNbrMask_[dst.index()] |= detail::pgBit(src);
   if (!valueDelivered(dst, value)) {
     inAdds_.emplace_back(dst, value);
     ++inCount_[dst.index()];
   }
-  bool outKnown = false;
-  const std::int32_t begin = parent_->outOff_[src.index()];
-  const std::int32_t end = parent_->outOff_[src.index() + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    if (parent_->outVals_[i] == value) {
-      outKnown = true;
-      break;
-    }
-  }
-  if (!outKnown) {
-    for (const auto& [s, v] : outAdds_) {
-      if (s == src && v == value) {
-        outKnown = true;
-        break;
-      }
-    }
-  }
-  if (!outKnown) {
+  if (!valueSentFrom(src, value)) {
     outAdds_.emplace_back(src, value);
     ++outCount_[src.index()];
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
+#include "see/cost.hpp"
 #include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 #include "support/arena.hpp"
@@ -104,7 +105,11 @@ class FlatSolution {
   [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {
     return inNbrMask_[c.index()];
   }
+  [[nodiscard]] int realInNeighborCount(ClusterId c) const {
+    return __builtin_popcountll(inNbrMask_[c.index()]);
+  }
   [[nodiscard]] bool inValuesContain(ClusterId c, ValueId v) const;
+  [[nodiscard]] bool outValuesContain(ClusterId c, ValueId v) const;
   /// Sol-interface alias for inValuesContain: snapshots are the parent
   /// states the feasibility oracle reads through the same template code as
   /// the legacy PartialSolution path.
@@ -221,7 +226,11 @@ class DeltaSolution {
   void init(const PreparedProblem& prepared);
   /// Rebases onto `parent`: memcpys the dense state, clears the edit
   /// lists. O(|WS| + PG nodes), zero allocations in steady state.
-  void reset(const FlatSolution* parent);
+  /// `parentTerms` (may be null) is the parent's clusterTermsT per
+  /// position of `prepared.clusters()`; it must outlive the scoring of
+  /// this delta, which then recomputes only the clusters it touched.
+  void reset(const FlatSolution* parent,
+             const ClusterTerms* parentTerms = nullptr);
 
   // --- reads -----------------------------------------------------------
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
@@ -247,6 +256,14 @@ class DeltaSolution {
   [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId value) const;
   [[nodiscard]] bool flowIsReal(PgArcId arc) const;
+  /// The parent's clusterTermsT per position of `prepared.clusters()` (null
+  /// when the rebase supplied none), and the PG nodes whose usage, value
+  /// counts or in-neighbor mask this delta changed: the clusters whose
+  /// terms must be recomputed (cost.hpp).
+  [[nodiscard]] const ClusterTerms* parentTerms() const {
+    return parentTerms_;
+  }
+  [[nodiscard]] std::uint64_t touchedNodes() const { return touched_; }
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
@@ -269,6 +286,7 @@ class DeltaSolution {
   }
   void addOp(ClusterId cluster, ddg::Op op) {
     usage_[cluster.index()].addOp(op);
+    touched_ |= detail::pgBit(cluster);
   }
   bool addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst, ValueId value);
   void noteAssigned() { ++assigned_; }
@@ -284,7 +302,12 @@ class DeltaSolution {
  private:
   friend class FlatSolution;
 
+  /// True when `value` already leaves `src` on some arc.
+  [[nodiscard]] bool valueSentFrom(ClusterId src, ValueId value) const;
+
   const FlatSolution* parent_ = nullptr;
+  const ClusterTerms* parentTerms_ = nullptr;
+  std::uint64_t touched_ = 0;  // see touchedNodes()
   const std::int32_t* wsIndexOf_ = nullptr;  // PreparedProblem::wsIndexTable
   // Dense overlay, memcpy'd from the parent on reset.
   std::vector<ClusterId> nodeCluster_;  // per working-set position

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "machine/pattern_graph.hpp"
 #include "see/prepared.hpp"
 #include "support/check.hpp"
 
@@ -23,24 +22,9 @@
 /// (the copy-on-write candidate overlay of the arena-backed hot path)
 /// implement this interface; instantiating both from one template is what
 /// makes the delta path byte-identical to the legacy path by construction
-/// rather than by parallel maintenance.
+/// rather than by parallel maintenance. Topology is read through the
+/// prepared problem's dense pattern-graph view, never the PatternGraph.
 namespace hca::see {
-
-namespace detail {
-constexpr std::uint64_t pgBit(ClusterId c) { return 1ULL << c.index(); }
-
-/// In-neighbor budget of one PG node: the level-wide MUX capacity, further
-/// tightened by the node's surviving-wire override when the fabric carries
-/// faults. -1 = unlimited.
-inline int effectiveInCap(const machine::PgNode& node,
-                          const machine::PgConstraints& constraints) {
-  int cap = constraints.maxInNeighbors;
-  if (node.inWireCap >= 0) {
-    cap = cap < 0 ? node.inWireCap : std::min(cap, node.inWireCap);
-  }
-  return cap;
-}
-}  // namespace detail
 
 /// Cluster currently holding `value` (producer's cluster, or the input
 /// node it arrives on); invalid if not available yet.
@@ -57,34 +41,33 @@ ClusterId valueLocationT(const PreparedProblem& prepared, const Sol& sol,
 template <typename Sol>
 bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
                  ClusterId src, ClusterId dst, ValueId value) {
-  const auto& pg = *prepared.problem().pg;
-  if (pg.node(src).dead || pg.node(dst).dead) return false;
-  // A node whose output wires are all dead can send nothing new.
-  if (pg.node(src).outWireCap == 0) return false;
-  const auto arc = pg.arcBetween(src, dst);
-  if (!arc.has_value()) return false;
-  if (sol.flowContains(*arc, value)) {
+  // A dead node, or one whose output wires are all dead, sends nothing
+  // new; a dead node receives nothing.
+  if (!prepared.canSend(src) || prepared.isDead(dst)) return false;
+  const PgArcId arc = prepared.arcId(src, dst);
+  if (!arc.valid()) return false;
+  if (sol.flowContains(arc, value)) {
     return true;  // already flowing: no budget change
   }
   const auto& constraints = prepared.problem().constraints;
   const std::uint64_t dstMask = sol.inNbrMask(dst);
-  if (pg.node(dst).kind == machine::PgNodeKind::kOutput) {
+  if (prepared.isOutput(dst)) {
     if (constraints.outputNodeUnaryFanIn) {
       return dstMask == 0 || dstMask == detail::pgBit(src);
     }
     return true;
   }
   if ((dstMask & detail::pgBit(src)) == 0) {
-    const int inCap = detail::effectiveInCap(pg.node(dst), constraints);
+    const int inCap = prepared.inCap(dst);
     if (inCap >= 0 && __builtin_popcountll(dstMask) >= inCap) {
       return false;
     }
   }
-  if (constraints.maxOutNeighbors >= 0 && !sol.flowIsReal(*arc)) {
+  if (constraints.maxOutNeighbors >= 0 && !sol.flowIsReal(arc)) {
     // Count distinct out-neighbors of src (dst is not one yet).
     int outNbrs = 0;
-    for (const PgArcId a : pg.outArcs(src)) {
-      if (sol.flowIsReal(a) && pg.arc(a).dst != dst) ++outNbrs;
+    for (const ClusterId head : prepared.outHeads(src)) {
+      if (head != dst && sol.flowIsReal(prepared.arcId(src, head))) ++outNbrs;
     }
     if (outNbrs >= constraints.maxOutNeighbors) return false;
   }
@@ -97,10 +80,8 @@ bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
 template <typename Sol>
 bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
                 const Item& item, ClusterId cluster) {
-  const auto& pg = *prepared.problem().pg;
-  if (pg.node(cluster).kind != machine::PgNodeKind::kCluster) return false;
-  if (pg.node(cluster).dead) return false;
-  const auto& rt = pg.node(cluster).resources;
+  if (!prepared.isCluster(cluster) || prepared.isDead(cluster)) return false;
+  const auto& rt = prepared.resources(cluster);
   const auto& options = prepared.options();
 
   if (item.kind == Item::Kind::kRelay) {
@@ -141,17 +122,16 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
 
   // Incoming copies: every located operand source must reach `cluster`,
   // cumulatively within the in-neighbor budget.
-  const auto& constraints = prepared.problem().constraints;
-  const int inCap = detail::effectiveInCap(pg.node(cluster), constraints);
+  const int inCap = prepared.inCap(cluster);
   std::uint64_t mask = sol.inNbrMask(cluster);
   for (const ValueId v : prepared.operandValues(n)) {
     const ClusterId loc = valueLocationT(prepared, sol, v);
     if (!loc.valid() || loc == cluster) continue;
     if (sol.valueDelivered(cluster, v)) continue;  // already routed here
-    if (pg.node(loc).dead || pg.node(loc).outWireCap == 0) return false;
-    const auto arc = pg.arcBetween(loc, cluster);
-    if (!arc.has_value()) return false;
-    if (sol.flowContains(*arc, v)) continue;
+    if (!prepared.canSend(loc)) return false;
+    const PgArcId arc = prepared.arcId(loc, cluster);
+    if (!arc.valid()) return false;
+    if (sol.flowContains(arc, v)) continue;
     if ((mask & detail::pgBit(loc)) == 0) {
       if (inCap >= 0 && __builtin_popcountll(mask) >= inCap) {
         return false;
@@ -184,11 +164,10 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
 template <typename Sol>
 void addCopyT(const PreparedProblem& prepared, Sol& sol, ClusterId src,
               ClusterId dst, ValueId value) {
-  const auto& pg = *prepared.problem().pg;
-  const auto arc = pg.arcBetween(src, dst);
-  HCA_CHECK(arc.has_value(), "addCopyT without arc " << to_string(src) << "->"
-                                                     << to_string(dst));
-  sol.addFlowCopy(*arc, src, dst, value);
+  const PgArcId arc = prepared.arcId(src, dst);
+  HCA_CHECK(arc.valid(), "addCopyT without arc " << to_string(src) << "->"
+                                                 << to_string(dst));
+  sol.addFlowCopy(arc, src, dst, value);
 }
 
 /// Applies the assignment (must be canAssignT). Adds the implied copies:

@@ -36,27 +36,26 @@ namespace detail {
 
 }  // namespace hca
 
-/// Validates user-facing preconditions; throws InvalidArgumentError.
-#define HCA_REQUIRE(cond, msg)                                              \
+/// The failing branch of HCA_REQUIRE / HCA_CHECK: the message is formatted
+/// and thrown from a cold, never-inlined lambda, so a passing check costs a
+/// compare and a branch and checked accessors stay small enough to inline.
+#define HCA_DETAIL_CHECK(kind, cond, msg)                                   \
   do {                                                                      \
-    if (!(cond)) {                                                          \
-      ::std::ostringstream hca_os_;                                         \
-      hca_os_ << msg; /* NOLINT */                                          \
-      ::hca::detail::throwCheckFailure("precondition", #cond, __FILE__,     \
-                                       __LINE__, hca_os_.str());            \
+    if (!(cond)) [[unlikely]] {                                             \
+      [&]() __attribute__((noinline, cold)) {                               \
+        ::std::ostringstream hca_os_;                                       \
+        hca_os_ << msg; /* NOLINT */                                        \
+        ::hca::detail::throwCheckFailure(kind, #cond, __FILE__, __LINE__,   \
+                                         hca_os_.str());                    \
+      }();                                                                  \
     }                                                                       \
   } while (false)
 
+/// Validates user-facing preconditions; throws InvalidArgumentError.
+#define HCA_REQUIRE(cond, msg) HCA_DETAIL_CHECK("precondition", cond, msg)
+
 /// Validates internal invariants; throws InternalError.
-#define HCA_CHECK(cond, msg)                                                \
-  do {                                                                      \
-    if (!(cond)) {                                                          \
-      ::std::ostringstream hca_os_;                                         \
-      hca_os_ << msg; /* NOLINT */                                          \
-      ::hca::detail::throwCheckFailure("invariant", #cond, __FILE__,        \
-                                       __LINE__, hca_os_.str());            \
-    }                                                                       \
-  } while (false)
+#define HCA_CHECK(cond, msg) HCA_DETAIL_CHECK("invariant", cond, msg)
 
 /// Marks unreachable code paths.
 #define HCA_UNREACHABLE(msg)                                                \

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "baseline/flat_ica.hpp"
 #include "baseline/hierarchy_check.hpp"
 #include "baseline/multilevel.hpp"
 #include "ddg/builder.hpp"
 #include "ddg/kernels.hpp"
 #include "hca/driver.hpp"
+#include "support/str.hpp"
 
 namespace hca::baseline {
 namespace {
@@ -184,6 +187,59 @@ TEST(FlatIcaTest, FlatLegalityDoesNotImplyHierarchyLegality) {
     }
   }
   EXPECT_LE(hierarchyOk, flatOk);
+}
+
+/// One flat ICA run as a line: both verdicts, an FNV-1a hash of the
+/// assignment, maxCnPressure and every SeeStats counter under its
+/// SEE-result key.
+std::string flatIcaPin(const FlatIcaResult& result) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const CnId cn : result.assignment) {
+    hash ^= static_cast<std::uint32_t>(cn.value());
+    hash *= 1099511628211ULL;
+  }
+  std::ostringstream os;
+  os << (result.assignmentLegal ? "legal" : "illegal") << " hierarchy="
+     << (result.hierarchyLegal ? "legal" : "illegal") << " assignment="
+     << std::hex << hash << std::dec
+     << " maxCnPressure=" << result.maxCnPressure;
+  for (const see::SeeCounter& c : see::kSeeCounters) {
+    os << ' ' << c.key << '=' << result.seeStats.*c.member;
+  }
+  return os.str();
+}
+
+TEST(FlatIcaTest, Table1ResultsArePinned) {
+  // Flat ICA is the last rung of the kDegrade ladder, which the Table 1
+  // kernels rarely reach; this pins its 64-cluster searches directly (the
+  // only SEE problems with more than a handful of clusters). A change to
+  // a pinned line is a change in flat-ICA results, never a refactor.
+  const auto model = paperFabric();
+  const std::pair<const char*, const char*> kPins[] = {
+      {"fir2dim",
+       "legal hierarchy=illegal assignment=166cacfa468a659b maxCnPressure=10"
+       " se=145 ce=7654 sp=392 ri=12 ro=1074"
+       " cr=7114 rf=8 ca=10048 sm=149 ap=79308 or=1396 mh=0 dp=0"},
+      {"idcthor",
+       "legal hierarchy=illegal assignment=d579925eb5f84194 maxCnPressure=5"
+       " se=201 ce=11128 sp=600 ri=0 ro=0"
+       " cr=10324 rf=0 ca=12864 sm=205 ap=82404 or=1028 mh=0 dp=0"},
+      {"mpeg2inter",
+       "legal hierarchy=illegal assignment=8af3b6b980c6e9cc maxCnPressure=8"
+       " se=165 ce=9988 sp=492 ri=0 ro=0"
+       " cr=9328 rf=0 ca=10560 sm=169 ap=80124 or=388 mh=0 dp=0"},
+      {"h264deblocking",
+       "legal hierarchy=illegal assignment=6a7ea0ec3363eadf maxCnPressure=13"
+       " se=1321 ce=66517 sp=3117 ri=37 ro=16658"
+       " cr=62079 rf=6363 ca=86912 sm=1325 ap=97056 or=11224 mh=0 dp=0"},
+  };
+  const auto kernels = ddg::table1Kernels();
+  ASSERT_EQ(kernels.size(), std::size(kPins));
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    ASSERT_EQ(kernels[i].name, kPins[i].first);
+    EXPECT_EQ(flatIcaPin(runFlatIca(kernels[i].ddg, model)), kPins[i].second)
+        << kernels[i].name;
+  }
 }
 
 // --- multilevel partitioning ------------------------------------------------------

@@ -4,11 +4,13 @@
 #include "ddg/serialize.hpp"
 #include "hca/driver.hpp"
 #include "hca/postprocess.hpp"
+#include "support/trace.hpp"
 
 /// Byte-identity contract of the copy-on-write SEE beam search: the default
 /// delta/arena path (SeeOptions::legacySearch = false) must reproduce the
 /// pre-CoW deep-copy path exactly — same placement, same relays, same
-/// reconfiguration stream, same FinalMapping, same aggregate HcaStats — for
+/// reconfiguration stream, same FinalMapping, same aggregate HcaStats, and
+/// the same frontier objectives, bit for bit, from every SEE call — for
 /// every Table 1 kernel, under both failure policies. Only the wall-clock
 /// and the CoW-specific counters (copies avoided, snapshots, arena bytes)
 /// may differ. Each case also runs the delta path as a four-thread
@@ -94,6 +96,29 @@ void expectIdenticalMappings(const FinalMapping& legacy,
   }
 }
 
+/// Every fresh SEE call of a serial run, in call order: its `see` span's
+/// states, verdict and frontier objective bits.
+std::vector<std::vector<std::pair<std::string, std::string>>> seeCalls(
+    const Tracer& tracer) {
+  std::vector<std::vector<std::pair<std::string, std::string>>> calls;
+  for (const Tracer::SpanRecord& span : tracer.spans()) {
+    if (std::string(span.name) == "see") calls.push_back(span.args);
+  }
+  return calls;
+}
+
+/// Objectives are compared per SEE call: a 1-ULP drift in one criterion
+/// rarely changes a placement, so placements alone would not show it.
+void expectIdenticalSeeCalls(const Tracer& legacy, const Tracer& delta) {
+  const auto a = seeCalls(legacy);
+  const auto b = seeCalls(delta);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], b[i]) << "SEE call " << i << " diverges";
+  }
+}
+
 /// (kernel index, failure policy) — all four Table 1 kernels, both ladders.
 class DeltaIdentityTest
     : public ::testing::TestWithParam<std::tuple<int, FailurePolicy>> {};
@@ -128,10 +153,17 @@ TEST_P(DeltaIdentityTest, DeltaPathByteMatchesLegacyPath) {
   parallelOptions.numThreads = 4;
   parallelOptions.allowOversubscribe = true;
 
+  Tracer legacyTrace;
+  Tracer deltaTrace;
+  legacyOptions.tracer = &legacyTrace;
+  HcaOptions deltaOptions = options;
+  deltaOptions.tracer = &deltaTrace;
+
   const auto legacy = HcaDriver(model, legacyOptions).run(k.ddg);
-  const auto delta = HcaDriver(model, options).run(k.ddg);
+  const auto delta = HcaDriver(model, deltaOptions).run(k.ddg);
   const auto parallel = HcaDriver(model, parallelOptions).run(k.ddg);
   expectIdenticalResults(legacy, delta);
+  expectIdenticalSeeCalls(legacyTrace, deltaTrace);
   {
     SCOPED_TRACE("four-thread delta sweep");
     expectIdenticalOutputs(legacy, parallel);

@@ -111,6 +111,23 @@ TEST(PreparedTest, DuplicateWsNodeRejected) {
   EXPECT_THROW(PreparedProblem(problem, SeeOptions{}), InvalidArgumentError);
 }
 
+TEST(PreparedTest, ValuesOutsideTheDdgRejected) {
+  // Values are named by their producing DDG node; the prepared problem's
+  // value tables are sized to the DDG and reject anything else.
+  const auto ddg = diamondDdg();
+  auto pg = smallPg(2);
+  const ClusterId in = pg.addInputNode({}, "in");
+  const ClusterId out = pg.addOutputNode("out");
+  pg.connectBoundaryNodes();
+  const ValueId outside(ddg.numNodes());
+  auto sourced = baseProblem(ddg, pg);
+  sourced.valueSources[outside] = in;
+  EXPECT_THROW(PreparedProblem(sourced, SeeOptions{}), InvalidArgumentError);
+  auto required = baseProblem(ddg, pg);
+  required.outputRequirements.push_back({out, {outside}});
+  EXPECT_THROW(PreparedProblem(required, SeeOptions{}), InvalidArgumentError);
+}
+
 // --- engine on unconstrained machines -----------------------------------------
 
 TEST(EngineTest, AssignsEverythingOnGenerousMachine) {
@@ -463,22 +480,32 @@ TEST(RouteAllocatorTest, RespectsHopLimit) {
 // --- relays -------------------------------------------------------------------
 
 TEST(RelayTest, RelayValueParkedAndWired) {
-  ddg::Ddg empty;  // no WS nodes: pure pass-through problem
+  // No WS nodes: a pure pass-through of the value of a load produced
+  // elsewhere.
+  DdgBuilder b;
+  const auto x = b.load(b.cst(0), 0, "x");
+  b.store(b.cst(1), x);
+  const auto ddg = b.finish();
+  ValueId v;
+  for (std::int32_t n = 0; n < ddg.numNodes(); ++n) {
+    if (ddg.node(DdgNodeId(n)).name == "x") v = ValueId(n);
+  }
+  ASSERT_TRUE(v.valid());
   machine::PatternGraph pg;
   for (int i = 0; i < 2; ++i) {
     pg.addCluster(machine::ResourceTable::computationNode());
   }
   pg.connectClustersCompletely();
-  const auto in = pg.addInputNode({ValueId(0)}, "in");
+  const auto in = pg.addInputNode({v}, "in");
   const auto out = pg.addOutputNode("out");
   pg.connectBoundaryNodes();
 
   SeeProblem problem;
-  problem.ddg = &empty;
+  problem.ddg = &ddg;
   problem.pg = &pg;
-  problem.relayValues = {ValueId(0)};
-  problem.valueSources[ValueId(0)] = in;
-  problem.outputRequirements.push_back({out, {ValueId(0)}});
+  problem.relayValues = {v};
+  problem.valueSources[v] = in;
+  problem.outputRequirements.push_back({out, {v}});
 
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
@@ -507,14 +534,14 @@ TEST(CostTest, IiEstimateGrowsWithLoad) {
   const PreparedProblem prepared(problem, SeeOptions{});
 
   auto sol = PartialSolution::initial(prepared);
-  const double before = iiEstimateScoreT(prepared, sol);
+  const double before = clusterScoresT(prepared, sol).iiEstimate;
   // Pile everything on cluster 0.
   for (const auto& group : prepared.items()) {
     for (const auto& item : group.members) {
       sol.assign(prepared, item, ClusterId(0));
     }
   }
-  EXPECT_GT(iiEstimateScoreT(prepared, sol), before);
+  EXPECT_GT(clusterScoresT(prepared, sol).iiEstimate, before);
   EXPECT_EQ(clusterMiiT(prepared, sol, ClusterId(0)), 4);
   EXPECT_EQ(clusterMiiT(prepared, sol, ClusterId(1)), 1);
 }
@@ -538,8 +565,8 @@ TEST(CostTest, BalancedBeatsUnbalanced) {
       spread.assign(prepared, item, ClusterId(i++ % 2));
     }
   }
-  EXPECT_LT(loadBalanceScoreT(prepared, spread),
-            loadBalanceScoreT(prepared, lumped));
+  EXPECT_LT(clusterScoresT(prepared, spread).loadBalance,
+            clusterScoresT(prepared, lumped).loadBalance);
 }
 
 TEST(CostTest, CopyCountCountsFlow) {
@@ -619,13 +646,13 @@ TEST(CostTest, WeightedObjectiveCombines) {
   }
 
   EXPECT_GT(partial.criticalPathScore(prepared), 0.0);
-  EXPECT_GT(wiringSlackScoreT(prepared, partial), 0.0);
+  EXPECT_GT(clusterScoresT(prepared, partial).wiringSlack, 0.0);
   EXPECT_EQ(partial.criticalPathScore(prepared),
             second.criticalPathScore(prepared));
   EXPECT_EQ(objectiveT(prepared, weights, partial),
             objectiveT(prepared, weights, second));
   EXPECT_EQ(objectiveT(prepared, iiOnly, partial),
-            10 * iiEstimateScoreT(prepared, partial));
+            10 * clusterScoresT(prepared, partial).iiEstimate);
 }
 
 // --- beam / filters --------------------------------------------------------------
@@ -800,6 +827,169 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
                    .empty());
 }
 
+// --- route BFS against its per-arc reference ----------------------------------
+
+/// The route BFS as a plain per-arc walk: every out-arc of a dequeued node
+/// in PatternGraph order, every hop decided by canAddCopyT, no hop matrix.
+/// findPathT must return exactly this path (or both nothing) on any state.
+template <typename Sol>
+std::vector<ClusterId> referenceFindPath(const PreparedProblem& prepared,
+                                         const Sol& solution, ClusterId src,
+                                         ClusterId dst, ValueId value,
+                                         int maxHops) {
+  const auto& pg = *prepared.problem().pg;
+  const int maxPathNodes = maxHops + 2;
+  std::vector<int> depth(static_cast<std::size_t>(pg.numNodes()), -1);
+  std::vector<ClusterId> parent(depth.size(), ClusterId::invalid());
+  std::vector<ClusterId> queue{src};
+  depth[src.index()] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const ClusterId u = queue[head];
+    if (u == dst) break;
+    if (depth[u.index()] + 1 >= maxPathNodes) continue;
+    for (const PgArcId a : pg.outArcs(u)) {
+      const ClusterId w = pg.arc(a).dst;
+      if (depth[w.index()] >= 0) continue;
+      if (w != dst && (pg.node(w).kind != machine::PgNodeKind::kCluster ||
+                       pg.node(w).dead)) {
+        continue;
+      }
+      if (!canAddCopyT(prepared, solution, u, w, value)) continue;
+      depth[w.index()] = depth[u.index()] + 1;
+      parent[w.index()] = u;
+      queue.push_back(w);
+    }
+  }
+  if (depth[dst.index()] < 0) return {};
+  std::vector<ClusterId> path;
+  for (ClusterId v = dst; v.valid(); v = parent[v.index()]) path.push_back(v);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// Random dead nodes and wire caps on every cluster of `pg`.
+void injectRandomNodeFaults(machine::PatternGraph& pg, Rng& rng) {
+  for (const ClusterId c : pg.clusterNodes()) {
+    if (rng.below(8) == 0) {
+      pg.markDead(c);
+    } else if (rng.below(3) == 0) {
+      pg.setWireCaps(c, static_cast<int>(rng.range(-1, 2)),
+                     rng.below(6) == 0 ? 0 : -1);
+    }
+  }
+}
+
+/// Random copy flows over `pg` (values 0..5; 6 and 7 never flow), applied
+/// alike to a PartialSolution and a DeltaSolution over the initial
+/// snapshot, under random level constraints; then random route queries,
+/// each of which must give the reference path on both states; some must
+/// find a path and some must not.
+void checkRouteBfsOnRandomStates(const machine::PatternGraph& pg,
+                                std::uint64_t seed, int trials) {
+  const ddg::Ddg empty;
+  int found = 0;
+  int queries = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    Rng rng(seed * 1000 + static_cast<std::uint64_t>(trial));
+    SeeProblem problem;
+    problem.ddg = &empty;
+    problem.pg = &pg;
+    problem.constraints.maxInNeighbors = static_cast<int>(rng.range(-1, 3));
+    problem.constraints.maxOutNeighbors =
+        rng.below(4) == 0 ? static_cast<int>(rng.range(1, 3)) : -1;
+    problem.constraints.outputNodeUnaryFanIn = rng.below(4) != 0;
+    const PreparedProblem prepared(problem, SeeOptions{});
+    PartialSolution partial = PartialSolution::initial(prepared);
+    MonotonicArena arena;
+    DeltaSolution delta;
+    delta.init(prepared);
+    delta.reset(FlatSolution::fromInitial(partial, prepared, arena));
+    const auto numCopies = rng.below(static_cast<std::uint64_t>(
+        2 * pg.numNodes() + 1));
+    for (std::uint64_t i = 0; i < numCopies; ++i) {
+      const ClusterId src(static_cast<std::int32_t>(
+          rng.below(static_cast<std::uint64_t>(pg.numNodes()))));
+      const auto& out = pg.outArcs(src);
+      if (out.empty()) continue;
+      const PgArcId arc = out[rng.below(out.size())];
+      const ValueId v(static_cast<std::int32_t>(rng.below(6)));
+      partial.addFlowCopy(arc, src, pg.arc(arc).dst, v);
+      delta.addFlowCopy(arc, src, pg.arc(arc).dst, v);
+    }
+    RouteScratch scratch;
+    for (int q = 0; q < 64; ++q) {
+      const ClusterId src(static_cast<std::int32_t>(
+          rng.below(static_cast<std::uint64_t>(pg.numNodes()))));
+      const ClusterId dst(static_cast<std::int32_t>(
+          rng.below(static_cast<std::uint64_t>(pg.numNodes()))));
+      const ValueId v(static_cast<std::int32_t>(rng.below(8)));
+      const int maxHops = static_cast<int>(rng.range(1, 4));
+      SCOPED_TRACE(strCat("trial ", trial, " query ", q, ": ", src.value(),
+                          " -> ", dst.value(), " value ", v.value(),
+                          " hops ", maxHops));
+      const auto expected =
+          referenceFindPath(prepared, partial, src, dst, v, maxHops);
+      ASSERT_EQ(referenceFindPath(prepared, delta, src, dst, v, maxHops),
+                expected);
+      ASSERT_EQ(findPathT(prepared, partial, src, dst, v, maxHops, &scratch),
+                expected);
+      ASSERT_EQ(findPathT(prepared, delta, src, dst, v, maxHops), expected);
+      ++queries;
+      if (!expected.empty() && src != dst) ++found;
+    }
+  }
+  EXPECT_GT(found, 0);
+  EXPECT_LT(found, queries);
+}
+
+TEST(RouteBfsTest, MatchesPerArcReferenceOnCompleteFabrics) {
+  for (const int n : {16, 64}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed + static_cast<std::uint64_t>(n));
+      machine::PatternGraph pg;
+      for (int i = 0; i < n; ++i) {
+        pg.addCluster(machine::ResourceTable::computationNode());
+      }
+      pg.connectClustersCompletely();
+      injectRandomNodeFaults(pg, rng);
+      SCOPED_TRACE(strCat("K", n, " seed ", seed));
+      checkRouteBfsOnRandomStates(pg, seed, 6);
+    }
+  }
+}
+
+TEST(RouteBfsTest, MatchesPerArcReferenceOnLeafWithBoundaryNodes) {
+  // A leaf crossbar: clusters with a sparse arc set inserted in shuffled
+  // order (so arc order is not head order), plus input and output wires.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    machine::PatternGraph pg;
+    const int clusters = static_cast<int>(rng.range(4, 8));
+    for (int i = 0; i < clusters; ++i) {
+      pg.addCluster(machine::ResourceTable::computationNode());
+    }
+    std::vector<std::pair<int, int>> arcs;
+    for (int a = 0; a < clusters; ++a) {
+      for (int b = 0; b < clusters; ++b) {
+        if (a != b && rng.below(3) != 0) arcs.emplace_back(a, b);
+      }
+    }
+    for (std::size_t i = arcs.size(); i > 1; --i) {
+      std::swap(arcs[i - 1], arcs[rng.below(i)]);
+    }
+    for (const auto& [a, b] : arcs) pg.addArc(ClusterId(a), ClusterId(b));
+    for (int i = 0; i < 2; ++i) {
+      pg.addInputNode({ValueId(2 * i), ValueId(2 * i + 7)},
+                      strCat("in", i));
+    }
+    for (int i = 0; i < 2; ++i) pg.addOutputNode(strCat("out", i));
+    pg.connectBoundaryNodes();
+    injectRandomNodeFaults(pg, rng);
+    SCOPED_TRACE(strCat("leaf seed ", seed));
+    checkRouteBfsOnRandomStates(pg, seed, 8);
+  }
+}
+
 // --- copy-on-write delta path -----------------------------------------------
 
 /// The delta/arena path and the legacy deep-copy path are the same search;
@@ -892,21 +1082,27 @@ TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
   // Random loop bodies under random search knobs, so the reference is
   // checked beyond the hand-written kernels. Ring-wired fabrics and tight
   // in-neighbor budgets send some cases through the route allocator; op
-  // caps make some infeasible.
+  // caps make some infeasible. The last seeds run on complete fabrics of
+  // 16 to 64 clusters, where the route BFS and the per-cluster cost terms
+  // see flat-ICA-sized pattern graphs.
   int legal = 0;
   int routed = 0;
   constexpr int kSeeds = 128;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+  constexpr int kLargeSeeds = 6;
+  for (std::uint64_t seed = 1; seed <= kSeeds + kLargeSeeds; ++seed) {
+    const bool large = seed > kSeeds;
     Rng rng(seed);
     ddg::RandomDdgParams params;
-    params.numInstructions = static_cast<int>(rng.range(8, 40));
+    params.numInstructions =
+        static_cast<int>(large ? rng.range(8, 20) : rng.range(8, 40));
     const auto ddg = ddg::randomDdg(rng, params);
-    const int clusters = static_cast<int>(rng.range(2, 8));
+    const int clusters =
+        static_cast<int>(large ? rng.range(16, 64) : rng.range(2, 8));
     machine::PatternGraph pg;
     for (int i = 0; i < clusters; ++i) {
       pg.addCluster(machine::ResourceTable::computationNode());
     }
-    const bool ring = rng.below(2) == 1;
+    const bool ring = !large && rng.below(2) == 1;
     if (ring) {
       for (int i = 0; i < clusters; ++i) {
         const ClusterId a(i);
@@ -921,7 +1117,7 @@ TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
     problem.constraints.maxInNeighbors =
         rng.below(2) == 1 ? -1 : static_cast<int>(rng.range(1, 2));
     SeeOptions options;
-    options.beamWidth = static_cast<int>(rng.range(1, 6));
+    options.beamWidth = static_cast<int>(rng.range(1, large ? 3 : 6));
     options.candidateKeep = static_cast<int>(rng.range(1, 4));
     options.eagerRouting = rng.below(2) == 1;
     options.maxOpsPerUnit = static_cast<int>(rng.range(0, 2));

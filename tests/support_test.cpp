@@ -85,6 +85,41 @@ TEST(CheckTest, MessageContainsContext) {
   }
 }
 
+/// A checked accessor of the kind the cold failure path keeps inlinable:
+/// both macros, their messages built from locals and a member.
+struct CheckedRow {
+  static constexpr int kRequireLine = __LINE__ + 4;  // HCA_REQUIRE's line
+  static constexpr int kCheckLine = kRequireLine + 1;
+  int size = 3;
+  int at(int i) const {
+    HCA_REQUIRE(i >= 0 && i < size, "index " << i << " of " << size);
+    HCA_CHECK(i != 1, "slot " << i << " is reserved");
+    return i;
+  }
+};
+
+TEST(CheckTest, MessagesArePinned) {
+  const CheckedRow row;
+  const std::string file = __FILE__;
+  try {
+    (void)row.at(5);
+    FAIL() << "expected throw";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "precondition failed: i >= 0 && i < size at " + file + ":" +
+                  std::to_string(CheckedRow::kRequireLine) + " — index 5 of 3");
+  }
+  try {
+    (void)row.at(1);
+    FAIL() << "expected throw";
+  } catch (const InternalError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "invariant failed: i != 1 at " + file + ":" +
+                  std::to_string(CheckedRow::kCheckLine) + " — slot 1 is reserved");
+  }
+  EXPECT_EQ(row.at(2), 2);
+}
+
 TEST(CheckTest, ErrorsShareBase) {
   EXPECT_THROW(HCA_REQUIRE(false, ""), Error);
   EXPECT_THROW(HCA_CHECK(false, ""), Error);

@@ -27,10 +27,12 @@
 #                 paths, never on timing. It also runs the memory tripwire:
 #                 a Release `hcac --kernel h264deblocking` must peak under
 #                 100 MB of RSS (tools/peak_rss.py)
-#   4a. perfbench — the benchmark's helper unit tests, then one short
-#                 table1-direct run of perfbench/run.py as a smoke. It fails
-#                 when the benchmark cannot build or run or an output check
-#                 reports "correct": false, never on timing
+#   4a. perfbench — the benchmark's helper unit tests, then short
+#                 table1-direct and flat-ica runs of perfbench/run.py as
+#                 smokes (flat-ica puts the 64-cluster route BFS under its
+#                 output check). It fails when the benchmark cannot build or
+#                 run or an output check reports "correct": false, never on
+#                 timing
 #   5. robust   — kill-and-resume identity (SIGTERM mid-search, then --resume
 #                 must complete legally, and its --report-out must
 #                 `hcac --compare` clean against an uninterrupted run's,
@@ -104,23 +106,25 @@ python3 "${root}/tools/peak_rss.py" --max-mb 100 -- \
   "${root}/build-perf/tools/hcac" --kernel h264deblocking
 echo "ci: perf smoke passed (timings informational; BENCH_micro.json written)"
 
-echo "=== ci: perfbench (helper tests + table1-direct smoke) ==="
+echo "=== ci: perfbench (helper tests + table1-direct and flat-ica smokes) ==="
 (cd "${root}" && python3 -m unittest discover -s perfbench -p 'test_*.py')
-# Two seconds of table1-direct: enough for the warm-up round's output checks
+# Two seconds per workload: enough for the warm-up round's output checks
 # and one timed round. The verdict is the "correct" field of the result
 # line (the last line on stdout; build output goes to stderr); the timings
 # are not looked at.
-perf_log="$(mktemp)"
-(cd "${root}" && python3 perfbench/run.py --workload table1-direct \
-  --seed 1 --seconds 2 --trace 0) >"${perf_log}" || {
-    echo "ci: perfbench smoke failed to run"
-    cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
-tail -n 1 "${perf_log}" | python3 -c \
-  'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' || {
-    echo "ci: perfbench smoke reported \"correct\": false"
-    cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
-rm -f "${perf_log}"
-echo "ci: perfbench smoke passed (timings not checked)"
+for workload in table1-direct flat-ica; do
+  perf_log="$(mktemp)"
+  (cd "${root}" && python3 perfbench/run.py --workload "${workload}" \
+    --seed 1 --seconds 2 --trace 0) >"${perf_log}" || {
+      echo "ci: perfbench ${workload} smoke failed to run"
+      cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
+  tail -n 1 "${perf_log}" | python3 -c \
+    'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' || {
+      echo "ci: perfbench ${workload} smoke reported \"correct\": false"
+      cat "${perf_log}"; rm -f "${perf_log}"; exit 1; }
+  rm -f "${perf_log}"
+done
+echo "ci: perfbench smokes passed (timings not checked)"
 
 echo "=== ci: robustness smoke (kill/resume + batch isolation) ==="
 hcac="${root}/build/tools/hcac"
