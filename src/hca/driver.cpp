@@ -261,104 +261,24 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
   return result;
 }
 
-HcaResult HcaDriver::runSerialSweep(const ddg::Ddg& ddg,
-                                    const std::vector<DdgNodeId>& rootWs,
-                                    int iniMii, SubproblemCache* cache,
-                                    const CancellationToken* deadline,
-                                    const std::string& phase,
-                                    const std::string& cacheScope) const {
-  CheckpointManager* ckpt = options_.checkpoint;
-  const int numProfiles = std::max(1, options_.searchProfiles);
-  HcaStats sweepStats;
-  MetricsRegistry sweepMetrics;
-  HcaResult best;
-  bool expired = false;
-  // Failure bookkeeping of the *last* attempt in sweep order, whether it
-  // ran here or was restored from a checkpoint.
-  std::string lastFailureReason;
-  int lastMaxWire = 0;
-  for (int target = iniMii;
-       target <= iniMii + std::max(0, options_.targetIiSlack) && !expired;
-       ++target) {
-    for (int profile = 0; profile < numProfiles; ++profile) {
-      if (deadline != nullptr && deadline->cancelled()) {
-        expired = true;
-        break;
-      }
-      const int index = (target - iniMii) * numProfiles + profile;
-      if (ckpt != nullptr) {
-        if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, index)) {
-          // This attempt already completed (and failed) in a previous run;
-          // the SEE is deterministic and the cache was pre-warmed to the
-          // same state, so re-running it would reproduce exactly these
-          // counters. Merge and move on.
-          sweepStats.merge(r->stats);
-          lastFailureReason = r->failureReason;
-          lastMaxWire = r->stats.maxWirePressure;
-          continue;
-        }
-      }
-      HcaResult result =
-          runAttempt(ddg, rootWs, target, profile, cache, deadline);
-      if (result.legal) {
-        result.stats.merge(sweepStats);
-        result.metrics.merge(sweepMetrics);
-        return result;
-      }
-      sweepStats.merge(result.stats);
-      sweepMetrics.merge(result.metrics);
-      const bool cancelled = deadline != nullptr && deadline->cancelled();
-      if (cancelled) {
-        // The attempt was aborted mid-search, not genuinely infeasible.
-        ++sweepStats.attemptsCancelled;
-      } else if (ckpt != nullptr) {
-        // Only genuinely completed failures are durable: a cancelled
-        // attempt's partial stats would poison the resume identity — it
-        // simply re-runs.
-        CheckpointAttempt done;
-        done.phase = phase;
-        done.index = index;
-        done.target = target;
-        done.profile = profile;
-        done.failureReason = result.failureReason;
-        done.stats = result.stats;
-        ckpt->noteAttempt(std::move(done), cacheScope, cache);
-      }
-      lastFailureReason = result.failureReason;
-      lastMaxWire = result.stats.maxWirePressure;
-      best = std::move(result);
-    }
-  }
-  // No attempt succeeded: the last attempt's failure with the sweep's
-  // aggregate counters (achievedTargetIi = 0 means "none").
-  best.stats = sweepStats;
-  best.stats.maxWirePressure = lastMaxWire;
-  best.stats.achievedTargetIi = 0;
-  best.metrics = std::move(sweepMetrics);
-  best.failureReason =
-      !lastFailureReason.empty()
-          ? lastFailureReason
-          // The deadline fired before the first attempt even started.
-          : "deadline expired before any outer attempt completed";
-  return best;
-}
-
-HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
-                                      const std::vector<DdgNodeId>& rootWs,
-                                      int iniMii, SubproblemCache* cache,
-                                      int numThreads,
-                                      const CancellationToken* deadline,
-                                      const std::string& phase,
-                                      const std::string& cacheScope) const {
+HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
+                              const std::vector<DdgNodeId>& rootWs, int iniMii,
+                              SubproblemCache* cache, int numThreads,
+                              const CancellationToken* deadline,
+                              const std::string& phase,
+                              const std::string& cacheScope) const {
   CheckpointManager* ckpt = options_.checkpoint;
   const int numProfiles = std::max(1, options_.searchProfiles);
   const int numTargets = 1 + std::max(0, options_.targetIiSlack);
   const int numAttempts = numTargets * numProfiles;
 
+  /// One (target, profile) attempt. A slot no dispatcher reached has none
+  /// of the flags set and adds nothing to the sweep.
   struct AttemptSlot {
     HcaResult result;
     bool completed = false;  // runAttempt returned
     bool skipped = false;    // soft-cancelled before it started
+    bool cancelled = false;  // returned illegal with its token cancelled
     /// Completed failure restored from a checkpoint (not re-run).
     const CheckpointAttempt* restored = nullptr;
     std::exception_ptr error;
@@ -366,7 +286,7 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
   std::vector<AttemptSlot> slots(static_cast<std::size_t>(numAttempts));
   std::vector<CancellationToken> tokens(static_cast<std::size_t>(numAttempts));
   // Every per-attempt token also observes the run-wide deadline (chained
-  // before any task can run).
+  // before any slot can run).
   if (deadline != nullptr) {
     for (auto& token : tokens) token.chainTo(deadline);
   }
@@ -375,77 +295,93 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
   // soft-cancelled.
   std::atomic<int> bestLegal{numAttempts};
 
-  ThreadPool pool(numThreads);
-  for (int i = 0; i < numAttempts; ++i) {
-    pool.submit([&, i] {
-      AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
-      CancellationToken& token = tokens[static_cast<std::size_t>(i)];
-      if (ckpt != nullptr) {
-        if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
-          slot.restored = r;
-          return;
-        }
-      }
-      if (token.cancelled() ||
-          bestLegal.load(std::memory_order_acquire) < i) {
-        slot.skipped = true;
+  const auto runSlot = [&](int i) {
+    AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
+    CancellationToken& token = tokens[static_cast<std::size_t>(i)];
+    if (ckpt != nullptr) {
+      // A failure completed in a previous run: the SEE is deterministic and
+      // the cache was pre-warmed to the same state, so a re-run would
+      // reproduce exactly the recorded counters.
+      if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
+        slot.restored = r;
         return;
       }
-      try {
-        const int target = iniMii + i / numProfiles;
-        const int profile = i % numProfiles;
-        HcaResult result =
-            runAttempt(ddg, rootWs, target, profile, cache, &token);
-        if (result.legal) {
-          int current = bestLegal.load(std::memory_order_acquire);
-          while (i < current &&
-                 !bestLegal.compare_exchange_weak(current, i,
-                                                  std::memory_order_acq_rel)) {
-          }
-          for (int j = i + 1; j < numAttempts; ++j) {
-            tokens[static_cast<std::size_t>(j)].cancel();
-          }
-        } else if (ckpt != nullptr && !token.cancelled()) {
-          // A genuinely completed failure is durable progress. Recording
-          // order follows completion order; the manager's lock serializes
-          // the file writes.
-          CheckpointAttempt done;
-          done.phase = phase;
-          done.index = i;
-          done.target = iniMii + i / numProfiles;
-          done.profile = i % numProfiles;
-          done.failureReason = result.failureReason;
-          done.stats = result.stats;
-          ckpt->noteAttempt(std::move(done), cacheScope, cache);
-        }
-        slot.result = std::move(result);
-        slot.completed = true;
-      } catch (...) {
-        slot.error = std::current_exception();
-      }
-    });
-  }
-  pool.wait();
-
-  int winner = -1;
-  for (int i = 0; i < numAttempts; ++i) {
-    const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
-    if (slot.completed && slot.result.legal) {
-      winner = i;
-      break;
     }
+    if (token.cancelled() || bestLegal.load(std::memory_order_acquire) < i) {
+      slot.skipped = true;
+      return;
+    }
+    try {
+      const int target = iniMii + i / numProfiles;
+      const int profile = i % numProfiles;
+      HcaResult result =
+          runAttempt(ddg, rootWs, target, profile, cache, &token);
+      slot.cancelled = !result.legal && token.cancelled();
+      if (result.legal) {
+        int current = bestLegal.load(std::memory_order_acquire);
+        while (i < current &&
+               !bestLegal.compare_exchange_weak(current, i,
+                                                std::memory_order_acq_rel)) {
+        }
+        for (int j = i + 1; j < numAttempts; ++j) {
+          tokens[static_cast<std::size_t>(j)].cancel();
+        }
+      } else if (ckpt != nullptr && !slot.cancelled) {
+        // Only a genuinely completed failure is durable progress: a
+        // cancelled attempt's partial stats would poison the resume
+        // identity, so it simply re-runs. Recording order follows
+        // completion order; the manager's lock serializes the file writes.
+        CheckpointAttempt done;
+        done.phase = phase;
+        done.index = i;
+        done.target = target;
+        done.profile = profile;
+        done.failureReason = result.failureReason;
+        done.stats = result.stats;
+        ckpt->noteAttempt(std::move(done), cacheScope, cache);
+      }
+      slot.result = std::move(result);
+      slot.completed = true;
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+  };
+
+  MetricsRegistry aggregateMetrics;
+  if (numThreads <= 1) {
+    // Inline, in index order: stop at the deadline, at the first legal
+    // attempt and at the first error. Nothing past the stop is reached.
+    for (int i = 0; i < numAttempts; ++i) {
+      if (deadline != nullptr && deadline->cancelled()) break;
+      runSlot(i);
+      if (slots[static_cast<std::size_t>(i)].error != nullptr ||
+          bestLegal.load(std::memory_order_acquire) == i) {
+        break;
+      }
+    }
+  } else {
+    ThreadPool pool(numThreads);
+    for (int i = 0; i < numAttempts; ++i) pool.submit([&, i] { runSlot(i); });
+    pool.wait();
+    // Pool telemetry: how busy the portfolio kept the workers.
+    const ThreadPool::PoolStats ps = pool.stats();
+    aggregateMetrics.add("pool.threads", pool.size());
+    aggregateMetrics.add("pool.tasks", ps.tasksExecuted);
+    aggregateMetrics.add("pool.max_queue_depth", ps.maxQueueDepth);
+    aggregateMetrics.histogram("pool.task_wait_us").merge(ps.taskWaitUs);
+    aggregateMetrics.histogram("pool.task_run_us").merge(ps.taskRunUs);
   }
-  // Serial parity for exceptions: only errors the serial sweep would have
-  // reached (before its first legal attempt) propagate.
-  const int errorHorizon = winner < 0 ? numAttempts : winner;
-  for (int i = 0; i < errorHorizon; ++i) {
+
+  // The lowest legal index wins (numAttempts = none). Only errors below it
+  // propagate: an ordered sweep never reaches the attempts above its winner.
+  const int winner = bestLegal.load(std::memory_order_acquire);
+  for (int i = 0; i < winner; ++i) {
     if (slots[static_cast<std::size_t>(i)].error != nullptr) {
       std::rethrow_exception(slots[static_cast<std::size_t>(i)].error);
     }
   }
 
   HcaStats aggregate;
-  MetricsRegistry aggregateMetrics;
   for (int i = 0; i < numAttempts; ++i) {
     AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
     if (i == winner) continue;
@@ -457,54 +393,39 @@ HcaResult HcaDriver::runParallelSweep(const ddg::Ddg& ddg,
       ++aggregate.attemptsCancelled;
       continue;
     }
-    if (!slot.completed) continue;  // errored past the winner
+    if (!slot.completed) continue;  // unreached, or errored past the winner
     aggregate.merge(slot.result.stats);
     aggregateMetrics.merge(slot.result.metrics);
-    if (!slot.result.legal && tokens[static_cast<std::size_t>(i)].cancelled()) {
-      ++aggregate.attemptsCancelled;
-    }
-  }
-  // Pool telemetry: how busy the portfolio kept the workers.
-  {
-    const ThreadPool::PoolStats ps = pool.stats();
-    aggregateMetrics.add("pool.threads", pool.size());
-    aggregateMetrics.add("pool.tasks", ps.tasksExecuted);
-    aggregateMetrics.add("pool.max_queue_depth", ps.maxQueueDepth);
-    aggregateMetrics.histogram("pool.task_wait_us").merge(ps.taskWaitUs);
-    aggregateMetrics.histogram("pool.task_run_us").merge(ps.taskRunUs);
+    if (slot.cancelled) ++aggregate.attemptsCancelled;
   }
 
-  if (winner >= 0) {
+  if (winner < numAttempts) {
     HcaResult result = std::move(slots[static_cast<std::size_t>(winner)].result);
     result.stats.merge(aggregate);
     result.metrics.merge(aggregateMetrics);
     return result;
   }
-  // No attempt succeeded. Without a deadline nothing was cancelled
-  // (cancellation only follows a legal result) and every slot completed;
-  // with one, trailing attempts may have been skipped. Mirror the serial
-  // sweep: return the last completed attempt's failure with the aggregate
-  // counters.
-  int lastCompleted = -1;
-  for (int i = numAttempts - 1; i >= 0; --i) {
-    if (slots[static_cast<std::size_t>(i)].completed ||
-        slots[static_cast<std::size_t>(i)].restored != nullptr) {
-      lastCompleted = i;
-      break;
-    }
-  }
+  // No attempt succeeded: the failure of the last attempt that completed
+  // or was restored — reason, wire pressure and failure record all from
+  // that one attempt — with the aggregate counters (achievedTargetIi = 0
+  // means "none").
   HcaResult best;
   int lastMaxWire = 0;
-  if (lastCompleted >= 0) {
-    AttemptSlot& last = slots[static_cast<std::size_t>(lastCompleted)];
+  for (int i = numAttempts - 1; i >= 0; --i) {
+    AttemptSlot& last = slots[static_cast<std::size_t>(i)];
     if (last.restored != nullptr) {
       best.failureReason = last.restored->failureReason;
       lastMaxWire = last.restored->stats.maxWirePressure;
-    } else {
+      break;
+    }
+    if (last.completed) {
       best = std::move(last.result);
       lastMaxWire = best.stats.maxWirePressure;
+      break;
     }
-  } else {
+  }
+  if (best.failureReason.empty()) {
+    // The deadline fired before the first attempt even started.
     best.failureReason = "deadline expired before any outer attempt completed";
   }
   best.stats = aggregate;
@@ -665,11 +586,8 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
     const std::string phase = scope + "sweep";
-    best = threads <= 1
-               ? runSerialSweep(ddg, rootWs, iniMii, cachePtr, deadline,
-                                phase, scope)
-               : runParallelSweep(ddg, rootWs, iniMii, cachePtr, threads,
-                                  deadline, phase, scope);
+    best = runSweep(ddg, rootWs, iniMii, cachePtr, threads, deadline, phase,
+                    scope);
   }
   best.metrics.add("ladder.rung.primary", 1);
   if (best.legal) {
@@ -691,11 +609,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     // this ladder's scope — but under their own phase label (rungs reuse
     // attempt indices 0..N).
     const std::string phase = scope + "beam-backoff";
-    HcaResult retry =
-        threads <= 1
-            ? widened.runSerialSweep(ddg, rootWs, iniMii, cachePtr, deadline,
-                                     phase, scope)
-            : widened.runParallelSweep(ddg, rootWs, iniMii, cachePtr, threads,
+    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, threads,
                                        deadline, phase, scope);
     if (retry.legal) {
       retry.stats.merge(best.stats);

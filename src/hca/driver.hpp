@@ -94,12 +94,13 @@ struct HcaOptions {
   /// — and any mapping that fits the degraded wires trivially fits the
   /// real ones. Trades MII for guaranteed-sound legality.
   bool degradedFallback = true;
-  /// Portfolio parallelism of the outer sweep: every (target II, profile)
-  /// attempt runs as an independent task on a thread pool of this size.
-  /// 0 = hardware_concurrency, 1 = the exact legacy serial sweep. The
-  /// returned result is deterministic and identical to the serial sweep's
-  /// (the lowest-(target, profile) legal attempt wins; attempts that can no
-  /// longer win are soft-cancelled).
+  /// Portfolio parallelism of the outer sweep: with more than one thread
+  /// every (target II, profile) attempt runs as an independent task on a
+  /// thread pool of this size; with one, the attempts run inline in sweep
+  /// order and the sweep stops at the first legal one. 0 =
+  /// hardware_concurrency. The returned result does not depend on the
+  /// thread count (the lowest-(target, profile) legal attempt wins;
+  /// attempts that can no longer win are soft-cancelled).
   int numThreads = 1;
   /// By default the effective pool size is clamped to
   /// hardware_concurrency: requesting 64 workers on a 4-core box makes the
@@ -275,30 +276,23 @@ class HcaDriver {
                                      SubproblemCache* cache,
                                      const CancellationToken* cancel) const;
 
-  /// The legacy serial sweep: attempts in (target asc, profile asc) order,
-  /// first legal result wins. `deadline` (may be null) aborts the sweep
-  /// between and inside attempts. `phase` is this sweep's checkpoint label
-  /// and `cacheScope` the ladder scope owning `cache` (both ignored when
-  /// no checkpoint manager is configured).
-  [[nodiscard]] HcaResult runSerialSweep(const ddg::Ddg& ddg,
-                                         const std::vector<DdgNodeId>& rootWs,
-                                         int iniMii, SubproblemCache* cache,
-                                         const CancellationToken* deadline,
-                                         const std::string& phase,
-                                         const std::string& cacheScope) const;
-
-  /// The parallel portfolio: every attempt is a pool task; a shared
-  /// best-so-far index soft-cancels attempts that can no longer win, and
-  /// the lowest-index legal attempt is returned — deterministically the
-  /// same result as the serial sweep. Per-attempt tokens chain to
-  /// `deadline` (may be null). Checkpoint parameters as in runSerialSweep;
-  /// attempts are recorded in completion order (the manager's lock
-  /// serializes the writes).
-  [[nodiscard]] HcaResult runParallelSweep(
-      const ddg::Ddg& ddg, const std::vector<DdgNodeId>& rootWs, int iniMii,
-      SubproblemCache* cache, int numThreads,
-      const CancellationToken* deadline, const std::string& phase,
-      const std::string& cacheScope) const;
+  /// The outer sweep: attempts in (target asc, profile asc) order, the
+  /// lowest-index legal attempt wins and attempts above a known winner are
+  /// soft-cancelled. With `numThreads` <= 1 the attempts run inline in
+  /// index order, stopping at the first legal attempt, the first error or
+  /// the deadline; otherwise every attempt is a task on a pool of
+  /// `numThreads` workers. The result does not depend on the thread count.
+  /// Per-attempt tokens chain to `deadline` (may be null). `phase` is this
+  /// sweep's checkpoint label and `cacheScope` the ladder scope owning
+  /// `cache` (both ignored when no checkpoint manager is configured);
+  /// attempts are recorded in completion order.
+  [[nodiscard]] HcaResult runSweep(const ddg::Ddg& ddg,
+                                   const std::vector<DdgNodeId>& rootWs,
+                                   int iniMii, SubproblemCache* cache,
+                                   int numThreads,
+                                   const CancellationToken* deadline,
+                                   const std::string& phase,
+                                   const std::string& cacheScope) const;
 
   /// run() minus the input validation / report wrapping: computes iniMii,
   /// arms the deadline and walks the ladder.

@@ -46,8 +46,8 @@ void forEachRunCounter(F&& f, Stats&... stats) {
 /// over every (target II, heuristic profile) attempt of the outer sweep,
 /// including the degraded-bandwidth fallback's own sweep when it runs. The
 /// driver solves each attempt with a private HcaStats and merges it into the
-/// returned result when the attempt completes, so serial and parallel sweeps
-/// produce the same aggregation semantics.
+/// returned result when the attempt completes, so the aggregation semantics
+/// do not depend on the sweep's thread count.
 struct HcaStats {
   /// SEE sub-problems solved across all attempts. Cache hits count too:
   /// a hit replays the recorded result of an identical solve.
@@ -58,19 +58,20 @@ struct HcaStats {
   int backtrackAttempts = 0;
   /// (target II, profile) attempts *started* across the whole run. An
   /// attempt soft-cancelled before it started is counted in
-  /// `attemptsCancelled` only. On a legal serial sweep this is the 1-based
-  /// index of the winning attempt, matching the historical meaning; a
-  /// parallel sweep may start attempts the serial sweep never reached.
+  /// `attemptsCancelled` only. On a legal one-thread sweep this is the
+  /// 1-based index of the winning attempt, matching the historical meaning;
+  /// a pooled sweep may start attempts past the winner.
   int outerAttempts = 0;
   /// Target II of the successful attempt; 0 when no legal clusterization
   /// was found (historically this reported the *last* attempt's target even
   /// on failure).
   int achievedTargetIi = 0;
-  /// Attempts aborted before producing a genuine verdict: portfolio
-  /// attempts soft-cancelled because a lower-index attempt already
-  /// produced a legal result (includes attempts cancelled before they
-  /// started), and — in any sweep — attempts cut short by the run's
-  /// deadline (HcaOptions::deadlineMs).
+  /// Attempts aborted before producing a genuine verdict: attempts skipped
+  /// because their token was already cancelled or a lower-index attempt
+  /// was already legal, and attempts that returned illegal with their
+  /// token cancelled (a lower-index winner or the run's deadline,
+  /// HcaOptions::deadlineMs). Attempts a one-thread sweep never reaches
+  /// count nowhere.
   int attemptsCancelled = 0;
   std::int64_t statesExplored = 0;     ///< SEE frontier states expanded
   std::int64_t candidatesEvaluated = 0;

@@ -841,6 +841,69 @@ TEST(ResumeIdentityTest, ParallelSweepResumesToSameResult) {
   EXPECT_EQ(uninterrupted.reconfig.toString(), resumed.reconfig.toString());
 }
 
+TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
+  // A portfolio records attempts in completion order, so a checkpoint's
+  // restored attempts need not be a prefix of the sweep. Resuming one
+  // serially or in parallel must end on the same failure, taken whole from
+  // the last attempt in sweep order: reason, wire pressure and failure
+  // record. Here that attempt is restored, and restored attempts keep no
+  // failure record.
+  const ddg::Kernel& kernel = kernelNamed("fir2dim");
+  for (const auto policy :
+       {core::FailurePolicy::kStrict, core::FailurePolicy::kDegrade}) {
+    SCOPED_TRACE(policy == core::FailurePolicy::kStrict ? "strict"
+                                                        : "degrade");
+    HcaOptions options;
+    options.maxBeamSteps = 1;
+    options.targetIiSlack = 0;
+    options.searchProfiles = 3;
+    options.degradedFallback = false;
+    options.failurePolicy = policy;
+    const std::string path = tmpPath("non_prefix_resume.ckpt");
+    removeFileIfExists(path);
+    ASSERT_FALSE(runWithCheckpoint(kernel, options, path).legal);
+
+    // Drop attempt 0 of the primary sweep: the resume re-runs it and
+    // restores attempts 1 and 2.
+    CheckpointData data = core::parseCheckpoint(readFile(path));
+    const auto firstAttempt = [](const CheckpointAttempt& a) {
+      return a.phase == "sweep" && a.index == 0;
+    };
+    ASSERT_EQ(std::count_if(data.attempts.begin(), data.attempts.end(),
+                            firstAttempt),
+              1);
+    std::erase_if(data.attempts, firstAttempt);
+    const std::string trimmed = core::serializeCheckpoint(data);
+
+    std::vector<HcaResult> resumed;
+    for (const int threads : {1, 4}) {
+      atomicWriteFile(path, trimmed);
+      HcaOptions resume = options;
+      resume.numThreads = threads;
+      resume.allowOversubscribe = true;
+      resumed.push_back(runWithCheckpoint(kernel, resume, path));
+    }
+    const HcaResult& serial = resumed[0];
+    const HcaResult& parallel = resumed[1];
+    ASSERT_EQ(serial.legal, parallel.legal);
+    if (policy == core::FailurePolicy::kStrict) {
+      ASSERT_FALSE(serial.legal);
+    }
+    if (serial.legal) continue;  // kDegrade's flat-ICA rung mapped it
+    EXPECT_EQ(serial.failureReason, parallel.failureReason);
+    EXPECT_EQ(serial.stats.maxWirePressure, parallel.stats.maxWirePressure);
+    EXPECT_EQ(serial.failureRecord, nullptr);
+    EXPECT_EQ(parallel.failureRecord, nullptr);
+    if (policy == core::FailurePolicy::kDegrade) {
+      ASSERT_NE(serial.failure, nullptr);
+      ASSERT_NE(parallel.failure, nullptr);
+      EXPECT_EQ(serial.failure->toString(), parallel.failure->toString());
+      EXPECT_EQ(serial.failure->level, -1);
+      EXPECT_EQ(parallel.failure->level, -1);
+    }
+  }
+}
+
 // --- memory budgets --------------------------------------------------------
 
 TEST(MemoryBudgetTest, TinyArenaBudgetFailsCleanlyNotOom) {

@@ -8,6 +8,7 @@
 #include "hca/mii.hpp"
 #include "hca/subproblem_cache.hpp"
 #include "see/engine.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 /// Portfolio-search and memoization coverage: the parallel outer sweep must
@@ -251,6 +252,49 @@ TEST(PortfolioTest, ParallelSweepSharesOneCache) {
   // Concurrent attempts solve overlapping sub-problems; at least some must
   // resolve as cache hits across attempt boundaries.
   EXPECT_GT(result.stats.cacheHits, 0);
+}
+
+TEST(PortfolioTest, AttemptErrorsMatchAcrossThreadCounts) {
+  // An unknown verify check id makes every attempt throw from its first
+  // verify pass. Inline or on a pool, the sweep must surface the same
+  // error: kStrict rethrows it, kDegrade folds it into the same report.
+  auto kernels = ddg::table1Kernels();
+  const auto& k = kernels[0];  // fir2dim
+  const auto model = paperFabric();
+  HcaOptions options;
+  options.verifyEach = true;
+  options.verifyChecks = {"no-such-check"};
+  options.targetIiSlack = 1;
+  options.searchProfiles = 2;
+  options.allowOversubscribe = true;
+
+  std::vector<std::string> messages;
+  for (const int threads : {1, 4}) {
+    options.numThreads = threads;
+    try {
+      (void)HcaDriver(model, options).run(k.ddg);
+      ADD_FAILURE() << threads << " thread(s): no error surfaced";
+    } catch (const InvalidArgumentError& e) {
+      messages.emplace_back(e.what());
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_NE(messages[0].find("no-such-check"), std::string::npos)
+      << messages[0];
+
+  options.failurePolicy = FailurePolicy::kDegrade;
+  std::vector<HcaResult> reports;
+  for (const int threads : {1, 4}) {
+    options.numThreads = threads;
+    reports.push_back(HcaDriver(model, options).run(k.ddg));
+    const HcaResult& r = reports.back();
+    ASSERT_FALSE(r.legal);
+    ASSERT_NE(r.failure, nullptr);
+    EXPECT_EQ(r.failure->cause, FailureCause::kInvalidInput);
+  }
+  EXPECT_EQ(reports[0].failureReason, reports[1].failureReason);
+  EXPECT_EQ(reports[0].failure->toString(), reports[1].failure->toString());
 }
 
 // --- aggregate stats semantics -----------------------------------------------

@@ -1136,6 +1136,73 @@ TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
   EXPECT_GT(routed, 0);
 }
 
+/// Random dependence chains whose nodes are created interleaved, some steps
+/// also reading another chain's tail.
+ddg::Ddg interleavedChainsDdg(Rng& rng) {
+  DdgBuilder b;
+  const auto numChains = static_cast<std::size_t>(rng.range(2, 5));
+  std::vector<int> left;
+  std::vector<DdgBuilder::Value> tail;
+  for (std::size_t c = 0; c < numChains; ++c) {
+    left.push_back(static_cast<int>(rng.range(3, 14)));
+    tail.push_back(b.load(b.cst(static_cast<std::int64_t>(c)), 0));
+  }
+  for (std::size_t open = numChains; open > 0;) {
+    std::size_t c = rng.below(numChains);
+    while (left[c] == 0) c = (c + 1) % numChains;
+    const std::size_t other = rng.below(numChains);
+    tail[c] = other != c && rng.below(3) == 0 ? b.add(tail[c], tail[other])
+                                              : b.mul(tail[c], b.cst(3));
+    if (--left[c] == 0) --open;
+  }
+  for (std::size_t c = 0; c < numChains; ++c) {
+    b.store(b.cst(static_cast<std::int64_t>(100 + c)), tail[c]);
+  }
+  return b.finish();
+}
+
+TEST(DeltaSearchTest, MatchesLegacyOnInterleavedChains) {
+  // A delta's critical-path score merges its parent's terms with its own
+  // in key (working-set) order; summing them in any other order drifts by
+  // an ULP. These cases make that drift reach the frontier objectives:
+  //  * chains spread over the clusters (a per-cluster op cap with little
+  //    room, tight in-neighbor caps), so most steps add cross-cluster
+  //    terms to a parent that already has some;
+  //  * a shuffled working set, so the search's height order and the key
+  //    order disagree and a step's terms fall between its parent's;
+  //  * the critical path as the only weighted term, so the other terms'
+  //    larger magnitudes cannot round the drift away.
+  constexpr int kSeeds = 48;
+  int legal = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed);
+    const auto ddg = interleavedChainsDdg(rng);
+    const auto pg = smallPg(static_cast<int>(rng.range(4, 8)));
+    auto problem = baseProblem(ddg, pg);
+    for (std::size_t i = problem.workingSet.size(); i > 1; --i) {
+      std::swap(problem.workingSet[i - 1], problem.workingSet[rng.below(i)]);
+    }
+    problem.constraints.maxInNeighbors = static_cast<int>(rng.range(2, 3));
+    SeeOptions options;
+    options.beamWidth = static_cast<int>(rng.range(2, 6));
+    options.candidateKeep = static_cast<int>(rng.range(2, 4));
+    options.chainGrouping = false;
+    const auto numClusters = static_cast<std::size_t>(pg.numNodes());
+    options.maxOpsPerUnit = static_cast<int>(
+        (problem.workingSet.size() + numClusters - 1) / numClusters +
+        static_cast<std::size_t>(rng.range(0, 2)));
+    options.weights = CostWeights{
+        .iiEstimate = 0, .copyCount = 0, .loadBalance = 0, .wiringSlack = 0};
+    SCOPED_TRACE(strCat("seed ", seed, ": ", problem.workingSet.size(),
+                        " instructions on ", numClusters, " clusters"));
+    roundTrip(problem, options);
+    legal += SpaceExplorationEngine(options).run(problem).legal ? 1 : 0;
+  }
+  // The op cap leaves room: most cases must map, so whole frontiers of
+  // complete solutions are compared.
+  EXPECT_GT(legal, kSeeds / 2);
+}
+
 /// The whole result — winning solution, frontier alternatives, failure
 /// item and reason, every counter — as its checkpoint JSON. With
 /// `dropCowCounters` the three counters only the delta path keeps

@@ -46,7 +46,12 @@
 #                 twice with --report-out/--history-out, then
 #                 `hcac --compare` must exit 0 (the search is
 #                 deterministic), and a perturbed counter must flip it to
-#                 exit 1 naming the regressed series
+#                 exit 1 naming the regressed series. Then thread-count
+#                 identity on the Release hcac from stage 4: fir2dim and
+#                 idcthor compiled with --threads 1 and with --threads 4
+#                 --oversubscribe must write byte-equal --dot-assignment
+#                 files (the one outer sweep's inline and pool dispatchers
+#                 pick the same winner)
 #
 # Usage: tools/ci.sh [jobs]
 set -euo pipefail
@@ -240,5 +245,19 @@ grep -q "stats.outerAttempts" "${work}/perturbed.log" || {
   echo "ci: perturbed compare did not name the regressed series"
   cat "${work}/perturbed.log"; exit 1; }
 echo "ci: regression gate smoke passed"
+
+# Thread-count identity on the Release binary: the sweep's winner must not
+# depend on how many workers ran it.
+release_hcac="${root}/build-perf/tools/hcac"
+for kernel in fir2dim idcthor; do
+  "${release_hcac}" --kernel "${kernel}" --threads 1 \
+    --dot-assignment "${work}/${kernel}.t1.dot" >"${work}/threads.log" 2>&1
+  "${release_hcac}" --kernel "${kernel}" --threads 4 --oversubscribe \
+    --dot-assignment "${work}/${kernel}.t4.dot" >>"${work}/threads.log" 2>&1
+  cmp "${work}/${kernel}.t1.dot" "${work}/${kernel}.t4.dot" || {
+    echo "ci: ${kernel} assignment differs between --threads 1 and 4"
+    cat "${work}/threads.log"; exit 1; }
+done
+echo "ci: thread-count identity passed"
 
 echo "=== ci: all stages passed ==="
