@@ -2,31 +2,21 @@
 
 #include <sstream>
 
-#include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/str.hpp"
 
 namespace hca::analysis {
 
 Baseline parseBaseline(const std::string& json) {
-  JsonValue parsed;
-  std::string error;
-  HCA_REQUIRE(parseJson(json, &parsed, &error),
-              "lint baseline: " << error);
-  HCA_REQUIRE(parsed.isObject(), "lint baseline: expected a JSON object");
-  const JsonValue* version = parsed.find("version");
-  HCA_REQUIRE(version != nullptr && version->kind == JsonValue::Kind::kNumber,
-              "lint baseline: missing numeric 'version'");
-  HCA_REQUIRE(version->number == 1.0,
-              "lint baseline: unsupported version " << version->number);
-  const JsonValue* suppressions = parsed.find("suppressions");
-  HCA_REQUIRE(suppressions != nullptr && suppressions->isArray(),
-              "lint baseline: missing array 'suppressions'");
+  const JsonReader reader("lint baseline");
+  const JsonValue doc = reader.parse(json);
+  const JsonField root = reader.root(doc);
+  const std::int64_t version = root.member("version").exactInt();
+  if (version != 1) reader.fail(strCat("unsupported version ", version));
+  const std::vector<std::string> suppressions = root.member("suppressions")
+      .elements([](const JsonField& e) { return e.string(); });
   Baseline baseline;
-  for (const JsonValue& entry : suppressions->array) {
-    HCA_REQUIRE(entry.kind == JsonValue::Kind::kString,
-                "lint baseline: suppressions must be strings");
-    baseline.suppressions.insert(entry.string);
-  }
+  baseline.suppressions.insert(suppressions.begin(), suppressions.end());
   return baseline;
 }
 

@@ -6,10 +6,8 @@
 #include <set>
 #include <utility>
 
-#include "support/check.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
-#include "support/str.hpp"
 
 namespace hca::analysis {
 namespace {
@@ -34,33 +32,18 @@ namespace fs = std::filesystem;
 }  // namespace
 
 std::vector<CompileCommand> parseCompileCommands(const std::string& json) {
-  JsonValue parsed;
-  std::string error;
-  HCA_REQUIRE(parseJson(json, &parsed, &error),
-              strCat("compile_commands.json: ", error));
-  HCA_REQUIRE(parsed.isArray(),
-              "compile_commands.json: expected a top-level array");
-  std::vector<CompileCommand> commands;
-  commands.reserve(parsed.array.size());
-  for (const JsonValue& entry : parsed.array) {
-    HCA_REQUIRE(entry.isObject(),
-                "compile_commands.json: expected object entries");
-    const JsonValue* dir = entry.find("directory");
-    const JsonValue* file = entry.find("file");
-    HCA_REQUIRE(dir != nullptr && dir->kind == JsonValue::Kind::kString,
-                "compile_commands.json: entry missing string 'directory'");
-    HCA_REQUIRE(file != nullptr && file->kind == JsonValue::Kind::kString,
-                "compile_commands.json: entry missing string 'file'");
+  const JsonReader reader("compile_commands.json");
+  const JsonValue doc = reader.parse(json);
+  return reader.root(doc).elements([](const JsonField& entry) {
     CompileCommand command;
-    command.directory = dir->string;
-    fs::path filePath(file->string);
+    command.directory = entry.member("directory").string();
+    fs::path filePath(entry.member("file").string());
     if (filePath.is_relative()) {
-      filePath = fs::path(dir->string) / filePath;
+      filePath = fs::path(command.directory) / filePath;
     }
     command.file = normalizeSlashes(filePath.lexically_normal().string());
-    commands.push_back(std::move(command));
-  }
-  return commands;
+    return command;
+  });
 }
 
 ModuleInfo classifyModule(const std::string& relPath) {

@@ -27,35 +27,6 @@ namespace hca::core {
 
 namespace {
 
-// --- strict manifest accessors ---------------------------------------------
-
-const JsonValue& member(const JsonValue& v, const char* name) {
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr, "batch manifest: missing member '" << name << "'");
-  return *m;
-}
-
-const std::string& asString(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kString,
-              "batch manifest: '" << what << "' must be a string");
-  return v.string;
-}
-
-int asI32(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kNumber && v.number >= INT32_MIN &&
-                  v.number <= INT32_MAX &&
-                  v.number == static_cast<double>(
-                                  static_cast<std::int64_t>(v.number)),
-              "batch manifest: '" << what << "' must be an integer");
-  return static_cast<int>(v.number);
-}
-
-bool asBool(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kBool,
-              "batch manifest: '" << what << "' must be a bool");
-  return v.boolean;
-}
-
 bool safeName(const std::string& name) {
   if (name.empty()) return false;
   for (const char c : name) {
@@ -342,54 +313,41 @@ const char* to_string(BatchJobStatus status) {
 }
 
 std::vector<BatchJob> parseManifest(const std::string& text) {
-  JsonValue root;
-  std::string error;
-  HCA_REQUIRE(parseJson(text, &root, &error),
-              "batch manifest: bad JSON: " << error);
-  HCA_REQUIRE(root.isObject(), "batch manifest: top level must be an object");
-  const JsonValue& jobsValue = member(root, "jobs");
-  HCA_REQUIRE(jobsValue.isArray(), "batch manifest: 'jobs' must be an array");
-  HCA_REQUIRE(!jobsValue.array.empty(), "batch manifest: 'jobs' is empty");
+  const JsonReader reader("batch manifest");
+  const JsonValue doc = reader.parse(text);
+  const JsonField jobs = reader.root(doc).member("jobs");
+  HCA_REQUIRE(!jobs.array().empty(), "batch manifest: 'jobs' is empty");
 
-  std::vector<BatchJob> jobs;
   std::set<std::string> names;
-  for (const JsonValue& j : jobsValue.array) {
-    HCA_REQUIRE(j.isObject(), "batch manifest: each job must be an object");
+  return jobs.elements([&names](const JsonField& j) {
+    j.closed({"name", "kernel", "ddg", "deadline_ms", "max_retries",
+              "backoff_base_ms", "degrade_on_last_retry",
+              "fail_first_attempts", "checkpoint", "memory_budget_mb",
+              "threads", "target_ii_slack", "faults"});
     BatchJob job;
-    for (const auto& [key, value] : j.object) {
-      if (key == "name") {
-        job.name = asString(value, "name");
-      } else if (key == "kernel") {
-        job.kernel = asString(value, "kernel");
-      } else if (key == "ddg") {
-        job.ddgPath = asString(value, "ddg");
-      } else if (key == "deadline_ms") {
-        job.deadlineMs = asI32(value, "deadline_ms");
-      } else if (key == "max_retries") {
-        job.maxRetries = asI32(value, "max_retries");
-      } else if (key == "backoff_base_ms") {
-        job.backoffBaseMs = asI32(value, "backoff_base_ms");
-      } else if (key == "degrade_on_last_retry") {
-        job.degradeOnLastRetry = asBool(value, "degrade_on_last_retry");
-      } else if (key == "fail_first_attempts") {
-        job.failFirstAttempts = asI32(value, "fail_first_attempts");
-      } else if (key == "checkpoint") {
-        job.checkpointPath = asString(value, "checkpoint");
-      } else if (key == "memory_budget_mb") {
-        job.memoryBudgetBytes =
-            static_cast<std::int64_t>(asI32(value, "memory_budget_mb")) *
-            1024 * 1024;
-      } else if (key == "threads") {
-        job.threads = asI32(value, "threads");
-      } else if (key == "target_ii_slack") {
-        job.targetIiSlack = asI32(value, "target_ii_slack");
-      } else if (key == "faults") {
-        job.faults = asString(value, "faults");
-      } else {
-        HCA_REQUIRE(false, "batch manifest: unknown job member '" << key
-                                                                  << "'");
-      }
+    if (const auto f = j.find("name")) job.name = f->string();
+    if (const auto f = j.find("kernel")) job.kernel = f->string();
+    if (const auto f = j.find("ddg")) job.ddgPath = f->string();
+    if (const auto f = j.find("deadline_ms")) job.deadlineMs = f->int32();
+    if (const auto f = j.find("max_retries")) job.maxRetries = f->int32();
+    if (const auto f = j.find("backoff_base_ms")) {
+      job.backoffBaseMs = f->int32();
     }
+    if (const auto f = j.find("degrade_on_last_retry")) {
+      job.degradeOnLastRetry = f->boolean();
+    }
+    if (const auto f = j.find("fail_first_attempts")) {
+      job.failFirstAttempts = f->int32();
+    }
+    if (const auto f = j.find("checkpoint")) job.checkpointPath = f->string();
+    if (const auto f = j.find("memory_budget_mb")) {
+      job.memoryBudgetBytes = std::int64_t{f->int32()} * 1024 * 1024;
+    }
+    if (const auto f = j.find("threads")) job.threads = f->int32();
+    if (const auto f = j.find("target_ii_slack")) {
+      job.targetIiSlack = f->int32();
+    }
+    if (const auto f = j.find("faults")) job.faults = f->string();
     HCA_REQUIRE(safeName(job.name),
                 "batch manifest: job name '"
                     << job.name
@@ -405,9 +363,8 @@ std::vector<BatchJob> parseManifest(const std::string& text) {
                     job.backoffBaseMs >= 1 && job.failFirstAttempts >= 0,
                 "batch manifest: job '" << job.name
                                         << "' has a negative budget field");
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
+    return job;
+  });
 }
 
 std::int64_t backoffDelayMs(const std::string& jobName, int tryNumber,

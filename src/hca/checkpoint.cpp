@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -70,69 +69,20 @@ std::string hexDecode(const std::string& hex) {
   return out;
 }
 
-// --- strict payload accessors ----------------------------------------------
-
-const JsonValue& member(const JsonValue& v, const char* name) {
-  if (!v.isObject()) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("expected an object around '", name, "'"));
-  }
-  const JsonValue* m = v.find(name);
-  if (m == nullptr) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("missing member '", name, "'"));
-  }
-  return *m;
-}
-
-std::int64_t asInt(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kNumber || std::floor(v.number) != v.number ||
-      std::abs(v.number) > 9007199254740992.0) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("'", what, "' must be an exact integer"));
-  }
-  return static_cast<std::int64_t>(v.number);
-}
-
-int asI32(const JsonValue& v, const char* what) {
-  const std::int64_t i = asInt(v, what);
-  if (i < INT32_MIN || i > INT32_MAX) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("'", what, "' out of int32 range"));
-  }
-  return static_cast<int>(i);
-}
-
-const std::string& asString(const JsonValue& v, const char* what) {
-  if (v.kind != JsonValue::Kind::kString) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("'", what, "' must be a string"));
-  }
-  return v.string;
-}
-
-const std::vector<JsonValue>& asArray(const JsonValue& v, const char* what) {
-  if (!v.isArray()) {
-    fail(CheckpointError::Kind::kBadPayload,
-         strCat("'", what, "' must be an array"));
-  }
-  return v.array;
-}
-
 // --- HcaStats ---------------------------------------------------------------
 
-HcaStats parseStats(const JsonValue& v) {
+HcaStats parseStats(const JsonField& v) {
   HcaStats s;
   forEachRunCounter(
       [&v](const RunCounter& c, auto& value) {
-        const JsonValue* m = c.field == see::CounterField::kRequired
-                                 ? &member(v, c.key)
-                                 : v.find(c.key);
-        if (m == nullptr) return;  // optional and absent: 0
+        const std::optional<JsonField> m =
+            c.field == see::CounterField::kRequired ? v.member(c.key)
+                                                    : v.find(c.key);
+        if (!m) return;  // optional and absent: 0
         if constexpr (std::is_same_v<decltype(+value), int>) {
-          value = asI32(*m, c.key);
+          value = m->int32();
         } else {
-          value = asInt(*m, c.key);
+          value = m->exactInt();
         }
       },
       s);
@@ -251,44 +201,45 @@ CheckpointData parseCheckpoint(const std::string& text) {
          "payload does not match the header checksum");
   }
 
-  JsonValue root;
-  std::string error;
-  if (!parseJson(body, &root, &error)) {
-    fail(CheckpointError::Kind::kBadPayload, strCat("bad JSON: ", error));
-  }
-
-  // Shape errors from the SEE-result parser arrive as InvalidArgumentError;
-  // rewrap so callers see one structured checkpoint error type.
+  // Shape errors arrive as InvalidArgumentError — from the payload reader
+  // already prefixed "checkpoint: ", from the SEE-result reader not; rewrap
+  // so callers see one structured checkpoint error type.
   try {
+    const JsonReader reader("checkpoint");
+    const JsonValue doc = reader.parse(body);
+    const JsonField root = reader.root(doc);
     CheckpointData data;
-    data.fingerprint = asString(member(root, "fingerprint"), "fingerprint");
-    data.iniMii = asI32(member(root, "iniMii"), "iniMii");
-    for (const JsonValue& a : asArray(member(root, "attempts"), "attempts")) {
+    data.fingerprint = root.member("fingerprint").string();
+    data.iniMii = root.member("iniMii").int32();
+    data.attempts = root.member("attempts").elements([](const JsonField& a) {
       CheckpointAttempt attempt;
-      attempt.phase = asString(member(a, "phase"), "attempt.phase");
-      attempt.index = asI32(member(a, "index"), "attempt.index");
-      attempt.target = asI32(member(a, "target"), "attempt.target");
-      attempt.profile = asI32(member(a, "profile"), "attempt.profile");
-      attempt.failureReason =
-          asString(member(a, "failureReason"), "attempt.failureReason");
-      attempt.stats = parseStats(member(a, "stats"));
-      data.attempts.push_back(std::move(attempt));
-    }
-    for (const JsonValue& c : asArray(member(root, "caches"), "caches")) {
-      const std::string& scope = asString(member(c, "scope"), "cache.scope");
-      auto& entries = data.cacheByScope[scope];
-      for (const JsonValue& e :
-           asArray(member(c, "entries"), "cache.entries")) {
+      attempt.phase = a.member("phase").string();
+      attempt.index = a.member("index").int32();
+      attempt.target = a.member("target").int32();
+      attempt.profile = a.member("profile").int32();
+      attempt.failureReason = a.member("failureReason").string();
+      attempt.stats = parseStats(a.member("stats"));
+      return attempt;
+    });
+    for (const JsonValue& c : root.member("caches").array()) {
+      const JsonField cache = reader.field(c, "cache");
+      auto& entries = data.cacheByScope[cache.member("scope").string()];
+      for (const JsonValue& e : cache.member("entries").array()) {
+        const JsonField entry = reader.field(e, "entry");
         entries.emplace_back(
-            hexDecode(asString(member(e, "key"), "cache.key")),
-            see::parseSeeResult(member(e, "result")));
+            hexDecode(entry.member("key").string()),
+            see::parseSeeResult(entry.member("result").value()));
       }
     }
     return data;
   } catch (const CheckpointError&) {
     throw;
   } catch (const InvalidArgumentError& e) {
-    fail(CheckpointError::Kind::kBadPayload, e.what());
+    const std::string message = e.what();
+    throw CheckpointError(CheckpointError::Kind::kBadPayload,
+                          message.rfind("checkpoint: ", 0) == 0
+                              ? message
+                              : strCat("checkpoint: ", message));
   }
 }
 

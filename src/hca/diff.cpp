@@ -29,15 +29,6 @@ struct ReportView {
   double wallUs = 0.0;
 };
 
-const JsonValue& member(const JsonValue& v, const char* name,
-                        const char* which) {
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr, "compare: " << which << " report has no '" << name
-                                        << "' member — was it written with "
-                                           "a meta block (hcac --report-out)?");
-  return *m;
-}
-
 /// The HcaStats counters HCA_COUNTER_TABLE marks non-deterministic (they
 /// depend on scheduling or the wall clock).
 std::set<std::string> nonDeterministicStats() {
@@ -57,48 +48,35 @@ bool deterministicMetricName(const std::string& name) {
 }
 
 ReportView viewOf(const JsonValue& report, const char* which) {
-  HCA_REQUIRE(report.isObject(),
-              "compare: " << which << " report is not a JSON object");
+  const JsonReader reader(strCat("compare: ", which, " report"));
+  const JsonField root = reader.root(report);
+  if (!root.find("context")) {
+    reader.fail("no 'context' member — was it written with a meta block "
+                "(hcac --report-out)?");
+  }
   ReportView view;
-  view.context = RunContext::fromJson(member(report, "context", which));
-  view.workload = member(report, "workload", which).string;
-  view.machine = member(report, "machine", which).string;
-  view.threads = static_cast<int>(member(report, "threads", which).number);
-  view.legal = member(report, "legal", which).boolean;
-  const JsonValue* fallback = report.find("fallbackUsed");
-  if (fallback != nullptr) view.fallbackUsed = fallback->string;
+  view.context = RunContext::fromJson(root.member("context").value());
+  view.workload = root.member("workload").string();
+  view.machine = root.member("machine").string();
+  view.threads = root.member("threads").int32();
+  view.legal = root.member("legal").boolean();
+  if (const auto f = root.find("fallbackUsed")) view.fallbackUsed = f->string();
 
-  const JsonValue& stats = member(report, "stats", which);
-  HCA_REQUIRE(stats.isObject(),
-              "compare: " << which << " report 'stats' is not an object");
   const std::set<std::string> skipped = nonDeterministicStats();
-  for (const auto& [name, value] : stats.object) {
+  for (const auto& [name, value] : root.member("stats").members()) {
     if (skipped.count(name) != 0) continue;
-    HCA_REQUIRE(value.kind == JsonValue::Kind::kNumber,
-                "compare: " << which << " report stats." << name
-                            << " is not a number");
-    view.series["stats." + name] = value.number;
+    view.series["stats." + name] = reader.field(value, name).number();
   }
 
-  const JsonValue& metrics = member(report, "metrics", which);
-  const JsonValue& counters = member(metrics, "counters", which);
-  HCA_REQUIRE(counters.isObject(), "compare: " << which
-                                               << " report metrics.counters "
-                                                  "is not an object");
-  for (const auto& [name, value] : counters.object) {
+  const JsonField metrics = root.member("metrics");
+  for (const auto& [name, value] : metrics.member("counters").members()) {
     if (!deterministicMetricName(name)) continue;
-    HCA_REQUIRE(value.kind == JsonValue::Kind::kNumber,
-                "compare: " << which << " report metrics counter " << name
-                            << " is not a number");
-    view.series["metrics." + name] = value.number;
+    view.series["metrics." + name] = reader.field(value, name).number();
   }
 
-  const JsonValue* histograms = metrics.find("histograms");
-  if (histograms != nullptr && histograms->isObject()) {
-    const JsonValue* wall = histograms->find("attempt.wall_us");
-    if (wall != nullptr && wall->isObject()) {
-      const JsonValue* sum = wall->find("sum");
-      if (sum != nullptr) view.wallUs = sum->number;
+  if (const auto histograms = metrics.find("histograms")) {
+    if (const auto wall = histograms->find("attempt.wall_us")) {
+      if (const auto sum = wall->find("sum")) view.wallUs = sum->number();
     }
   }
   return view;
@@ -274,13 +252,9 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
 ReportDiff diffReportTexts(const std::string& oldText,
                            const std::string& newText,
                            const DiffOptions& options) {
-  JsonValue oldDoc, newDoc;
-  std::string error;
-  HCA_REQUIRE(parseJson(oldText, &oldDoc, &error),
-              "compare: old report: bad JSON: " << error);
-  HCA_REQUIRE(parseJson(newText, &newDoc, &error),
-              "compare: new report: bad JSON: " << error);
-  return diffReports(oldDoc, newDoc, options);
+  return diffReports(JsonReader("compare: old report").parse(oldText),
+                     JsonReader("compare: new report").parse(newText),
+                     options);
 }
 
 std::string reportDiffJson(const ReportDiff& diff) {

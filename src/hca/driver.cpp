@@ -351,13 +351,28 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
   if (numThreads <= 1) {
     // Inline, in index order: stop at the deadline, at the first legal
     // attempt and at the first error. Nothing past the stop is reached.
+    // Once a later slot completes or is restored, an earlier failure can no
+    // longer be the returned one: it keeps only what the aggregation reads.
+    int heldFailure = -1;
     for (int i = 0; i < numAttempts; ++i) {
       if (deadline != nullptr && deadline->cancelled()) break;
       runSlot(i);
-      if (slots[static_cast<std::size_t>(i)].error != nullptr ||
+      const AttemptSlot& slot = slots[static_cast<std::size_t>(i)];
+      if (slot.error != nullptr ||
           bestLegal.load(std::memory_order_acquire) == i) {
         break;
       }
+      if (!slot.completed && slot.restored == nullptr) continue;
+      if (heldFailure >= 0) {
+        HcaResult& old = slots[static_cast<std::size_t>(heldFailure)].result;
+        old.assignment = {};
+        old.relays = {};
+        old.reconfig = {};
+        old.records.clear();
+        old.records.shrink_to_fit();
+        old.failureRecord.reset();
+      }
+      heldFailure = slot.completed ? i : -1;
     }
   } else {
     ThreadPool pool(numThreads);
@@ -529,8 +544,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                    options_.memoryBudgetBytes / 2 /
                                        kCacheShards)
           : 0;
-  SubproblemCache cache(kCacheShards, /*maxEntriesPerShard=*/0,
-                        maxBytesPerShard);
+  SubproblemCache cache(kCacheShards, maxBytesPerShard);
   SubproblemCache* cachePtr =
       options_.enableSubproblemCache ? &cache : nullptr;
 

@@ -93,70 +93,36 @@ void ProgressLog::write(const ProgressEvent& event) {
 }
 
 ProgressLine parseProgressLine(const std::string& line) {
-  JsonValue value;
-  std::string error;
-  HCA_REQUIRE(parseJson(line, &value, &error),
-              "progress line: bad JSON: " << error);
-  HCA_REQUIRE(value.isObject(), "progress line: not a JSON object");
-
-  ProgressLine out;
-  bool haveSchema = false, haveSeq = false, haveEvent = false;
-  for (const auto& [key, member] : value.object) {
-    if (key == "schema_version") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kNumber &&
-                      static_cast<int>(member.number) ==
-                          RunContext::kSchemaVersion,
-                  "progress line: unsupported schema_version");
-      haveSchema = true;
-    } else if (key == "seq") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kNumber,
-                  "progress line: 'seq' must be a number");
-      out.seq = static_cast<std::int64_t>(member.number);
-      haveSeq = true;
-    } else if (key == "event") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kString,
-                  "progress line: 'event' must be a string");
-      out.event = member.string;
-      haveEvent = true;
-    } else if (key == "job") {
-      out.job = member.string;
-    } else if (key == "state") {
-      out.state = member.string;
-    } else if (key == "outcome") {
-      out.outcome = member.string;
-    } else if (key == "try") {
-      out.tryNumber = static_cast<int>(member.number);
-    } else if (key == "phase") {
-      out.phase = member.string;
-    } else if (key == "jobs_total") {
-      out.jobsTotal = static_cast<int>(member.number);
-    } else if (key == "jobs_done") {
-      out.jobsDone = static_cast<int>(member.number);
-    } else if (key == "jobs_ok") {
-      out.jobsOk = static_cast<int>(member.number);
-    } else if (key == "jobs_failed") {
-      out.jobsFailed = static_cast<int>(member.number);
-    } else if (key == "elapsed_ms") {
-      out.elapsedMs = static_cast<std::int64_t>(member.number);
-    } else if (key == "eta_ms") {
-      out.etaMs = member.kind == JsonValue::Kind::kNull
-                      ? -1
-                      : static_cast<std::int64_t>(member.number);
-    } else if (key == "resumed") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kBool,
-                  "progress line: 'resumed' must be a bool");
-      out.resumed = member.boolean;
-    } else {
-      HCA_REQUIRE(false, "progress line: unknown member '" << key << "'");
-    }
+  const JsonReader reader("progress line");
+  const JsonValue doc = reader.parse(line);
+  const JsonField root = reader.root(doc);
+  root.closed({"schema_version", "seq", "event", "job", "state", "outcome",
+               "try", "phase", "jobs_total", "jobs_done", "jobs_ok",
+               "jobs_failed", "elapsed_ms", "eta_ms", "resumed"});
+  if (root.member("schema_version").int32() != RunContext::kSchemaVersion) {
+    reader.fail("unsupported schema_version");
   }
-  HCA_REQUIRE(haveSchema && haveSeq && haveEvent,
-              "progress line: incomplete (schema_version/seq/event)");
+  ProgressLine out;
+  out.seq = root.member("seq").exactInt();
+  out.event = root.member("event").string();
+  if (const auto f = root.find("job")) out.job = f->string();
+  if (const auto f = root.find("state")) out.state = f->string();
+  if (const auto f = root.find("outcome")) out.outcome = f->string();
+  if (const auto f = root.find("try")) out.tryNumber = f->int32();
+  if (const auto f = root.find("phase")) out.phase = f->string();
+  if (const auto f = root.find("jobs_total")) out.jobsTotal = f->int32();
+  if (const auto f = root.find("jobs_done")) out.jobsDone = f->int32();
+  if (const auto f = root.find("jobs_ok")) out.jobsOk = f->int32();
+  if (const auto f = root.find("jobs_failed")) out.jobsFailed = f->int32();
+  if (const auto f = root.find("elapsed_ms")) out.elapsedMs = f->exactInt();
+  if (const auto f = root.find("eta_ms")) {
+    out.etaMs = f->isNull() ? -1 : f->exactInt();
+  }
+  if (const auto f = root.find("resumed")) out.resumed = f->boolean();
   const bool knownEvent = out.event == "batch-start" ||
                           out.event == "job-state" ||
                           out.event == "heartbeat" || out.event == "batch-end";
-  HCA_REQUIRE(knownEvent, "progress line: unknown event '" << out.event
-                                                           << "'");
+  if (!knownEvent) reader.fail(strCat("unknown event '", out.event, "'"));
   return out;
 }
 

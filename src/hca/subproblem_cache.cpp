@@ -122,10 +122,8 @@ std::string subproblemKey(
   return key;
 }
 
-SubproblemCache::SubproblemCache(int numShards, int maxEntriesPerShard,
-                                 std::int64_t maxBytesPerShard)
-    : maxEntriesPerShard_(maxEntriesPerShard),
-      maxBytesPerShard_(maxBytesPerShard),
+SubproblemCache::SubproblemCache(int numShards, std::int64_t maxBytesPerShard)
+    : maxBytesPerShard_(maxBytesPerShard),
       shards_(static_cast<std::size_t>(numShards)) {
   HCA_REQUIRE(numShards >= 1, "cache needs at least one shard");
 }
@@ -166,11 +164,6 @@ std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
   auto entry = std::make_shared<const see::SeeResult>(std::move(result));
   Shard& shard = shardOf(key);
   MutexLock lock(shard.mutex);
-  if (maxEntriesPerShard_ > 0 &&
-      static_cast<int>(shard.map.size()) >= maxEntriesPerShard_ &&
-      shard.map.find(key) == shard.map.end()) {
-    evictOldest(shard);
-  }
   const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
   if (inserted) {
     shard.insertionOrder.push_back(&*it);

@@ -60,18 +60,14 @@ class SubproblemCache {
     std::int64_t bytes = 0;  ///< resident footprint (entryBytes sum)
   };
 
-  /// `maxEntriesPerShard` <= 0 = unbounded (the default — one run's
-  /// sub-problem population is small). When bounded, an insert into a full
-  /// shard evicts one resident entry (oldest-inserted first) and counts it
-  /// in ShardStats::evictions; correctness is unaffected because evicted
-  /// sub-problems are simply re-solved on the next miss.
-  ///
-  /// `maxBytesPerShard` <= 0 = no byte ceiling. When set, every insert
-  /// adds the entry's bytes (entryBytes) to the shard's tally and sheds
-  /// oldest-inserted entries until the shard is back under its ceiling —
-  /// the cache half of the driver's `HcaOptions::memoryBudgetBytes`
-  /// contract: degrade hit rate, never OOM.
-  explicit SubproblemCache(int numShards = 16, int maxEntriesPerShard = 0,
+  /// `maxBytesPerShard` <= 0 = no byte ceiling (the default — one run's
+  /// sub-problem population is small). When set, every insert adds the
+  /// entry's bytes (entryBytes) to the shard's tally and sheds
+  /// oldest-inserted entries until the shard is back under its ceiling,
+  /// counting each in ShardStats::evictions — the cache half of the
+  /// driver's `HcaOptions::memoryBudgetBytes` contract: degrade hit rate,
+  /// never OOM. Evicted sub-problems are simply re-solved on the next miss.
+  explicit SubproblemCache(int numShards = 16,
                            std::int64_t maxBytesPerShard = 0);
 
   SubproblemCache(const SubproblemCache&) = delete;
@@ -140,7 +136,6 @@ class SubproblemCache {
   /// Erases the shard's oldest entry.
   static void evictOldest(Shard& shard) HCA_REQUIRES(shard.mutex);
 
-  const int maxEntriesPerShard_;
   const std::int64_t maxBytesPerShard_;
   mutable std::vector<Shard> shards_;
 };

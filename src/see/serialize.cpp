@@ -1,6 +1,5 @@
 #include "see/serialize.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -11,43 +10,6 @@
 namespace hca::see {
 
 namespace {
-
-// --- strict, field-naming parse helpers (ddg/serialize contract) -----------
-
-const JsonValue& member(const JsonValue& v, const char* name) {
-  HCA_REQUIRE(v.isObject(), "SEE snapshot: expected an object around '"
-                                << name << "'");
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr, "SEE snapshot: missing member '" << name << "'");
-  return *m;
-}
-
-std::int64_t asInt(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kNumber,
-              "SEE snapshot: '" << what << "' must be a number");
-  const double d = v.number;
-  HCA_REQUIRE(std::floor(d) == d && std::abs(d) <= 9007199254740992.0,
-              "SEE snapshot: '" << what << "' is not an exact integer");
-  return static_cast<std::int64_t>(d);
-}
-
-std::int32_t asI32(const JsonValue& v, const char* what) {
-  const std::int64_t i = asInt(v, what);
-  HCA_REQUIRE(i >= INT32_MIN && i <= INT32_MAX,
-              "SEE snapshot: '" << what << "' out of int32 range");
-  return static_cast<std::int32_t>(i);
-}
-
-const std::vector<JsonValue>& asArray(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.isArray(), "SEE snapshot: '" << what << "' must be an array");
-  return v.array;
-}
-
-const std::string& asString(const JsonValue& v, const char* what) {
-  HCA_REQUIRE(v.kind == JsonValue::Kind::kString,
-              "SEE snapshot: '" << what << "' must be a string");
-  return v.string;
-}
 
 // --- bit-exact scalar encodings --------------------------------------------
 
@@ -93,11 +55,8 @@ void writeIds(JsonWriter& json, const std::vector<Id>& ids) {
 }
 
 template <class Id>
-std::vector<Id> parseIds(const JsonValue& v, const char* what) {
-  std::vector<Id> out;
-  out.reserve(asArray(v, what).size());
-  for (const JsonValue& e : v.array) out.emplace_back(asI32(e, what));
-  return out;
+std::vector<Id> parseIds(const JsonField& v) {
+  return v.elements([](const JsonField& e) { return Id(e.int32()); });
 }
 
 // --- Item -------------------------------------------------------------------
@@ -110,13 +69,13 @@ void writeItem(JsonWriter& json, const Item& item) {
   json.endObject();
 }
 
-Item parseItem(const JsonValue& v) {
+Item parseItem(const JsonField& v) {
   Item item;
-  const std::int32_t kind = asI32(member(v, "k"), "item.k");
+  const std::int32_t kind = v.member("k").int32();
   HCA_REQUIRE(kind == 0 || kind == 1, "SEE snapshot: item kind out of range");
   item.kind = kind == 1 ? Item::Kind::kRelay : Item::Kind::kNode;
-  item.node = DdgNodeId(asI32(member(v, "n"), "item.n"));
-  item.value = ValueId(asI32(member(v, "v"), "item.v"));
+  item.node = DdgNodeId(v.member("n").int32());
+  item.value = ValueId(v.member("v").int32());
   return item;
 }
 
@@ -128,13 +87,13 @@ void writeStats(JsonWriter& json, const SeeStats& s) {
   json.endObject();
 }
 
-SeeStats parseStats(const JsonValue& v) {
+SeeStats parseStats(const JsonField& v) {
   SeeStats s;
   for (const SeeCounter& c : kSeeCounters) {
     if (c.field == CounterField::kRequired) {
-      s.*c.member = asInt(member(v, c.key), c.key);
-    } else if (const JsonValue* m = v.find(c.key)) {
-      s.*c.member = asInt(*m, c.key);
+      s.*c.member = v.member(c.key).exactInt();
+    } else if (const std::optional<JsonField> m = v.find(c.key)) {
+      s.*c.member = m->exactInt();
     }
   }
   return s;
@@ -180,41 +139,34 @@ struct SolutionSerializer {
     json.endObject();
   }
 
-  static PartialSolution parse(const JsonValue& v) {
+  static PartialSolution parse(const JsonField& v) {
     PartialSolution s;
-    s.nodeCluster_ = parseIds<ClusterId>(member(v, "nc"), "solution.nc");
-    s.relayCluster_ = parseIds<ClusterId>(member(v, "rc"), "solution.rc");
-    for (const JsonValue& e : asArray(member(v, "us"), "solution.us")) {
-      const auto& triple = asArray(e, "solution.us[]");
-      HCA_REQUIRE(triple.size() == 3,
+    s.nodeCluster_ = parseIds<ClusterId>(v.member("nc"));
+    s.relayCluster_ = parseIds<ClusterId>(v.member("rc"));
+    s.usage_ = v.member("us").elements([](const JsonField& e) {
+      HCA_REQUIRE(e.array().size() == 3,
                   "SEE snapshot: usage entry must be [alu, ag, instructions]");
       machine::ResourceUsage u;
-      u.alu = asI32(triple[0], "usage.alu");
-      u.ag = asI32(triple[1], "usage.ag");
-      u.instructions = asI32(triple[2], "usage.instructions");
-      s.usage_.push_back(u);
-    }
-    const auto& flowLists = asArray(member(v, "fl"), "solution.fl");
+      u.alu = e.at(0).int32();
+      u.ag = e.at(1).int32();
+      u.instructions = e.at(2).int32();
+      return u;
+    });
+    const std::vector<std::vector<ValueId>> flowLists =
+        v.member("fl").elements(parseIds<ValueId>);
     s.flow_.resetArcs(flowLists.size());
     for (std::size_t arc = 0; arc < flowLists.size(); ++arc) {
-      for (const ValueId value :
-           parseIds<ValueId>(flowLists[arc], "solution.fl[]")) {
+      for (const ValueId value : flowLists[arc]) {
         s.flow_.addCopy(PgArcId(static_cast<std::int32_t>(arc)), value);
       }
     }
-    for (const JsonValue& e : asArray(member(v, "nm"), "solution.nm")) {
-      s.inNbrMask_.push_back(parseHexBits(asString(e, "solution.nm[]"),
-                                          "solution.nm[]"));
-    }
-    for (const JsonValue& e : asArray(member(v, "iv"), "solution.iv")) {
-      s.inValues_.push_back(parseIds<ValueId>(e, "solution.iv[]"));
-    }
-    for (const JsonValue& e : asArray(member(v, "ov"), "solution.ov")) {
-      s.outValues_.push_back(parseIds<ValueId>(e, "solution.ov[]"));
-    }
-    s.assigned_ = asI32(member(v, "as"), "solution.as");
-    s.objective_ = parseDoubleBits(asString(member(v, "ob"), "solution.ob"),
-                                   "solution.ob");
+    s.inNbrMask_ = v.member("nm").elements([](const JsonField& e) {
+      return parseHexBits(e.string(), "solution.nm[]");
+    });
+    s.inValues_ = v.member("iv").elements(parseIds<ValueId>);
+    s.outValues_ = v.member("ov").elements(parseIds<ValueId>);
+    s.assigned_ = v.member("as").int32();
+    s.objective_ = parseDoubleBits(v.member("ob").string(), "solution.ob");
     const std::size_t nodes = s.usage_.size();
     HCA_REQUIRE(s.inNbrMask_.size() == nodes && s.inValues_.size() == nodes &&
                     s.outValues_.size() == nodes,
@@ -273,30 +225,25 @@ void writeSeeResult(JsonWriter& json, const SeeResult& result) {
 }
 
 SeeResult parseSeeResult(const JsonValue& value) {
+  const JsonReader reader("SEE snapshot");
+  const JsonField root = reader.root(value);
   SeeResult result;
-  const JsonValue& legal = member(value, "legal");
-  HCA_REQUIRE(legal.kind == JsonValue::Kind::kBool,
-              "SEE snapshot: 'legal' must be a bool");
-  result.legal = legal.boolean;
+  result.legal = root.member("legal").boolean();
   std::vector<PartialSolution> states;
   if (result.legal) {
-    for (const JsonValue& alt :
-         asArray(member(value, "alternatives"), "alternatives")) {
-      states.push_back(SolutionSerializer::parse(alt));
-    }
+    states = root.member("alternatives").elements(SolutionSerializer::parse);
     HCA_REQUIRE(!states.empty(),
                 "SEE snapshot: a legal result needs at least one alternative");
   } else {
-    states.push_back(SolutionSerializer::parse(member(value, "solution")));
+    states.push_back(SolutionSerializer::parse(root.member("solution")));
   }
   SolutionSerializer::mapWorkingSet(states, &result);
   for (const PartialSolution& state : states) {
     result.frontier.emplace_back(state, result.workingSet);
   }
-  result.stats = parseStats(member(value, "stats"));
-  result.failedItem = parseItem(member(value, "failedItem"));
-  result.failureReason =
-      asString(member(value, "failureReason"), "failureReason");
+  result.stats = parseStats(root.member("stats"));
+  result.failedItem = parseItem(root.member("failedItem"));
+  result.failureReason = root.member("failureReason").string();
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#include "support/check.hpp"
 #include "support/json.hpp"
 
 #ifndef HCA_GIT_SHA
@@ -24,27 +23,6 @@ std::string currentHostname() {
   char buf[256] = {};
   if (gethostname(buf, sizeof(buf) - 1) != 0) return "unknown";
   return buf[0] != '\0' ? std::string(buf) : std::string("unknown");
-}
-
-int i32Member(const JsonValue& v, const char* name) {
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr && m->kind == JsonValue::Kind::kNumber,
-              "context: missing/non-number member '" << name << "'");
-  return static_cast<int>(m->number);
-}
-
-const std::string& strMember(const JsonValue& v, const char* name) {
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr && m->kind == JsonValue::Kind::kString,
-              "context: missing/non-string member '" << name << "'");
-  return m->string;
-}
-
-bool boolMember(const JsonValue& v, const char* name) {
-  const JsonValue* m = v.find(name);
-  HCA_REQUIRE(m != nullptr && m->kind == JsonValue::Kind::kBool,
-              "context: missing/non-bool member '" << name << "'");
-  return m->boolean;
 }
 
 }  // namespace
@@ -85,23 +63,18 @@ std::string RunContext::toJson() const {
 }
 
 RunContext RunContext::fromJson(const JsonValue& value) {
-  HCA_REQUIRE(value.isObject(), "context: not an object");
-  for (const auto& [key, member] : value.object) {
-    (void)member;
-    const bool known =
-        key == "schema_version" || key == "git_sha" || key == "build_type" ||
-        key == "ndebug" || key == "hostname" ||
-        key == "hardware_concurrency" || key == "run_id";
-    HCA_REQUIRE(known, "context: unknown member '" << key << "'");
-  }
+  const JsonReader reader("context");
+  const JsonField root = reader.root(value);
+  root.closed({"schema_version", "git_sha", "build_type", "ndebug", "hostname",
+               "hardware_concurrency", "run_id"});
   RunContext ctx;
-  ctx.schemaVersion = i32Member(value, "schema_version");
-  ctx.gitSha = strMember(value, "git_sha");
-  ctx.buildType = strMember(value, "build_type");
-  ctx.ndebug = boolMember(value, "ndebug");
-  ctx.hostname = strMember(value, "hostname");
-  ctx.hardwareConcurrency = i32Member(value, "hardware_concurrency");
-  ctx.runId = strMember(value, "run_id");
+  ctx.schemaVersion = root.member("schema_version").int32();
+  ctx.gitSha = root.member("git_sha").string();
+  ctx.buildType = root.member("build_type").string();
+  ctx.ndebug = root.member("ndebug").boolean();
+  ctx.hostname = root.member("hostname").string();
+  ctx.hardwareConcurrency = root.member("hardware_concurrency").int32();
+  ctx.runId = root.member("run_id").string();
   return ctx;
 }
 

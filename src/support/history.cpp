@@ -14,60 +14,25 @@ namespace hca {
 
 namespace {
 
-HistoryRecord recordFromJson(const JsonValue& value, std::size_t lineNo) {
-  HCA_REQUIRE(value.isObject(),
-              "history line " << lineNo << ": not a JSON object");
+HistoryRecord recordFromJson(const JsonReader& reader,
+                             const JsonValue& value) {
+  const JsonField root = reader.root(value);
+  root.closed({"context", "workload", "machine", "legal", "wall_us",
+               "counters"});
   HistoryRecord record;
-  bool haveContext = false, haveWorkload = false, haveMachine = false,
-       haveLegal = false, haveWall = false, haveCounters = false;
-  for (const auto& [key, member] : value.object) {
-    if (key == "context") {
-      record.context = RunContext::fromJson(member);
-      haveContext = true;
-    } else if (key == "workload") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kString,
-                  "history line " << lineNo << ": 'workload' must be a string");
-      record.workload = member.string;
-      haveWorkload = true;
-    } else if (key == "machine") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kString,
-                  "history line " << lineNo << ": 'machine' must be a string");
-      record.machine = member.string;
-      haveMachine = true;
-    } else if (key == "legal") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kBool,
-                  "history line " << lineNo << ": 'legal' must be a bool");
-      record.legal = member.boolean;
-      haveLegal = true;
-    } else if (key == "wall_us") {
-      HCA_REQUIRE(member.kind == JsonValue::Kind::kNumber,
-                  "history line " << lineNo << ": 'wall_us' must be a number");
-      record.wallUs = member.number;
-      haveWall = true;
-    } else if (key == "counters") {
-      HCA_REQUIRE(member.isObject(),
-                  "history line " << lineNo << ": 'counters' must be an object");
-      for (const auto& [name, counter] : member.object) {
-        HCA_REQUIRE(counter.kind == JsonValue::Kind::kNumber,
-                    "history line " << lineNo << ": counter '" << name
-                                    << "' must be a number");
-        record.counters[name] = static_cast<std::int64_t>(counter.number);
-      }
-      haveCounters = true;
-    } else {
-      HCA_REQUIRE(false,
-                  "history line " << lineNo << ": unknown member '" << key
-                                  << "'");
-    }
+  record.context = RunContext::fromJson(root.member("context").value());
+  record.workload = root.member("workload").string();
+  record.machine = root.member("machine").string();
+  record.legal = root.member("legal").boolean();
+  record.wallUs = root.member("wall_us").number();
+  for (const auto& [name, counter] : root.member("counters").members()) {
+    record.counters[name] = reader.field(counter, name).exactInt();
   }
-  HCA_REQUIRE(haveContext && haveWorkload && haveMachine && haveLegal &&
-                  haveWall && haveCounters,
-              "history line " << lineNo << ": incomplete record");
-  HCA_REQUIRE(record.context.schemaVersion == RunContext::kSchemaVersion,
-              "history line " << lineNo << ": schema version "
-                              << record.context.schemaVersion
-                              << " (this build reads "
-                              << RunContext::kSchemaVersion << ")");
+  if (record.context.schemaVersion != RunContext::kSchemaVersion) {
+    reader.fail(strCat("schema version ", record.context.schemaVersion,
+                       " (this build reads ", RunContext::kSchemaVersion,
+                       ")"));
+  }
   return record;
 }
 
@@ -124,11 +89,8 @@ std::vector<HistoryRecord> parseHistory(const std::string& text) {
     ++lineNo;
     pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    JsonValue value;
-    std::string error;
-    HCA_REQUIRE(parseJson(line, &value, &error),
-                "history line " << lineNo << ": bad JSON: " << error);
-    records.push_back(recordFromJson(value, lineNo));
+    const JsonReader reader(strCat("history line ", lineNo));
+    records.push_back(recordFromJson(reader, reader.parse(line)));
   }
   return records;
 }

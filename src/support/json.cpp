@@ -1,11 +1,13 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "support/check.hpp"
+#include "support/str.hpp"
 
 namespace hca {
 
@@ -357,6 +359,107 @@ bool parseJson(const std::string& text, JsonValue* out, std::string* error) {
   HCA_CHECK(out != nullptr, "parseJson needs an output value");
   Parser parser(text, error);
   return parser.parse(out);
+}
+
+// --- strict typed reads -----------------------------------------------------
+
+JsonValue JsonReader::parse(const std::string& text) const {
+  JsonValue value;
+  std::string error;
+  if (!parseJson(text, &value, &error)) fail(strCat("bad JSON: ", error));
+  return value;
+}
+
+JsonField JsonReader::root(const JsonValue& value) const {
+  return JsonField(*this, value, {});
+}
+
+JsonField JsonReader::field(const JsonValue& value,
+                            std::string_view name) const {
+  return JsonField(*this, value, name);
+}
+
+void JsonReader::fail(std::string_view message) const {
+  throw InvalidArgumentError(strCat(where_, ": ", message));
+}
+
+void JsonField::mustBe(std::string_view what) const {
+  if (name_.empty()) reader_.fail(strCat("must be ", what));
+  if (index_ < 0) reader_.fail(strCat("'", name_, "' must be ", what));
+  reader_.fail(strCat("'", name_, "[", index_, "]' must be ", what));
+}
+
+JsonField JsonField::member(std::string_view name) const {
+  std::optional<JsonField> m = find(name);
+  if (!m) reader_.fail(strCat("missing member '", name, "'"));
+  return *m;
+}
+
+std::optional<JsonField> JsonField::find(std::string_view name) const {
+  for (const auto& [key, value] : members()) {
+    if (key == name) return JsonField(reader_, value, key);
+  }
+  return std::nullopt;
+}
+
+void JsonField::closed(std::initializer_list<std::string_view> names) const {
+  for (const auto& [key, unused] : members()) {
+    if (std::find(names.begin(), names.end(), key) == names.end()) {
+      reader_.fail(strCat("unknown member '", key, "'"));
+    }
+  }
+}
+
+JsonField JsonField::at(std::size_t i) const {
+  const std::vector<JsonValue>& elements = array();
+  HCA_CHECK(i < elements.size(), "JsonField::at past the end of the array");
+  JsonField element(reader_, elements[i], name_);
+  element.index_ = static_cast<std::int64_t>(i);
+  return element;
+}
+
+const std::string& JsonField::string() const {
+  if (value_.kind != JsonValue::Kind::kString) mustBe("a string");
+  return value_.string;
+}
+
+bool JsonField::boolean() const {
+  if (value_.kind != JsonValue::Kind::kBool) mustBe("a bool");
+  return value_.boolean;
+}
+
+double JsonField::number() const {
+  if (value_.kind != JsonValue::Kind::kNumber ||
+      !std::isfinite(value_.number)) {
+    mustBe("a finite number");
+  }
+  return value_.number;
+}
+
+std::int64_t JsonField::exactInt() const {
+  const double d = value_.number;
+  if (value_.kind != JsonValue::Kind::kNumber || std::floor(d) != d ||
+      std::abs(d) > 9007199254740992.0) {
+    mustBe("an exact integer (within ±2^53)");
+  }
+  return static_cast<std::int64_t>(d);
+}
+
+std::int32_t JsonField::int32() const {
+  const std::int64_t i = exactInt();
+  if (i < INT32_MIN || i > INT32_MAX) mustBe("an integer in int32 range");
+  return static_cast<std::int32_t>(i);
+}
+
+const std::vector<JsonValue>& JsonField::array() const {
+  if (!value_.isArray()) mustBe("an array");
+  return value_.array;
+}
+
+const std::vector<std::pair<std::string, JsonValue>>& JsonField::members()
+    const {
+  if (!value_.isObject()) mustBe("an object");
+  return value_.object;
 }
 
 }  // namespace hca

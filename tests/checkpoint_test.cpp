@@ -935,7 +935,7 @@ TEST(MemoryBudgetTest, CacheShedsOldestUnderByteCeiling) {
   const std::int64_t perEntry =
       core::SubproblemCache::entryBytes("key-000", result);
   // Room for about three entries in the single shard.
-  core::SubproblemCache cache(/*numShards=*/1, /*maxEntriesPerShard=*/0,
+  core::SubproblemCache cache(/*numShards=*/1,
                               /*maxBytesPerShard=*/3 * perEntry + 16);
   for (int i = 0; i < 8; ++i) {
     char key[16];

@@ -472,5 +472,73 @@ TEST(ProgressBatchTest, TwoBatchRunsAppendOneHonestLog) {
   removeFileIfExists(path);
 }
 
+// --- strict reads: ill-typed values are rejected, not coerced ---------------
+
+/// `text` (a JSON object) with the scalar member `name` set to the JSON
+/// text `value`.
+std::string withMember(std::string text, const std::string& name,
+                       const std::string& value) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << name << " not in " << text;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_of(",}", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+/// Expects `read` to throw InvalidArgumentError naming `member`.
+template <class Read>
+void expectRejects(Read read, const std::string& member) {
+  try {
+    read();
+    ADD_FAILURE() << "ill-typed '" << member << "' was accepted";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + member + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StrictReadTest, ProgressLineIllTypedMembers) {
+  const std::string good =
+      strCat("{\"schema_version\":", RunContext::kSchemaVersion,
+             ",\"seq\":1,\"event\":\"heartbeat\",\"job\":\"j\",\"try\":1}");
+  ASSERT_NO_THROW((void)core::parseProgressLine(good));
+  for (const auto& [member, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"try", "1e300"},
+           {"schema_version", "4294967297"},
+           {"seq", "1.5"},
+           {"job", "5"}}) {
+    const std::string bad = withMember(good, member, value);
+    expectRejects([&bad] { (void)core::parseProgressLine(bad); }, member);
+  }
+}
+
+TEST(StrictReadTest, ContextHardwareConcurrencyOutOfIntRange) {
+  JsonValue doc;
+  ASSERT_TRUE(parseJson(withMember(RunContext::current().toJson(),
+                                   "hardware_concurrency", "1e300"),
+                        &doc));
+  expectRejects([&doc] { (void)RunContext::fromJson(doc); },
+                "hardware_concurrency");
+}
+
+TEST(StrictReadTest, HistoryCounterOutOfRange) {
+  const std::string line =
+      withMember(historyLineJson(sampleRecord(1.0)), "outerAttempts", "1e300");
+  expectRejects([&line] { (void)parseHistory(line); }, "outerAttempts");
+}
+
+TEST(StrictReadTest, ComparedReportIllTypedIdentity) {
+  const std::string good = syntheticReport("fir2dim", 1000.0, 2);
+  for (const auto& [member, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"threads", "1e300"}, {"workload", "5"}, {"legal", "\"yes\""}}) {
+    const std::string bad = withMember(good, member, value);
+    expectRejects([&] { (void)core::diffReportTexts(bad, good); }, member);
+  }
+}
+
 }  // namespace
 }  // namespace hca

@@ -317,8 +317,11 @@ TEST(CacheStatsTest, CountsHitsMissesPerShard) {
 }
 
 TEST(CacheStatsTest, BoundedCacheEvictsOldestFirst) {
-  core::SubproblemCache cache(/*numShards=*/1, /*maxEntriesPerShard=*/2);
   see::SeeResult result;
+  // A byte ceiling with room for exactly two entries of equal size.
+  core::SubproblemCache cache(
+      /*numShards=*/1,
+      /*maxBytesPerShard=*/2 * core::SubproblemCache::entryBytes("a", result));
   cache.insert("a", result);
   cache.insert("b", result);
   cache.insert("c", result);  // evicts "a"
