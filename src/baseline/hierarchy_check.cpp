@@ -108,21 +108,8 @@ struct Checker {
     }
     result.totalCopies += flow.totalCopies();
 
-    mapper::MapperInput input;
-    input.pg = &pg;
-    input.flow = &flow;
-    input.inWiresPerChild = spec.inWires;
-    input.outWiresPerChild = spec.outWires;
-    input.maxWiresIntoChild = leaf ? 0 : spec.maxWiresIntoChild;
-    if (model.hasFaults()) {
-      const machine::ProblemSpec pspec = model.problemSpec(path);
-      if (pspec.touched) {
-        input.inWiresOfChild = pspec.inWiresOfChild;
-        input.outWiresOfChild = pspec.outWiresOfChild;
-        if (!leaf) input.maxWiresIntoChildOf = pspec.maxWiresIntoChildOf;
-      }
-    }
-    input.problemPath = path;
+    const mapper::MapperInput input =
+        mapper::faultAwareMapperInput(model, path, pg, flow);
     const mapper::Mapper mapperPass;
     const auto mapped = mapperPass.map(input);
     ++result.problemsChecked;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 
 namespace hca::graph {
 
@@ -42,107 +41,9 @@ std::optional<std::vector<std::int32_t>> topologicalOrder(const Digraph& g) {
   return topologicalOrder(g, keepAll);
 }
 
-std::vector<std::vector<std::int32_t>> SccResult::groups() const {
-  std::vector<std::vector<std::int32_t>> out(
-      static_cast<std::size_t>(count));
-  for (std::int32_t v = 0; v < static_cast<std::int32_t>(component.size());
-       ++v) {
-    out[static_cast<std::size_t>(component[static_cast<std::size_t>(v)])]
-        .push_back(v);
-  }
-  return out;
-}
-
-SccResult stronglyConnectedComponents(const Digraph& g) {
-  // Iterative Tarjan to avoid stack overflow on deep DDGs.
-  const std::int32_t n = g.numNodes();
-  SccResult res;
-  res.component.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::int32_t> index(static_cast<std::size_t>(n), -1);
-  std::vector<std::int32_t> low(static_cast<std::size_t>(n), 0);
-  std::vector<bool> onStack(static_cast<std::size_t>(n), false);
-  std::vector<std::int32_t> stack;
-  std::int32_t nextIndex = 0;
-
-  struct Frame {
-    std::int32_t node;
-    std::size_t edgePos;
-  };
-  std::vector<Frame> callStack;
-
-  for (std::int32_t start = 0; start < n; ++start) {
-    if (index[static_cast<std::size_t>(start)] != -1) continue;
-    callStack.push_back({start, 0});
-    index[static_cast<std::size_t>(start)] = nextIndex;
-    low[static_cast<std::size_t>(start)] = nextIndex;
-    ++nextIndex;
-    stack.push_back(start);
-    onStack[static_cast<std::size_t>(start)] = true;
-
-    while (!callStack.empty()) {
-      Frame& frame = callStack.back();
-      const auto v = static_cast<std::size_t>(frame.node);
-      const auto& out = g.outEdges(frame.node);
-      if (frame.edgePos < out.size()) {
-        const std::int32_t w = g.edge(out[frame.edgePos]).dst;
-        ++frame.edgePos;
-        const auto wi = static_cast<std::size_t>(w);
-        if (index[wi] == -1) {
-          index[wi] = nextIndex;
-          low[wi] = nextIndex;
-          ++nextIndex;
-          stack.push_back(w);
-          onStack[wi] = true;
-          callStack.push_back({w, 0});
-        } else if (onStack[wi]) {
-          low[v] = std::min(low[v], index[wi]);
-        }
-      } else {
-        if (low[v] == index[v]) {
-          // frame.node is the root of a component.
-          while (true) {
-            const std::int32_t w = stack.back();
-            stack.pop_back();
-            onStack[static_cast<std::size_t>(w)] = false;
-            res.component[static_cast<std::size_t>(w)] = res.count;
-            if (w == frame.node) break;
-          }
-          ++res.count;
-        }
-        const std::int32_t child = frame.node;
-        callStack.pop_back();
-        if (!callStack.empty()) {
-          const auto p = static_cast<std::size_t>(callStack.back().node);
-          low[p] = std::min(low[p], low[static_cast<std::size_t>(child)]);
-        }
-      }
-    }
-  }
-  return res;
-}
-
 bool hasCycle(const Digraph& g,
               const std::function<bool(std::int32_t edgeId)>& keepEdge) {
   return !topologicalOrder(g, keepEdge).has_value();
-}
-
-std::vector<std::int64_t> longestPathFromSources(
-    const Digraph& g,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge,
-    const std::function<std::int64_t(std::int32_t edgeId)>& weight) {
-  const auto order = topologicalOrder(g, keepEdge);
-  HCA_REQUIRE(order.has_value(), "longestPathFromSources on a cyclic graph");
-  std::vector<std::int64_t> dist(static_cast<std::size_t>(g.numNodes()), 0);
-  for (std::int32_t v : *order) {
-    for (std::int32_t e : g.outEdges(v)) {
-      if (!keepEdge(e)) continue;
-      const std::int32_t w = g.edge(e).dst;
-      dist[static_cast<std::size_t>(w)] =
-          std::max(dist[static_cast<std::size_t>(w)],
-                   dist[static_cast<std::size_t>(v)] + weight(e));
-    }
-  }
-  return dist;
 }
 
 std::vector<std::int64_t> longestPathToSinks(
@@ -220,58 +121,6 @@ std::int64_t minFeasibleInitiationInterval(
     }
   }
   return lo;
-}
-
-std::vector<std::int32_t> shortestPath(
-    const Digraph& g, std::int32_t src, std::int32_t dst,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge) {
-  HCA_REQUIRE(src >= 0 && src < g.numNodes(), "shortestPath: bad src");
-  HCA_REQUIRE(dst >= 0 && dst < g.numNodes(), "shortestPath: bad dst");
-  std::vector<std::int32_t> parent(static_cast<std::size_t>(g.numNodes()),
-                                   -2);
-  parent[static_cast<std::size_t>(src)] = -1;
-  std::deque<std::int32_t> queue{src};
-  while (!queue.empty()) {
-    const std::int32_t v = queue.front();
-    queue.pop_front();
-    if (v == dst) break;
-    for (std::int32_t e : g.outEdges(v)) {
-      if (!keepEdge(e)) continue;
-      const std::int32_t w = g.edge(e).dst;
-      if (parent[static_cast<std::size_t>(w)] != -2) continue;
-      parent[static_cast<std::size_t>(w)] = v;
-      queue.push_back(w);
-    }
-  }
-  if (parent[static_cast<std::size_t>(dst)] == -2) return {};
-  std::vector<std::int32_t> path;
-  for (std::int32_t v = dst; v != -1; v = parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::vector<bool> reachableFrom(
-    const Digraph& g, std::int32_t src,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge) {
-  std::vector<bool> seen(static_cast<std::size_t>(g.numNodes()), false);
-  if (src < 0 || src >= g.numNodes()) return seen;
-  seen[static_cast<std::size_t>(src)] = true;
-  std::deque<std::int32_t> queue{src};
-  while (!queue.empty()) {
-    const std::int32_t v = queue.front();
-    queue.pop_front();
-    for (std::int32_t e : g.outEdges(v)) {
-      if (!keepEdge(e)) continue;
-      const std::int32_t w = g.edge(e).dst;
-      if (!seen[static_cast<std::size_t>(w)]) {
-        seen[static_cast<std::size_t>(w)] = true;
-        queue.push_back(w);
-      }
-    }
-  }
-  return seen;
 }
 
 }  // namespace hca::graph

@@ -20,30 +20,9 @@ std::optional<std::vector<std::int32_t>> topologicalOrder(
 /// Topological order over all edges.
 std::optional<std::vector<std::int32_t>> topologicalOrder(const Digraph& g);
 
-/// Tarjan strongly-connected components. Component indices are assigned in
-/// Tarjan completion order (reverse topological order of the condensation);
-/// callers should treat them purely as group labels.
-struct SccResult {
-  std::int32_t count = 0;
-  std::vector<std::int32_t> component;  // node -> component index
-
-  /// Nodes grouped per component.
-  [[nodiscard]] std::vector<std::vector<std::int32_t>> groups() const;
-};
-
-SccResult stronglyConnectedComponents(const Digraph& g);
-
 /// True if the graph (filtered) contains a directed cycle.
 bool hasCycle(const Digraph& g,
               const std::function<bool(std::int32_t edgeId)>& keepEdge);
-
-/// Longest path lengths from sources in a DAG (filtered edges), with
-/// per-edge weights. Throws InvalidArgumentError if the filtered graph is
-/// cyclic. Returns the distance of each node from any source (sources = 0).
-std::vector<std::int64_t> longestPathFromSources(
-    const Digraph& g,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge,
-    const std::function<std::int64_t(std::int32_t edgeId)>& weight);
 
 /// Longest path lengths *to* sinks (the DDG "height" priority).
 std::vector<std::int64_t> longestPathToSinks(
@@ -67,17 +46,5 @@ std::int64_t minFeasibleInitiationInterval(
     const Digraph& g,
     const std::function<std::int64_t(std::int32_t)>& latency,
     const std::function<std::int64_t(std::int32_t)>& distance);
-
-/// Unweighted BFS shortest path from `src` to `dst` using only edges allowed
-/// by `keepEdge`. Returns the node sequence src..dst, or empty if
-/// unreachable.
-std::vector<std::int32_t> shortestPath(
-    const Digraph& g, std::int32_t src, std::int32_t dst,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge);
-
-/// Set of nodes reachable from `src` (inclusive) via allowed edges.
-std::vector<bool> reachableFrom(
-    const Digraph& g, std::int32_t src,
-    const std::function<bool(std::int32_t edgeId)>& keepEdge);
 
 }  // namespace hca::graph

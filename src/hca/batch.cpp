@@ -315,7 +315,9 @@ const char* to_string(BatchJobStatus status) {
 std::vector<BatchJob> parseManifest(const std::string& text) {
   const JsonReader reader("batch manifest");
   const JsonValue doc = reader.parse(text);
-  const JsonField jobs = reader.root(doc).member("jobs");
+  const JsonField root = reader.root(doc);
+  root.closed({"jobs"});
+  const JsonField jobs = root.member("jobs");
   HCA_REQUIRE(!jobs.array().empty(), "batch manifest: 'jobs' is empty");
 
   std::set<std::string> names;

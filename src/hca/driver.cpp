@@ -521,13 +521,14 @@ HcaResult HcaDriver::runChecked(const ddg::Ddg& ddg) const {
                                  iniMii);
   }
   if (span.active()) span.arg("iniMii", std::to_string(iniMii));
-  return runLadder(ddg, rootWs, iniMii, deadline);
+  return runLadder(ddg, rootWs, iniMii, deadline, "");
 }
 
 HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
                                const std::vector<DdgNodeId>& rootWs,
                                int iniMii,
-                               const CancellationToken* deadline) const {
+                               const CancellationToken* deadline,
+                               const std::string& scope) const {
   const bool degrade = options_.failurePolicy == FailurePolicy::kDegrade;
   const auto expired = [&] {
     return deadline != nullptr && deadline->cancelled();
@@ -551,7 +552,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // Resume: pre-warm the cache with the checkpoint's snapshot. The first
   // re-run attempt then observes exactly the cache state it would have had
   // in an uninterrupted run, so hit/miss counters stay byte-identical.
-  const std::string& scope = options_.checkpointScope;
   if (options_.checkpoint != nullptr && cachePtr != nullptr) {
     if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
       for (const auto& [key, seeResult] : *entries) {
@@ -668,9 +668,9 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       // The nested ladder owns a fresh cache; scope its attempts and cache
       // snapshot so they never collide with this ladder's in the file.
-      degradedOptions.checkpointScope = scope + "degraded-bandwidth/";
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
-      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline);
+      HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline,
+                                            scope + "degraded-bandwidth/");
       if (result.legal) {
         result.stats.merge(best.stats);
         result.metrics.merge(best.metrics);
@@ -932,21 +932,8 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     }
 
     // --- Map copies onto wires, derive the children's ILIs (Fig. 9/11). ----
-    mapper::MapperInput mapInput;
-    mapInput.pg = &attempt->pg;
-    mapInput.flow = &attempt->flow;
-    mapInput.inWiresPerChild = spec.inWires;
-    mapInput.outWiresPerChild = spec.outWires;
-    mapInput.maxWiresIntoChild = leaf ? 0 : spec.maxWiresIntoChild;
-    if (model_.hasFaults()) {
-      const machine::ProblemSpec pspec = model_.problemSpec(path);
-      if (pspec.touched) {
-        mapInput.inWiresOfChild = pspec.inWiresOfChild;
-        mapInput.outWiresOfChild = pspec.outWiresOfChild;
-        if (!leaf) mapInput.maxWiresIntoChildOf = pspec.maxWiresIntoChildOf;
-      }
-    }
-    mapInput.problemPath = path;
+    const mapper::MapperInput mapInput = mapper::faultAwareMapperInput(
+        model_, path, attempt->pg, attempt->flow);
     const mapper::Mapper mapperPass;
     {
       TraceSpan mapSpan(ctx.tracer, "hca", "mapper");

@@ -162,11 +162,6 @@ struct HcaOptions {
   /// process OOMing. Deterministic: the ceiling never depends on thread
   /// count or wall-clock, so serial/parallel parity is preserved.
   std::int64_t memoryBudgetBytes = 0;
-  /// Checkpoint phase prefix ("" for the root ladder). Internal: set by
-  /// the degraded-bandwidth rung on its nested driver so the two ladders'
-  /// attempt indices and cache snapshots never collide in the checkpoint
-  /// file. Leave empty.
-  std::string checkpointScope;
 };
 
 struct RelayPlacement {
@@ -301,11 +296,15 @@ class HcaDriver {
   /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
   /// retry, then the degraded-bandwidth re-run, then (kDegrade) flat ICA
   /// on the surviving resources. Returns the first legal result, or the
-  /// primary failure annotated with a report under kDegrade.
+  /// primary failure annotated with a report under kDegrade. `scope`
+  /// prefixes the ladder's checkpoint phases and cache snapshot: "" for the
+  /// root ladder, "degraded-bandwidth/" for the nested one the
+  /// degraded-bandwidth rung runs, so the two never collide in the file.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,
-                                    const CancellationToken* deadline) const;
+                                    const CancellationToken* deadline,
+                                    const std::string& scope) const;
 
   /// Solves the sub-problem at `path`; returns false (and fills
   /// result.failureReason) on the first illegality.

@@ -107,13 +107,6 @@ void PatternGraph::setWireCaps(ClusterId id, int inCap, int outCap) {
   nodes_[id.index()].outWireCap = outCap;
 }
 
-bool PatternGraph::hasFaults() const {
-  for (const PgNode& n : nodes_) {
-    if (n.dead || n.inWireCap >= 0 || n.outWireCap >= 0) return true;
-  }
-  return false;
-}
-
 namespace {
 std::vector<ClusterId> nodesOfKind(const PatternGraph& pg, PgNodeKind kind) {
   std::vector<ClusterId> out;
@@ -192,19 +185,6 @@ std::vector<ClusterId> CopyFlow::realInNeighbors(const PatternGraph& pg,
     const ClusterId src = pg.arc(arc).src;
     if (std::find(result.begin(), result.end(), src) == result.end()) {
       result.push_back(src);
-    }
-  }
-  return result;
-}
-
-std::vector<ClusterId> CopyFlow::realOutNeighbors(const PatternGraph& pg,
-                                                  ClusterId node) const {
-  std::vector<ClusterId> result;
-  for (const PgArcId arc : pg.outArcs(node)) {
-    if (!isReal(arc)) continue;
-    const ClusterId dst = pg.arc(arc).dst;
-    if (std::find(result.begin(), result.end(), dst) == result.end()) {
-      result.push_back(dst);
     }
   }
   return result;

@@ -81,8 +81,6 @@ class PatternGraph {
   /// refuse to use them.
   void markDead(ClusterId id);
   void setWireCaps(ClusterId id, int inCap, int outCap);
-  /// True when any node is dead or carries a wire-cap override.
-  [[nodiscard]] bool hasFaults() const;
 
   [[nodiscard]] std::int32_t numNodes() const {
     return static_cast<std::int32_t>(nodes_.size());
@@ -176,8 +174,6 @@ class CopyFlow {
 
   /// Distinct real in-neighbors of `node` (excluding itself).
   [[nodiscard]] std::vector<ClusterId> realInNeighbors(
-      const PatternGraph& pg, ClusterId node) const;
-  [[nodiscard]] std::vector<ClusterId> realOutNeighbors(
       const PatternGraph& pg, ClusterId node) const;
 
  private:

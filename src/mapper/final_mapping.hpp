@@ -30,8 +30,6 @@ struct FinalMapping {
     bool isRelay = false;
   };
   std::vector<RecvInfo> recvs;
-
-  [[nodiscard]] int instructionsOn(CnId cn) const;
 };
 
 }  // namespace hca::mapper

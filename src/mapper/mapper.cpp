@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "machine/dspfabric.hpp"
 #include "support/check.hpp"
 #include "support/str.hpp"
 
@@ -35,6 +36,31 @@ struct Sender {
 };
 
 }  // namespace
+
+MapperInput faultAwareMapperInput(const machine::DspFabricModel& model,
+                                  const std::vector<int>& path,
+                                  const machine::PatternGraph& pg,
+                                  const machine::CopyFlow& flow) {
+  const int level = static_cast<int>(path.size());
+  const bool leaf = level == model.numLevels() - 1;
+  const machine::LevelSpec spec = model.levelSpec(level);
+  MapperInput input;
+  input.pg = &pg;
+  input.flow = &flow;
+  input.inWiresPerChild = spec.inWires;
+  input.outWiresPerChild = spec.outWires;
+  input.maxWiresIntoChild = leaf ? 0 : spec.maxWiresIntoChild;
+  if (model.hasFaults()) {
+    const machine::ProblemSpec pspec = model.problemSpec(path);
+    if (pspec.touched) {
+      input.inWiresOfChild = pspec.inWiresOfChild;
+      input.outWiresOfChild = pspec.outWiresOfChild;
+      if (!leaf) input.maxWiresIntoChildOf = pspec.maxWiresIntoChildOf;
+    }
+  }
+  input.problemPath = path;
+  return input;
+}
 
 MapResult Mapper::map(const MapperInput& input) const {
   HCA_REQUIRE(input.pg != nullptr && input.flow != nullptr,
@@ -301,7 +327,6 @@ MapResult Mapper::map(const MapperInput& input) const {
       result.maxValuesPerWire = std::max(
           result.maxValuesPerWire, static_cast<int>(g.values.size()));
       ++result.wiresUsed;
-      result.valuesMapped += static_cast<int>(g.values.size());
       // The sender's own ILI: values leaving on this wire.
       result.ilis[static_cast<std::size_t>(si)].outputs.push_back(
           WireValues{wire, g.values});
@@ -340,7 +365,6 @@ MapResult Mapper::map(const MapperInput& input) const {
     std::sort(boundaryValues.begin(), boundaryValues.end());
     result.maxValuesPerWire = std::max(
         result.maxValuesPerWire, static_cast<int>(boundaryValues.size()));
-    result.valuesMapped += static_cast<int>(boundaryValues.size());
     for (int di = 0; di < numChildren; ++di) {
       const auto arc =
           pg.arcBetween(in, children[static_cast<std::size_t>(di)]);

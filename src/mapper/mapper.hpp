@@ -24,6 +24,10 @@
 /// The result is one Inter-Level Interface per child — the input/output
 /// wires (with their value lists) of the child's own sub-problem — plus the
 /// MUX settings of this level and the wire-pressure statistics.
+namespace hca::machine {
+class DspFabricModel;
+}  // namespace hca::machine
+
 namespace hca::mapper {
 
 struct WireValues {
@@ -61,6 +65,17 @@ struct MapperInput {
   std::vector<int> problemPath;
 };
 
+/// The Mapper's input for the sub-problem at `path` of `model` with copy
+/// flow `flow` on `pg`: the level's uniform wire figures (the cap on wires
+/// into a child's sub-problem applies above the leaf level only), plus the
+/// per-child surviving-wire budgets when the model's faults touch this
+/// sub-problem. The driver and the
+/// post-hoc hierarchy check both map through it; the verifier re-derives
+/// the budgets on its own.
+[[nodiscard]] MapperInput faultAwareMapperInput(
+    const machine::DspFabricModel& model, const std::vector<int>& path,
+    const machine::PatternGraph& pg, const machine::CopyFlow& flow);
+
 struct MapResult {
   bool legal = false;
   std::string failureReason;
@@ -74,9 +89,6 @@ struct MapResult {
   /// summed); `wiresUsed / wiresAvailable` is the level's wire-budget
   /// utilization reported by the observability layer.
   int wiresAvailable = 0;
-  /// Total value copies distributed over the used wires (sum of per-wire
-  /// value-list lengths, boundary input wires included).
-  int valuesMapped = 0;
 };
 
 /// In emitted MuxSettings, connections feeding boundary *output* wires use

@@ -289,7 +289,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
       const bool eagerRoutes =
           options.eagerRouting && options.enableRouteAllocator;
       const std::uint64_t feasible =
-          eagerRoutes ? oracle.aliveMask()
+          eagerRoutes ? prepared.aliveClusterMask()
                       : oracle.directFeasibleMask(*state, gi);
       for (const ClusterId c : prepared.clusters()) {
         if ((feasible & detail::pgBit(c)) == 0) {
@@ -342,7 +342,7 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
         ++result.stats.routeInvocations;
         int routed = 0;
         for (const ClusterId c : prepared.clusters()) {
-          if ((oracle.aliveMask() & detail::pgBit(c)) == 0) {
+          if ((prepared.aliveClusterMask() & detail::pgBit(c)) == 0) {
             ++result.stats.copiesAvoided;
             ++result.stats.routeFailures;
             ++result.stats.oracleRejects;
@@ -497,7 +497,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
       const bool eagerRoutes =
           options.eagerRouting && options.enableRouteAllocator;
       const std::uint64_t feasible =
-          eagerRoutes ? oracle.aliveMask()
+          eagerRoutes ? prepared.aliveClusterMask()
                       : oracle.directFeasibleMask(state, gi);
       for (const ClusterId c : prepared.clusters()) {
         if ((feasible & detail::pgBit(c)) == 0) {
@@ -532,7 +532,7 @@ SeeResult SpaceExplorationEngine::runOnceLegacy(
         ++result.stats.routeInvocations;
         int routed = 0;
         for (const ClusterId c : prepared.clusters()) {
-          if ((oracle.aliveMask() & detail::pgBit(c)) == 0) {
+          if ((prepared.aliveClusterMask() & detail::pgBit(c)) == 0) {
             ++result.stats.routeFailures;
             ++result.stats.oracleRejects;
             continue;

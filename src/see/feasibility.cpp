@@ -6,31 +6,27 @@ namespace hca::see {
 
 FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
     : prepared_(&prepared) {
-  numPg_ = static_cast<std::size_t>(prepared.numPg());
-
+  // Per resource class (kAlu, kAg): clusters owning at least one unit.
+  std::uint64_t rcMask[ddg::kNumResourceClasses] = {};
   for (const ClusterId c : prepared.clusters()) {
-    if (prepared.isDead(c)) continue;
-    aliveMask_ |= detail::pgBit(c);
-    if (prepared.canSend(c)) sendMask_ |= detail::pgBit(c);
     const auto& rt = prepared.resources(c);
     if (rt.count(ddg::ResourceClass::kAlu) > 0) {
-      rcMask_[static_cast<int>(ddg::ResourceClass::kAlu)] |= detail::pgBit(c);
+      rcMask[static_cast<int>(ddg::ResourceClass::kAlu)] |= detail::pgBit(c);
     }
     if (rt.count(ddg::ResourceClass::kAg) > 0) {
-      rcMask_[static_cast<int>(ddg::ResourceClass::kAg)] |= detail::pgBit(c);
+      rcMask[static_cast<int>(ddg::ResourceClass::kAg)] |= detail::pgBit(c);
     }
   }
 
-  // Static prefixes of canAddCopyT: a copy src -> dst requires a live
-  // sender with a surviving output wire, an arc, and a live receiver.
-  arcOutMask_.assign(numPg_, 0);
-  arcInMask_.assign(numPg_, 0);
+  // Static prefix of canAddCopyT seen from the receiver: a copy src -> dst
+  // requires a live sender with a surviving output wire, an arc, and a
+  // live receiver.
+  arcInMask_.assign(static_cast<std::size_t>(prepared.numPg()), 0);
   for (std::int32_t u = 0; u < prepared.numPg(); ++u) {
     const ClusterId src(u);
     if (!prepared.canSend(src)) continue;
     for (const ClusterId dst : prepared.outHeads(src)) {
       if (prepared.isDead(dst)) continue;
-      arcOutMask_[src.index()] |= detail::pgBit(dst);
       arcInMask_[dst.index()] |= detail::pgBit(src);
     }
   }
@@ -41,13 +37,13 @@ FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
   // producer is placed, so the arc requirement is unconditional).
   groupMask_.reserve(prepared.items().size());
   for (const ItemGroup& group : prepared.items()) {
-    std::uint64_t m = aliveMask_;
+    std::uint64_t m = prepared.aliveClusterMask();
     for (const Item& item : group.members) {
       if (item.kind != Item::Kind::kNode) continue;
       const ddg::ResourceClass rc =
           ddg::opResource(prepared.problem().ddg->node(item.node).op);
       if (rc != ddg::ResourceClass::kNone) {
-        m &= rcMask_[static_cast<int>(rc)];
+        m &= rcMask[static_cast<int>(rc)];
       }
       const ClusterId out = prepared.outputNodeOf(ValueId(item.node.value()));
       if (out.valid()) m &= arcInMask_[out.index()];
@@ -64,11 +60,12 @@ FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
 // kUnreachable implies dynamic unreachability at any budget.
 void FeasibilityOracle::buildHopMatrix() const {
   const PreparedProblem& prep = *prepared_;
-  hop_.assign(numPg_ * numPg_, kUnreachable);
+  const auto numPg = static_cast<std::size_t>(prep.numPg());
+  hop_.assign(numPg * numPg, kUnreachable);
   std::vector<ClusterId> queue;
   for (std::int32_t s = 0; s < prep.numPg(); ++s) {
     const ClusterId src(s);
-    std::uint8_t* dist = &hop_[static_cast<std::size_t>(s) * numPg_];
+    std::uint8_t* dist = &hop_[static_cast<std::size_t>(s) * numPg];
     dist[src.index()] = 0;
     if (!prep.canSend(src)) continue;
     queue.clear();

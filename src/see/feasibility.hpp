@@ -43,9 +43,6 @@ class FeasibilityOracle {
 
   explicit FeasibilityOracle(const PreparedProblem& prepared);
 
-  /// Alive kCluster nodes — the only clusters any item can ever land on.
-  [[nodiscard]] std::uint64_t aliveMask() const { return aliveMask_; }
-
   /// State-independent feasible-cluster mask of one priority-list group:
   /// alive, resource-class-capable for every node member, and able to feed
   /// every output wire a node member's value must leave on.
@@ -65,7 +62,8 @@ class FeasibilityOracle {
   /// and its oracle are private to one solve attempt (one thread).
   [[nodiscard]] std::uint8_t hopDistance(ClusterId src, ClusterId dst) const {
     if (!hopsBuilt_) buildHopMatrix();
-    return hop_[static_cast<std::size_t>(src.index()) * numPg_ + dst.index()];
+    return hop_[src.index() * static_cast<std::size_t>(prepared_->numPg()) +
+                dst.index()];
   }
 
   /// Mask of clusters on which the *direct* (unrouted) assignment of the
@@ -80,17 +78,11 @@ class FeasibilityOracle {
  private:
   void buildHopMatrix() const;
 
+  // Only the tables the PreparedProblem does not hold; alive clusters,
+  // senders and out-heads are read from it (DESIGN.md §4k).
   const PreparedProblem* prepared_;
-  std::size_t numPg_ = 0;
-  std::uint64_t aliveMask_ = 0;
-  /// Clusters able to originate a new copy (alive, outWireCap != 0).
-  std::uint64_t sendMask_ = 0;
-  /// Per resource class (kAlu, kAg): clusters owning at least one unit.
-  std::uint64_t rcMask_[ddg::kNumResourceClasses] = {};
-  /// Per PG node u: heads of u's out-arcs, zeroed when u is dead or has no
-  /// surviving output wire (the static prefix of canAddCopyT).
-  std::vector<std::uint64_t> arcOutMask_;
-  /// Per PG node w: alive-cluster tails of w's in-arcs that can still send.
+  /// Per PG node w: tails of w's in-arcs that can send (alive, with a
+  /// surviving output wire); empty when w is dead.
   std::vector<std::uint64_t> arcInMask_;
   /// Per group: the static mask documented at groupMask().
   std::vector<std::uint64_t> groupMask_;
@@ -132,10 +124,12 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
   // Candidate clusters where the copy loc -> candidate required for value
   // `v` could still be added: the location itself, arc-connected receivers
   // with budget room or with loc already among their in-neighbors, and
-  // clusters already holding v.
+  // clusters already holding v. `m` holds alive clusters only, so loc's
+  // out-head mask needs no dead-receiver filter.
   const auto restrictByCopyFrom = [&](ClusterId loc, ValueId v) {
     ensureRoom();
-    const std::uint64_t viaArc = arcOutMask_[loc.index()];
+    const std::uint64_t viaArc =
+        prep.canSend(loc) ? prep.outHeadMask(loc) : 0;
     std::uint64_t keep = detail::pgBit(loc);
     std::uint64_t rest = m & ~keep;
     while (rest != 0) {
@@ -159,7 +153,7 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
   const auto restrictByCopyTo = [&](ClusterId d) {
     ensureRoom();
     std::uint64_t allowed = detail::pgBit(d);
-    const std::uint64_t senders = sendMask_ & arcInMask_[d.index()];
+    const std::uint64_t senders = arcInMask_[d.index()];
     if ((room & detail::pgBit(d)) != 0) {
       allowed |= senders;
     } else {

@@ -35,11 +35,6 @@ PartialSolution PartialSolution::initial(const PreparedProblem& prepared) {
   return sol;
 }
 
-ClusterId PartialSolution::valueLocation(const PreparedProblem& prepared,
-                                         ValueId value) const {
-  return valueLocationT(prepared, *this, value);
-}
-
 bool PartialSolution::valueDelivered(ClusterId dst, ValueId value) const {
   const auto& list = inValues_[dst.index()];
   return std::find(list.begin(), list.end(), value) != list.end();
@@ -48,12 +43,6 @@ bool PartialSolution::valueDelivered(ClusterId dst, ValueId value) const {
 bool PartialSolution::flowContains(PgArcId arc, ValueId value) const {
   const auto& onArc = flow_.copiesOn(arc);
   return std::find(onArc.begin(), onArc.end(), value) != onArc.end();
-}
-
-bool PartialSolution::canAddCopy(const PreparedProblem& prepared,
-                                 ClusterId src, ClusterId dst,
-                                 ValueId value) const {
-  return canAddCopyT(prepared, *this, src, dst, value);
 }
 
 bool PartialSolution::canAssign(const PreparedProblem& prepared,
@@ -73,12 +62,6 @@ bool PartialSolution::addFlowCopy(PgArcId arc, ClusterId src, ClusterId dst,
 void PartialSolution::assign(const PreparedProblem& prepared, const Item& item,
                              ClusterId cluster) {
   assignT(prepared, *this, item, cluster);
-}
-
-void PartialSolution::applyRoute(const PreparedProblem& prepared,
-                                 ValueId value,
-                                 const std::vector<ClusterId>& path) {
-  applyRouteT(prepared, *this, value, path);
 }
 
 double PartialSolution::criticalPathScore(

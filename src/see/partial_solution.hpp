@@ -41,18 +41,6 @@ class PartialSolution {
   void assign(const PreparedProblem& prepared, const Item& item,
               ClusterId cluster);
 
-  /// Routes `value` from `from` to `to` through intermediate clusters
-  /// (inclusive path, from -> ... -> to). Every hop must be addable; used
-  /// by the route allocator which validates hops beforehand.
-  void applyRoute(const PreparedProblem& prepared, ValueId value,
-                  const std::vector<ClusterId>& path);
-
-  /// True when the arc src->dst exists and adding a copy of `value` on it
-  /// respects the in-neighbor budget (and unary fan-in for output nodes).
-  [[nodiscard]] bool canAddCopy(const PreparedProblem& prepared,
-                                ClusterId src, ClusterId dst,
-                                ValueId value) const;
-
   /// True when `value` already flows into `dst` on some arc (e.g. via a
   /// relay route), so no further copy is needed to make it available there.
   [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
@@ -64,10 +52,6 @@ class PartialSolution {
   [[nodiscard]] ClusterId relayCluster(int relayIndex) const {
     return relayCluster_[static_cast<std::size_t>(relayIndex)];
   }
-  /// Cluster currently holding `value` (producer's cluster, or the input
-  /// node it arrives on); invalid if not available yet.
-  [[nodiscard]] ClusterId valueLocation(const PreparedProblem& prepared,
-                                        ValueId value) const;
   [[nodiscard]] const machine::CopyFlow& flow() const { return flow_; }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];

@@ -2,38 +2,12 @@
 
 #include <utility>
 
+#include "support/check.hpp"
+
 namespace hca {
-namespace {
-
-struct GlobalArenaTally {
-  Mutex mutex;
-  MonotonicArena::GlobalStats stats HCA_GUARDED_BY(mutex);
-};
-
-GlobalArenaTally& tally() {
-  static GlobalArenaTally instance;
-  return instance;
-}
-
-void recordArenaCreated() {
-  GlobalArenaTally& t = tally();
-  MutexLock lock(t.mutex);
-  ++t.stats.arenasCreated;
-}
-
-void recordChunkAllocated(std::size_t bytes) {
-  GlobalArenaTally& t = tally();
-  MutexLock lock(t.mutex);
-  ++t.stats.chunksAllocated;
-  t.stats.bytesReserved += static_cast<std::int64_t>(bytes);
-}
-
-}  // namespace
 
 MonotonicArena::MonotonicArena(std::size_t chunkBytes)
-    : chunkBytes_(chunkBytes == 0 ? kDefaultChunkBytes : chunkBytes) {
-  recordArenaCreated();
-}
+    : chunkBytes_(chunkBytes == 0 ? kDefaultChunkBytes : chunkBytes) {}
 
 void* MonotonicArena::allocate(std::size_t bytes, std::size_t align) {
   HCA_CHECK(align != 0 && (align & (align - 1)) == 0,
@@ -80,7 +54,6 @@ void MonotonicArena::grow(std::size_t bytes) {
   chunk.size = size;
   chunks_.push_back(std::move(chunk));
   bytesReserved_ += size;
-  recordChunkAllocated(size);
   chunkIndex_ = chunks_.size() - 1;
   cursor_ = 0;
 }
@@ -94,12 +67,6 @@ void MonotonicArena::reset() {
 void MonotonicArena::restart() {
   reset();
   peakBytesUsed_ = 0;
-}
-
-MonotonicArena::GlobalStats MonotonicArena::globalStats() {
-  GlobalArenaTally& t = tally();
-  MutexLock lock(t.mutex);
-  return t.stats;
 }
 
 }  // namespace hca

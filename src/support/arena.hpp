@@ -1,13 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "support/check.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 /// Monotonic (bump-pointer) arena allocator for short-lived, same-lifetime
 /// object batches — the SEE beam search's frontier snapshots.
@@ -20,21 +15,12 @@
 ///
 /// Thread safety: a `MonotonicArena` is deliberately single-threaded — one
 /// arena per search attempt, owned by the thread running that attempt
-/// (portfolio attempts each build their own). The only cross-thread state
-/// is the process-wide creation/reservation tally used by the metrics
-/// layer, which is guarded by an annotated `Mutex` so a clang
-/// `-Wthread-safety` build proves the lock discipline.
+/// (portfolio attempts each build their own). No state is shared between
+/// arenas.
 namespace hca {
 
 class MonotonicArena {
  public:
-  /// Process-wide tally across all arenas (metrics/diagnostics).
-  struct GlobalStats {
-    std::int64_t arenasCreated = 0;
-    std::int64_t chunksAllocated = 0;
-    std::int64_t bytesReserved = 0;  ///< cumulative chunk bytes ever malloc'd
-  };
-
   explicit MonotonicArena(std::size_t chunkBytes = kDefaultChunkBytes);
 
   MonotonicArena(const MonotonicArena&) = delete;
@@ -66,8 +52,6 @@ class MonotonicArena {
   /// Total chunk capacity currently owned.
   [[nodiscard]] std::size_t bytesReserved() const { return bytesReserved_; }
 
-  [[nodiscard]] static GlobalStats globalStats();
-
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 
  private:
@@ -86,33 +70,6 @@ class MonotonicArena {
   std::size_t bytesUsed_ = 0;
   std::size_t peakBytesUsed_ = 0;
   std::size_t bytesReserved_ = 0;
-};
-
-/// std-compatible allocator adapter over a MonotonicArena (deallocate is a
-/// no-op; memory is reclaimed by `reset()`). Containers using it must not
-/// outlive the next reset of the arena.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  explicit ArenaAllocator(MonotonicArena* arena) : arena_(arena) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T*, std::size_t) noexcept {}
-
-  [[nodiscard]] MonotonicArena* arena() const { return arena_; }
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena_ == b.arena_;
-  }
-
- private:
-  MonotonicArena* arena_;
 };
 
 }  // namespace hca

@@ -36,8 +36,6 @@ void DotWriter::edge(const std::string& from, const std::string& to,
   os_ << ";\n";
 }
 
-void DotWriter::raw(const std::string& line) { os_ << "  " << line << "\n"; }
-
 std::string DotWriter::quote(const std::string& s) {
   // Only double quotes need escaping; backslashes stay intact so DOT label
   // escapes like \n and \l keep working.

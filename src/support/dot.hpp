@@ -20,8 +20,6 @@ class DotWriter {
             const std::string& extraAttrs = "");
   void edge(const std::string& from, const std::string& to,
             const std::string& label = "", const std::string& extraAttrs = "");
-  /// Raw line inside the graph body (rank constraints, subgraphs, ...).
-  void raw(const std::string& line);
 
   static std::string quote(const std::string& s);
 

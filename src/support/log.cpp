@@ -22,7 +22,10 @@ int threadLogId() {
   return id;
 }
 
-std::optional<LogLevel> parseLogLevel(std::string text) {
+}  // namespace
+
+std::optional<LogLevel> logLevelFromString(const std::string& name) {
+  std::string text = name;
   for (char& c : text) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   if (text == "trace" || text == "0") return LogLevel::kTrace;
   if (text == "debug" || text == "1") return LogLevel::kDebug;
@@ -30,12 +33,6 @@ std::optional<LogLevel> parseLogLevel(std::string text) {
   if (text == "warn" || text == "warning" || text == "3") return LogLevel::kWarn;
   if (text == "off" || text == "none" || text == "4") return LogLevel::kOff;
   return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<LogLevel> logLevelFromString(const std::string& text) {
-  return parseLogLevel(text);
 }
 
 Logger& Logger::instance() {
@@ -47,7 +44,7 @@ Logger::Logger() {
   // HCA_LOG_LEVEL overrides the compiled-in default so a multi-threaded
   // fault sweep can be made chatty (or silent) without recompiling.
   if (const char* env = std::getenv("HCA_LOG_LEVEL")) {
-    if (const auto level = parseLogLevel(env)) level_ = *level;
+    if (const auto level = logLevelFromString(env)) level_ = *level;
   }
 }
 

@@ -30,7 +30,6 @@ class Logger {
  public:
   static Logger& instance();
 
-  void setLevel(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
   [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
 
@@ -46,7 +45,7 @@ class Logger {
   Logger();
   LogLevel level_ = LogLevel::kWarn;
   /// Serializes the stderr stream itself (no data member is guarded; the
-  /// level is set once at startup and read racily by design).
+  /// level is read from `HCA_LOG_LEVEL` once, at construction).
   Mutex mutex_;
 };
 

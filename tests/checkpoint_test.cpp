@@ -1068,6 +1068,18 @@ TEST(BatchManifestTest, RejectsMalformedManifests) {
       core::parseManifest(
           R"({"jobs": [{"name": "a", "kernel": "x", "max_retries": -1}]})"),
       InvalidArgumentError);
+  // unknown root member: a misspelled second list is not silently dropped
+  try {
+    (void)core::parseManifest(
+        R"({"jobs": [{"name": "a", "kernel": "fir2dim"}],)"
+        R"( "job": [{"name": "b", "kernel": "idcthor"}]})");
+    ADD_FAILURE() << "a manifest with a 'job' member parsed";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "batch manifest: unknown member 'job'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BatchBackoffTest, DeterministicExponentialWithJitterAndCap) {

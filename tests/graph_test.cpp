@@ -103,75 +103,7 @@ TEST(TopoTest, RespectsAllEdges) {
   EXPECT_LT(pos[3], pos[1]);
 }
 
-// --- SCC -------------------------------------------------------------------
-
-TEST(SccTest, SingletonComponents) {
-  const auto g = chain(4);
-  const auto scc = stronglyConnectedComponents(g);
-  EXPECT_EQ(scc.count, 4);
-}
-
-TEST(SccTest, OneBigComponent) {
-  Digraph g(3);
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  g.addEdge(2, 0);
-  const auto scc = stronglyConnectedComponents(g);
-  EXPECT_EQ(scc.count, 1);
-  EXPECT_EQ(scc.component[0], scc.component[1]);
-  EXPECT_EQ(scc.component[1], scc.component[2]);
-}
-
-TEST(SccTest, MixedComponents) {
-  // 0<->1 cycle, 2 alone, 3<->4 cycle; 1->2->3 connects them weakly.
-  Digraph g(5);
-  g.addEdge(0, 1);
-  g.addEdge(1, 0);
-  g.addEdge(1, 2);
-  g.addEdge(2, 3);
-  g.addEdge(3, 4);
-  g.addEdge(4, 3);
-  const auto scc = stronglyConnectedComponents(g);
-  EXPECT_EQ(scc.count, 3);
-  EXPECT_EQ(scc.component[0], scc.component[1]);
-  EXPECT_NE(scc.component[1], scc.component[2]);
-  EXPECT_EQ(scc.component[3], scc.component[4]);
-  const auto groups = scc.groups();
-  std::size_t total = 0;
-  for (const auto& grp : groups) total += grp.size();
-  EXPECT_EQ(total, 5u);
-}
-
-TEST(SccTest, DeepGraphNoStackOverflow) {
-  // 20k-node cycle: recursive Tarjan would overflow the stack.
-  const int n = 20000;
-  Digraph g(n);
-  for (int i = 0; i < n; ++i) g.addEdge(i, (i + 1) % n);
-  const auto scc = stronglyConnectedComponents(g);
-  EXPECT_EQ(scc.count, 1);
-}
-
 // --- longest paths ---------------------------------------------------------
-
-TEST(LongestPathTest, FromSources) {
-  Digraph g(4);
-  const auto e01 = g.addEdge(0, 1);
-  const auto e12 = g.addEdge(1, 2);
-  const auto e02 = g.addEdge(0, 2);
-  g.addEdge(2, 3);
-  const auto keep = [](std::int32_t) { return true; };
-  const auto w = [&](std::int32_t e) -> std::int64_t {
-    if (e == e01) return 1;
-    if (e == e12) return 1;
-    if (e == e02) return 5;
-    return 2;
-  };
-  const auto dist = longestPathFromSources(g, keep, w);
-  EXPECT_EQ(dist[0], 0);
-  EXPECT_EQ(dist[1], 1);
-  EXPECT_EQ(dist[2], 5);
-  EXPECT_EQ(dist[3], 7);
-}
 
 TEST(LongestPathTest, ToSinks) {
   Digraph g(3);
@@ -191,7 +123,7 @@ TEST(LongestPathTest, ThrowsOnCycle) {
   g.addEdge(1, 0);
   const auto keep = [](std::int32_t) { return true; };
   const auto w = [](std::int32_t) -> std::int64_t { return 1; };
-  EXPECT_THROW(longestPathFromSources(g, keep, w), InvalidArgumentError);
+  EXPECT_THROW(longestPathToSinks(g, keep, w), InvalidArgumentError);
 }
 
 // --- positive cycle / MII --------------------------------------------------
@@ -288,55 +220,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MiiRatioTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 13, 30),
                        ::testing::Values(1, 2, 3, 4)));
-
-// --- paths / reachability ---------------------------------------------------
-
-TEST(PathTest, FindsShortest) {
-  Digraph g(5);
-  g.addEdge(0, 1);
-  g.addEdge(1, 4);
-  g.addEdge(0, 2);
-  g.addEdge(2, 3);
-  g.addEdge(3, 4);
-  const auto keep = [](std::int32_t) { return true; };
-  const auto path = shortestPath(g, 0, 4, keep);
-  EXPECT_EQ(path, (std::vector<std::int32_t>{0, 1, 4}));
-}
-
-TEST(PathTest, UnreachableReturnsEmpty) {
-  Digraph g(3);
-  g.addEdge(0, 1);
-  const auto keep = [](std::int32_t) { return true; };
-  EXPECT_TRUE(shortestPath(g, 1, 0, keep).empty());
-  EXPECT_TRUE(shortestPath(g, 0, 2, keep).empty());
-}
-
-TEST(PathTest, RespectsEdgeFilter) {
-  Digraph g(3);
-  const auto e01 = g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  const auto path =
-      shortestPath(g, 0, 2, [&](std::int32_t e) { return e != e01; });
-  EXPECT_TRUE(path.empty());
-}
-
-TEST(PathTest, TrivialPath) {
-  Digraph g(1);
-  const auto keep = [](std::int32_t) { return true; };
-  EXPECT_EQ(shortestPath(g, 0, 0, keep), (std::vector<std::int32_t>{0}));
-}
-
-TEST(ReachabilityTest, Basic) {
-  Digraph g(4);
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  const auto keep = [](std::int32_t) { return true; };
-  const auto seen = reachableFrom(g, 0, keep);
-  EXPECT_TRUE(seen[0]);
-  EXPECT_TRUE(seen[1]);
-  EXPECT_TRUE(seen[2]);
-  EXPECT_FALSE(seen[3]);
-}
 
 }  // namespace
 }  // namespace hca::graph

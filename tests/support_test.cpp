@@ -386,14 +386,6 @@ TEST(ArenaTest, OversizeRequestsGetDedicatedChunks) {
   EXPECT_NE(small, nullptr);
 }
 
-TEST(ArenaTest, ArenaAllocatorWorksWithStdVector) {
-  MonotonicArena arena;
-  std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(v[static_cast<std::size_t>(i)], i);
-  EXPECT_GT(arena.bytesUsed(), 0u);
-}
-
 // --- json ------------------------------------------------------------------
 
 TEST(JsonTest, RejectsDuplicateObjectKeys) {

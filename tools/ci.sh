@@ -20,6 +20,11 @@
 #                 the rule. Skips with a notice when compile_commands.json
 #                 is absent (e.g. a build tree configured by a generator
 #                 that does not export it)
+#   3c. dead-symbols — tools/dead_symbols.sh: builds every non-test
+#                 executable (perfbench's included) at -O0 with
+#                 --gc-sections and fails on an hca:: library function no
+#                 executable keeps that tools/dead_symbols_allowlist.txt
+#                 does not name. Skips with a notice without GNU nm / ld
 #   4. perf     — a Release build running the bench_micro suite once (tiny
 #                 repetitions, --strict-build so a debug-grade binary is a
 #                 hard error). This is a smoke test: it fails on crash,
@@ -92,6 +97,9 @@ if [[ -s "${root}/build/compile_commands.json" ]]; then
 else
   echo "ci: compile_commands.json not found; skipping hca-lint"
 fi
+
+echo "=== ci: dead symbols (library functions no executable links) ==="
+"${root}/tools/dead_symbols.sh" "${jobs}"
 
 echo "=== ci: perf smoke (Release bench_micro) ==="
 cmake -B "${root}/build-perf" -S "${root}" -DCMAKE_BUILD_TYPE=Release
