@@ -37,7 +37,7 @@ struct Partitioner {
   Rng rng;
   MultilevelResult result;
 
-  /// Splits `nodes` into `parts` balanced groups with greedy BFS growth
+  /// Splits `nodes` into `parts` balanced groups grown by BFS
   /// followed by FM-style refinement. Returns the part of each node
   /// (parallel to `nodes`).
   std::vector<int> split(const std::vector<DdgNodeId>& nodes, int parts) {

@@ -11,7 +11,7 @@
 /// Multilevel-partitioning baseline in the style of Chu, Fan and Mahlke
 /// ("Region-based hierarchical operation partitioning", PLDI'03, paper
 /// reference [4]): the DDG is recursively split into balanced parts with a
-/// greedy min-cut seed and Fiduccia–Mattheyses-style refinement, and the
+/// BFS-grown min-cut seed and Fiduccia–Mattheyses-style refinement, and the
 /// parts are mapped onto the machine tree. The paper contrasts HCA with
 /// this approach because it is *machine-hierarchy-agnostic*: the
 /// partitioner never consults the MUX capacities, so its assignments may be

@@ -138,6 +138,10 @@ std::string serializeCheckpoint(const CheckpointData& data) {
     json.key("target").value(a.target);
     json.key("profile").value(a.profile);
     json.key("failureReason").value(a.failureReason);
+    json.key("failureLevel").value(a.failureSite.level);
+    json.key("failurePath").beginArray();
+    for (const int child : a.failureSite.path) json.value(child);
+    json.endArray();
     json.key("stats");
     writeStatsJson(json, a.stats);
     json.endObject();
@@ -218,6 +222,13 @@ CheckpointData parseCheckpoint(const std::string& text) {
       attempt.target = a.member("target").int32();
       attempt.profile = a.member("profile").int32();
       attempt.failureReason = a.member("failureReason").string();
+      // Optional: a file without the site predates it, so its fingerprint
+      // differs and the resume fails with kWrongRun, not on its shape.
+      if (const auto path = a.find("failurePath")) {
+        attempt.failureSite.level = a.member("failureLevel").int32();
+        attempt.failureSite.path =
+            path->elements([](const JsonField& p) { return p.int32(); });
+      }
       attempt.stats = parseStats(a.member("stats"));
       return attempt;
     });
@@ -258,10 +269,15 @@ std::string runFingerprint(const ddg::Ddg& ddg,
     return hex64(b);
   };
   const see::SeeOptions& s = o.see;
+  // The literal 2 after eagerRouting is the retired retry-ladder switch. It
+  // read 1 while the ladder had a third rung; checkpoints from then hold SEE
+  // results and counters of that ladder, which a resume would mix into its
+  // own, so the 2 makes their fingerprint differ and the resume fails with
+  // kWrongRun.
   id << "see:" << s.beamWidth << ',' << s.candidateKeep << ','
      << s.maxOpsPerUnit << ',' << s.enableRouteAllocator << ','
-     << s.eagerRouting << ',' << s.retryLadder << ',' << s.maxRouteHops << ','
-     << s.maxBeamSteps << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
+     << s.eagerRouting << ",2," << s.maxRouteHops << ',' << s.maxBeamSteps
+     << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
      // Retired dominance-pruning flag: a literal 0 keeps the fingerprints
      // of existing checkpoints.
      << ",0"

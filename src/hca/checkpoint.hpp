@@ -89,6 +89,7 @@ struct CheckpointAttempt {
   int target = 0;
   int profile = 0;
   std::string failureReason;
+  FailureSite failureSite;
   HcaStats stats;
 };
 

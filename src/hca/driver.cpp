@@ -32,8 +32,8 @@ const char* to_string(FailureCause cause) {
 
 std::string HcaFailureReport::toString() const {
   std::string out = strCat("HcaFailure{", to_string(cause));
-  if (level >= 0) {
-    out += strCat(", level ", level, " [", strJoin(subproblemPath, "."), "]");
+  if (site.level >= 0) {
+    out += strCat(", level ", site.level, " [", strJoin(site.path, "."), "]");
   }
   out += strCat(": ", message);
   if (!escalationsTried.empty()) {
@@ -337,6 +337,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
         done.target = target;
         done.profile = profile;
         done.failureReason = result.failureReason;
+        done.failureSite = result.failureSite;
         done.stats = result.stats;
         ckpt->noteAttempt(std::move(done), cacheScope, cache);
       }
@@ -370,7 +371,6 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
         old.reconfig = {};
         old.records.clear();
         old.records.shrink_to_fit();
-        old.failureRecord.reset();
       }
       heldFailure = slot.completed ? i : -1;
     }
@@ -421,7 +421,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     return result;
   }
   // No attempt succeeded: the failure of the last attempt that completed
-  // or was restored — reason, wire pressure and failure record all from
+  // or was restored — reason, wire pressure and failure site all from
   // that one attempt — with the aggregate counters (achievedTargetIi = 0
   // means "none").
   HcaResult best;
@@ -430,6 +430,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     AttemptSlot& last = slots[static_cast<std::size_t>(i)];
     if (last.restored != nullptr) {
       best.failureReason = last.restored->failureReason;
+      best.failureSite = last.restored->failureSite;
       lastMaxWire = last.restored->stats.maxWirePressure;
       break;
     }
@@ -731,10 +732,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     auto report = std::make_unique<HcaFailureReport>();
     report->cause = expired() ? FailureCause::kDeadlineExpired
                               : FailureCause::kNoLegalMapping;
-    if (best.failureRecord != nullptr) {
-      report->level = best.failureRecord->level;
-      report->subproblemPath = best.failureRecord->path;
-    }
+    report->site = best.failureSite;
     report->message = best.failureReason;
     report->escalationsTried = std::move(escalations);
     best.failure = std::move(report);
@@ -761,18 +759,18 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     span.arg("level", std::to_string(level));
   }
 
-  auto record = std::make_unique<ProblemRecord>();
-  record->path = path;
-  record->level = level;
-  record->leaf = leaf;
-  record->workingSet = workingSet;
-  record->relayValues = relayValues;
+  ProblemRecord record;
+  record.path = path;
+  record.level = level;
+  record.leaf = leaf;
+  record.workingSet = workingSet;
+  record.relayValues = relayValues;
 
   // --- Pattern graph with boundary nodes (Section 4.1, Fig. 10b). ---------
   // On a faulty machine the PG carries the sub-problem's surviving
   // resources (dead children marked, wire caps clamped); fault-free paths
   // get the identical per-level graph as before.
-  record->pg = model_.patternGraphAt(path);
+  record.pg = model_.patternGraphAt(path);
   see::SeeProblem problem;
   problem.ddg = &ddg;
   problem.workingSet = std::move(workingSet);
@@ -792,7 +790,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   problem.outWiresPerCluster = spec.outWires;
 
   for (const auto& wire : boundary.inputs) {
-    const ClusterId in = record->pg.addInputNode(
+    const ClusterId in = record.pg.addInputNode(
         wire.values, strCat("in", wire.wire));
     for (const ValueId v : wire.values) {
       problem.valueSources.emplace(v, in);
@@ -800,11 +798,11 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   }
   for (const auto& wire : boundary.outputs) {
     const ClusterId out =
-        record->pg.addOutputNode(strCat("out", wire.wire), wire.values);
+        record.pg.addOutputNode(strCat("out", wire.wire), wire.values);
     problem.outputRequirements.push_back({out, wire.values});
   }
-  record->pg.connectBoundaryNodes();
-  problem.pg = &record->pg;
+  record.pg.connectBoundaryNodes();
+  problem.pg = &record.pg;
 
   // --- Single-level cluster assignment (Section 4.2), memoized. ------------
   // The cache key covers everything the (deterministic) SEE result depends
@@ -814,7 +812,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   std::shared_ptr<const see::SeeResult> cacheEntry;
   std::string cacheKey;
   if (ctx.cache != nullptr) {
-    cacheKey = subproblemKey(record->pg, problem.constraints, problem.latency,
+    cacheKey = subproblemKey(record.pg, problem.constraints, problem.latency,
                              spec.inWires, spec.outWires, boundary.inputs,
                              boundary.outputs, problem.workingSet,
                              problem.relayValues, ctx.seeOptions);
@@ -854,7 +852,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
   }
   const see::SeeResult& seeResult = *seePtr;
 
-  record->seeStats = seeResult.stats;
+  record.seeStats = seeResult.stats;
   ++result.stats.problemsSolved;
   result.stats.addSee(seeResult.stats);
   // Per-level search-pressure series (cache hits replay the recorded
@@ -870,16 +868,16 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     result.failureReason = strCat("sub-problem [", strJoin(path, "."),
                                   "] (level ", level,
                                   "): ", seeResult.failureReason);
-    result.failureRecord = std::move(record);
+    result.failureSite = {level, path};
     return false;
   }
 
   // --- Try the frontier's assignments in order; backtrack on deep failure.
   // Snapshots are read by working-set position.
-  HCA_CHECK(seeResult.workingSet == record->workingSet,
+  HCA_CHECK(seeResult.workingSet == record.workingSet,
             "SEE result of sub-problem [" << strJoin(path, ".")
                                           << "] is for another working set");
-  const auto clusters = record->pg.clusterNodes();
+  const auto clusters = record.pg.clusterNodes();
   const int numAlternatives = std::min<int>(
       std::max(1, options_.maxAlternatives),
       static_cast<int>(seeResult.frontier.size()));
@@ -902,7 +900,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     const std::size_t savedSettings = result.reconfig.settings.size();
     const std::size_t savedRelays = result.relays.size();
 
-    auto attempt = std::make_unique<ProblemRecord>(*record);
+    auto attempt = std::make_unique<ProblemRecord>(record);
     attempt->flow = solution.copyFlow();
     attempt->clusterSummaries.clear();
     for (const ClusterId c : clusters) {
@@ -1082,10 +1080,8 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
                              ? strCat("sub-problem [", strJoin(path, "."),
                                       "] exhausted alternatives")
                              : lastFailure;
-  // Keep the problem description (without flow) for diagnostics.
-  if (result.failureRecord == nullptr) {
-    result.failureRecord = std::move(record);
-  }
+  // A failure below this problem, met while backtracking, keeps its site.
+  if (result.failureSite.level < 0) result.failureSite = {level, path};
   return false;
 }
 

@@ -51,14 +51,18 @@ enum class FailureCause {
 
 [[nodiscard]] const char* to_string(FailureCause cause);
 
+/// The sub-problem that could not be solved: its interconnect level (-1
+/// when the failure is not tied to one sub-problem) and path.
+struct FailureSite {
+  int level = -1;
+  std::vector<int> path;
+};
+
 /// Structured description of a failed kDegrade run: what gave out, where
 /// in the problem tree, and which fallback rungs were tried on the way.
 struct HcaFailureReport {
   FailureCause cause = FailureCause::kNoLegalMapping;
-  /// Interconnect level of the sub-problem that could not be solved
-  /// (-1 when the failure is not tied to one sub-problem).
-  int level = -1;
-  std::vector<int> subproblemPath;
+  FailureSite site;
   std::string message;
   /// Human-readable labels of the escalation rungs that ran, in order.
   std::vector<std::string> escalationsTried;
@@ -183,9 +187,8 @@ struct HcaResult {
   machine::ReconfigurationProgram reconfig;
 
   std::vector<std::unique_ptr<ProblemRecord>> records;
-  /// On failure: the description of the sub-problem that could not be
-  /// solved (its records entry may have been rolled back by backtracking).
-  std::unique_ptr<ProblemRecord> failureRecord;
+  /// On failure: the sub-problem that could not be solved.
+  FailureSite failureSite;
   HcaStats stats;
   /// Named observability counters and histograms (per-level SEE pressure,
   /// cache traffic, mapper distributions, pool latencies, ladder activity);

@@ -60,9 +60,9 @@ void writeHistogramSummary(JsonWriter& json, const Histogram* h) {
 void writeFailure(JsonWriter& json, const HcaFailureReport& failure) {
   json.beginObject();
   json.key("cause").value(to_string(failure.cause));
-  json.key("level").value(failure.level);
+  json.key("level").value(failure.site.level);
   json.key("subproblemPath").beginArray();
-  for (const int p : failure.subproblemPath) json.value(p);
+  for (const int p : failure.site.path) json.value(p);
   json.endArray();
   json.key("message").value(failure.message);
   json.key("escalationsTried").beginArray();

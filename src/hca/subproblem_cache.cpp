@@ -53,7 +53,9 @@ void appendOptions(std::string& out, const see::SeeOptions& o) {
   appendI32(out, o.maxOpsPerUnit);
   appendI32(out, o.enableRouteAllocator ? 1 : 0);
   appendI32(out, o.eagerRouting ? 1 : 0);
-  appendI32(out, o.retryLadder ? 1 : 0);
+  // Retired retry-ladder switch (always on): a literal 1 keeps the keys,
+  // and so the shard hashes, of default options.
+  appendI32(out, 1);
   appendI32(out, o.maxRouteHops);
   appendI32(out, o.maxBeamSteps);
   // The arena ceiling aborts a search mid-flight, so a result computed

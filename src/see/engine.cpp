@@ -145,30 +145,23 @@ SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
   const PreparedProblem prepared(problem, options_);
   SearchScratch scratch(prepared);
   SeeResult result = runOnce(prepared, scratch, options_, cancel);
-  if (result.legal || !options_.retryLadder) return result;
-  if (cancel != nullptr && cancel->cancelled()) return result;
-  // Diversification ladder (part of the node-filter design): a narrower,
-  // route-heavier search sometimes reaches a legal corner of the space the
-  // scored beam pruned away. Statistics accumulate across attempts.
-  std::vector<SeeOptions> ladder;
-  {
-    SeeOptions greedy = options_;
-    greedy.beamWidth = 1;
-    greedy.candidateKeep = 1;
-    greedy.eagerRouting = false;
-    ladder.push_back(greedy);
-    SeeOptions deeper = greedy;
-    deeper.beamWidth = 2;
-    deeper.candidateKeep = 2;
-    deeper.maxRouteHops = options_.maxRouteHops + 2;
-    ladder.push_back(deeper);
-    SeeOptions balanced = options_;
-    balanced.eagerRouting = !options_.eagerRouting;
-    ladder.push_back(balanced);
-  }
-  for (const SeeOptions& attempt : ladder) {
+  if (result.legal) return result;
+  // Retry ladder, on top of the paper's one recovery (the route allocator
+  // as the no candidates action). `deeper` (beam 2, keep 2, no eager
+  // routing, two more route hops) reaches relay chains the primary hop
+  // budget cannot: it alone rescues SEE calls on one-port RCP rings.
+  // `eager` flips eager routing: it alone rescues flat-ICA h264. Statistics
+  // accumulate across attempts.
+  SeeOptions deeper = options_;
+  deeper.beamWidth = 2;
+  deeper.candidateKeep = 2;
+  deeper.eagerRouting = false;
+  deeper.maxRouteHops = options_.maxRouteHops + 2;
+  SeeOptions eager = options_;
+  eager.eagerRouting = !options_.eagerRouting;
+  for (const SeeOptions* attempt : {&deeper, &eager}) {
     if (cancel != nullptr && cancel->cancelled()) return result;
-    SeeResult retry = runOnce(prepared, scratch, attempt, cancel);
+    SeeResult retry = runOnce(prepared, scratch, *attempt, cancel);
     retry.stats.merge(result.stats);
     result = std::move(retry);
     if (result.legal) return result;

@@ -48,18 +48,22 @@ class SpaceExplorationEngine {
  public:
   explicit SpaceExplorationEngine(SeeOptions options = {});
 
-  /// Runs the beam search. When `cancel` is non-null the loop polls it at
-  /// every priority-list step and, once it flips, unwinds immediately with
-  /// an illegal result (failureReason = "cancelled"). A result with
-  /// legal == true is always a complete, cancellation-free computation.
+  /// Runs the beam search; an illegal result is retried by the `deeper`
+  /// and then the `eager` rung (see engine.cpp), stopping at the first
+  /// legal one, with every rung's counters summed. When `cancel` is
+  /// non-null the loop polls it at every priority-list step and, once it
+  /// flips, unwinds immediately with an illegal result (failureReason =
+  /// "cancelled"). A result with legal == true is always a complete,
+  /// cancellation-free computation.
   [[nodiscard]] SeeResult run(const SeeProblem& problem,
                               const CancellationToken* cancel = nullptr) const;
 
   [[nodiscard]] const SeeOptions& options() const { return options_; }
 
  private:
-  /// One beam search over the shared `prepared` problem. `options` is the
-  /// retry-ladder rung: its beam width, candidate keep, eager routing and
+  /// One beam search over the shared `prepared` problem. `options` is
+  /// prepared.options() or one of the two retry-ladder rungs (`deeper`,
+  /// `eager`; see run()): its beam width, candidate keep, eager routing and
   /// maxRouteHops drive this search; every other field equals
   /// prepared.options().
   [[nodiscard]] SeeResult runOnce(const PreparedProblem& prepared,

@@ -75,9 +75,10 @@ class PreparedProblem {
   [[nodiscard]] const SeeProblem& problem() const { return *problem_; }
   /// The options the problem was prepared under. Only the fields that shape
   /// the prepared problem or the assignment semantics (chain grouping,
-  /// maxOpsPerUnit, weights) are read from here: the search knobs the retry
-  /// ladder varies per rung — beam width, candidate keep, eager routing and
-  /// maxRouteHops — reach the search as explicit arguments instead.
+  /// maxOpsPerUnit, weights) are read from here: the search knobs the two
+  /// retry-ladder rungs vary — beam width, candidate keep and maxRouteHops
+  /// (`deeper`), eager routing (both) — reach the search as explicit
+  /// arguments instead.
   [[nodiscard]] const SeeOptions& options() const { return options_; }
   /// Static feasibility/reachability tables (see/feasibility.hpp), built
   /// once per prepared problem.

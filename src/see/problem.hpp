@@ -88,10 +88,8 @@ struct SeeOptions {
   /// empirically poisons the beam; the paper's design — routing as the
   /// `no candidates action` only — is the default.
   bool eagerRouting = false;
-  /// On failure, retry with progressively more conservative search
-  /// profiles (narrower beam, deeper routing) before reporting illegal.
-  bool retryLadder = true;
-  /// Maximum relay hops the route allocator may insert per operand.
+  /// Maximum relay hops the route allocator may insert per operand; the
+  /// engine's `deeper` retry rung allows two more.
   int maxRouteHops = 3;
   /// Hard budget on frontier-state expansions per search attempt (each
   /// retry-ladder rung counts separately); when exhausted the engine stops

@@ -230,8 +230,8 @@ TEST(FlatIcaTest, Table1ResultsArePinned) {
        " cr=9328 rf=0 ca=10560 sm=169 ap=80124 or=388 mh=0 dp=0"},
       {"h264deblocking",
        "legal hierarchy=illegal assignment=6a7ea0ec3363eadf maxCnPressure=13"
-       " se=1321 ce=66517 sp=3117 ri=37 ro=16658"
-       " cr=62079 rf=6363 ca=86912 sm=1325 ap=97056 or=11224 mh=0 dp=0"},
+       " se=1237 ce=62479 sp=3117 ri=34 ro=16582"
+       " cr=58124 rf=6231 ca=81344 sm=1241 ap=97056 or=10076 mh=0 dp=0"},
   };
   const auto kernels = ddg::table1Kernels();
   ASSERT_EQ(kernels.size(), std::size(kPins));

@@ -74,6 +74,8 @@ void expectIdenticalRun(const HcaResult& a, const HcaResult& b,
                         bool cacheCounters = true) {
   ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
   EXPECT_EQ(a.failureReason, b.failureReason);
+  EXPECT_EQ(a.failureSite.level, b.failureSite.level);
+  EXPECT_EQ(a.failureSite.path, b.failureSite.path);
   EXPECT_EQ(a.fallbackUsed, b.fallbackUsed);
   ASSERT_EQ(a.assignment.size(), b.assignment.size());
   for (std::size_t i = 0; i < a.assignment.size(); ++i) {
@@ -305,6 +307,7 @@ CheckpointData everyCounterData() {
   attempt.target = 5;
   attempt.profile = 1;
   attempt.failureReason = "pinned";
+  attempt.failureSite = {2, {1, 3}};
   attempt.stats = pinnedRunStats();
   data.attempts.push_back(attempt);
   see::SeeResult cached;
@@ -345,10 +348,11 @@ void eraseMember(std::string& payload, const std::string& key) {
 TEST(CheckpointFormatPinTest, SerializedBytesArePinned) {
   EXPECT_EQ(
       core::serializeCheckpoint(everyCounterData()),
-      "HCACHK 1 e7f0960336519339 883\n"
+      "HCACHK 1 1a2ce727e903bdf0 920\n"
       "{\"fingerprint\":\"0123456789abcdef\",\"iniMii\":4,\"attempts\":[{"
       "\"phase\":\"sweep\",\"index\":2,\"target\":5,\"profile\":1,"
-      "\"failureReason\":\"pinned\",\"stats\":{\"problemsSolved\":1,"
+      "\"failureReason\":\"pinned\",\"failureLevel\":2,"
+      "\"failurePath\":[1,3],\"stats\":{\"problemsSolved\":1,"
       "\"backtrackAttempts\":2,\"outerAttempts\":3,\"achievedTargetIi\":4,"
       "\"attemptsCancelled\":5,\"statesExplored\":6,"
       "\"candidatesEvaluated\":7,\"routeInvocations\":8,\"cacheHits\":9,"
@@ -387,6 +391,22 @@ TEST(CheckpointFormatPinTest, CountersAddedLaterAreOptional) {
   EXPECT_EQ(t.arenaBytesPeak, 110);
 }
 
+TEST(CheckpointFormatPinTest, FailureSiteIsOptional) {
+  // Files written before attempts kept their failure site still parse
+  // (their fingerprint then refuses the resume), reading "no site".
+  const std::string bytes = withEditedPayload(
+      core::serializeCheckpoint(everyCounterData()), [](std::string& p) {
+        const std::string site = ",\"failureLevel\":2,\"failurePath\":[1,3]";
+        const std::size_t at = p.find(site);
+        ASSERT_NE(at, std::string::npos);
+        p.erase(at, site.size());
+      });
+  const CheckpointData parsed = core::parseCheckpoint(bytes);
+  ASSERT_EQ(parsed.attempts.size(), 1u);
+  EXPECT_EQ(parsed.attempts[0].failureSite.level, -1);
+  EXPECT_TRUE(parsed.attempts[0].failureSite.path.empty());
+}
+
 TEST(CheckpointFormatPinTest, FirstSchemaCountersAreRequired) {
   const std::string bytes = core::serializeCheckpoint(everyCounterData());
   for (const char* key : {"statesExplored", "se"}) {
@@ -408,15 +428,17 @@ TEST(CheckpointFormatPinTest, OutOfRangeInt32CounterRejected) {
   EXPECT_EQ(parseKind(bytes), CheckpointError::Kind::kBadPayload);
 }
 
-// The run fingerprint and the sub-problem cache key are pinned to the bytes
-// they had when the dominance-pruning option still existed: checkpoints
-// written then must still resume, and default-option keys must keep their
-// shard hashes. The fingerprint still carries the retired flag as a 0.
+// The sub-problem cache key is pinned to the bytes it had when the
+// dominance-pruning option and the retry-ladder switch still existed:
+// default-option keys must keep their shard hashes, so it carries the
+// retired switch as a 1. The fingerprint carries the retired dominance flag
+// as a 0, but changed when the retry ladder lost its third rung
+// (ThreeRungLadderCheckpointRejected).
 TEST(CheckpointFormatPinTest, Fir2dimFingerprintAndCacheKeyArePinned) {
   const ddg::Ddg& ddg = kernelNamed("fir2dim").ddg;
   const machine::DspFabricModel model = paperFabric();
   const HcaOptions options;
-  EXPECT_EQ(core::runFingerprint(ddg, model, options), "f60da47e663e4acf");
+  EXPECT_EQ(core::runFingerprint(ddg, model, options), "0e68cf5c1ba405e4");
 
   // The root (level 0) sub-problem over the whole DDG.
   std::vector<DdgNodeId> workingSet;
@@ -677,6 +699,26 @@ TEST(CheckpointManagerTest, ResumeAgainstDifferentRunRejected) {
   }
 }
 
+TEST(CheckpointManagerTest, ThreeRungLadderCheckpointRejected) {
+  // f60da47e663e4acf is fir2dim's default-options fingerprint while the SEE
+  // retry ladder had a third rung. Such a checkpoint holds SEE results and
+  // counters of that ladder, so a default-options resume must refuse it
+  // instead of mixing them into its own.
+  const std::string path = tmpPath("three_rung_ladder.ckpt");
+  removeFileIfExists(path);
+  (void)runWithCheckpoint(kernelNamed("fir2dim"), budgetedOptions(40), path,
+                          /*cancelAfter=*/1);
+  CheckpointData data = core::parseCheckpoint(readFile(path));
+  data.fingerprint = "f60da47e663e4acf";
+  atomicWriteFile(path, core::serializeCheckpoint(data));
+  try {
+    (void)runWithCheckpoint(kernelNamed("fir2dim"), HcaOptions(), path);
+    FAIL() << "resume of a three-rung-ladder checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointError::Kind::kWrongRun);
+  }
+}
+
 TEST(CheckpointManagerTest, ThrottledWritesStillFlushEverything) {
   const std::string path = tmpPath("throttled.ckpt");
   removeFileIfExists(path);
@@ -846,8 +888,7 @@ TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
   // restored attempts need not be a prefix of the sweep. Resuming one
   // serially or in parallel must end on the same failure, taken whole from
   // the last attempt in sweep order: reason, wire pressure and failure
-  // record. Here that attempt is restored, and restored attempts keep no
-  // failure record.
+  // site. Here that attempt is restored, so the site comes from the file.
   const ddg::Kernel& kernel = kernelNamed("fir2dim");
   for (const auto policy :
        {core::FailurePolicy::kStrict, core::FailurePolicy::kDegrade}) {
@@ -861,7 +902,8 @@ TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
     options.failurePolicy = policy;
     const std::string path = tmpPath("non_prefix_resume.ckpt");
     removeFileIfExists(path);
-    ASSERT_FALSE(runWithCheckpoint(kernel, options, path).legal);
+    const HcaResult uninterrupted = runWithCheckpoint(kernel, options, path);
+    ASSERT_FALSE(uninterrupted.legal);
 
     // Drop attempt 0 of the primary sweep: the resume re-runs it and
     // restores attempts 1 and 2.
@@ -892,14 +934,20 @@ TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
     if (serial.legal) continue;  // kDegrade's flat-ICA rung mapped it
     EXPECT_EQ(serial.failureReason, parallel.failureReason);
     EXPECT_EQ(serial.stats.maxWirePressure, parallel.stats.maxWirePressure);
-    EXPECT_EQ(serial.failureRecord, nullptr);
-    EXPECT_EQ(parallel.failureRecord, nullptr);
+    for (const HcaResult* r : {&serial, &parallel}) {
+      EXPECT_EQ(r->failureSite.level, uninterrupted.failureSite.level);
+      EXPECT_EQ(r->failureSite.path, uninterrupted.failureSite.path);
+    }
     if (policy == core::FailurePolicy::kDegrade) {
+      ASSERT_NE(uninterrupted.failure, nullptr);
       ASSERT_NE(serial.failure, nullptr);
       ASSERT_NE(parallel.failure, nullptr);
       EXPECT_EQ(serial.failure->toString(), parallel.failure->toString());
-      EXPECT_EQ(serial.failure->level, -1);
-      EXPECT_EQ(parallel.failure->level, -1);
+      EXPECT_EQ(serial.failure->toString(), uninterrupted.failure->toString());
+      for (const HcaResult* r : {&uninterrupted, &serial, &parallel}) {
+        EXPECT_EQ(r->failure->site.level, 0);
+        EXPECT_TRUE(r->failure->site.path.empty());
+      }
     }
   }
 }

@@ -1225,8 +1225,8 @@ TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
   // The consumer can only run on cluster 4 (the one ALU); its operand
   // arrives on an input node wired to cluster 0 alone, and the clusters
   // form a line 0 -> 1 -> 2 -> 3 -> 4. Delivering it takes four relays
-  // (clusters 0..3). With maxRouteHops = 2 the primary search, the greedy
-  // rung and the eager-routing rung all fail; only the `deeper` rung
+  // (clusters 0..3). With maxRouteHops = 2 the primary search and the
+  // eager-routing rung route at most two; only the `deeper` rung
   // (maxRouteHops + 2 = 4) can route it. The rungs share one prepared
   // problem, so this fails if a rung's hop budget is read from the
   // preparation instead of the rung.
@@ -1256,23 +1256,10 @@ TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
   problem.valueSources.emplace(xv, in);
 
   SeeOptions options;
+  // One hop fewer and `deeper` gets three: no rung delivers the operand.
+  options.maxRouteHops = 1;
+  EXPECT_FALSE(SpaceExplorationEngine(options).run(problem).legal);
   options.maxRouteHops = 2;
-  SeeOptions noLadder = options;
-  noLadder.retryLadder = false;
-  EXPECT_FALSE(SpaceExplorationEngine(noLadder).run(problem).legal);
-  SeeOptions greedy = noLadder;
-  greedy.beamWidth = 1;
-  greedy.candidateKeep = 1;
-  EXPECT_FALSE(SpaceExplorationEngine(greedy).run(problem).legal);
-  SeeOptions eager = noLadder;
-  eager.eagerRouting = true;
-  EXPECT_FALSE(SpaceExplorationEngine(eager).run(problem).legal);
-  SeeOptions deeper = greedy;
-  deeper.beamWidth = 2;
-  deeper.candidateKeep = 2;
-  deeper.maxRouteHops = 4;
-  EXPECT_TRUE(SpaceExplorationEngine(deeper).run(problem).legal);
-
   options.legacySearch = true;
   const SeeResult legacy = SpaceExplorationEngine(options).run(problem);
   options.legacySearch = false;
@@ -1283,6 +1270,29 @@ TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
   EXPECT_EQ(delta.materialize().flow().totalCopies(), 5);
   expectSameSearch(legacy, delta);
   EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
+}
+
+TEST(DeltaSearchTest, DeeperRungRescuesOnePortRcpRing) {
+  // fir2dim on an 8-cluster RCP ring, reach 1, one input port per cluster
+  // and a memory port on every second one: the primary search and the
+  // eager-routing rung both fail, and only the `deeper` rung maps it. On
+  // one-port rings `deeper` is the only rung that rescues some SEE calls,
+  // which is why the ladder keeps it.
+  const auto kernel = ddg::buildFir2Dim();
+  machine::RcpConfig config;
+  config.clusters = 8;
+  config.neighborReach = 1;
+  config.inputPorts = 1;
+  config.memClusterStride = 2;
+  const auto pg = machine::rcpPatternGraph(config);
+  SeeProblem problem = baseProblem(kernel.ddg, pg);
+  problem.constraints = machine::rcpConstraints(config);
+  problem.inWiresPerCluster = config.inputPorts;
+  problem.outWiresPerCluster = config.inputPorts;
+  SeeOptions options;
+  options.weights.targetIi = 4;
+  const SeeResult result = SpaceExplorationEngine(options).run(problem);
+  EXPECT_TRUE(result.legal) << result.failureReason;
 }
 
 /// A slice of a Table 1 kernel shaped like an HCA leaf sub-problem: up to
@@ -1428,7 +1438,7 @@ TEST(FrontierSnapshotTest, MaterializedFrontierMatchesPinnedPartialSolutions) {
   };
   const Pin pins[] = {
       {"fir2dim", 0xeee3588b07bc6323ULL, 0x78c46930ea1d96a3ULL},
-      {"idcthor", 0x419af4afa827cef2ULL, 0xbf5e6df09e329290ULL},
+      {"idcthor", 0x419af4afa827cef2ULL, 0x28481705d162bda8ULL},
       {"mpeg2inter", 0xdbf19a8be0136647ULL, 0x6b98bb005ec7f06dULL},
       {"h264deblocking", 0xd36303e164dd8e4aULL, 0xaa8a83f2ec26d605ULL},
   };

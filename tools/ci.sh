@@ -7,7 +7,8 @@
 # -DHCA_SANITIZE=thread tree (build-tsan/) and runs `ctest -L tsan`.
 #
 #   1. tier-1   — cmake + build + full ctest suite (the acceptance bar every
-#                 change must keep green)
+#                 change must keep green); it runs the four examples/
+#                 programs too (ctest label `example`)
 #   2. tsa      — a clang build with -Wthread-safety -Werror=thread-safety
 #                 verifying the HCA_GUARDED_BY/HCA_REQUIRES annotations;
 #                 skipped with a notice when clang is not installed (GCC has
