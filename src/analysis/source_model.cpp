@@ -74,7 +74,9 @@ ModuleInfo classifyModule(const std::string& relPath) {
 
 SourceModel SourceModel::load(const std::string& root,
                               const std::vector<CompileCommand>& commands) {
-  const fs::path rootPath = fs::path(root).lexically_normal();
+  // Compile-command paths are absolute, so a relative root (`--root .`) is
+  // made absolute before they are matched against it.
+  const fs::path rootPath = fs::absolute(root).lexically_normal();
   SourceModel model;
   std::set<std::string> loaded;
   std::deque<std::string> pending;  // repo-relative paths

@@ -9,10 +9,7 @@
 namespace hca::baseline {
 
 FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
-                         const machine::DspFabricModel& model,
-                         const see::SeeOptions& options,
-                         const CancellationToken* cancel,
-                         HierarchyCollect* collect) {
+                         const machine::DspFabricModel& model) {
   HCA_REQUIRE(model.totalCns() <= 64,
               "flat ICA supports up to 64 computation nodes");
   FlatIcaResult result;
@@ -44,17 +41,15 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
   problem.outWiresPerCluster = model.config().cnOutWires;
   problem.latency = model.config().latency;
 
-  see::SeeOptions flatOptions = options;
-  if (flatOptions.weights.targetIi <= 1) {
-    const auto stats = ddg.stats();
-    flatOptions.weights.targetIi = std::max<int>(
-        {static_cast<int>(ddg.miiRec(model.config().latency)),
-         (stats.numInstructions + model.aliveCns() - 1) / model.aliveCns(),
-         (stats.numMemOps + model.config().dmaSlots - 1) /
-             model.config().dmaSlots});
-  }
+  see::SeeOptions flatOptions;
+  const auto stats = ddg.stats();
+  flatOptions.weights.targetIi = std::max<int>(
+      {static_cast<int>(ddg.miiRec(model.config().latency)),
+       (stats.numInstructions + model.aliveCns() - 1) / model.aliveCns(),
+       (stats.numMemOps + model.config().dmaSlots - 1) /
+           model.config().dmaSlots});
   const see::SpaceExplorationEngine engine(flatOptions);
-  const auto seeResult = engine.run(problem, cancel);
+  const auto seeResult = engine.run(problem);
   result.seeStats = seeResult.stats;
   result.assignmentLegal = seeResult.legal;
   if (!seeResult.legal) {
@@ -76,7 +71,7 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
 
   // Post-hoc: can the MUX hierarchy actually realize this assignment?
   result.hierarchy =
-      checkHierarchyFeasibility(ddg, model, result.assignment, collect);
+      checkHierarchyFeasibility(ddg, model, result.assignment);
   result.hierarchyLegal = result.hierarchy.legal;
   if (!result.hierarchyLegal) {
     result.failureReason = "hierarchy: " + result.hierarchy.failureReason;

@@ -7,7 +7,6 @@
 #include "ddg/ddg.hpp"
 #include "machine/dspfabric.hpp"
 #include "see/problem.hpp"
-#include "support/thread_pool.hpp"
 
 /// Flat (non-hierarchical) Instruction Cluster Assignment baseline.
 ///
@@ -34,15 +33,10 @@ struct FlatIcaResult {
   int maxCnPressure = 0;
 };
 
-/// `cancel` (optional) aborts the flat SEE search early; `collect`
-/// (optional) materializes per-level records when the hierarchy check
-/// passes — see HierarchyCollect. On a faulty model the dead CNs are
-/// excluded from the flat pattern graph, so the assignment only uses
-/// surviving resources.
+/// Runs the engine with default options on the flat view of `model`. On a
+/// faulty model the dead CNs are excluded from the flat pattern graph, so
+/// the assignment only uses surviving resources.
 FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
-                         const machine::DspFabricModel& model,
-                         const see::SeeOptions& options = {},
-                         const CancellationToken* cancel = nullptr,
-                         HierarchyCollect* collect = nullptr);
+                         const machine::DspFabricModel& model);
 
 }  // namespace hca::baseline

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 
@@ -16,10 +15,8 @@ namespace hca::baseline {
 namespace {
 
 struct Checker {
-  const ddg::Ddg& ddg;
   const machine::DspFabricModel& model;
   const std::vector<CnId>& assignment;
-  HierarchyCollect* collect = nullptr;
   HierarchyCheckResult result;
 
   /// Consumers per value (instruction nodes only).
@@ -121,56 +118,6 @@ struct Checker {
     result.maxWirePressure =
         std::max(result.maxWirePressure, mapped.maxValuesPerWire);
 
-    if (collect != nullptr) {
-      auto record = std::make_unique<mapper::ProblemRecord>();
-      record->path = path;
-      record->level = level;
-      record->leaf = leaf;
-      record->pg = pg;
-      record->flow = flow;
-      // Working set of this sub-problem: every instruction assigned below
-      // `path`, with its child index at this level.
-      for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
-        if (!ddg::isInstruction(ddg.node(DdgNodeId(v)).op)) continue;
-        const CnId cn = assignment[static_cast<std::size_t>(v)];
-        const int child = cn.valid() ? childOf(cn) : -1;
-        if (child < 0) continue;
-        record->workingSet.emplace_back(v);
-        record->wsChild.push_back(child);
-      }
-      // Per-cluster occupancy, derived the same way the driver's records
-      // are (instructions + copy traffic), so computeMii works unchanged.
-      for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-        mapper::ClusterSummary summary;
-        summary.cluster = clusters[ci];
-        std::set<ValueId> valuesIn, valuesOut;
-        for (const PgArcId a : pg.inArcs(clusters[ci])) {
-          for (const ValueId v : flow.copiesOn(a)) valuesIn.insert(v);
-        }
-        for (const PgArcId a : pg.outArcs(clusters[ci])) {
-          for (const ValueId v : flow.copiesOn(a)) valuesOut.insert(v);
-        }
-        summary.distinctValuesIn = static_cast<int>(valuesIn.size());
-        summary.distinctValuesOut = static_cast<int>(valuesOut.size());
-        record->clusterSummaries.push_back(summary);
-      }
-      for (std::size_t i = 0; i < record->workingSet.size(); ++i) {
-        auto& summary =
-            record->clusterSummaries[static_cast<std::size_t>(
-                record->wsChild[i])];
-        ++summary.instructions;
-        switch (ddg::opResource(ddg.node(record->workingSet[i]).op)) {
-          case ddg::ResourceClass::kAlu: ++summary.aluOps; break;
-          case ddg::ResourceClass::kAg: ++summary.agOps; break;
-          case ddg::ResourceClass::kNone: break;
-        }
-      }
-      record->mapResult = mapped;
-      for (const auto& setting : mapped.reconfig.settings) {
-        collect->reconfig.settings.push_back(setting);
-      }
-      collect->records.push_back(std::move(record));
-    }
     if (leaf) return true;
 
     for (int i = 0; i < spec.children; ++i) {
@@ -190,10 +137,10 @@ struct Checker {
 
 HierarchyCheckResult checkHierarchyFeasibility(
     const ddg::Ddg& ddg, const machine::DspFabricModel& model,
-    const std::vector<CnId>& assignment, HierarchyCollect* collect) {
+    const std::vector<CnId>& assignment) {
   HCA_REQUIRE(static_cast<std::int32_t>(assignment.size()) == ddg.numNodes(),
               "assignment size mismatch");
-  Checker checker{ddg, model, assignment, collect, {}, {}};
+  Checker checker{model, assignment, {}, {}};
   for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
     const auto& node = ddg.node(DdgNodeId(v));
     if (!ddg::isInstruction(node.op)) continue;

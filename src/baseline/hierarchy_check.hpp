@@ -1,13 +1,10 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ddg/ddg.hpp"
-#include "mapper/problem_record.hpp"
 #include "machine/dspfabric.hpp"
-#include "machine/reconfig.hpp"
 #include "support/ids.hpp"
 
 /// Post-hoc hierarchy feasibility check for *flat* assignments.
@@ -31,23 +28,12 @@ struct HierarchyCheckResult {
   int problemsChecked = 0;
 };
 
-/// Optional materialization of the per-level artifacts the check derives:
-/// one ProblemRecord per sub-problem (in the same shape the HCA driver
-/// records) plus the concatenated reconfiguration stream. This is how the
-/// driver's flat-ICA fallback turns a flat assignment into a full,
-/// coherency-checkable HcaResult.
-struct HierarchyCollect {
-  std::vector<std::unique_ptr<mapper::ProblemRecord>> records;
-  machine::ReconfigurationProgram reconfig;
-};
-
 /// `assignment` maps every instruction node to a CN (consts ignored).
 /// The check is fault-aware: on a faulty model the per-level Mapper runs
 /// against the surviving wire budgets, so an assignment using dead
-/// resources is reported illegal. When `collect` is non-null and the check
-/// succeeds, the per-level records and reconfiguration are filled in.
+/// resources is reported illegal.
 HierarchyCheckResult checkHierarchyFeasibility(
     const ddg::Ddg& ddg, const machine::DspFabricModel& model,
-    const std::vector<CnId>& assignment, HierarchyCollect* collect = nullptr);
+    const std::vector<CnId>& assignment);
 
 }  // namespace hca::baseline

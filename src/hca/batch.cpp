@@ -62,7 +62,7 @@ TryOutcome runOneTry(const BatchJob& job, const ddg::Ddg& ddg,
   options.checkpoint = checkpoint;
   if (lastTry && job.degradeOnLastRetry) {
     // Degrade-on-last-retry: the final try arms the full escalation ladder
-    // (widened beam, degraded bandwidth, flat ICA) instead of failing on
+    // (widened beam, then degraded bandwidth) instead of failing on
     // the primary sweep alone.
     options.failurePolicy = FailurePolicy::kDegrade;
   }

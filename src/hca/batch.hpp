@@ -17,8 +17,8 @@
 /// exponential backoff plus deterministic jitter (seeded from the job
 /// name, so two batch processes started together do not retry in
 /// lockstep); the last retry can optionally flip the job to the kDegrade
-/// failure policy, which arms the escalation ladder (widened beam,
-/// degraded bandwidth, flat ICA) before giving up. Invalid inputs are
+/// failure policy, which arms the escalation ladder (widened beam, then
+/// degraded bandwidth) before giving up. Invalid inputs are
 /// permanent — they are never retried.
 ///
 /// Shutdown: the batch observes an external CancellationToken (the CLI

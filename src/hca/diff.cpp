@@ -244,7 +244,7 @@ ReportDiff diffReports(const JsonValue& oldReport, const JsonValue& newReport,
                             " matching history runs (need ",
                             options.minHistoryRuns, ") — informational");
   } else {
-    diff.wall.note = "no baseline history — informational";
+    diff.wall.note = "no run history — informational";
   }
   return diff;
 }

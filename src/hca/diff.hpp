@@ -19,14 +19,14 @@
 ///    deterministic, so any difference means the change altered search
 ///    behaviour; each mismatching series is named in the verdict.
 ///  * *Wall-clock* — inherently noisy — is compared against a
-///    variance-aware threshold computed from the baseline history:
+///    variance-aware threshold computed from the run history:
 ///    mean + k·stddev over the matching (workload, machine) records
 ///    (k = DiffOptions::wallSigma). Without history the wall delta is
 ///    reported but never gates.
 ///
 /// The verdict is emitted both as an aligned human table and as machine
 /// JSON; the CLI exits 0 (no regression) or 1 (regression), so CI can gate
-/// a change on `hcac --compare baseline.json new.json --history FILE`.
+/// a change on `hcac --compare old.json new.json --history FILE`.
 ///
 /// Comparability is checked first: both reports must carry a meta block
 /// (workload, machine, context) with matching schema version, workload and

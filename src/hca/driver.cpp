@@ -8,7 +8,6 @@
 #include <exception>
 #include <set>
 
-#include "baseline/flat_ica.hpp"
 #include "hca/checkpoint.hpp"
 #include "hca/verify_hook.hpp"
 #include "mapper/mapper.hpp"
@@ -681,46 +680,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       }
       best.stats.merge(result.stats);
       best.metrics.merge(result.metrics);
-    }
-  }
-
-  // Rung 4 (kDegrade) — flat ICA on the surviving resources: gives up the
-  // hierarchical search entirely and accepts any assignment the post-hoc
-  // hierarchy check can realize, materialized into regular records.
-  if (degrade && !expired() && model_.totalCns() <= 64) {
-    escalations.push_back("flat ICA on surviving resources");
-    best.metrics.add("ladder.rung.flat_ica", 1);
-    TraceSpan rung(tracer_, "hca", "rung:flat-ica");
-    see::SeeOptions flatOptions = options_.see;
-    if (options_.maxBeamSteps > 0) {
-      flatOptions.maxBeamSteps = options_.maxBeamSteps;
-    }
-    applyMemoryBudget(flatOptions);
-    baseline::HierarchyCollect collect;
-    const baseline::FlatIcaResult flat =
-        baseline::runFlatIca(ddg, model_, flatOptions, deadline, &collect);
-    if (flat.assignmentLegal && flat.hierarchyLegal) {
-      HcaResult result;
-      result.legal = true;
-      result.fallbackUsed = "flat-ica";
-      result.assignment = flat.assignment;
-      result.records = std::move(collect.records);
-      result.reconfig = std::move(collect.reconfig);
-      result.reconfig.validate();
-      result.stats = best.stats;
-      result.metrics = std::move(best.metrics);
-      ++result.stats.outerAttempts;
-      result.stats.addSee(flat.seeStats);
-      result.stats.problemsSolved += flat.hierarchy.problemsChecked;
-      result.stats.maxWirePressure = flat.hierarchy.maxWirePressure;
-      result.stats.achievedTargetIi = 0;  // no target II was honored
-      // The flat rung bypasses runAttempt, so it verifies here; its
-      // materialized records satisfy the same invariants as the driver's.
-      if (options_.verifyEach) {
-        runVerifyEach(ddg, model_, options_, result, nullptr);
-      }
-      harvestCache(result);
-      return result;
     }
   }
 

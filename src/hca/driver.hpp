@@ -35,9 +35,9 @@ enum class FailurePolicy {
   /// Historical contract: invalid input throws, an unsolvable problem
   /// returns legal=false with only failureReason set.
   kStrict,
-  /// Never throw: failures become a structured HcaFailureReport, and two
-  /// extra fallback rungs (widened-beam retry, flat ICA on the surviving
-  /// resources) are tried before giving up.
+  /// Never throw: failures become a structured HcaFailureReport, and one
+  /// extra fallback rung (the widened-beam retry) is tried before giving
+  /// up.
   kDegrade,
 };
 
@@ -138,7 +138,8 @@ struct HcaOptions {
   /// pass, the whole-result checks after every legal attempt. A violation
   /// is a driver bug and throws InternalError (which kDegrade folds into a
   /// kInternalError failure report). The flag propagates into the fallback
-  /// rungs, so degraded-bandwidth and flat-ICA results are verified too.
+  /// rungs, so beam-backoff and degraded-bandwidth results are verified
+  /// too.
   bool verifyEach = false;
   /// Restricts verifyEach to these check ids (empty = every registered
   /// check). Unknown ids throw InvalidArgumentError at the first use.
@@ -198,7 +199,7 @@ struct HcaResult {
   MetricsRegistry metrics;
 
   /// Which ladder rung produced the result: empty (primary sweep),
-  /// "beam-backoff", "degraded-bandwidth" or "flat-ica".
+  /// "beam-backoff" or "degraded-bandwidth".
   std::string fallbackUsed;
   /// kDegrade only: set iff !legal — the structured failure description.
   std::unique_ptr<HcaFailureReport> failure;
@@ -297,12 +298,12 @@ class HcaDriver {
   [[nodiscard]] HcaResult runChecked(const ddg::Ddg& ddg) const;
 
   /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
-  /// retry, then the degraded-bandwidth re-run, then (kDegrade) flat ICA
-  /// on the surviving resources. Returns the first legal result, or the
-  /// primary failure annotated with a report under kDegrade. `scope`
-  /// prefixes the ladder's checkpoint phases and cache snapshot: "" for the
-  /// root ladder, "degraded-bandwidth/" for the nested one the
-  /// degraded-bandwidth rung runs, so the two never collide in the file.
+  /// retry, then the degraded-bandwidth re-run. Returns the first legal
+  /// result, or the primary failure annotated with a report under
+  /// kDegrade. `scope` prefixes the ladder's checkpoint phases and cache
+  /// snapshot: "" for the root ladder, "degraded-bandwidth/" for the
+  /// nested one the degraded-bandwidth rung runs, so the two never collide
+  /// in the file.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,

@@ -9,9 +9,9 @@
 /// of the decomposition: the coherency checker re-derives value routability
 /// from them, and the MII computation reads the per-cluster summaries and
 /// wire pressures. The record structs themselves live in
-/// mapper/problem_record.hpp (the baselines produce the same shape without
-/// depending on the driver); this header re-exports the core aliases and
-/// owns the driver-wide search statistics.
+/// mapper/problem_record.hpp, below the verifier that reads them; this
+/// header re-exports the core aliases and owns the driver-wide search
+/// statistics.
 namespace hca::core {
 
 using mapper::ClusterSummary;

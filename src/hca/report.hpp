@@ -21,7 +21,7 @@
 /// a cross-run comparison needs: the workload (kernel name / DDG path), the
 /// machine configuration, the outer-sweep thread count and the provenance
 /// `RunContext` (schema version, git SHA, build type, host, run id). Such
-/// reports feed the baseline history (`hcac --history-out`) and the differ
+/// reports feed the run history (`hcac --history-out`) and the differ
 /// (`hcac --compare`, hca/diff.hpp).
 ///
 /// `printRunStats` is the human-facing twin (`hcac --stats`): the outcome
@@ -77,7 +77,7 @@ void printRunStats(std::ostream& os, const HcaResult& result);
 /// of the `attempt.wall_us` histogram; 0 when absent).
 [[nodiscard]] double runWallUs(const HcaResult& result);
 
-/// Builds the baseline-history record of a finished run (`hcac
+/// Builds the run-history record of a finished run (`hcac
 /// --history-out` appends `historyLineJson` of this).
 [[nodiscard]] HistoryRecord historyRecordFor(const HcaResult& result,
                                              const ReportMeta& meta);

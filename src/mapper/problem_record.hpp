@@ -10,11 +10,9 @@
 /// The audit-trail record of one solved sub-problem: the pattern graph and
 /// copy flow (machine), the working-set assignment (SEE) and the wire
 /// mapping (mapper) of one node of the decomposition tree. The HCA driver
-/// keeps one per sub-problem; the flat baselines materialize the same shape
-/// so their assignments can be coherency-checked like a driver run. The
-/// struct lives here — with the mapper, the last stage that fills it —
-/// because both producers (hca driver, baselines) and the verifier consume
-/// it, and baseline/ sits below hca/ in the module DAG.
+/// keeps one per sub-problem. The struct lives here — with the mapper, the
+/// last stage that fills it — because the verifier, which sits below hca/
+/// in the module DAG, consumes it too.
 namespace hca::mapper {
 
 /// Occupancy snapshot of one PG cluster after single-level assignment.

@@ -53,12 +53,12 @@ std::string Logger::formatLine(LogLevel level, const std::string& message) {
   const WallClockSample now = wallClockNow();
   std::tm tm{};
   gmtime_r(&now.seconds, &tm);
-  char stamp[40];
-  std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
+  // Sized for eight ints of any value, so nothing can be truncated.
+  char prefix[128];
+  std::snprintf(prefix, sizeof(prefix),
+                "[%04d-%02d-%02dT%02d:%02d:%02d.%03dZ hca:%s t%d] ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec, now.millis);
-  char prefix[96];
-  std::snprintf(prefix, sizeof(prefix), "[%s hca:%s t%d] ", stamp,
+                tm.tm_min, tm.tm_sec, now.millis,
                 kNames[static_cast<int>(level)], threadLogId());
   return prefix + message;
 }

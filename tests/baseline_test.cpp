@@ -210,9 +210,10 @@ std::string flatIcaPin(const FlatIcaResult& result) {
 }
 
 TEST(FlatIcaTest, Table1ResultsArePinned) {
-  // Flat ICA is the last rung of the kDegrade ladder, which the Table 1
-  // kernels rarely reach; this pins its 64-cluster searches directly (the
-  // only SEE problems with more than a handful of clusters). A change to
+  // Flat ICA is a baseline only (no driver rung falls back to it); this
+  // pins its 64-cluster searches (the only SEE problems with more than a
+  // handful of clusters). Every kernel is flat-legal but not
+  // hierarchy-legal, the paper's case against the flat view. A change to
   // a pinned line is a change in flat-ICA results, never a refactor.
   const auto model = paperFabric();
   const std::pair<const char*, const char*> kPins[] = {

@@ -312,6 +312,39 @@ TEST(FailurePolicyTest, ZeroFaultDegradeRunIsByteIdentical) {
   EXPECT_EQ(plain.stats.maxWirePressure, degrade.stats.maxWirePressure);
 }
 
+TEST(FailurePolicyTest, BeamBackoffRungRescuesFaultyIdcthor) {
+  // The widened-beam retry is the only rung that maps this run: the
+  // primary sweep fails, and the degraded-bandwidth fabric (N=M=K=2) is
+  // not viable under these faults, so that rung is skipped. The faults are
+  // injectRandomFaults(16 CNs, 10 wires, 5 lanes) drawn from Rng(12).
+  machine::DspFabricConfig config;
+  config.n = 3;
+  config.m = 3;
+  config.k = 2;
+  const auto faults = machine::FaultSet::parse(
+      "cn:19,cn:52,cn:57,cn:60,cn:21,cn:20,cn:48,cn:53,cn:39,cn:46,cn:3,"
+      "cn:18,cn:50,cn:17,cn:44,cn:30,wire:1.1:out,wire:2.1:out,wire:2.2:out,"
+      "wire:3.3.3:in,wire:1:out,wire:1:out,wire:3.3.1:in,wire:2.3:out,"
+      "wire:0:out,wire:1.0.1:in,lane:3.0,lane:0.0,lane:1.1,lane:3.3,"
+      "lane:2.1");
+  const machine::DspFabricModel model(config, faults);
+  machine::DspFabricConfig degradedConfig = config;
+  degradedConfig.n = degradedConfig.m = degradedConfig.k = 2;
+  EXPECT_FALSE(machine::DspFabricModel(degradedConfig, faults)
+                   .faultViabilityError()
+                   .empty());
+
+  const auto kernels = ddg::table1Kernels();
+  const auto& ddg = kernels[1].ddg;  // idcthor
+  ASSERT_EQ(kernels[1].name, "idcthor");
+  HcaOptions options;
+  options.failurePolicy = FailurePolicy::kDegrade;
+  const HcaResult result = HcaDriver(model, options).run(ddg);
+  expectSoundMapping(ddg, model, result);
+  EXPECT_EQ(result.fallbackUsed, "beam-backoff");
+  EXPECT_EQ(result.failure, nullptr);
+}
+
 // --- deadlines and beam budgets ----------------------------------------------
 
 ddg::Ddg hugeDdg() {
@@ -376,11 +409,12 @@ TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
   const HcaDriver driver(paperFabric(), options);
   HcaResult result;
   ASSERT_NO_THROW(result = driver.run(ddg));
-  if (!result.legal) {
-    ASSERT_NE(result.failure, nullptr);
-    EXPECT_EQ(result.failure->cause, FailureCause::kNoLegalMapping);
-    EXPECT_FALSE(result.failure->escalationsTried.empty());
-  }
+  ASSERT_FALSE(result.legal);
+  ASSERT_NE(result.failure, nullptr);
+  EXPECT_EQ(result.failure->cause, FailureCause::kNoLegalMapping);
+  EXPECT_EQ(result.failure->escalationsTried,
+            (std::vector<std::string>{"widened-beam retry (beam x2, keep +4)",
+                                      "degraded-bandwidth re-run (N=M=K=2)"}));
 }
 
 }  // namespace

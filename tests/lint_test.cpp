@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -145,6 +146,26 @@ TEST(LintModel, ParsesCompileCommands) {
   ASSERT_EQ(commands.size(), 2u);
   EXPECT_EQ(commands[0].file, "/repo/src/see/engine.cpp");
   EXPECT_EQ(commands[1].file, "/repo/src/hca/driver.cpp");
+}
+
+TEST(LintModel, LoadsThroughRelativeRoot) {
+  namespace fs = std::filesystem;
+  const fs::path root(HCA_LINT_FIXTURE_DIR);
+  const fs::path relativeRoot = root.lexically_relative(fs::current_path());
+  ASSERT_FALSE(relativeRoot.empty());
+  ASSERT_TRUE(relativeRoot.is_relative());
+  const std::vector<CompileCommand> commands = {
+      {root.string(), (root / "clean.cpp").string()},
+      {root.string(), (root / "bad_clock.cpp").string()}};
+  const auto loadedPaths = [&](const fs::path& rootArg) {
+    const SourceModel model = SourceModel::load(rootArg.string(), commands);
+    std::vector<std::string> paths;
+    for (const SourceFile& f : model.files()) paths.push_back(f.relPath);
+    return paths;
+  };
+  const std::vector<std::string> expected = {"bad_clock.cpp", "clean.cpp"};
+  EXPECT_EQ(loadedPaths(root), expected);
+  EXPECT_EQ(loadedPaths(relativeRoot), expected);
 }
 
 // ---------------------------------------------------------------------------

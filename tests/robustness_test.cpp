@@ -128,7 +128,7 @@ TEST(FailureInjectionTest, CopyFlowBoundsChecked) {
   pg.addArc(ClusterId(0), ClusterId(1));
   machine::CopyFlow flow(pg);
   EXPECT_THROW(flow.addCopy(PgArcId(5), ValueId(0)), InvalidArgumentError);
-  EXPECT_THROW(flow.copiesOn(PgArcId::invalid()), InvalidArgumentError);
+  EXPECT_THROW((void)flow.copiesOn(PgArcId::invalid()), InvalidArgumentError);
 }
 
 // --- degenerate but valid inputs ------------------------------------------------

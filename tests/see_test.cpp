@@ -265,12 +265,8 @@ TEST(ConstraintTest, OutputUnaryFanInForcesCoLocation) {
   problem.ddg = &ddg;
   problem.workingSet = fullWorkingSet(ddg);
   problem.pg = &pg;
-  // Find k's and h's node ids by name.
-  ValueId kv, hv;
-  for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
-    if (ddg.node(DdgNodeId(v)).name == "k") kv = ValueId(v);
-    if (ddg.node(DdgNodeId(v)).name == "h") hv = ValueId(v);
-  }
+  const ValueId kv(b.idOf(k).value());
+  const ValueId hv(b.idOf(h).value());
   problem.outputRequirements.push_back({out, {kv, hv}});
 
   const SpaceExplorationEngine engine;

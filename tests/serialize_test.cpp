@@ -98,7 +98,7 @@ TEST(SerializeTest, OperandShorthands) {
 
 TEST(SerializeTest, ErrorsCarryLineNumbers) {
   try {
-    fromText("node const\nnode bogusop\n");
+    (void)fromText("node const\nnode bogusop\n");
     FAIL() << "expected parse error";
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -121,7 +121,7 @@ TEST(SerializeTest, RejectsOutOfRangeIntegers) {
   // stream parsed "successfully" into the wrong graph.
   const char* wrapSrc = "node const imm0=1\nnode store ops=4294967296,0\n";
   try {
-    fromText(wrapSrc);
+    (void)fromText(wrapSrc);
     FAIL() << "expected out-of-range error";
   } catch (const InvalidArgumentError& e) {
     const std::string what = e.what();

@@ -138,9 +138,9 @@ TEST_P(KernelVerifyTest, RestrictedCheckListRunsClean) {
 
 // h264deblocking is not wireable at these budgets (see hca_test.cpp).
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelVerifyTest, ::testing::Range(0, 3),
-                         [](const auto& info) {
+                         [](const auto& paramInfo) {
                            return ddg::table1Kernels()
-                               [static_cast<std::size_t>(info.param)]
+                               [static_cast<std::size_t>(paramInfo.param)]
                                    .name;
                          });
 

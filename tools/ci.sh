@@ -6,9 +6,9 @@
 # .github/workflows/ci.yml), not here: tools/run_tsan_tier1.sh builds a
 # -DHCA_SANITIZE=thread tree (build-tsan/) and runs `ctest -L tsan`.
 #
-#   1. tier-1   — cmake + build + full ctest suite (the acceptance bar every
-#                 change must keep green); it runs the four examples/
-#                 programs too (ctest label `example`)
+#   1. tier-1   — cmake + build (-Werror) + full ctest suite (the
+#                 acceptance bar every change must keep green); it runs the
+#                 four examples/ programs too (ctest label `example`)
 #   2. tsa      — a clang build with -Wthread-safety -Werror=thread-safety
 #                 verifying the HCA_GUARDED_BY/HCA_REQUIRES annotations;
 #                 skipped with a notice when clang is not installed (GCC has
@@ -66,7 +66,9 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${1:-$(nproc)}"
 
 echo "=== ci: tier-1 build + tests ==="
-cmake -B "${root}/build" -S "${root}"
+# -Werror: the default GCC build is warning-free. Release trees stay
+# without it (libstdc++ warns -Wrestrict inside std::string there).
+cmake -B "${root}/build" -S "${root}" -DHCA_WERROR=ON
 cmake --build "${root}/build" -j "${jobs}"
 (cd "${root}/build" && ctest --output-on-failure -j "${jobs}")
 
