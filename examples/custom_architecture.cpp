@@ -32,7 +32,8 @@ ddg::Ddg stencilDdg() {
   return b.finish();
 }
 
-void onSmallFabric(const ddg::Ddg& ddg) {
+/// Both helpers return whether the mapping succeeded.
+bool onSmallFabric(const ddg::Ddg& ddg) {
   machine::DspFabricConfig config;
   config.branching = {4, 4};  // 16 CNs, two interconnect levels
   config.n = 4;
@@ -46,15 +47,16 @@ void onSmallFabric(const ddg::Ddg& ddg) {
   if (!result.legal) {
     std::printf("   clusterization failed: %s\n",
                 result.failureReason.c_str());
-    return;
+    return false;
   }
   const auto mii = core::computeMii(ddg, model, result);
   std::printf("   legal; %s\n", mii.toString().c_str());
   std::printf("   reconfiguration stream:\n%s",
               result.reconfig.toString().c_str());
+  return true;
 }
 
-void onRcpRing(const ddg::Ddg& ddg) {
+bool onRcpRing(const ddg::Ddg& ddg) {
   // Figure 1: an 8-cluster ring, 4 potential sources per cluster, but only
   // 2 input ports — and heterogeneous: every second PE can access memory.
   machine::RcpConfig config;
@@ -84,19 +86,20 @@ void onRcpRing(const ddg::Ddg& ddg) {
   const auto result = engine.run(problem);
   if (!result.legal) {
     std::printf("   assignment failed: %s\n", result.failureReason.c_str());
-    return;
+    return false;
   }
-  const see::PartialSolution solution = result.materialize();
+  // The best frontier state, read by working-set position.
+  const see::FlatSolution& solution = result.frontier.front().state();
   std::printf("   legal; placements:\n");
-  for (const DdgNodeId n : problem.workingSet) {
-    const auto& node = ddg.node(n);
+  for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
+    const auto& node = ddg.node(problem.workingSet[i]);
     std::printf("     %-6s %-8s -> %s%s\n",
                 std::string(ddg::opName(node.op)).c_str(), node.name.c_str(),
-                pg.node(solution.clusterOf(n)).name.c_str(),
+                pg.node(solution.clusterAt(i)).name.c_str(),
                 ddg::isMemoryOp(node.op) ? "  (memory-capable PE)" : "");
   }
-  std::printf("   inter-cluster copies: %d\n",
-              solution.flow().totalCopies());
+  std::printf("   inter-cluster copies: %d\n", solution.totalCopies());
+  return true;
 }
 
 }  // namespace
@@ -105,7 +108,7 @@ int main() {
   const auto ddg = stencilDdg();
   std::printf("Stencil loop: %d instructions\n\n",
               ddg.stats().numInstructions);
-  onSmallFabric(ddg);
-  onRcpRing(ddg);
-  return 0;
+  const bool fabricOk = onSmallFabric(ddg);
+  const bool ringOk = onRcpRing(ddg);
+  return fabricOk && ringOk ? 0 : 1;
 }

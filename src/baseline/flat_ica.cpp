@@ -57,11 +57,12 @@ FlatIcaResult runFlatIca(const ddg::Ddg& ddg,
     return result;
   }
 
-  const see::PartialSolution solution = seeResult.materialize();
+  const see::FlatSolution& solution = seeResult.frontier.front().state();
   result.assignment.assign(static_cast<std::size_t>(ddg.numNodes()),
                            CnId::invalid());
-  for (const DdgNodeId n : problem.workingSet) {
-    result.assignment[n.index()] = CnId(solution.clusterOf(n).value());
+  for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {
+    result.assignment[problem.workingSet[i].index()] =
+        CnId(solution.clusterAt(i).value());
   }
   for (const ClusterId c : pg.clusterNodes()) {
     result.maxCnPressure =

@@ -285,9 +285,8 @@ std::string runFingerprint(const ddg::Ddg& ddg,
      << ',' << bits(s.weights.loadBalance) << ','
      << bits(s.weights.criticalPath) << ',' << bits(s.weights.wiringSlack)
      << ',' << s.weights.targetIi << '\n';
-  // s.legacySearch is excluded (byte-identical to the delta path), and so
-  // are the results-invisible driver options (deadline, threads, tracing,
-  // verification) — see the header contract.
+  // The results-invisible driver options (deadline, threads, tracing,
+  // verification) are excluded — see the header contract.
   // The leaf-parent in-neighbor cap (4) and the backtrack budget (256) are
   // driver constants now; their literals keep the fingerprints of existing
   // checkpoints.

@@ -87,7 +87,7 @@ struct HcaStats {
   /// attempts, whose rolled-back pressure is meaningless).
   int maxWirePressure = 0;
   /// SEE candidates expanded as copy-on-write deltas instead of full
-  /// PartialSolution deep copies (see SeeStats::copiesAvoided).
+  /// deep copies of a search state (see SeeStats::copiesAvoided).
   std::int64_t seeCopiesAvoided = 0;
   /// Flat snapshots written to the SEE search arenas.
   std::int64_t seeSnapshotsMaterialized = 0;

@@ -45,9 +45,6 @@ void appendI64(std::string& out, std::int64_t v) {
 }
 
 void appendOptions(std::string& out, const see::SeeOptions& o) {
-  // o.legacySearch is deliberately excluded: both search paths produce
-  // byte-identical results (the delta-identity tests enforce it), so the
-  // representation switch must not fragment the cache.
   appendI32(out, o.beamWidth);
   appendI32(out, o.candidateKeep);
   appendI32(out, o.maxOpsPerUnit);

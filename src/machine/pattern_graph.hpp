@@ -166,10 +166,11 @@ class CopyFlow {
   [[nodiscard]] int totalCopies() const;
 
   /// Number of per-arc value lists (== numArcs of the PG this flow was
-  /// built for). Serialization support (see/serialize.hpp).
+  /// built for).
   [[nodiscard]] std::size_t numArcLists() const { return values_.size(); }
-  /// Reshapes to `n` empty per-arc lists; deserialization rebuilds the
-  /// copies with `addCopy` so the idempotence invariant is re-established.
+  /// Reshapes to `n` empty per-arc lists; a flow rebuilt from a snapshot
+  /// (see/snapshot.hpp) re-adds its copies with `addCopy`, so the
+  /// idempotence invariant is re-established.
   void resetArcs(std::size_t n) { values_.assign(n, {}); }
 
   /// Distinct real in-neighbors of `node` (excluding itself).

@@ -9,11 +9,11 @@
 /// weighted criteria (`CostWeights`), lower is better.
 ///
 /// Every formula is a template over the solution representation, so the
-/// search scoring a `DeltaSolution` overlay and the legacy reference
-/// scoring a materialized `PartialSolution` run the *same code*: per-cluster
-/// loops iterate `prepared.clusters()` in order, so the floating-point
-/// accumulation sequence, and therefore the resulting bits, are identical
-/// for equal inputs. A `Sol` must provide usage(c), distinctValuesIn/Out(c),
+/// search scoring a `DeltaSolution` overlay and the deep-copy reference
+/// search in tests/support scoring its own states run the *same code*:
+/// per-cluster loops iterate `prepared.clusters()` in order, so the
+/// floating-point accumulation sequence, and therefore the resulting bits,
+/// are identical for equal inputs. A `Sol` must provide usage(c), distinctValuesIn/Out(c),
 /// realInNeighborCount(c), totalCopies() and criticalPathScore(prepared) —
 /// the one term each representation implements itself.
 namespace hca::see {

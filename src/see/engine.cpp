@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "see/cost.hpp"
 #include "see/feasibility.hpp"
@@ -39,50 +38,7 @@ std::string describeGroup(const ItemGroup& group) {
   return out + "}";
 }
 
-/// Assigns every member of `group` to `cluster` on a clone of `state`;
-/// nullopt when some member is not directly assignable there.
-std::optional<PartialSolution> assignGroupDirect(
-    const PreparedProblem& prepared, const PartialSolution& state,
-    const ItemGroup& group, ClusterId cluster) {
-  PartialSolution candidate = state;
-  for (const Item& item : group.members) {
-    if (!candidate.canAssign(prepared, item, cluster)) return std::nullopt;
-    candidate.assign(prepared, item, cluster);
-  }
-  return candidate;
-}
-
-/// Places every member of `group` on `cluster` on a clone of `state`,
-/// routing as needed; nullopt when some copy cannot be routed within
-/// `maxHops` relays.
-std::optional<PartialSolution> tryAssignGroup(
-    const PreparedProblem& prepared, const PartialSolution& state,
-    const ItemGroup& group, ClusterId cluster, int maxHops,
-    int* routedOperands, RouteScratch* scratch) {
-  PartialSolution candidate = state;
-  if (!routeAssignGroupT(prepared, candidate, group, cluster, maxHops,
-                         routedOperands, scratch)) {
-    return std::nullopt;
-  }
-  return candidate;
-}
-
-/// A result that maps its snapshots back to `prepared`'s working set.
-SeeResult emptyResult(const PreparedProblem& prepared) {
-  SeeResult result;
-  result.workingSet = prepared.problem().workingSet;
-  result.ddgNodes = prepared.problem().ddg->numNodes();
-  return result;
-}
-
 }  // namespace
-
-PartialSolution SeeResult::materialize(std::size_t i) const {
-  HCA_CHECK(i < frontier.size(), "no frontier state " << i);
-  PartialSolution out;
-  frontier[i].state().toPartial(workingSet, ddgNodes, &out);
-  return out;
-}
 
 std::int64_t SeeResult::bytes() const {
   std::size_t total = sizeof(*this) +
@@ -96,8 +52,8 @@ std::int64_t SeeResult::bytes() const {
 
 /// Recycling pool of DeltaSolution overlays: after the first beam step
 /// every acquire rebases an existing object (two memcpys of dense state,
-/// list clears) — no allocation, and one avoided PartialSolution deep copy,
-/// which is what `SeeStats::copiesAvoided` counts.
+/// list clears) — no allocation, and one avoided deep copy of a whole
+/// state, which is what `SeeStats::copiesAvoided` counts.
 class DeltaPool {
  public:
   explicit DeltaPool(const PreparedProblem& prepared) : prepared_(prepared) {}
@@ -172,15 +128,9 @@ SeeResult SpaceExplorationEngine::run(const SeeProblem& problem,
 SeeResult SpaceExplorationEngine::runOnce(
     const PreparedProblem& prepared, SearchScratch& scratch,
     const SeeOptions& options, const CancellationToken* cancel) const {
-  return options.legacySearch
-             ? runOnceLegacy(prepared, options, cancel)
-             : runOnceDelta(prepared, scratch, options, cancel);
-}
-
-SeeResult SpaceExplorationEngine::runOnceDelta(
-    const PreparedProblem& prepared, SearchScratch& scratch,
-    const SeeOptions& options, const CancellationToken* cancel) const {
-  SeeResult result = emptyResult(prepared);
+  SeeResult result;  // its snapshots map back through the working set
+  result.workingSet = prepared.problem().workingSet;
+  result.ddgNodes = prepared.problem().ddg->numNodes();
   // Double-buffered snapshot arenas: the live frontier's snapshots sit in
   // `cur`; survivors of a step are flattened into `nxt` (reading their
   // parents from `cur`), then `cur` is reset — its chunks are retained, so
@@ -204,9 +154,13 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
 
   std::vector<const FlatSolution*> frontier;
   {
-    PartialSolution initial = PartialSolution::initial(prepared);
-    initial.setObjective(objectiveT(prepared, options.weights, initial));
-    frontier.push_back(FlatSolution::fromInitial(initial, prepared, *cur));
+    // Scored through a delta over the snapshot: the objectiveT
+    // instantiation every candidate is scored with.
+    FlatSolution* initial = FlatSolution::initial(prepared, *cur);
+    DeltaSolution* scorer = pool.acquire(initial, nullptr);
+    initial->setObjective(objectiveT(prepared, options.weights, *scorer));
+    pool.release(scorer);
+    frontier.push_back(initial);
     ++result.stats.snapshotsMaterialized;
   }
   // An illegal result keeps the best state of the frontier it stopped at.
@@ -233,8 +187,8 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   // The expanded parent's clusterTermsT per cluster position: its
   // candidates recompute only the clusters they touch (cost.hpp).
   std::vector<ClusterTerms> parentTerms;
-  // Membership-only replacement for the legacy unordered_set (frontiers
-  // are small; a linear scan beats hashing and allocates nothing).
+  // Membership-only signature set (frontiers are small; a linear scan
+  // beats hashing and allocates nothing).
   const auto insertSig = [&seenSigs](std::uint64_t sig) {
     if (std::find(seenSigs.begin(), seenSigs.end(), sig) != seenSigs.end()) {
       return false;
@@ -437,183 +391,6 @@ SeeResult SpaceExplorationEngine::runOnceDelta(
   result.frontier.reserve(frontier.size());
   for (const FlatSolution* state : frontier) {
     result.frontier.emplace_back(*state);
-  }
-  finishStats();
-  return result;
-}
-
-SeeResult SpaceExplorationEngine::runOnceLegacy(
-    const PreparedProblem& prepared, const SeeOptions& options,
-    const CancellationToken* cancel) const {
-  const FeasibilityOracle& oracle = prepared.oracle();
-  RouteScratch routeScratch;
-
-  SeeResult result = emptyResult(prepared);
-  const auto finishStats = [&] {
-    result.stats.oracleRejects += routeScratch.hopRejects();
-  };
-  std::vector<PartialSolution> frontier;
-  frontier.push_back(PartialSolution::initial(prepared));
-  frontier.back().setObjective(
-      objectiveT(prepared, options.weights, frontier.back()));
-  const auto fail = [&](const ItemGroup& group, std::string reason) {
-    result.legal = false;
-    result.failedItem = group.members.front();
-    result.failureReason = std::move(reason);
-    result.frontier.emplace_back(frontier.front(), result.workingSet);
-    finishStats();
-    return std::move(result);
-  };
-
-  for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
-    const ItemGroup& group = prepared.items()[gi];
-    if (cancel != nullptr && cancel->cancelled()) {
-      return fail(group, "cancelled");
-    }
-    if (options.maxBeamSteps > 0 &&
-        result.stats.statesExplored >= options.maxBeamSteps) {
-      return fail(group, strCat("beam step budget exhausted (",
-                                options.maxBeamSteps, ")"));
-    }
-    std::vector<PartialSolution> next;
-    std::vector<int> parentOf;  // parallel to next: index into frontier
-    int parentIndex = -1;
-    for (const PartialSolution& state : frontier) {
-      ++parentIndex;
-      ++result.stats.statesExplored;
-      // Enumerate candidates via isAssignable, score survivors. With eager
-      // routing, clusters that are only reachable through relays are
-      // offered too (at their true copy cost).
-      std::vector<PartialSolution> scored;
-      // Same oracle pre-filter as the delta path; here a skip also avoids
-      // the PartialSolution deep copy assignGroupDirect would clone.
-      const bool eagerRoutes =
-          options.eagerRouting && options.enableRouteAllocator;
-      const std::uint64_t feasible =
-          eagerRoutes ? prepared.aliveClusterMask()
-                      : oracle.directFeasibleMask(state, gi);
-      for (const ClusterId c : prepared.clusters()) {
-        if ((feasible & detail::pgBit(c)) == 0) {
-          ++result.stats.oracleRejects;
-          if (eagerRoutes) ++result.stats.routeFailures;
-          continue;
-        }
-        if (auto candidate = assignGroupDirect(prepared, state, group, c)) {
-          ++result.stats.candidatesEvaluated;
-          candidate->setObjective(
-              objectiveT(prepared, options.weights, *candidate));
-          scored.push_back(std::move(*candidate));
-        } else if (eagerRoutes) {
-          int routed = 0;
-          auto sol = tryAssignGroup(prepared, state, group, c,
-                                    options.maxRouteHops, &routed,
-                                    &routeScratch);
-          if (!sol.has_value()) {
-            ++result.stats.routeFailures;
-            continue;
-          }
-          ++result.stats.candidatesEvaluated;
-          result.stats.routedOperands += routed;
-          sol->setObjective(objectiveT(prepared, options.weights, *sol));
-          scored.push_back(std::move(*sol));
-        }
-      }
-      if (scored.empty() && options.enableRouteAllocator &&
-          !options.eagerRouting) {
-        // No candidates action: try routing onto each cluster (dead and
-        // non-cluster nodes skipped up front, mirroring the failure path).
-        ++result.stats.routeInvocations;
-        int routed = 0;
-        for (const ClusterId c : prepared.clusters()) {
-          if ((prepared.aliveClusterMask() & detail::pgBit(c)) == 0) {
-            ++result.stats.routeFailures;
-            ++result.stats.oracleRejects;
-            continue;
-          }
-          auto sol = tryAssignGroup(prepared, state, group, c,
-                                    options.maxRouteHops, &routed,
-                                    &routeScratch);
-          if (!sol.has_value()) {
-            ++result.stats.routeFailures;
-            continue;
-          }
-          ++result.stats.candidatesEvaluated;
-          sol->setObjective(objectiveT(prepared, options.weights, *sol));
-          scored.push_back(std::move(*sol));
-        }
-        result.stats.routedOperands += routed;
-      }
-      // Candidate filter: keep the best few expansions of this state.
-      std::sort(scored.begin(), scored.end(),
-                [](const PartialSolution& a, const PartialSolution& b) {
-                  return a.objective() < b.objective();
-                });
-      const auto keep = std::min<std::size_t>(
-          scored.size(), static_cast<std::size_t>(options.candidateKeep));
-      result.stats.candidateRejections +=
-          static_cast<std::int64_t>(scored.size() - keep);
-      for (std::size_t i = 0; i < keep; ++i) {
-        next.push_back(std::move(scored[i]));
-        parentOf.push_back(parentIndex);
-      }
-    }
-
-    if (next.empty()) {
-      std::string reason =
-          strCat("no candidates for ", describeGroup(group),
-                 " in any frontier state (communication patterns exhausted)");
-      HCA_DEBUG("SEE failed: " << reason);
-      return fail(group, std::move(reason));
-    }
-
-    // Node filter: keep the beam, deduped, but parent-diverse — the best
-    // child of every surviving parent is retained first so a feasible
-    // lineage is never pruned purely on score, then the remaining slots go
-    // to the globally best states.
-    std::vector<std::size_t> order(next.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return next[a].objective() < next[b].objective();
-    });
-    std::vector<char> isParentBest(frontier.size(), 0);
-    std::vector<char> selected(next.size(), 0);
-    std::vector<std::size_t> chosen;
-    // Insert-only membership test (dedup by signature); never iterated,
-    // so hash order cannot reach the result.
-    std::unordered_set<std::uint64_t> seen;
-    for (const std::size_t i : order) {  // best child per parent
-      const int parent = parentOf[i];
-      if (isParentBest[static_cast<std::size_t>(parent)] != 0) continue;
-      isParentBest[static_cast<std::size_t>(parent)] = 1;
-      if (!seen.insert(next[i].signature()).second) continue;
-      selected[i] = 1;
-      chosen.push_back(i);
-    }
-    for (const std::size_t i : order) {  // fill up with global best
-      if (static_cast<int>(chosen.size()) >= options.beamWidth) break;
-      if (selected[i] != 0) continue;
-      if (!seen.insert(next[i].signature()).second) continue;
-      selected[i] = 1;
-      chosen.push_back(i);
-    }
-    std::sort(chosen.begin(), chosen.end(), [&](std::size_t a, std::size_t b) {
-      return next[a].objective() < next[b].objective();
-    });
-    if (static_cast<int>(chosen.size()) > options.beamWidth) {
-      chosen.resize(static_cast<std::size_t>(options.beamWidth));
-    }
-    std::vector<PartialSolution> pruned;
-    pruned.reserve(chosen.size());
-    for (const std::size_t i : chosen) pruned.push_back(std::move(next[i]));
-    result.stats.statesPruned +=
-        static_cast<std::int64_t>(next.size() - pruned.size());
-    frontier = std::move(pruned);
-  }
-
-  result.legal = true;
-  result.frontier.reserve(frontier.size());
-  for (const PartialSolution& state : frontier) {
-    result.frontier.emplace_back(state, result.workingSet);
   }
   finishStats();
   return result;

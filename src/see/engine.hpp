@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "see/partial_solution.hpp"
 #include "see/problem.hpp"
 #include "see/snapshot.hpp"
 #include "support/thread_pool.hpp"
@@ -16,6 +15,11 @@
 /// *node filter* prunes the merged frontier back to the beam width. When a
 /// state has no candidate at all, the *no candidates action* invokes the
 /// Route Allocator.
+///
+/// This is the library's one search: copy-on-write candidates against
+/// arena-backed snapshots (snapshot.hpp). The tests hold it to an
+/// independent deep-copy implementation of the same search, which lives in
+/// tests/support/reference_search.hpp and is linked by no program.
 namespace hca::see {
 
 struct SearchScratch;
@@ -36,9 +40,6 @@ struct SeeResult {
   Item failedItem;
   std::string failureReason;
 
-  /// Frontier state `i` as a DDG-indexed PartialSolution, for callers that
-  /// need its value interface (flat ICA, the checkpoint JSON, tests).
-  [[nodiscard]] PartialSolution materialize(std::size_t i = 0) const;
   /// Bytes the result owns: the object, its snapshots and their blocks,
   /// the working set and the failure reason.
   [[nodiscard]] std::int64_t bytes() const;
@@ -61,7 +62,9 @@ class SpaceExplorationEngine {
   [[nodiscard]] const SeeOptions& options() const { return options_; }
 
  private:
-  /// One beam search over the shared `prepared` problem. `options` is
+  /// One beam search over the shared `prepared` problem: pooled
+  /// DeltaSolution candidates against arena-backed FlatSolution snapshots,
+  /// with zero steady-state heap allocation. `options` is
   /// prepared.options() or one of the two retry-ladder rungs (`deeper`,
   /// `eager`; see run()): its beam width, candidate keep, eager routing and
   /// maxRouteHops drive this search; every other field equals
@@ -70,19 +73,6 @@ class SpaceExplorationEngine {
                                   SearchScratch& scratch,
                                   const SeeOptions& options,
                                   const CancellationToken* cancel) const;
-  /// Reference beam loop over materialized PartialSolution values (one
-  /// full deep copy per candidate). Kept as the byte-identity oracle for
-  /// the delta path and selectable via SeeOptions::legacySearch.
-  [[nodiscard]] SeeResult runOnceLegacy(const PreparedProblem& prepared,
-                                        const SeeOptions& options,
-                                        const CancellationToken* cancel) const;
-  /// Copy-on-write beam loop: pooled DeltaSolution candidates against
-  /// arena-backed FlatSolution snapshots; zero steady-state heap
-  /// allocation. Byte-identical results to runOnceLegacy.
-  [[nodiscard]] SeeResult runOnceDelta(const PreparedProblem& prepared,
-                                       SearchScratch& scratch,
-                                       const SeeOptions& options,
-                                       const CancellationToken* cancel) const;
 
   SeeOptions options_;
 };

@@ -135,11 +135,11 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
   }
   const std::vector<std::int64_t>& heights = *heights_;
 
-  // Critical-path adjacency for the delta path's critical-path score: every
+  // Critical-path adjacency for the search's critical-path score: every
   // intra-iteration WS->WS dependence, keyed by (working-set position of
   // the consumer, operand position) so the delta evaluator can sum penalty
-  // terms in exactly the order PartialSolution::criticalPathScore's full
-  // scan visits them. Self-references are skipped — equal clusters never
+  // terms in exactly the order a full scan over the working set visits
+  // them. Self-references are skipped — equal clusters never
   // pay.
   wsIndexOf_.assign(static_cast<std::size_t>(ddg.numNodes()), -1);
   for (std::size_t i = 0; i < problem.workingSet.size(); ++i) {

@@ -38,8 +38,8 @@ struct ItemGroup {
 
 /// One cross-cluster critical-path penalty term, keyed so that summing all
 /// terms in ascending key order reproduces the exact floating-point
-/// accumulation order of PartialSolution::criticalPathScore's full scan
-/// (working-set position, then operand position). `num / maxWsHeight` is
+/// accumulation order of a full scan over the working set (working-set
+/// position, then operand position). `num / maxWsHeight` is
 /// the term value.
 struct CritTerm {
   std::uint64_t key = 0;   // wsIndex(consumer) << 32 | operandIndex

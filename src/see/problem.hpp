@@ -104,21 +104,13 @@ struct SeeOptions {
   /// escalation ladder then re-plans (degraded bandwidth shrinks the
   /// per-problem state) instead of the process OOMing. Part of the
   /// sub-problem cache key: a result computed under one budget must never
-  /// be replayed under another. The legacy materialized path has no arenas
-  /// and ignores the ceiling (use the default delta path with budgets).
+  /// be replayed under another.
   std::int64_t arenaBudgetBytes = 0;
   /// Chain grouping: merge single-consumer dependence chains into one
   /// priority-list entry so they are placed together (the paper's SEE
   /// "picks a new DDG node (or a set of nodes) at each step"). Groups are
   /// capped at roughly targetIi * issue-width / 2 ops.
   bool chainGrouping = true;
-  /// Runs the beam loop on materialized PartialSolution values (full deep
-  /// copy per candidate) instead of the arena-backed copy-on-write delta
-  /// path. For tests only: the delta-identity and SEE suites compare the
-  /// delta path against this reference, which must give byte-identical
-  /// results. No tool or bench sets it. Deliberately *not* part of the
-  /// sub-problem cache key.
-  bool legacySearch = false;
   CostWeights weights;
 };
 
@@ -135,7 +127,7 @@ struct SeeStats {
   /// cluster (routeAssignGroupT returned false).
   std::int64_t routeFailures = 0;
   /// Candidates expanded as pooled copy-on-write deltas instead of full
-  /// PartialSolution deep copies (delta path only; one per delta rebase).
+  /// deep copies of a search state (one per delta rebase).
   std::int64_t copiesAvoided = 0;
   /// Flat snapshots written to the search arenas (initial state plus one
   /// per beam survivor per step).

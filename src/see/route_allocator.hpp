@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "see/feasibility.hpp"
-#include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 #include "see/solution_ops.hpp"
 #include "support/check.hpp"
@@ -18,8 +17,9 @@
 /// slot of pressure) and re-sends it, consuming arc budget on both hops.
 ///
 /// Like the assignment semantics (solution_ops.hpp), the routing logic is
-/// templated over the solution representation so the legacy PartialSolution
-/// entry points and the delta-based hot path run the same code.
+/// templated over the solution representation: the search's DeltaSolution
+/// candidates and the deep-copy states of the reference search in
+/// tests/support run the same code.
 namespace hca::see {
 
 /// Reusable route-allocator state for one search attempt: the BFS

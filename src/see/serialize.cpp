@@ -99,120 +99,143 @@ SeeStats parseStats(const JsonField& v) {
   return s;
 }
 
-}  // namespace
+// --- frontier states --------------------------------------------------------
 
-/// Private-state access point (friend of PartialSolution). All the heavy
-/// members are plain id/int vectors; the two bit-sensitive scalars
-/// (objective, in-neighbor masks) go through the hex encodings above.
-struct SolutionSerializer {
-  static void write(JsonWriter& json, const PartialSolution& s) {
-    json.beginObject();
-    json.key("nc");
-    writeIds(json, s.nodeCluster_);
-    json.key("rc");
-    writeIds(json, s.relayCluster_);
-    json.key("us").beginArray();
-    for (const machine::ResourceUsage& u : s.usage_) {
-      json.beginArray();
-      json.value(u.alu);
-      json.value(u.ag);
-      json.value(u.instructions);
-      json.endArray();
-    }
-    json.endArray();
-    json.key("fl").beginArray();
-    for (std::size_t arc = 0; arc < s.flow_.numArcLists(); ++arc) {
-      writeIds(json, s.flow_.copiesOn(PgArcId(static_cast<std::int32_t>(arc))));
-    }
-    json.endArray();
-    json.key("nm").beginArray();
-    for (const std::uint64_t mask : s.inNbrMask_) json.value(hexBits(mask));
-    json.endArray();
-    json.key("iv").beginArray();
-    for (const auto& values : s.inValues_) writeIds(json, values);
-    json.endArray();
-    json.key("ov").beginArray();
-    for (const auto& values : s.outValues_) writeIds(json, values);
-    json.endArray();
-    json.key("as").value(s.assigned_);
-    json.key("ob").value(doubleBits(s.objective_));
-    json.endObject();
+/// One state in the file's form: its rows, with the assignment "nc"
+/// scattered to one entry per DDG node (-1 off the working set). The two
+/// bit-sensitive scalars (objective, in-neighbor masks) go through the hex
+/// encodings above.
+void writeState(JsonWriter& json, const SnapshotRows& s,
+                const std::vector<DdgNodeId>& workingSet,
+                std::int32_t ddgNodes) {
+  std::vector<ClusterId> nodeCluster(static_cast<std::size_t>(ddgNodes),
+                                     ClusterId::invalid());
+  for (std::size_t i = 0; i < s.nodeCluster.size(); ++i) {
+    nodeCluster[workingSet[i].index()] = s.nodeCluster[i];
   }
-
-  static PartialSolution parse(const JsonField& v) {
-    PartialSolution s;
-    s.nodeCluster_ = parseIds<ClusterId>(v.member("nc"));
-    s.relayCluster_ = parseIds<ClusterId>(v.member("rc"));
-    s.usage_ = v.member("us").elements([](const JsonField& e) {
-      HCA_REQUIRE(e.array().size() == 3,
-                  "SEE snapshot: usage entry must be [alu, ag, instructions]");
-      machine::ResourceUsage u;
-      u.alu = e.at(0).int32();
-      u.ag = e.at(1).int32();
-      u.instructions = e.at(2).int32();
-      return u;
-    });
-    const std::vector<std::vector<ValueId>> flowLists =
-        v.member("fl").elements(parseIds<ValueId>);
-    s.flow_.resetArcs(flowLists.size());
-    for (std::size_t arc = 0; arc < flowLists.size(); ++arc) {
-      for (const ValueId value : flowLists[arc]) {
-        s.flow_.addCopy(PgArcId(static_cast<std::int32_t>(arc)), value);
-      }
-    }
-    s.inNbrMask_ = v.member("nm").elements([](const JsonField& e) {
-      return parseHexBits(e.string(), "solution.nm[]");
-    });
-    s.inValues_ = v.member("iv").elements(parseIds<ValueId>);
-    s.outValues_ = v.member("ov").elements(parseIds<ValueId>);
-    s.assigned_ = v.member("as").int32();
-    s.objective_ = parseDoubleBits(v.member("ob").string(), "solution.ob");
-    const std::size_t nodes = s.usage_.size();
-    HCA_REQUIRE(s.inNbrMask_.size() == nodes && s.inValues_.size() == nodes &&
-                    s.outValues_.size() == nodes,
-                "SEE snapshot: per-cluster vectors disagree on node count");
-    return s;
+  const auto writeLists = [&json](const std::vector<std::vector<ValueId>>& l) {
+    json.beginArray();
+    for (const auto& values : l) writeIds(json, values);
+    json.endArray();
+  };
+  json.beginObject();
+  json.key("nc");
+  writeIds(json, nodeCluster);
+  json.key("rc");
+  writeIds(json, s.relayCluster);
+  json.key("us").beginArray();
+  for (const machine::ResourceUsage& u : s.usage) {
+    json.beginArray();
+    json.value(u.alu);
+    json.value(u.ag);
+    json.value(u.instructions);
+    json.endArray();
   }
+  json.endArray();
+  json.key("fl");
+  writeLists(s.flow);
+  json.key("nm").beginArray();
+  for (const std::uint64_t mask : s.inNbrMask) json.value(hexBits(mask));
+  json.endArray();
+  json.key("iv");
+  writeLists(s.inValues);
+  json.key("ov");
+  writeLists(s.outValues);
+  json.key("as").value(s.assigned);
+  json.key("ob").value(doubleBits(s.objective));
+  json.endObject();
+}
 
-  /// The file keeps DDG-indexed states only, so the working set of their
-  /// snapshots is every node some state assigns, in ascending id order.
-  /// For a legal result that is the sub-problem's working set itself: every
-  /// state places all of it, and the driver builds working sets in
-  /// ascending id order.
-  static void mapWorkingSet(const std::vector<PartialSolution>& states,
-                            SeeResult* result) {
-    const std::size_t ddgNodes = states.front().nodeCluster_.size();
-    std::vector<char> assigned(ddgNodes, 0);
-    for (const PartialSolution& s : states) {
-      HCA_REQUIRE(s.nodeCluster_.size() == ddgNodes,
-                  "SEE snapshot: frontier states disagree on DDG size");
-      for (std::size_t v = 0; v < ddgNodes; ++v) {
-        if (s.nodeCluster_[v].valid()) assigned[v] = 1;
-      }
-    }
-    result->ddgNodes = static_cast<std::int32_t>(ddgNodes);
+/// Cluster ids of "nc" or "rc": each must be -1 (unassigned) or one of the
+/// state's `numPg` PG nodes.
+std::vector<ClusterId> parseClusterIds(const JsonField& v, std::size_t numPg,
+                                       const char* what) {
+  return v.elements([&](const JsonField& e) {
+    const std::int32_t id = e.int32();
+    HCA_REQUIRE(id >= -1 && static_cast<std::int64_t>(id) <
+                                static_cast<std::int64_t>(numPg),
+                "SEE snapshot: '" << what << "' cluster id " << id
+                                  << " is neither -1 nor one of the "
+                                  << numPg << " PG nodes");
+    return ClusterId(id);
+  });
+}
+
+/// A state as the file holds it: `nodeCluster` is still indexed by DDG
+/// node (mapWorkingSet gathers it).
+SnapshotRows parseState(const JsonField& v) {
+  SnapshotRows rows;
+  rows.usage = v.member("us").elements([](const JsonField& e) {
+    HCA_REQUIRE(e.array().size() == 3,
+                "SEE snapshot: usage entry must be [alu, ag, instructions]");
+    machine::ResourceUsage u;
+    u.alu = e.at(0).int32();
+    u.ag = e.at(1).int32();
+    u.instructions = e.at(2).int32();
+    return u;
+  });
+  rows.nodeCluster = parseClusterIds(v.member("nc"), rows.usage.size(), "nc");
+  rows.relayCluster = parseClusterIds(v.member("rc"), rows.usage.size(), "rc");
+  rows.flow = v.member("fl").elements(parseIds<ValueId>);
+  rows.inNbrMask = v.member("nm").elements([](const JsonField& e) {
+    return parseHexBits(e.string(), "nm");
+  });
+  rows.inValues = v.member("iv").elements(parseIds<ValueId>);
+  rows.outValues = v.member("ov").elements(parseIds<ValueId>);
+  rows.assigned = v.member("as").int32();
+  rows.objective = parseDoubleBits(v.member("ob").string(), "ob");
+  return rows;
+}
+
+/// The file keeps DDG-indexed states only, so the working set of their
+/// snapshots is every node some state assigns, in ascending id order. For
+/// a legal result that is the sub-problem's working set itself: every
+/// state places all of it, and the driver builds working sets in ascending
+/// id order.
+void mapWorkingSet(std::vector<SnapshotRows>& states, SeeResult* result) {
+  const std::size_t ddgNodes = states.front().nodeCluster.size();
+  std::vector<char> assigned(ddgNodes, 0);
+  for (const SnapshotRows& s : states) {
+    HCA_REQUIRE(s.nodeCluster.size() == ddgNodes,
+                "SEE snapshot: frontier states disagree on DDG size");
     for (std::size_t v = 0; v < ddgNodes; ++v) {
-      if (assigned[v] != 0) {
-        result->workingSet.emplace_back(static_cast<std::int32_t>(v));
-      }
+      if (s.nodeCluster[v].valid()) assigned[v] = 1;
     }
   }
-};
+  result->ddgNodes = static_cast<std::int32_t>(ddgNodes);
+  for (std::size_t v = 0; v < ddgNodes; ++v) {
+    if (assigned[v] != 0) {
+      result->workingSet.emplace_back(static_cast<std::int32_t>(v));
+    }
+  }
+  for (SnapshotRows& s : states) {
+    std::vector<ClusterId> byPosition;
+    for (const DdgNodeId n : result->workingSet) {
+      byPosition.push_back(s.nodeCluster[n.index()]);
+    }
+    s.nodeCluster = std::move(byPosition);
+  }
+}
+
+}  // namespace
 
 void writeSeeResult(JsonWriter& json, const SeeResult& result) {
   json.beginObject();
   json.key("legal").value(result.legal);
-  // The frontier in its materialized form: "solution" is the best state
-  // (empty for a result without one); a legal result lists every state as
-  // "alternatives", an illegal one none.
+  // "solution" is the best state (all-empty for a result without one); a
+  // legal result lists every state as "alternatives", an illegal one none.
   json.key("solution");
-  SolutionSerializer::write(json, result.frontier.empty()
-                                      ? PartialSolution{}
-                                      : result.materialize(0));
+  if (result.frontier.empty()) {
+    writeState(json, SnapshotRows{}, {}, 0);
+  } else {
+    writeState(json, result.frontier.front().state().rows(),
+               result.workingSet, result.ddgNodes);
+  }
   json.key("alternatives").beginArray();
   if (result.legal) {
-    for (std::size_t i = 0; i < result.frontier.size(); ++i) {
-      SolutionSerializer::write(json, result.materialize(i));
+    for (const FrontierSnapshot& state : result.frontier) {
+      writeState(json, state.state().rows(), result.workingSet,
+                 result.ddgNodes);
     }
   }
   json.endArray();
@@ -229,18 +252,16 @@ SeeResult parseSeeResult(const JsonValue& value) {
   const JsonField root = reader.root(value);
   SeeResult result;
   result.legal = root.member("legal").boolean();
-  std::vector<PartialSolution> states;
+  std::vector<SnapshotRows> states;
   if (result.legal) {
-    states = root.member("alternatives").elements(SolutionSerializer::parse);
+    states = root.member("alternatives").elements(parseState);
     HCA_REQUIRE(!states.empty(),
                 "SEE snapshot: a legal result needs at least one alternative");
   } else {
-    states.push_back(SolutionSerializer::parse(root.member("solution")));
+    states.push_back(parseState(root.member("solution")));
   }
-  SolutionSerializer::mapWorkingSet(states, &result);
-  for (const PartialSolution& state : states) {
-    result.frontier.emplace_back(state, result.workingSet);
-  }
+  mapWorkingSet(states, &result);
+  for (const SnapshotRows& state : states) result.frontier.emplace_back(state);
   result.stats = parseStats(root.member("stats"));
   result.failedItem = parseItem(root.member("failedItem"));
   result.failureReason = root.member("failureReason").string();

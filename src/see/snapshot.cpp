@@ -23,9 +23,16 @@ void copyInto(T* dst, const T* src, std::size_t count) {
 
 bool critKeyLess(const CritTerm& a, const CritTerm& b) { return a.key < b.key; }
 
+/// True when CSR row `row` holds `v`.
+bool rowContains(const std::int32_t* off, const ValueId* vals,
+                 std::size_t row, ValueId v) {
+  return std::find(vals + off[row], vals + off[row + 1], v) !=
+         vals + off[row + 1];
+}
+
 /// Writes a snapshot's CSR rows (per PG node, or per arc): each row is the
 /// parent's row followed by the delta's additions to it in append order —
-/// the chronological list order the legacy mutation sequence produces.
+/// the chronological order of the mutations.
 /// Between touched rows the parent's layout only shifts by the additions
 /// before it, so each untouched run of rows moves with one memcpy and a
 /// shifted offset copy: the cost follows the edits, not the row count.
@@ -133,72 +140,74 @@ FlatSolution::Shape FlatSolution::shape() const {
   return shape;
 }
 
-FlatSolution::Shape FlatSolution::shapeOf(const PartialSolution& sol,
-                                          std::size_t numWs) {
+FlatSolution::Shape FlatSolution::shapeOf(const SnapshotRows& rows) {
   Shape shape;
-  shape.numWs = static_cast<std::int32_t>(numWs);
-  shape.numRelays = static_cast<std::int32_t>(sol.relayCluster_.size());
-  shape.numPg = static_cast<std::int32_t>(sol.usage_.size());
-  shape.numArcs = static_cast<std::int32_t>(sol.flow_.numArcLists());
-  for (std::int32_t i = 0; i < shape.numPg; ++i) {
-    shape.inTotal += static_cast<std::int32_t>(
-        sol.inValues_[static_cast<std::size_t>(i)].size());
-    shape.outTotal += static_cast<std::int32_t>(
-        sol.outValues_[static_cast<std::size_t>(i)].size());
+  shape.numWs = static_cast<std::int32_t>(rows.nodeCluster.size());
+  shape.numRelays = static_cast<std::int32_t>(rows.relayCluster.size());
+  shape.numPg = static_cast<std::int32_t>(rows.usage.size());
+  shape.numArcs = static_cast<std::int32_t>(rows.flow.size());
+  for (std::size_t i = 0; i < rows.usage.size(); ++i) {
+    shape.inTotal += static_cast<std::int32_t>(rows.inValues[i].size());
+    shape.outTotal += static_cast<std::int32_t>(rows.outValues[i].size());
   }
-  for (std::int32_t i = 0; i < shape.numArcs; ++i) {
-    shape.flowTotal +=
-        static_cast<std::int32_t>(sol.flow_.copiesOn(PgArcId(i)).size());
+  for (const auto& values : rows.flow) {
+    shape.flowTotal += static_cast<std::int32_t>(values.size());
   }
   return shape;
 }
 
-void FlatSolution::fillFrom(const PartialSolution& sol,
-                            const std::vector<DdgNodeId>& workingSet) {
-  for (std::int32_t i = 0; i < numWs_; ++i) {
-    nodeCluster_[i] = sol.clusterOf(workingSet[static_cast<std::size_t>(i)]);
-  }
-  copyInto(relayCluster_, sol.relayCluster_);
-  copyInto(usage_, sol.usage_);
-  copyInto(inNbrMask_, sol.inNbrMask_);
-  std::int32_t inOff = 0;
-  std::int32_t outOff = 0;
-  for (std::int32_t i = 0; i < numPg_; ++i) {
-    const auto& in = sol.inValues_[static_cast<std::size_t>(i)];
-    const auto& out = sol.outValues_[static_cast<std::size_t>(i)];
-    inCount_[i] = static_cast<std::int32_t>(in.size());
-    outCount_[i] = static_cast<std::int32_t>(out.size());
-    inOff_[i] = inOff;
-    outOff_[i] = outOff;
-    copyInto(inVals_ + inOff, in);
-    copyInto(outVals_ + outOff, out);
-    inOff += static_cast<std::int32_t>(in.size());
-    outOff += static_cast<std::int32_t>(out.size());
-  }
-  inOff_[numPg_] = inOff;
-  outOff_[numPg_] = outOff;
-  std::int32_t flowOff = 0;
-  for (std::int32_t i = 0; i < numArcs_; ++i) {
-    const auto& vals = sol.flow_.copiesOn(PgArcId(i));
-    flowOff_[i] = flowOff;
-    copyInto(flowVals_ + flowOff, vals);
-    flowOff += static_cast<std::int32_t>(vals.size());
-  }
-  flowOff_[numArcs_] = flowOff;
-  totalCopies_ = sol.flow_.totalCopies();
-  assigned_ = sol.assigned_;
-  objective_ = sol.objective_;
+void FlatSolution::fillFrom(const SnapshotRows& rows) {
+  copyInto(nodeCluster_, rows.nodeCluster);
+  copyInto(relayCluster_, rows.relayCluster);
+  copyInto(usage_, rows.usage);
+  copyInto(inNbrMask_, rows.inNbrMask);
+  const auto fillCsr = [](const std::vector<std::vector<ValueId>>& lists,
+                          std::int32_t* off, ValueId* vals,
+                          std::int32_t* counts) {
+    std::int32_t at = 0;
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      off[i] = at;
+      if (counts != nullptr) {
+        counts[i] = static_cast<std::int32_t>(lists[i].size());
+      }
+      copyInto(vals + at, lists[i]);
+      at += static_cast<std::int32_t>(lists[i].size());
+    }
+    off[lists.size()] = at;
+    return at;
+  };
+  fillCsr(rows.inValues, inOff_, inVals_, inCount_);
+  fillCsr(rows.outValues, outOff_, outVals_, outCount_);
+  totalCopies_ = fillCsr(rows.flow, flowOff_, flowVals_, nullptr);
+  assigned_ = rows.assigned;
+  objective_ = rows.objective;
 }
 
-const FlatSolution* FlatSolution::fromInitial(const PartialSolution& initial,
-                                              const PreparedProblem& prepared,
-                                              MonotonicArena& arena) {
-  HCA_CHECK(initial.assignedCount() == 0,
-            "fromInitial needs an unassigned state");
-  const auto& ws = prepared.problem().workingSet;
-  FlatSolution* flat = create(shapeOf(initial, ws.size()), arena);
+FlatSolution* FlatSolution::initial(const PreparedProblem& prepared,
+                                    MonotonicArena& arena) {
+  const auto& pg = *prepared.problem().pg;
+  const auto p = static_cast<std::size_t>(pg.numNodes());
+  SnapshotRows rows;
+  rows.nodeCluster.assign(prepared.problem().workingSet.size(),
+                          ClusterId::invalid());
+  rows.relayCluster.assign(prepared.problem().relayValues.size(),
+                           ClusterId::invalid());
+  rows.usage.resize(p);
+  rows.inNbrMask.assign(p, 0);
+  rows.inValues.resize(p);
+  rows.outValues.resize(p);
+  rows.flow.resize(static_cast<std::size_t>(pg.numArcs()));
+  for (const ClusterId in : pg.inputNodes()) {
+    auto& sent = rows.outValues[in.index()];
+    for (const ValueId v : pg.node(in).boundaryValues) {
+      if (std::find(sent.begin(), sent.end(), v) == sent.end()) {
+        sent.push_back(v);
+      }
+    }
+  }
+  FlatSolution* flat = create(shapeOf(rows), arena);
   flat->wsIndexOf_ = prepared.wsIndexTable();
-  flat->fillFrom(initial, ws);
+  flat->fillFrom(rows);
   return flat;
 }
 
@@ -242,29 +251,26 @@ const FlatSolution* FlatSolution::fromDelta(DeltaSolution& delta,
   return flat;
 }
 
-void FlatSolution::toPartial(const std::vector<DdgNodeId>& workingSet,
-                             std::int32_t ddgNodes,
-                             PartialSolution* out) const {
-  out->nodeCluster_.assign(static_cast<std::size_t>(ddgNodes),
-                           ClusterId::invalid());
-  for (std::int32_t i = 0; i < numWs_; ++i) {
-    out->nodeCluster_[workingSet[static_cast<std::size_t>(i)].index()] =
-        nodeCluster_[i];
-  }
-  out->relayCluster_.assign(relayCluster_, relayCluster_ + numRelays_);
-  out->usage_.assign(usage_, usage_ + numPg_);
-  out->inNbrMask_.assign(inNbrMask_, inNbrMask_ + numPg_);
-  out->inValues_.assign(static_cast<std::size_t>(numPg_), {});
-  out->outValues_.assign(static_cast<std::size_t>(numPg_), {});
-  for (std::int32_t i = 0; i < numPg_; ++i) {
-    out->inValues_[static_cast<std::size_t>(i)].assign(
-        inVals_ + inOff_[i], inVals_ + inOff_[i + 1]);
-    out->outValues_[static_cast<std::size_t>(i)].assign(
-        outVals_ + outOff_[i], outVals_ + outOff_[i + 1]);
-  }
-  out->flow_ = copyFlow();
-  out->assigned_ = assigned_;
-  out->objective_ = objective_;
+SnapshotRows FlatSolution::rows() const {
+  const auto csrRows = [](std::int32_t n, const std::int32_t* off,
+                          const ValueId* vals) {
+    std::vector<std::vector<ValueId>> lists;
+    for (std::int32_t i = 0; i < n; ++i) {
+      lists.emplace_back(vals + off[i], vals + off[i + 1]);
+    }
+    return lists;
+  };
+  SnapshotRows rows;
+  rows.nodeCluster.assign(nodeCluster_, nodeCluster_ + numWs_);
+  rows.relayCluster.assign(relayCluster_, relayCluster_ + numRelays_);
+  rows.usage.assign(usage_, usage_ + numPg_);
+  rows.inNbrMask.assign(inNbrMask_, inNbrMask_ + numPg_);
+  rows.inValues = csrRows(numPg_, inOff_, inVals_);
+  rows.outValues = csrRows(numPg_, outOff_, outVals_);
+  rows.flow = csrRows(numArcs_, flowOff_, flowVals_);
+  rows.assigned = assigned_;
+  rows.objective = objective_;
+  return rows;
 }
 
 machine::CopyFlow FlatSolution::copyFlow() const {
@@ -278,31 +284,16 @@ machine::CopyFlow FlatSolution::copyFlow() const {
   return flow;
 }
 
-bool FlatSolution::inValuesContain(ClusterId c, ValueId v) const {
-  const std::int32_t begin = inOff_[c.index()];
-  const std::int32_t end = inOff_[c.index() + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    if (inVals_[i] == v) return true;
-  }
-  return false;
+bool FlatSolution::valueDelivered(ClusterId dst, ValueId value) const {
+  return rowContains(inOff_, inVals_, dst.index(), value);
 }
 
-bool FlatSolution::outValuesContain(ClusterId c, ValueId v) const {
-  const std::int32_t begin = outOff_[c.index()];
-  const std::int32_t end = outOff_[c.index() + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    if (outVals_[i] == v) return true;
-  }
-  return false;
+bool FlatSolution::valueSent(ClusterId src, ValueId value) const {
+  return rowContains(outOff_, outVals_, src.index(), value);
 }
 
 bool FlatSolution::flowContains(PgArcId arc, ValueId v) const {
-  const std::int32_t begin = flowOff_[arc.index()];
-  const std::int32_t end = flowOff_[arc.index() + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    if (flowVals_[i] == v) return true;
-  }
-  return false;
+  return rowContains(flowOff_, flowVals_, arc.index(), v);
 }
 
 FrontierSnapshot::FrontierSnapshot(const FlatSolution& state) {
@@ -333,10 +324,14 @@ FrontierSnapshot::FrontierSnapshot(const FlatSolution& state) {
   state_.objective_ = state.objective_;
 }
 
-FrontierSnapshot::FrontierSnapshot(const PartialSolution& sol,
-                                   const std::vector<DdgNodeId>& workingSet) {
-  allocate(FlatSolution::shapeOf(sol, workingSet.size()));
-  state_.fillFrom(sol, workingSet);
+FrontierSnapshot::FrontierSnapshot(const SnapshotRows& rows) {
+  const std::size_t nodes = rows.usage.size();
+  HCA_REQUIRE(rows.inNbrMask.size() == nodes &&
+                  rows.inValues.size() == nodes &&
+                  rows.outValues.size() == nodes,
+              "SEE snapshot: per-cluster vectors disagree on node count");
+  allocate(FlatSolution::shapeOf(rows));
+  state_.fillFrom(rows);
 }
 
 void FrontierSnapshot::allocate(const FlatSolution::Shape& shape) {
@@ -381,7 +376,7 @@ void DeltaSolution::reset(const FlatSolution* parent,
 }
 
 bool DeltaSolution::valueDelivered(ClusterId dst, ValueId value) const {
-  if (parent_->inValuesContain(dst, value)) return true;
+  if (parent_->valueDelivered(dst, value)) return true;
   for (const auto& [d, v] : inAdds_) {
     if (d == dst && v == value) return true;
   }
@@ -406,7 +401,7 @@ bool DeltaSolution::flowIsReal(PgArcId arc) const {
 }
 
 bool DeltaSolution::valueSentFrom(ClusterId src, ValueId value) const {
-  if (parent_->outValuesContain(src, value)) return true;
+  if (parent_->valueSent(src, value)) return true;
   for (const auto& [s, v] : outAdds_) {
     if (s == src && v == value) return true;
   }

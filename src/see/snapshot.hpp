@@ -7,16 +7,15 @@
 
 #include "machine/pattern_graph.hpp"
 #include "see/cost.hpp"
-#include "see/partial_solution.hpp"
 #include "see/prepared.hpp"
 #include "support/arena.hpp"
 
 /// Copy-on-write search states for the SEE beam loop.
 ///
-/// The legacy engine deep-copied a full `PartialSolution` (per-arc copy
-/// lists, per-PG-node value lists — ~2·P + A heap allocations) for *every*
-/// candidate at every beam step, including candidates rejected by the first
-/// isAssignable check. Here a beam step works on two representations
+/// Deep-copying a whole search state (per-arc copy lists, per-PG-node value
+/// lists — ~2·P + A heap allocations) for *every* candidate at every beam
+/// step, including candidates rejected by the first isAssignable check,
+/// would dominate the search. A beam step works on two representations
 /// instead:
 ///
 ///  * `FlatSolution` — an immutable snapshot of a surviving frontier state,
@@ -34,52 +33,58 @@
 /// Both store node assignments by working-set position
 /// (`PreparedProblem::wsIndex`), not by DDG node id: a sub-problem's WS is
 /// a small slice of the DDG (about 13 of h264deblocking's 225 nodes at a
-/// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|). The
-/// DDG-indexed `PartialSolution` is converted to and from only where a
-/// caller needs one (`fromInitial` / `toPartial`).
+/// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|).
+/// Readers outside the search (the driver, flat ICA, the checkpoint
+/// serializer) read a snapshot by working-set position and by row.
 ///
-/// Byte-identity with the legacy path (the contract the identity tests
-/// enforce): both representations run the assignment semantics of
-/// solution_ops.hpp and are scored by the one objective template of
-/// cost.hpp, whose per-cluster loops run over `prepared.clusters()` in the
-/// same order. The critical-path criterion — the one term whose
-/// floating-point sum order depends on *which* dependences cross clusters,
-/// and the one term each representation implements itself — is reproduced
-/// by keeping penalty terms sorted by (working-set position, operand
-/// position) and summing the parent/delta merge in that order, exactly the
-/// order `PartialSolution::criticalPathScore`'s full scan visits them.
+/// Exactness (the contract the identity tests hold against the deep-copy
+/// reference search in tests/support): both representations run the
+/// assignment semantics of solution_ops.hpp and are scored by the one
+/// objective template of cost.hpp, whose per-cluster loops run over
+/// `prepared.clusters()` in a fixed order. The critical-path criterion —
+/// the one term whose floating-point sum order depends on *which*
+/// dependences cross clusters — is summed in (working-set position, operand
+/// position) order: penalty terms are kept sorted by that key and the
+/// parent/delta merge is summed in key order, the order of a full scan.
 /// Integer aggregates (copy totals, usage, counts) are exact by
-/// construction. When deltas flatten (materialization), list contents are
-/// parent-order followed by append-order — the chronological order the
-/// legacy mutation sequence produces.
+/// construction. When deltas flatten, list contents are parent-order
+/// followed by append-order — the chronological order of the mutations.
 namespace hca::see {
 
 class DeltaSolution;
+
+/// One search state as plain rows: the form the checkpoint stores, read
+/// out of a snapshot by `FlatSolution::rows` and turned back into one by
+/// `FrontierSnapshot`'s row constructor.
+struct SnapshotRows {
+  std::vector<ClusterId> nodeCluster;   ///< per working-set position
+  std::vector<ClusterId> relayCluster;  ///< per relay value
+  std::vector<machine::ResourceUsage> usage;      ///< per PG node
+  std::vector<std::uint64_t> inNbrMask;           ///< per PG node
+  std::vector<std::vector<ValueId>> inValues;     ///< distinct, per PG node
+  std::vector<std::vector<ValueId>> outValues;    ///< distinct, per PG node
+  std::vector<std::vector<ValueId>> flow;         ///< per PG arc
+  int assigned = 0;
+  double objective = 0.0;
+};
 
 /// Immutable snapshot of one frontier state: arena-backed during the
 /// search, or held in a `FrontierSnapshot`'s own block once the search
 /// returns it.
 class FlatSolution {
  public:
-  /// Snapshots the search's initial state (`PartialSolution::initial`,
-  /// objective set) into `arena`. Nothing is assigned yet, so the snapshot
-  /// has no critical-path terms.
-  static const FlatSolution* fromInitial(const PartialSolution& initial,
-                                         const PreparedProblem& prepared,
-                                         MonotonicArena& arena);
+  /// The search's initial state in `arena`: nothing assigned (so no
+  /// critical-path terms), input nodes already sending their boundary
+  /// values so wire pressure is measured from the start. Its objective is
+  /// 0 until the engine scores it (setObjective).
+  static FlatSolution* initial(const PreparedProblem& prepared,
+                               MonotonicArena& arena);
   /// Flattens parent + delta into a new snapshot in `arena` (which must
   /// not be the arena holding the delta's parent mid-reset). Sorts the
   /// delta's critical-path additions in place; the objective has usually
   /// sorted them already.
   static const FlatSolution* fromDelta(DeltaSolution& delta,
                                        MonotonicArena& arena);
-  /// Reconstructs the value-semantics state: working-set position i is DDG
-  /// node `workingSet[i]`, every other of the `ddgNodes` nodes is left
-  /// unassigned. Produces exactly the PartialSolution the legacy search
-  /// would have built: same list contents, same order.
-  void toPartial(const std::vector<DdgNodeId>& workingSet,
-                 std::int32_t ddgNodes, PartialSolution* out) const;
-
   /// Needs the working-set index table, which only search-time snapshots
   /// carry; a FrontierSnapshot's state is read by position (clusterAt).
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
@@ -108,14 +113,12 @@ class FlatSolution {
   [[nodiscard]] int realInNeighborCount(ClusterId c) const {
     return __builtin_popcountll(inNbrMask_[c.index()]);
   }
-  [[nodiscard]] bool inValuesContain(ClusterId c, ValueId v) const;
-  [[nodiscard]] bool outValuesContain(ClusterId c, ValueId v) const;
-  /// Sol-interface alias for inValuesContain: snapshots are the parent
-  /// states the feasibility oracle reads through the same template code as
-  /// the legacy PartialSolution path.
-  [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const {
-    return inValuesContain(dst, value);
-  }
+  /// True when `value` already flows into `dst` (the Sol interface of
+  /// solution_ops.hpp: snapshots are the parent states the feasibility
+  /// oracle reads through those templates).
+  [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
+  /// True when `value` already leaves `src` on some arc.
+  [[nodiscard]] bool valueSent(ClusterId src, ValueId value) const;
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId v) const;
   [[nodiscard]] bool flowIsReal(PgArcId arc) const {
     return flowOff_[arc.index() + 1] > flowOff_[arc.index()];
@@ -125,6 +128,9 @@ class FlatSolution {
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
+  void setObjective(double value) { objective_ = value; }
+  /// Every field but the critical-path terms, lists in list order.
+  [[nodiscard]] SnapshotRows rows() const;
 
  private:
   friend class DeltaSolution;
@@ -142,9 +148,8 @@ class FlatSolution {
     std::int32_t critTotal = 0;
   };
   [[nodiscard]] Shape shape() const;
-  /// The shape of `sol` over a `numWs`-node working set, without
-  /// critical-path terms.
-  static Shape shapeOf(const PartialSolution& sol, std::size_t numWs);
+  /// The shape of `rows`, without critical-path terms.
+  static Shape shapeOf(const SnapshotRows& rows);
 
   /// An uninitialized snapshot of the given shape in `arena`.
   static FlatSolution* create(const Shape& shape, MonotonicArena& arena);
@@ -152,10 +157,9 @@ class FlatSolution {
   /// one fixed order (the arena's byte accounting depends on it).
   template <typename Alloc>
   void allocateArrays(const Shape& shape, Alloc& alloc);
-  /// Fills every array but the critical-path terms from `sol`; the arrays
-  /// must have `shapeOf(sol, workingSet.size())`.
-  void fillFrom(const PartialSolution& sol,
-                const std::vector<DdgNodeId>& workingSet);
+  /// Fills every array but the critical-path terms from `rows`; the arrays
+  /// must have `shapeOf(rows)`.
+  void fillFrom(const SnapshotRows& rows);
 
   std::int32_t numWs_ = 0;
   std::int32_t numRelays_ = 0;
@@ -189,9 +193,10 @@ class FlatSolution {
 class FrontierSnapshot {
  public:
   explicit FrontierSnapshot(const FlatSolution& state);
-  /// Snapshots a materialized state whose working set is `workingSet`.
-  FrontierSnapshot(const PartialSolution& sol,
-                   const std::vector<DdgNodeId>& workingSet);
+  /// A state read from rows (a checkpoint, the reference search). Throws
+  /// InvalidArgumentError when the per-PG-node rows disagree on the node
+  /// count.
+  explicit FrontierSnapshot(const SnapshotRows& rows);
   FrontierSnapshot(const FrontierSnapshot& other)
       : FrontierSnapshot(other.state_) {}
   FrontierSnapshot& operator=(const FrontierSnapshot& other) {
@@ -269,10 +274,8 @@ class DeltaSolution {
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
   /// FNV-1a hash of the working-set-indexed assignment and the relay
-  /// placements (frontier deduplication). Not the same stream as
-  /// PartialSolution::signature(), which hashes the DDG-indexed vector:
-  /// equal states hash equal within one search, which is all the node
-  /// filter needs.
+  /// placements (frontier deduplication): equal states hash equal within
+  /// one search, which is all the node filter needs.
   [[nodiscard]] std::uint64_t signature() const;
 
   // --- writes (Sol interface) ------------------------------------------

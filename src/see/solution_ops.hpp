@@ -17,12 +17,12 @@
 ///   writes: setNodeCluster, setRelayCluster, addOp, addFlowCopy,
 ///           noteAssigned, addCritTerm
 ///
-/// `PartialSolution` (the materialized, value-semantics state handed to the
-/// driver/mapper and used by the legacy search path) and `DeltaSolution`
-/// (the copy-on-write candidate overlay of the arena-backed hot path)
-/// implement this interface; instantiating both from one template is what
-/// makes the delta path byte-identical to the legacy path by construction
-/// rather than by parallel maintenance. Topology is read through the
+/// `DeltaSolution` (the copy-on-write candidate overlay of the search),
+/// `FlatSolution` (its immutable snapshots, read-only) and the deep-copy
+/// state of the reference search in tests/support implement this
+/// interface; instantiating all of them from one template is what makes
+/// the search byte-identical to the reference by construction rather than
+/// by parallel maintenance. Topology is read through the
 /// prepared problem's dense pattern-graph view, never the PatternGraph.
 namespace hca::see {
 

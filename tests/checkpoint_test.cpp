@@ -428,6 +428,47 @@ TEST(CheckpointFormatPinTest, OutOfRangeInt32CounterRejected) {
   EXPECT_EQ(parseKind(bytes), CheckpointError::Kind::kBadPayload);
 }
 
+TEST(CheckpointFormatTest, SeeClusterIdPastThePatternGraphRejected) {
+  // A well-formed, checksummed file whose cached SEE result places nodes on
+  // a PG node the state does not have is a bad payload (hcac exits 2),
+  // not an assignment the driver later trips over as an internal error.
+  const ddg::Ddg& ddg = kernelNamed("fir2dim").ddg;
+  machine::PatternGraph pg;
+  for (int i = 0; i < 2; ++i) {
+    pg.addCluster(machine::ResourceTable::computationNode());
+  }
+  pg.connectClustersCompletely();
+  see::SeeProblem problem;
+  problem.ddg = &ddg;
+  for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
+    if (ddg::isInstruction(ddg.node(DdgNodeId(v)).op)) {
+      problem.workingSet.emplace_back(v);
+    }
+  }
+  problem.pg = &pg;
+  problem.constraints.maxInNeighbors = -1;
+  CheckpointData data = sampleData();
+  data.cacheByScope[""].emplace_back(
+      "k", see::SpaceExplorationEngine().run(problem));
+  ASSERT_TRUE(data.cacheByScope[""].back().second.legal);
+  const std::string bytes = core::serializeCheckpoint(data);
+  EXPECT_NO_THROW((void)core::parseCheckpoint(bytes));
+  // Every assigned node of every state onto PG node 2 (one past the end).
+  const std::string bad = withEditedPayload(bytes, [](std::string& p) {
+    const std::string open = "\"nc\":[";
+    for (std::size_t at = p.find(open); at != std::string::npos;
+         at = p.find(open, at)) {
+      at += open.size();
+      const std::size_t end = p.find(']', at);
+      for (std::size_t i = at; i < end; ++i) {
+        if ((p[i] == '0' || p[i] == '1') && p[i - 1] != '-') p[i] = '2';
+      }
+    }
+  });
+  ASSERT_NE(bad, bytes);
+  EXPECT_EQ(parseKind(bad), CheckpointError::Kind::kBadPayload);
+}
+
 // The sub-problem cache key is pinned to the bytes it had when the
 // dominance-pruning option and the retry-ladder switch still existed:
 // default-option keys must keep their shard hashes, so it carries the

@@ -1,23 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "ddg/kernels.hpp"
 #include "ddg/serialize.hpp"
 #include "hca/driver.hpp"
 #include "hca/postprocess.hpp"
 #include "support/trace.hpp"
+#include "tests/support/reference_search.hpp"
 
-/// Byte-identity contract of the copy-on-write SEE beam search: the default
-/// delta/arena path (SeeOptions::legacySearch = false) must reproduce the
-/// pre-CoW deep-copy path exactly — same placement, same relays, same
-/// reconfiguration stream, same FinalMapping, same aggregate HcaStats, and
-/// the same frontier objectives, bit for bit, from every SEE call — for
-/// every Table 1 kernel, under both failure policies. Only the wall-clock
-/// and the CoW-specific counters (copies avoided, snapshots, arena bytes)
-/// may differ. Each case also runs the delta path as a four-thread
-/// portfolio sweep, which must give the serial legacy run's outputs. Carries
-/// the ctest `tsan` label: the delta pools and arenas are per-attempt, so a
-/// ThreadSanitizer build of that sweep is the proof that no state leaked
-/// across portfolio threads.
+/// Byte-identity of the SEE beam search through the whole driver: for every
+/// Table 1 kernel under both failure policies, a serial run must reproduce
+/// what the deep-copy reference search (tests/support) produced — same
+/// placement, same relays, same reconfiguration stream, same FinalMapping,
+/// same aggregate HcaStats, and the same frontier objectives, bit for bit,
+/// from every SEE call. The reference cannot run inside the driver, so each
+/// case compares against FNV-1a digests of those four texts, pinned from
+/// reference runs of the same sweeps; see_test compares the two searches
+/// live, call by call. Only the wall-clock and the copy-on-write counters
+/// (copies avoided, snapshots, arena bytes) stay out of the digests.
+///
+/// Each case also runs a four-thread portfolio sweep, which must give the
+/// serial run's outputs. Carries the ctest `tsan` label: the delta pools and
+/// arenas are per-attempt, so a ThreadSanitizer build of that sweep is the
+/// proof that no state leaked across portfolio threads.
 namespace hca::core {
 namespace {
 
@@ -27,107 +33,111 @@ machine::DspFabricModel paperFabric() {
   return machine::DspFabricModel(config);
 }
 
-/// Everything but wall-clock and the CoW counters must match.
-void expectIdenticalStats(const HcaStats& legacy, const HcaStats& delta) {
-  EXPECT_EQ(legacy.problemsSolved, delta.problemsSolved);
-  EXPECT_EQ(legacy.backtrackAttempts, delta.backtrackAttempts);
-  EXPECT_EQ(legacy.outerAttempts, delta.outerAttempts);
-  EXPECT_EQ(legacy.achievedTargetIi, delta.achievedTargetIi);
-  EXPECT_EQ(legacy.attemptsCancelled, delta.attemptsCancelled);
-  EXPECT_EQ(legacy.statesExplored, delta.statesExplored);
-  EXPECT_EQ(legacy.candidatesEvaluated, delta.candidatesEvaluated);
-  EXPECT_EQ(legacy.routeInvocations, delta.routeInvocations);
-  EXPECT_EQ(legacy.cacheHits, delta.cacheHits);
-  EXPECT_EQ(legacy.cacheMisses, delta.cacheMisses);
-  EXPECT_EQ(legacy.maxWirePressure, delta.maxWirePressure);
-  // The CoW counters are the one permitted difference — and they must
-  // land on the expected side: zero for the legacy path, live for delta.
-  EXPECT_EQ(legacy.seeCopiesAvoided, 0);
-  EXPECT_EQ(legacy.seeSnapshotsMaterialized, 0);
-  EXPECT_EQ(legacy.seeArenaBytesPeak, 0);
-  if (delta.statesExplored > 0) {
-    EXPECT_GT(delta.seeSnapshotsMaterialized, 0);
-    EXPECT_GT(delta.seeArenaBytesPeak, 0);
+/// Placement, relays and reconfiguration stream (and the verdict).
+std::string outputsText(const HcaResult& r) {
+  std::ostringstream os;
+  os << r.legal << '|' << r.failureReason << "|assignment";
+  for (const CnId cn : r.assignment) os << ' ' << cn.value();
+  os << "|relays";
+  for (const RelayPlacement& relay : r.relays) {
+    os << ' ' << relay.value.value() << ':' << relay.cn.value();
   }
+  os << "|reconfig";
+  for (const machine::MuxSetting& s : r.reconfig.settings) {
+    os << " [";
+    for (const int step : s.problemPath) os << step << '.';
+    os << ' ' << s.dstChild << ' ' << s.dstWire << ' ' << s.srcIsBoundary
+       << ' ' << s.srcChild << ' ' << s.srcWire << ']';
+  }
+  return os.str();
 }
 
-/// Placement, relays and reconfiguration stream.
-void expectIdenticalOutputs(const HcaResult& a, const HcaResult& b) {
-  ASSERT_EQ(a.legal, b.legal) << a.failureReason << " vs " << b.failureReason;
-  EXPECT_EQ(a.failureReason, b.failureReason);
-  ASSERT_EQ(a.assignment.size(), b.assignment.size());
-  for (std::size_t i = 0; i < a.assignment.size(); ++i) {
-    ASSERT_EQ(a.assignment[i], b.assignment[i])
-        << "assignment diverges at node " << i;
-  }
-  ASSERT_EQ(a.relays.size(), b.relays.size());
-  for (std::size_t i = 0; i < a.relays.size(); ++i) {
-    EXPECT_EQ(a.relays[i].value, b.relays[i].value);
-    EXPECT_EQ(a.relays[i].cn, b.relays[i].cn);
-  }
-  ASSERT_EQ(a.reconfig.settings.size(), b.reconfig.settings.size());
-  for (std::size_t i = 0; i < a.reconfig.settings.size(); ++i) {
-    EXPECT_EQ(a.reconfig.settings[i], b.reconfig.settings[i]);
-  }
-}
-
-/// The outputs and every counter but the CoW ones.
-void expectIdenticalResults(const HcaResult& a, const HcaResult& b) {
-  expectIdenticalOutputs(a, b);
-  expectIdenticalStats(a.stats, b.stats);
-}
-
-void expectIdenticalMappings(const FinalMapping& legacy,
-                             const FinalMapping& delta) {
-  // toText round-trips every node, operand, immediate and name, so equal
-  // text means equal final DDGs.
-  EXPECT_EQ(ddg::toText(legacy.finalDdg), ddg::toText(delta.finalDdg));
-  EXPECT_EQ(legacy.numOriginalNodes, delta.numOriginalNodes);
-  ASSERT_EQ(legacy.cnOf.size(), delta.cnOf.size());
-  for (std::size_t i = 0; i < legacy.cnOf.size(); ++i) {
-    EXPECT_EQ(legacy.cnOf[i], delta.cnOf[i]) << "cnOf diverges at " << i;
-  }
-  ASSERT_EQ(legacy.recvs.size(), delta.recvs.size());
-  for (std::size_t i = 0; i < legacy.recvs.size(); ++i) {
-    EXPECT_EQ(legacy.recvs[i].recvNode, delta.recvs[i].recvNode);
-    EXPECT_EQ(legacy.recvs[i].value, delta.recvs[i].value);
-    EXPECT_EQ(legacy.recvs[i].cn, delta.recvs[i].cn);
-    EXPECT_EQ(legacy.recvs[i].isRelay, delta.recvs[i].isRelay);
-  }
+/// Every counter but wall-clock and the copy-on-write ones.
+std::string statsText(const HcaStats& s) {
+  std::ostringstream os;
+  os << s.problemsSolved << ' ' << s.backtrackAttempts << ' '
+     << s.outerAttempts << ' ' << s.achievedTargetIi << ' '
+     << s.attemptsCancelled << ' ' << s.statesExplored << ' '
+     << s.candidatesEvaluated << ' ' << s.routeInvocations << ' '
+     << s.cacheHits << ' ' << s.cacheMisses << ' ' << s.maxWirePressure;
+  return os.str();
 }
 
 /// Every fresh SEE call of a serial run, in call order: its `see` span's
-/// states, verdict and frontier objective bits.
-std::vector<std::vector<std::pair<std::string, std::string>>> seeCalls(
-    const Tracer& tracer) {
-  std::vector<std::vector<std::pair<std::string, std::string>>> calls;
+/// args (states, verdict and frontier objective bits). Objectives are
+/// compared per SEE call: a 1-ULP drift in one criterion rarely changes a
+/// placement, so placements alone would not show it.
+std::string seeCallsText(const Tracer& tracer) {
+  std::ostringstream os;
+  int calls = 0;
   for (const Tracer::SpanRecord& span : tracer.spans()) {
-    if (std::string(span.name) == "see") calls.push_back(span.args);
+    if (std::string(span.name) != "see") continue;
+    ++calls;
+    os << '{';
+    for (const auto& [key, value] : span.args) os << key << '=' << value << ';';
+    os << '}';
   }
-  return calls;
+  EXPECT_GT(calls, 0);
+  return os.str();
 }
 
-/// Objectives are compared per SEE call: a 1-ULP drift in one criterion
-/// rarely changes a placement, so placements alone would not show it.
-void expectIdenticalSeeCalls(const Tracer& legacy, const Tracer& delta) {
-  const auto a = seeCalls(legacy);
-  const auto b = seeCalls(delta);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "SEE call " << i << " diverges";
+/// The final mapping; toText round-trips every node, operand, immediate and
+/// name, so equal text means equal final DDGs.
+std::string mappingText(const FinalMapping& m) {
+  std::ostringstream os;
+  os << ddg::toText(m.finalDdg) << '|' << m.numOriginalNodes << "|cnOf";
+  for (const CnId cn : m.cnOf) os << ' ' << cn.value();
+  os << "|recvs";
+  for (const FinalMapping::RecvInfo& recv : m.recvs) {
+    os << ' ' << recv.recvNode.value() << ':' << recv.value.value() << ':'
+       << recv.cn.value() << ':' << recv.isRelay;
   }
+  return os.str();
 }
+
+struct Pin {
+  std::uint64_t outputs;
+  std::uint64_t stats;
+  std::uint64_t seeCalls;
+  std::uint64_t mapping;  ///< 0 for an illegal run (no mapping)
+};
 
 /// (kernel index, failure policy) — all four Table 1 kernels, both ladders.
 class DeltaIdentityTest
     : public ::testing::TestWithParam<std::tuple<int, FailurePolicy>> {};
 
 TEST_P(DeltaIdentityTest, DeltaPathByteMatchesLegacyPath) {
+  // Pinned from the reference search's runs, per kernel: {strict, degrade}.
+  static const Pin kPins[4][2] = {
+      // fir2dim
+      {{0x341f0f6befe5ffbeULL, 0xfe209509987079ebULL,
+        0xb42b2d451395c989ULL, 0x84f7f60d7c0fca84ULL},
+       {0x341f0f6befe5ffbeULL, 0xfe209509987079ebULL,
+        0xb42b2d451395c989ULL, 0x84f7f60d7c0fca84ULL}},
+      // idcthor
+      {{0xc9b78b930e1f09e9ULL, 0xceeea5eef6f8f6dfULL,
+        0xcb18af8e2278b973ULL, 0x2a44e72596f76da6ULL},
+       {0x7b4f25bfeb13ba23ULL, 0xf563d3e7fb6a7c73ULL,
+        0x7f843f253290f301ULL, 0x8678ca7518e8a8aaULL}},
+      // mpeg2inter
+      {{0x5bbfee59d2751832ULL, 0xe10d796b1f0678ffULL,
+        0x0fb71ffc4f30b94bULL, 0x2008e35bcbc084cfULL},
+       {0x5bbfee59d2751832ULL, 0xe10d796b1f0678ffULL,
+        0x0fb71ffc4f30b94bULL, 0x2008e35bcbc084cfULL}},
+      // h264deblocking
+      {{0xa4d56a35bdcfde04ULL, 0x609ea2c412c64ba1ULL,
+        0x6844e5442c2e7abfULL, 0xa328715477d41e10ULL},
+       {0xa4d56a35bdcfde04ULL, 0x92cf45b22aa6151fULL,
+        0x26f43fd76f8a0addULL, 0xa328715477d41e10ULL}},
+  };
   auto kernels = ddg::table1Kernels();
   const auto kernelIndex = static_cast<std::size_t>(std::get<0>(GetParam()));
   auto k = std::move(kernels[kernelIndex]);
   const auto model = paperFabric();
+  const Pin& pin =
+      kPins[kernelIndex][std::get<1>(GetParam()) == FailurePolicy::kStrict
+                             ? 0
+                             : 1];
 
   HcaOptions options;
   options.failurePolicy = std::get<1>(GetParam());
@@ -138,14 +148,11 @@ TEST_P(DeltaIdentityTest, DeltaPathByteMatchesLegacyPath) {
     options.targetIiSlack = 0;
     options.searchProfiles = 1;
   } else {
-    // A small sweep is enough: the point is legacy/delta equivalence on
-    // every code path, not search quality.
+    // A small sweep is enough: the point is search equivalence on every
+    // code path, not search quality.
     options.targetIiSlack = 1;
     options.searchProfiles = 2;
   }
-
-  HcaOptions legacyOptions = options;
-  legacyOptions.see.legacySearch = true;
 
   // The portfolio's stats are not compared: its cancelled attempts and
   // cache counters legitimately differ from a serial sweep's.
@@ -153,28 +160,34 @@ TEST_P(DeltaIdentityTest, DeltaPathByteMatchesLegacyPath) {
   parallelOptions.numThreads = 4;
   parallelOptions.allowOversubscribe = true;
 
-  Tracer legacyTrace;
-  Tracer deltaTrace;
-  legacyOptions.tracer = &legacyTrace;
-  HcaOptions deltaOptions = options;
-  deltaOptions.tracer = &deltaTrace;
+  Tracer trace;
+  HcaOptions serialOptions = options;
+  serialOptions.tracer = &trace;
 
-  const auto legacy = HcaDriver(model, legacyOptions).run(k.ddg);
-  const auto delta = HcaDriver(model, deltaOptions).run(k.ddg);
+  const auto serial = HcaDriver(model, serialOptions).run(k.ddg);
   const auto parallel = HcaDriver(model, parallelOptions).run(k.ddg);
-  expectIdenticalResults(legacy, delta);
-  expectIdenticalSeeCalls(legacyTrace, deltaTrace);
+  EXPECT_EQ(see::fnv1a(outputsText(serial)), pin.outputs);
+  EXPECT_EQ(see::fnv1a(statsText(serial.stats)), pin.stats);
+  EXPECT_EQ(see::fnv1a(seeCallsText(trace)), pin.seeCalls);
+  // The copy-on-write counters are live on the engine's side.
+  if (serial.stats.statesExplored > 0) {
+    EXPECT_GT(serial.stats.seeSnapshotsMaterialized, 0);
+    EXPECT_GT(serial.stats.seeArenaBytesPeak, 0);
+  }
   {
-    SCOPED_TRACE("four-thread delta sweep");
-    expectIdenticalOutputs(legacy, parallel);
+    SCOPED_TRACE("four-thread sweep");
+    EXPECT_EQ(outputsText(parallel), outputsText(serial));
   }
 
-  if (legacy.legal) {
-    const FinalMapping reference = buildFinalMapping(k.ddg, model, legacy);
-    expectIdenticalMappings(reference, buildFinalMapping(k.ddg, model, delta));
-    SCOPED_TRACE("four-thread delta sweep");
-    expectIdenticalMappings(reference,
-                            buildFinalMapping(k.ddg, model, parallel));
+  if (serial.legal) {
+    const std::string mapping =
+        mappingText(buildFinalMapping(k.ddg, model, serial));
+    EXPECT_EQ(see::fnv1a(mapping), pin.mapping);
+    SCOPED_TRACE("four-thread sweep");
+    EXPECT_EQ(mappingText(buildFinalMapping(k.ddg, model, parallel)),
+              mapping);
+  } else {
+    EXPECT_EQ(pin.mapping, 0u);
   }
 }
 

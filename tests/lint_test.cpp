@@ -224,6 +224,24 @@ TEST(LintRules, LayeringAllowsForwardEdges) {
   EXPECT_TRUE(runAllRules(model).empty());
 }
 
+TEST(LintRules, LayeringKeepsTestSupportOutOfTheLibrary) {
+  // The deep-copy reference search lives in tests/support: tests may
+  // include it, no library module may.
+  std::map<std::string, std::string> files;
+  files["tests/support/reference_search.hpp"] =
+      "#include \"see/engine.hpp\"\n";
+  files["src/see/engine.hpp"] = "";
+  files["src/see/engine.cpp"] =
+      "#include \"tests/support/reference_search.hpp\"\n";
+  files["tests/see_test.cpp"] =
+      "#include \"tests/support/reference_search.hpp\"\n";
+  const std::vector<Diagnostic> all =
+      runLayeringRule(SourceModel::loadFromMemory(files));
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].file, "src/see/engine.cpp");
+  EXPECT_EQ(all[0].entity, "tests/support/reference_search.hpp");
+}
+
 TEST(LintRules, LayeringReportsIncludeCycles) {
   std::map<std::string, std::string> files;
   files["src/see/a.hpp"] = "#include \"see/b.hpp\"\n";

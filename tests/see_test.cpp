@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <random>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/str.hpp"
+#include "tests/support/reference_search.hpp"
 
 namespace hca::see {
 namespace {
@@ -137,7 +139,7 @@ TEST(EngineTest, AssignsEverythingOnGenerousMachine) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   for (const DdgNodeId n : problem.workingSet) {
     EXPECT_TRUE(solution.clusterOf(n).valid());
   }
@@ -152,7 +154,7 @@ TEST(EngineTest, SingleClusterNeedsNoCopies) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal);
-  EXPECT_EQ(result.materialize().flow().totalCopies(), 0);
+  EXPECT_EQ(materialize(result).flow().totalCopies(), 0);
 }
 
 TEST(EngineTest, CopiesAppearWhenDependencesCrossClusters) {
@@ -166,7 +168,7 @@ TEST(EngineTest, CopiesAppearWhenDependencesCrossClusters) {
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   EXPECT_GT(solution.flow().totalCopies(), 0);
 }
 
@@ -184,7 +186,7 @@ TEST(EngineTest, HeterogeneousResourcesRespected) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   for (const DdgNodeId n : problem.workingSet) {
     if (ddg::isMemoryOp(ddg.node(n).op)) {
       EXPECT_EQ(solution.clusterOf(n).value() % 2, 0)
@@ -201,8 +203,8 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   const auto r1 = engine.run(problem);
   const auto r2 = engine.run(problem);
   ASSERT_TRUE(r1.legal);
-  EXPECT_EQ(r1.materialize().signature(), r2.materialize().signature());
-  EXPECT_EQ(r1.materialize().objective(), r2.materialize().objective());
+  EXPECT_EQ(materialize(r1).signature(), materialize(r2).signature());
+  EXPECT_EQ(materialize(r1).objective(), materialize(r2).objective());
 }
 
 TEST(EngineTest, EmptyWorkingSetIsLegal) {
@@ -214,7 +216,7 @@ TEST(EngineTest, EmptyWorkingSetIsLegal) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   EXPECT_TRUE(result.legal);
-  EXPECT_EQ(result.materialize().assignedCount(), 0);
+  EXPECT_EQ(materialize(result).assignedCount(), 0);
 }
 
 // --- constraints ----------------------------------------------------------------
@@ -237,7 +239,7 @@ TEST(ConstraintTest, MaxInNeighborsEnforced) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   // Verify the constraint on the result.
   for (const ClusterId c : pg.clusterNodes()) {
     EXPECT_LE(solution.flow().realInNeighbors(pg, c).size(), 1u);
@@ -272,7 +274,7 @@ TEST(ConstraintTest, OutputUnaryFanInForcesCoLocation) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   EXPECT_EQ(solution.clusterOf(DdgNodeId(kv.value())),
             solution.clusterOf(DdgNodeId(hv.value())));
   // Output node has exactly one real in-neighbor.
@@ -314,7 +316,7 @@ TEST(ConstraintTest, InputNodeValuesConsumedViaBoundary) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   // The boundary value flows from the input node to the add's cluster.
   const ClusterId addCluster = solution.clusterOf(
       DdgNodeId(extV.value() + 2));  // cst(1) then add follow ext
@@ -362,7 +364,7 @@ TEST(RouteAllocatorTest, PaperFigure6RoutesThroughIntermediate) {
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   // Constraint must hold in the final flow.
   for (const ClusterId c : pg.clusterNodes()) {
     EXPECT_LE(solution.flow().realInNeighbors(pg, c).size(), 1u);
@@ -506,7 +508,7 @@ TEST(RelayTest, RelayValueParkedAndWired) {
   const SpaceExplorationEngine engine;
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
-  const PartialSolution solution = result.materialize();
+  const PartialSolution solution = materialize(result);
   const ClusterId parked = solution.relayCluster(0);
   EXPECT_TRUE(parked.valid());
   // Value flows in -> parked -> out.
@@ -625,7 +627,7 @@ TEST(CostTest, WeightedObjectiveCombines) {
   MonotonicArena arena;
   DeltaSolution first;
   first.init(prepared);
-  first.reset(FlatSolution::fromInitial(partial, prepared, arena));
+  first.reset(FlatSolution::initial(prepared, arena));
   DeltaSolution second;
   second.init(prepared);
   for (std::size_t i = 0; i < placement.size(); ++i) {
@@ -673,7 +675,7 @@ TEST(FilterTest, WiderBeamExploresMoreWithComparableQuality) {
   ASSERT_TRUE(r2.legal);
   // Beam search is not strictly monotone in the beam width, but a wider
   // beam must stay within a whisker of greedy and explore far more states.
-  EXPECT_LE(r2.materialize().objective(), r1.materialize().objective() * 1.02);
+  EXPECT_LE(materialize(r2).objective(), materialize(r1).objective() * 1.02);
   EXPECT_GT(r2.stats.candidatesEvaluated, r1.stats.candidatesEvaluated);
 }
 
@@ -899,7 +901,7 @@ void checkRouteBfsOnRandomStates(const machine::PatternGraph& pg,
     MonotonicArena arena;
     DeltaSolution delta;
     delta.init(prepared);
-    delta.reset(FlatSolution::fromInitial(partial, prepared, arena));
+    delta.reset(FlatSolution::initial(prepared, arena));
     const auto numCopies = rng.below(static_cast<std::uint64_t>(
         2 * pg.numNodes() + 1));
     for (std::uint64_t i = 0; i < numCopies; ++i) {
@@ -988,45 +990,46 @@ TEST(RouteBfsTest, MatchesPerArcReferenceOnLeafWithBoundaryNodes) {
 
 // --- copy-on-write delta path -----------------------------------------------
 
-/// The delta/arena path and the legacy deep-copy path are the same search;
-/// results must match field for field (modulo the CoW-only counters), and
-/// objectives bit for bit.
-void expectSameSearch(const SeeResult& legacy, const SeeResult& delta) {
-  ASSERT_EQ(legacy.legal, delta.legal)
-      << legacy.failureReason << " vs " << delta.failureReason;
-  EXPECT_EQ(legacy.failureReason, delta.failureReason);
-  EXPECT_EQ(legacy.stats.statesExplored, delta.stats.statesExplored);
-  EXPECT_EQ(legacy.stats.candidatesEvaluated, delta.stats.candidatesEvaluated);
-  EXPECT_EQ(legacy.stats.candidateRejections,
+/// The engine and the deep-copy reference search (tests/support) are the
+/// same search; results must match field for field (modulo the CoW-only
+/// counters), and objectives bit for bit.
+void expectSameSearch(const SeeResult& reference, const SeeResult& delta) {
+  ASSERT_EQ(reference.legal, delta.legal)
+      << reference.failureReason << " vs " << delta.failureReason;
+  EXPECT_EQ(reference.failureReason, delta.failureReason);
+  EXPECT_EQ(reference.stats.statesExplored, delta.stats.statesExplored);
+  EXPECT_EQ(reference.stats.candidatesEvaluated,
+            delta.stats.candidatesEvaluated);
+  EXPECT_EQ(reference.stats.candidateRejections,
             delta.stats.candidateRejections);
-  EXPECT_EQ(legacy.stats.statesPruned, delta.stats.statesPruned);
-  EXPECT_EQ(legacy.stats.routeInvocations, delta.stats.routeInvocations);
-  EXPECT_EQ(legacy.stats.routeFailures, delta.stats.routeFailures);
-  EXPECT_EQ(legacy.stats.routedOperands, delta.stats.routedOperands);
-  ASSERT_EQ(legacy.frontier.size(), delta.frontier.size());
-  for (std::size_t i = 0; i < legacy.frontier.size(); ++i) {
-    const auto& ls = legacy.materialize(i);
-    const auto& ds = delta.materialize(i);
-    EXPECT_EQ(ls.signature(), ds.signature()) << "frontier state " << i;
-    EXPECT_EQ(ls.objective(), ds.objective()) << "frontier state " << i;
-    EXPECT_EQ(ls.flow().totalCopies(), ds.flow().totalCopies())
+  EXPECT_EQ(reference.stats.statesPruned, delta.stats.statesPruned);
+  EXPECT_EQ(reference.stats.routeInvocations, delta.stats.routeInvocations);
+  EXPECT_EQ(reference.stats.routeFailures, delta.stats.routeFailures);
+  EXPECT_EQ(reference.stats.routedOperands, delta.stats.routedOperands);
+  ASSERT_EQ(reference.frontier.size(), delta.frontier.size());
+  for (std::size_t i = 0; i < reference.frontier.size(); ++i) {
+    const auto& rs = materialize(reference, i);
+    const auto& ds = materialize(delta, i);
+    EXPECT_EQ(rs.signature(), ds.signature()) << "frontier state " << i;
+    EXPECT_EQ(rs.objective(), ds.objective()) << "frontier state " << i;
+    EXPECT_EQ(rs.flow().totalCopies(), ds.flow().totalCopies())
         << "frontier state " << i;
   }
-  if (legacy.legal) {
-    EXPECT_EQ(legacy.materialize().signature(), delta.materialize().signature());
-    EXPECT_EQ(legacy.materialize().objective(),
-              delta.materialize().objective());
+  if (reference.legal) {
+    EXPECT_EQ(materialize(reference).signature(),
+              materialize(delta).signature());
+    EXPECT_EQ(materialize(reference).objective(),
+              materialize(delta).objective());
   }
 }
 
-/// Runs `problem` through both paths under `options` and checks equality.
-void roundTrip(const SeeProblem& problem, SeeOptions options) {
-  options.legacySearch = true;
-  const auto legacy = SpaceExplorationEngine(options).run(problem);
-  options.legacySearch = false;
+/// Runs `problem` through the reference and the engine under `options` and
+/// checks equality.
+void roundTrip(const SeeProblem& problem, const SeeOptions& options) {
+  const auto reference = referenceSearch(problem, options);
   const auto delta = SpaceExplorationEngine(options).run(problem);
-  expectSameSearch(legacy, delta);
-  EXPECT_EQ(legacy.stats.copiesAvoided, 0);
+  expectSameSearch(reference, delta);
+  EXPECT_EQ(reference.stats.copiesAvoided, 0);
   if (delta.stats.statesExplored > 0) {
     EXPECT_GT(delta.stats.snapshotsMaterialized, 0);
     EXPECT_GT(delta.stats.arenaBytesPeak, 0);
@@ -1203,7 +1206,7 @@ TEST(DeltaSearchTest, MatchesLegacyOnInterleavedChains) {
 /// item and reason, every counter — as its checkpoint JSON. With
 /// `dropCowCounters` the three counters only the delta path keeps
 /// (copiesAvoided, snapshotsMaterialized, arenaBytesPeak) are zeroed, so a
-/// legacy and a delta result compare equal exactly when they are the same
+/// reference and a delta result compare equal exactly when they are the same
 /// search.
 std::string resultJson(SeeResult result, bool dropCowCounters) {
   if (dropCowCounters) {
@@ -1256,16 +1259,14 @@ TEST(DeltaSearchTest, LadderRungKeepsItsOwnRouteHops) {
   options.maxRouteHops = 1;
   EXPECT_FALSE(SpaceExplorationEngine(options).run(problem).legal);
   options.maxRouteHops = 2;
-  options.legacySearch = true;
-  const SeeResult legacy = SpaceExplorationEngine(options).run(problem);
-  options.legacySearch = false;
+  const SeeResult reference = referenceSearch(problem, options);
   const SeeResult delta = SpaceExplorationEngine(options).run(problem);
   ASSERT_TRUE(delta.legal) << delta.failureReason;
-  EXPECT_EQ(delta.materialize().clusterOf(y), ClusterId(4));
+  EXPECT_EQ(materialize(delta).clusterOf(y), ClusterId(4));
   // The value crosses in -> 0 -> 1 -> 2 -> 3 -> 4.
-  EXPECT_EQ(delta.materialize().flow().totalCopies(), 5);
-  expectSameSearch(legacy, delta);
-  EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
+  EXPECT_EQ(materialize(delta).flow().totalCopies(), 5);
+  expectSameSearch(reference, delta);
+  EXPECT_EQ(resultJson(reference, true), resultJson(delta, true));
 }
 
 TEST(DeltaSearchTest, DeeperRungRescuesOnePortRcpRing) {
@@ -1355,22 +1356,19 @@ TEST(DeltaSearchTest, WorkingSetLocalStateOnLargeDdg) {
   ASSERT_EQ(ddg.numNodes(), 225);
   ASSERT_EQ(leaf.problem.workingSet.size(), 13u);
 
-  SeeOptions options;
-  options.legacySearch = true;
-  const SeeResult legacy = SpaceExplorationEngine(options).run(leaf.problem);
-  options.legacySearch = false;
-  const SeeResult delta = SpaceExplorationEngine(options).run(leaf.problem);
+  const SeeResult reference = referenceSearch(leaf.problem);
+  const SeeResult delta = SpaceExplorationEngine().run(leaf.problem);
   ASSERT_TRUE(delta.legal) << delta.failureReason;
-  expectSameSearch(legacy, delta);
+  expectSameSearch(reference, delta);
   // Same PartialSolution (every alternative, field for field) and the same
   // counters apart from the delta-only ones.
-  EXPECT_EQ(resultJson(legacy, true), resultJson(delta, true));
+  EXPECT_EQ(resultJson(reference, true), resultJson(delta, true));
   EXPECT_GT(delta.stats.arenaBytesPeak, 0);
 
   // The working-set-indexed snapshots convert back to DDG-indexed states:
   // every WS node placed, every other DDG node unassigned.
   for (std::size_t i = 0; i < delta.frontier.size(); ++i) {
-    const PartialSolution alt = delta.materialize(i);
+    const PartialSolution alt = materialize(delta, i);
     for (std::int32_t v = 0; v < ddg.numNodes(); ++v) {
       const DdgNodeId n(v);
       const bool inWs =
@@ -1400,33 +1398,25 @@ TEST(DeltaSearchTest, SuppliedHeightsMatchComputedHeights) {
 
 // --- frontier snapshots --------------------------------------------------------
 
-/// FNV-1a 64 of a result's checkpoint JSON.
-std::uint64_t digest(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// A result whose frontier is rebuilt from its own materialized states.
+/// A result whose frontier is rebuilt from its own materialized states
+/// through FrontierSnapshot's row constructor.
 SeeResult rebuiltFromPartials(const SeeResult& result) {
   SeeResult copy = result;
   copy.frontier.clear();
   for (std::size_t i = 0; i < result.frontier.size(); ++i) {
-    copy.frontier.emplace_back(result.materialize(i), result.workingSet);
+    copy.frontier.emplace_back(materialize(result, i).rows(result.workingSet));
   }
   return copy;
 }
 
 TEST(FrontierSnapshotTest, MaterializedFrontierMatchesPinnedPartialSolutions) {
   // The digests pin the checkpoint JSON (every frontier state field for
-  // field, flow-list order included, plus the counters both search paths
+  // field, flow-list order included, plus the counters both searches
   // share) that these searches produced when SeeResult still held
-  // PartialSolutions built by the delta path's toPartial and by the legacy
-  // path directly. A changed digest means the snapshots no longer
-  // materialize to the same states.
+  // PartialSolutions built by the delta search and by the deep-copy search
+  // directly. Both the engine and the reference search must still give
+  // them; a changed digest means the snapshots no longer carry the same
+  // states.
   struct Pin {
     const char* kernel;
     std::uint64_t whole;  ///< all instructions on 8 clusters
@@ -1445,20 +1435,19 @@ TEST(FrontierSnapshotTest, MaterializedFrontierMatchesPinnedPartialSolutions) {
     ASSERT_EQ(kernels[k].name, pins[k].kernel);
     const KernelSlice slice(kernels[k], 3);
     const SeeProblem whole = baseProblem(kernels[k].ddg, pg);
-    for (const bool legacy : {false, true}) {
+    for (const bool reference : {false, true}) {
       SCOPED_TRACE(std::string(pins[k].kernel) +
-                   (legacy ? " legacy" : " delta"));
-      SeeOptions options;
-      options.legacySearch = legacy;
-      const SpaceExplorationEngine engine(options);
+                   (reference ? " reference" : " engine"));
       for (const auto& [problem, pin] :
            {std::pair{&whole, pins[k].whole},
             std::pair{&slice.problem, pins[k].slice}}) {
-        const SeeResult result = engine.run(*problem);
+        const SeeResult result = reference
+                                     ? referenceSearch(*problem)
+                                     : SpaceExplorationEngine().run(*problem);
         ASSERT_EQ(result.workingSet, problem->workingSet);
         ASSERT_EQ(result.frontier.size(), result.legal ? 4u : 1u);
         const std::string json = resultJson(result, true);
-        EXPECT_EQ(digest(json), pin);
+        EXPECT_EQ(fnv1a(json), pin);
         // Snapshotting the materialized states again changes nothing.
         EXPECT_EQ(resultJson(rebuiltFromPartials(result), true), json);
       }
@@ -1473,7 +1462,7 @@ TEST(FrontierSnapshotTest, ReadsMatchTheMaterializedState) {
   const auto& ws = slice.problem.workingSet;
   for (std::size_t i = 0; i < result.frontier.size(); ++i) {
     const FlatSolution& state = result.frontier[i].state();
-    const PartialSolution partial = result.materialize(i);
+    const PartialSolution partial = materialize(result, i);
     for (std::size_t pos = 0; pos < ws.size(); ++pos) {
       EXPECT_EQ(state.clusterAt(pos), partial.clusterOf(ws[pos]));
     }
@@ -1502,6 +1491,196 @@ TEST(FrontierSnapshotTest, ReadsMatchTheMaterializedState) {
     bytes += static_cast<std::int64_t>(state.bytes());
   }
   EXPECT_EQ(result.bytes(), bytes);
+}
+
+// --- the reference search, live ----------------------------------------------
+
+/// The differential corpus: every Table 1 kernel, whole (all instructions on
+/// 8 clusters) and as a KernelSlice, under the engine's defaults, the
+/// driver's defaults (beam 16, keep 10), eager routing and a one-hop route
+/// budget; plus two illegal searches — fir2dim on one 1x1 cluster, and
+/// fir2dim stopped mid-search by its step budget.
+class DifferentialCorpus {
+ public:
+  struct Case {
+    std::string name;
+    const SeeProblem* problem;
+    SeeOptions options;
+  };
+
+  DifferentialCorpus() {
+    SeeOptions driverDefaults;
+    driverDefaults.beamWidth = 16;
+    driverDefaults.candidateKeep = 10;
+    SeeOptions eager;
+    eager.eagerRouting = true;
+    SeeOptions oneHop;
+    oneHop.maxRouteHops = 1;
+    const std::pair<const char*, SeeOptions> optionSets[] = {
+        {"default", SeeOptions{}},
+        {"driver-default", driverDefaults},
+        {"eager", eager},
+        {"hops1", oneHop}};
+    for (const ddg::Kernel& kernel : kernels_) {
+      wholes_.push_back(baseProblem(kernel.ddg, pg_));
+      slices_.push_back(std::make_unique<KernelSlice>(kernel, 3));
+    }
+    for (std::size_t k = 0; k < kernels_.size(); ++k) {
+      for (const auto& [name, options] : optionSets) {
+        cases_.push_back({strCat(kernels_[k].name, " whole ", name),
+                          &wholes_[k], options});
+        cases_.push_back({strCat(kernels_[k].name, " slice ", name),
+                          &slices_[k]->problem, options});
+      }
+    }
+    tinyPg_.addCluster(machine::ResourceTable(1, 1));
+    infeasible_ = baseProblem(kernels_[0].ddg, tinyPg_);
+    cases_.push_back({"fir2dim on one 1x1 cluster", &infeasible_, {}});
+    SeeOptions budget;
+    budget.maxBeamSteps = 5;
+    cases_.push_back({"fir2dim whole, 5 beam steps", &wholes_[0], budget});
+  }
+  DifferentialCorpus(const DifferentialCorpus&) = delete;
+  DifferentialCorpus& operator=(const DifferentialCorpus&) = delete;
+
+  [[nodiscard]] const std::vector<Case>& cases() const { return cases_; }
+
+ private:
+  const std::vector<ddg::Kernel> kernels_ = ddg::table1Kernels();
+  const machine::PatternGraph pg_ = smallPg(8);
+  machine::PatternGraph tinyPg_;
+  std::vector<SeeProblem> wholes_;
+  std::vector<std::unique_ptr<KernelSlice>> slices_;
+  SeeProblem infeasible_;
+  std::vector<Case> cases_;
+};
+
+TEST(ReferenceSearchTest, EngineMatchesReferenceOnDifferentialCorpus) {
+  const DifferentialCorpus corpus;
+  int legal = 0;
+  int illegal = 0;
+  for (const auto& c : corpus.cases()) {
+    SCOPED_TRACE(c.name);
+    const SeeResult reference = referenceSearch(*c.problem, c.options);
+    const SeeResult engine = SpaceExplorationEngine(c.options).run(*c.problem);
+    expectSameSearch(reference, engine);
+    EXPECT_EQ(resultJson(reference, true), resultJson(engine, true));
+    // The copy-on-write counters land on their sides: zero for the
+    // reference, live for the engine.
+    EXPECT_EQ(reference.stats.copiesAvoided, 0);
+    EXPECT_EQ(reference.stats.snapshotsMaterialized, 0);
+    EXPECT_EQ(reference.stats.arenaBytesPeak, 0);
+    EXPECT_GT(engine.stats.copiesAvoided, 0);
+    EXPECT_GT(engine.stats.snapshotsMaterialized, 0);
+    EXPECT_GT(engine.stats.arenaBytesPeak, 0);
+    ++(engine.legal ? legal : illegal);
+  }
+  EXPECT_GT(legal, 0);
+  EXPECT_GE(illegal, 2);
+}
+
+// --- checkpoint JSON ------------------------------------------------------------
+
+/// `result` through the reference writer (materialized PartialSolutions).
+std::string referenceJson(const SeeResult& result) {
+  std::ostringstream os;
+  JsonWriter json(os);
+  writeReferenceSeeResult(json, result);
+  return os.str();
+}
+
+SeeResult parsed(const std::string& text) {
+  JsonValue value;
+  std::string error;
+  HCA_CHECK(parseJson(text, &value, &error), error);
+  return parseSeeResult(value);
+}
+
+TEST(CheckpointWriterTest, SnapshotWriterMatchesReferenceWriter) {
+  const DifferentialCorpus corpus;
+  std::vector<SeeResult> results;
+  for (const auto& c : corpus.cases()) {
+    results.push_back(SpaceExplorationEngine(c.options).run(*c.problem));
+  }
+  results.emplace_back();  // no frontier at all
+  int legal = 0;
+  for (const SeeResult& result : results) {
+    const std::string json = resultJson(result, false);
+    EXPECT_EQ(json, referenceJson(result));
+    EXPECT_EQ(resultJson(parsed(json), false), json);
+    legal += result.legal ? 1 : 0;
+  }
+  EXPECT_GT(legal, 0);
+  EXPECT_LT(legal, static_cast<int>(results.size()) - 2);
+}
+
+/// `json` with every non-negative entry of its `member` id arrays replaced
+/// by `id`.
+std::string withClusterIds(const std::string& json, const std::string& member,
+                           const std::string& id) {
+  const std::string open = "\"" + member + "\":[";
+  std::string out;
+  std::size_t at = 0;
+  for (std::size_t hit = json.find(open); hit != std::string::npos;
+       hit = json.find(open, at)) {
+    const std::size_t begin = hit + open.size();
+    const std::size_t end = json.find(']', begin);
+    out += json.substr(at, begin - at);
+    std::istringstream list(json.substr(begin, end - begin));
+    std::string entry;
+    for (bool first = true; std::getline(list, entry, ','); first = false) {
+      if (!first) out += ',';
+      out += entry.front() == '-' ? entry : id;
+    }
+    at = end;
+  }
+  return out + json.substr(at);
+}
+
+TEST(CheckpointParseTest, ClusterIdOutsideThePatternGraphRejected) {
+  // A node or relay placed on a PG node the state does not have must be
+  // refused while parsing, not reach the driver as an assignment to a
+  // non-cluster node. 8 clusters: ids 0..7 exist.
+  const auto kernel = ddg::buildFir2Dim();
+  const auto pg = smallPg(8);
+  const std::string nodes = resultJson(
+      SpaceExplorationEngine().run(baseProblem(kernel.ddg, pg)), false);
+  EXPECT_EQ(resultJson(parsed(withClusterIds(nodes, "nc", "7")), false),
+            withClusterIds(nodes, "nc", "7"));
+  for (const char* id : {"8", "99"}) {
+    EXPECT_THROW((void)parsed(withClusterIds(nodes, "nc", id)),
+                 InvalidArgumentError)
+        << id;
+  }
+  EXPECT_THROW((void)parsed(withClusterIds(nodes, "nc", "-2")),
+               InvalidArgumentError);
+
+  // RelayTest's pass-through: one relay on a 4-node PG (2 clusters, an
+  // input and an output).
+  DdgBuilder b;
+  const auto x = b.load(b.cst(0), 0, "x");
+  b.store(b.cst(1), x);
+  const auto ddg = b.finish();
+  const ValueId v(b.idOf(x).value());
+  auto relayPg = smallPg(2);
+  const auto in = relayPg.addInputNode({v}, "in");
+  const auto out = relayPg.addOutputNode("out");
+  relayPg.connectBoundaryNodes();
+  SeeProblem problem;
+  problem.ddg = &ddg;
+  problem.pg = &relayPg;
+  problem.relayValues = {v};
+  problem.valueSources[v] = in;
+  problem.outputRequirements.push_back({out, {v}});
+  const SeeResult relayed = SpaceExplorationEngine().run(problem);
+  ASSERT_TRUE(relayed.legal) << relayed.failureReason;
+  const std::string relays = resultJson(relayed, false);
+  EXPECT_NO_THROW((void)parsed(withClusterIds(relays, "rc", "3")));
+  for (const char* id : {"4", "99", "-2"}) {
+    EXPECT_THROW((void)parsed(withClusterIds(relays, "rc", id)),
+                 InvalidArgumentError)
+        << id;
+  }
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 #                 verifying the HCA_GUARDED_BY/HCA_REQUIRES annotations;
 #                 skipped with a notice when clang is not installed (GCC has
 #                 no thread-safety analysis)
-#   3. lint     — tools/run_clang_tidy.sh over src/tools/examples; skips
-#                 itself when clang-tidy is missing
+#   3. lint     — tools/run_clang_tidy.sh over src/tools/examples and
+#                 tests/support; skips itself when clang-tidy is missing
 #   3b. hca-lint — the in-repo contract checker (determinism, layering,
 #                 locking, exit contract) against tools/lint_baseline.json;
 #                 any diagnostic not in the baseline fails the stage naming

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Run clang-tidy (profile: .clang-tidy) over the main sources.
+# Run clang-tidy (profile: .clang-tidy) over the main sources and the
+# test-support library.
 #
 # Needs a compile_commands.json, which the top-level CMakeLists exports by
 # default; pass a build directory as $1 (default: build). Exits 0 with a
@@ -26,9 +27,11 @@ if [ ! -f "${build}/compile_commands.json" ]; then
   exit 1
 fi
 
-# Main sources only: third-party-free by construction, and the test bodies'
-# deliberate corruptions (tests/verify_test.cpp) would trip bugprone checks.
-mapfile -t sources < <(cd "${root}" && find src tools examples -name '*.cpp' | sort)
+# Main sources plus the test-support library (the deep-copy reference
+# search the SEE tests compare against): third-party-free by construction.
+# The test bodies stay out — their deliberate corruptions
+# (tests/verify_test.cpp) would trip bugprone checks.
+mapfile -t sources < <(cd "${root}" && find src tools examples tests/support -name '*.cpp' | sort)
 
 echo "run_clang_tidy: $(${tidy} --version | head -1)"
 echo "run_clang_tidy: linting ${#sources[@]} files against ${build}/compile_commands.json"
