@@ -273,11 +273,15 @@ std::string runFingerprint(const ddg::Ddg& ddg,
   // read 1 while the ladder had a third rung; checkpoints from then hold SEE
   // results and counters of that ladder, which a resume would mix into its
   // own, so the 2 makes their fingerprint differ and the resume fails with
-  // kWrongRun.
-  id << "see:" << s.beamWidth << ',' << s.candidateKeep << ','
-     << s.maxOpsPerUnit << ',' << s.enableRouteAllocator << ','
-     << s.eagerRouting << ",2," << s.maxRouteHops << ',' << s.maxBeamSteps
-     << ',' << s.arenaBudgetBytes << ',' << s.chainGrouping
+  // kWrongRun. The literal 0 after candidateKeep is the retired op cap.
+  // The beam-step slot here is a literal 0 and the hca line carries
+  // `see.maxBeamSteps`: hcac used to set the budget through a copy on
+  // HcaOptions that the hca line read, so existing checkpoints keep their
+  // fingerprints.
+  id << "see:" << s.beamWidth << ',' << s.candidateKeep << ",0,"
+     << s.enableRouteAllocator << ',' << s.eagerRouting << ",2,"
+     << s.maxRouteHops << ",0," << s.arenaBudgetBytes << ','
+     << s.chainGrouping
      // Retired dominance-pruning flag: a literal 0 keeps the fingerprints
      // of existing checkpoints.
      << ",0"
@@ -287,13 +291,14 @@ std::string runFingerprint(const ddg::Ddg& ddg,
      << ',' << s.weights.targetIi << '\n';
   // The results-invisible driver options (deadline, threads, tracing,
   // verification) are excluded — see the header contract.
-  // The leaf-parent in-neighbor cap (4) and the backtrack budget (256) are
-  // driver constants now; their literals keep the fingerprints of existing
-  // checkpoints.
-  id << "hca:4," << o.maxAlternatives << ",256," << o.targetIiSlack << ','
-     << o.searchProfiles << ',' << o.degradedFallback << ','
-     << o.enableSubproblemCache << ',' << static_cast<int>(o.failurePolicy)
-     << ',' << o.maxBeamSteps << ',' << o.memoryBudgetBytes << '\n';
+  // The leaf-parent in-neighbor cap (4), the frontier states tried (12),
+  // the backtrack budget (256) and the degraded-bandwidth rung (always on,
+  // 1) are driver constants now; their literals keep the fingerprints of
+  // existing checkpoints.
+  id << "hca:4,12,256," << o.targetIiSlack << ',' << o.searchProfiles
+     << ",1," << o.enableSubproblemCache << ','
+     << static_cast<int>(o.failurePolicy) << ',' << s.maxBeamSteps << ','
+     << o.memoryBudgetBytes << '\n';
   return hex64(fnv1a64(id.str()));
 }
 

@@ -40,7 +40,8 @@
 ///
 /// File format: a one-line header `HCACHK <version> <fnv1a64-hex> <bytes>\n`
 /// followed by a JSON payload of exactly `<bytes>` bytes. The checksum is
-/// FNV-1a 64 over the payload; the length catches truncation, the checksum
+/// `fnv1a64` over the payload (its offset basis is not FNV's standard one;
+/// see below); the length catches truncation, the checksum
 /// catches corruption, the version catches format drift, and a run identity
 /// fingerprint inside the payload catches "resumed against different
 /// inputs". Files are written via support/io.hpp's atomic path (temp +
@@ -73,8 +74,11 @@ class CheckpointError : public InvalidArgumentError {
 
 [[nodiscard]] const char* to_string(CheckpointError::Kind kind);
 
-/// FNV-1a 64-bit (the repo's standard content hash; also used by the SEE
-/// frontier signatures). Exposed for the corruption tests.
+/// FNV-1a 64-bit with prime 1099511628211 but offset basis
+/// 1469598103934665603, not the standard 14695981039346656037 (the repo's
+/// content hash; also used by the SEE frontier signatures). A tool that
+/// re-frames a payload must hash it with this basis, or the header is
+/// refused. Exposed for the corruption tests.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
 
 /// One completed, failed outer attempt.

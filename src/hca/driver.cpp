@@ -64,6 +64,10 @@ std::string frontierObjectives(const see::SeeResult& result) {
 /// funneled into it stay consumable by its CNs (each CN has only
 /// `cnInWires` static selects, and intra-leaf chains consume selects too).
 constexpr int kLeafParentMaxInNeighbors = 4;
+/// Hierarchical backtracking: when a child sub-problem turns out to be
+/// infeasible, up to this many states of the parent's final search frontier
+/// (the best and its runners-up) are tried before the parent itself fails.
+constexpr int kMaxAlternatives = 12;
 /// Cap on hierarchical backtracking attempts (runner-up assignments tried
 /// after a child sub-problem failed) across one attempt's problem tree.
 constexpr int kBacktrackBudget = 256;
@@ -108,10 +112,10 @@ void runVerifyEach(const ddg::Ddg& ddg, const machine::DspFabricModel& model,
              ":\n", outcome.formatted));
 }
 
-/// Drops the frontier states past the `maxAlternatives` the driver tries,
+/// Drops the frontier states past the kMaxAlternatives the driver tries,
 /// before a result is cached.
-void keepAlternatives(see::SeeResult& result, int maxAlternatives) {
-  const auto keep = static_cast<std::size_t>(std::max(1, maxAlternatives));
+void keepAlternatives(see::SeeResult& result) {
+  const auto keep = static_cast<std::size_t>(kMaxAlternatives);
   if (result.frontier.size() <= keep) return;
   result.frontier.erase(
       result.frontier.begin() + static_cast<std::ptrdiff_t>(keep),
@@ -161,7 +165,6 @@ HcaDriver::HcaDriver(machine::DspFabricModel model, HcaOptions options)
 see::SeeOptions HcaDriver::profileOptions(int target, int profile) const {
   see::SeeOptions seeOptions = options_.see;
   seeOptions.weights.targetIi = target;
-  if (options_.maxBeamSteps > 0) seeOptions.maxBeamSteps = options_.maxBeamSteps;
   switch (profile) {
     case 0: break;  // configured options
     case 1:
@@ -556,7 +559,7 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
       for (const auto& [key, seeResult] : *entries) {
         see::SeeResult restored = seeResult;
-        keepAlternatives(restored, options_.maxAlternatives);
+        keepAlternatives(restored);
         cachePtr->insert(key, std::move(restored));
       }
     }
@@ -641,10 +644,11 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   // produced wiring uses a subset of the real surviving wires, so the
   // result is valid (if slow) on the real fabric. Skipped when the faults
   // leave the *degraded* fabric disconnected — the real one may still be
-  // fine with its wider MUXes.
-  if (options_.degradedFallback && !expired() &&
-      (model_.config().n > 2 || model_.config().m > 2 ||
-       model_.config().k > 2)) {
+  // fine with its wider MUXes. Runs under both policies, and only on a
+  // fabric wider than the degraded one: that stops the nested ladder,
+  // whose fabric is already clamped, from recursing.
+  if (!expired() && (model_.config().n > 2 || model_.config().m > 2 ||
+                     model_.config().k > 2)) {
     machine::DspFabricConfig degradedConfig = model_.config();
     degradedConfig.n = std::min(degradedConfig.n, 2);
     degradedConfig.m = std::min(degradedConfig.m, 2);
@@ -663,7 +667,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
         cachePtr->dropEntries();
       }
       HcaOptions degradedOptions = options_;
-      degradedOptions.degradedFallback = false;
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
       // The nested ladder owns a fresh cache; scope its attempts and cache
@@ -802,7 +805,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     if (ctx.cache != nullptr && !aborted) {
       ++result.stats.cacheMisses;
       ++*lm.cacheMisses;
-      keepAlternatives(freshResult, options_.maxAlternatives);
+      keepAlternatives(freshResult);
       cacheEntry = ctx.cache->insert(cacheKey, std::move(freshResult));
       seePtr = cacheEntry.get();
     } else {
@@ -838,8 +841,7 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
                                           << "] is for another working set");
   const auto clusters = record.pg.clusterNodes();
   const int numAlternatives = std::min<int>(
-      std::max(1, options_.maxAlternatives),
-      static_cast<int>(seeResult.frontier.size()));
+      kMaxAlternatives, static_cast<int>(seeResult.frontier.size()));
   std::string lastFailure;
   for (int alt = 0; alt < numAlternatives; ++alt) {
     if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {

@@ -78,11 +78,10 @@ struct HcaOptions {
     see.candidateKeep = 10;
   }
 
+  /// Per-sub-problem search options; the outer sweep's profiles vary them
+  /// (HcaDriver::profileOptions). `see.maxBeamSteps` caps every attempt's
+  /// SEE frontier expansions, for reproducible budgeting.
   see::SeeOptions see;
-  /// Hierarchical backtracking: when a child sub-problem turns out to be
-  /// infeasible, up to this many runner-up assignments from the parent's
-  /// final search frontier are tried before the parent itself fails.
-  int maxAlternatives = 12;
   /// Outer search loop: like modulo scheduling's II search, the driver
   /// first maps at the loop's iniMII and, when no legal clusterization is
   /// found, re-runs with one more cycle of target slack (which lets the
@@ -92,12 +91,6 @@ struct HcaOptions {
   /// Heuristic profiles tried per target II (chain grouping on/off, beam
   /// variants). 1 = only the configured SeeOptions.
   int searchProfiles = 5;
-  /// Last-resort fallback: when no legal clusterization is found, re-run
-  /// against a bandwidth-degraded copy of the machine (N=M=K=2). Tighter
-  /// budgets force the search into heavily packed, sparsely wired mappings
-  /// — and any mapping that fits the degraded wires trivially fits the
-  /// real ones. Trades MII for guaranteed-sound legality.
-  bool degradedFallback = true;
   /// Portfolio parallelism of the outer sweep: with more than one thread
   /// every (target II, profile) attempt runs as an independent task on a
   /// thread pool of this size; with one, the attempts run inline in sweep
@@ -124,9 +117,6 @@ struct HcaOptions {
   /// poll and the run returns what it has (a legal result from an earlier
   /// rung, or — under kDegrade — a kDeadlineExpired report).
   int deadlineMs = 0;
-  /// Per-attempt cap on SEE frontier expansions, applied on top of every
-  /// search profile (see SeeOptions::maxBeamSteps); 0 = unlimited.
-  int maxBeamSteps = 0;
   /// Span tracer for this run (see support/trace.hpp): one span per outer
   /// attempt / fallback rung / sub-problem / SEE invocation / mapper pass,
   /// nested like the problem tree. Not owned; must outlive the run.

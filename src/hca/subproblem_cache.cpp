@@ -47,7 +47,8 @@ void appendI64(std::string& out, std::int64_t v) {
 void appendOptions(std::string& out, const see::SeeOptions& o) {
   appendI32(out, o.beamWidth);
   appendI32(out, o.candidateKeep);
-  appendI32(out, o.maxOpsPerUnit);
+  // Retired op cap (always off): a literal 0 keeps the keys.
+  appendI32(out, 0);
   appendI32(out, o.enableRouteAllocator ? 1 : 0);
   appendI32(out, o.eagerRouting ? 1 : 0);
   // Retired retry-ladder switch (always on): a literal 1 keeps the keys,
@@ -99,8 +100,10 @@ std::string subproblemKey(
   appendI32(key, pg.numArcs());
 
   appendI32(key, constraints.maxInNeighbors);
-  appendI32(key, constraints.maxOutNeighbors);
-  appendI32(key, constraints.outputNodeUnaryFanIn ? 1 : 0);
+  // Retired constraint fields, fixed by the architecture (unbounded
+  // out-neighbors, unary fan-in on output nodes): literals keep the keys.
+  appendI32(key, -1);
+  appendI32(key, 1);
 
   appendI32(key, latency.alu);
   appendI32(key, latency.mul);

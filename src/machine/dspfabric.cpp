@@ -125,8 +125,6 @@ PgConstraints DspFabricModel::constraints(int level) const {
   const LevelSpec spec = levelSpec(level);
   PgConstraints c;
   c.maxInNeighbors = spec.inWires;
-  c.maxOutNeighbors = -1;  // broadcast: the paper leaves outputs unbounded
-  c.outputNodeUnaryFanIn = true;
   return c;
 }
 

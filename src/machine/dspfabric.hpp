@@ -94,8 +94,8 @@ class DspFabricModel {
   /// Aggregate resources of one PG node at `level` (all the CNs below it).
   [[nodiscard]] ResourceTable clusterResources(int level) const;
 
-  /// SEE constraints at `level`: maxInNeighbors = MUX capacity, outputs
-  /// unconstrained, output nodes unary fan-in (Section 4.1).
+  /// SEE constraints at `level`: maxInNeighbors = MUX capacity
+  /// (Section 4.1).
   [[nodiscard]] PgConstraints constraints(int level) const;
 
   /// Pattern graph of a sub-problem at `level`: `branching[level]` fully

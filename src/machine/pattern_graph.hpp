@@ -45,17 +45,15 @@ struct PgArc {
   ClusterId dst;
 };
 
-/// Reconfiguration constraints of Section 4.1.
+/// Reconfiguration constraints of Section 4.1 that vary with the level.
+/// The others are fixed by the architecture and enforced by the SEE and
+/// the mapper without a setting: out-neighbors are unbounded (a value can
+/// be broadcast), and at most one real arc may enter each output node (the
+/// paper's outNode_MaxIn, unary fan-in of the outgoing MUX wire).
 struct PgConstraints {
   /// Maximum number of distinct *in*-neighbors per cluster node (the MUX
   /// capacity at this level); -1 = unlimited.
   int maxInNeighbors = -1;
-  /// Maximum number of distinct out-neighbors; -1 = unlimited (a value can
-  /// be broadcast, so the paper leaves outputs unconstrained).
-  int maxOutNeighbors = -1;
-  /// The paper's outNode_MaxIn: at most one real arc may enter each output
-  /// node (unary fan-in of the outgoing MUX wire).
-  bool outputNodeUnaryFanIn = true;
 };
 
 class PatternGraph {

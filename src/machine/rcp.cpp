@@ -36,8 +36,6 @@ PatternGraph rcpPatternGraph(const RcpConfig& config) {
 PgConstraints rcpConstraints(const RcpConfig& config) {
   PgConstraints c;
   c.maxInNeighbors = config.inputPorts;
-  c.maxOutNeighbors = -1;
-  c.outputNodeUnaryFanIn = true;
   return c;
 }
 

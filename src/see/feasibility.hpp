@@ -19,16 +19,14 @@
 ///
 ///  * static facts (dead clusters, missing resource classes, missing arcs,
 ///    senders with no surviving output wire) — valid in any state;
-///  * monotone parent-state facts: in-neighbor masks only gain bits and
-///    usage only grows while a group's members are placed, and a value can
-///    only become delivered to a cluster through an arc from its (fixed)
-///    location — so "budget already exhausted and the source is not an
+///  * monotone parent-state facts: in-neighbor masks only gain bits while
+///    a group's members are placed, and a value can only become delivered
+///    to a cluster through an arc from its (fixed) location — so "budget already exhausted and the source is not an
 ///    in-neighbor yet" or "the single output-wire feeder is already chosen"
 ///    remain rejections mid-group (see DESIGN.md §4k for the case analysis).
 ///
 /// Anything whose mid-group evolution could *help* a later member (shared
-/// flows, out-neighbor counts of the candidate itself) is deliberately left
-/// to canAssignT.
+/// flows) is deliberately left to canAssignT.
 ///
 /// The oracle also precomputes the static relay-hop distance matrix over
 /// the alive pattern graph (budgets ignored — a strict over-approximation
@@ -96,8 +94,6 @@ template <typename Sol>
 std::uint64_t FeasibilityOracle::directFeasibleMask(
     const Sol& state, std::size_t groupIndex) const {
   const PreparedProblem& prep = *prepared_;
-  const auto& constraints = prep.problem().constraints;
-  const auto& options = prep.options();
   const ItemGroup& group = prep.items()[groupIndex];
   std::uint64_t m = groupMask_[groupIndex];
   if (m == 0) return 0;
@@ -166,14 +162,11 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
   // outNode_MaxIn): once some cluster feeds `out`, only that cluster can
   // add further values to the wire.
   const auto restrictByOutputWire = [&](ClusterId out) {
-    if (!constraints.outputNodeUnaryFanIn) return;
     const std::uint64_t s = state.inNbrMask(out);
     if (s == 0) return;
     m &= (__builtin_popcountll(s) == 1) ? s : 0;
   };
 
-  bool needAlu = false;
-  bool needAg = false;
   for (const Item& item : group.members) {
     if (m == 0) return 0;
     if (item.kind == Item::Kind::kRelay) {
@@ -188,10 +181,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
       continue;
     }
     const DdgNodeId n = item.node;
-    const ddg::ResourceClass rc =
-        ddg::opResource(prep.problem().ddg->node(n).op);
-    needAlu = needAlu || rc == ddg::ResourceClass::kAlu;
-    needAg = needAg || rc == ddg::ResourceClass::kAg;
     for (const ValueId v : prep.operandValues(n)) {
       const ClusterId loc = valueLocationT(prep, state, v);
       if (!loc.valid()) continue;  // producer unplaced: no constraint yet
@@ -207,24 +196,6 @@ std::uint64_t FeasibilityOracle::directFeasibleMask(
     if (out.valid()) restrictByOutputWire(out);
   }
 
-  // Functional-unit exhaustion: usage only grows mid-group, so a cluster
-  // already at its cap in the parent state fails the first member needing
-  // that unit.
-  if (options.maxOpsPerUnit > 0 && m != 0) {
-    std::uint64_t rest = m;
-    while (rest != 0) {
-      const std::uint64_t bit = rest & (~rest + 1);
-      rest ^= bit;
-      const ClusterId c(__builtin_ctzll(bit));
-      const auto& rt = prep.resources(c);
-      const auto& usage = state.usage(c);
-      if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit ||
-          (needAlu && usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) ||
-          (needAg && usage.ag + 1 > rt.ag() * options.maxOpsPerUnit)) {
-        m &= ~bit;
-      }
-    }
-  }
   return m;
 }
 

@@ -238,11 +238,8 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
     for (const ClusterId c : clusters_) {
       minIssue = std::min(minIssue, resources(c).issueSlots());
     }
-    int cap = std::max(
+    const int cap = std::max(
         2, options.weights.targetIi * std::max(minIssue, 1) / 2);
-    if (options.maxOpsPerUnit > 0) {
-      cap = std::min(cap, options.maxOpsPerUnit * std::max(minIssue, 1));
-    }
     for (const DdgNodeId n : problem.workingSet) {
       const auto& consumers = wsConsumers_[n.index()];
       if (consumers.size() != 1) continue;

@@ -74,8 +74,8 @@ class PreparedProblem {
 
   [[nodiscard]] const SeeProblem& problem() const { return *problem_; }
   /// The options the problem was prepared under. Only the fields that shape
-  /// the prepared problem or the assignment semantics (chain grouping,
-  /// maxOpsPerUnit, weights) are read from here: the search knobs the two
+  /// the prepared problem or its scoring (chain grouping, weights) are read
+  /// from here: the search knobs the two
   /// retry-ladder rungs vary — beam width, candidate keep and maxRouteHops
   /// (`deeper`), eager routing (both) — reach the search as explicit
   /// arguments instead.

@@ -76,9 +76,6 @@ struct SeeOptions {
   int beamWidth = 4;
   /// Candidate filter: candidates kept per (state, item).
   int candidateKeep = 4;
-  /// Hard cap on ops per functional unit of a cluster (schedulability
-  /// pruning); <= 0 disables the cap.
-  int maxOpsPerUnit = 0;
   /// Enables the route allocator as the `no candidates action`.
   bool enableRouteAllocator = true;
   /// Eager routing: also offer route-allocated assignments for clusters a

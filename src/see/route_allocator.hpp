@@ -75,11 +75,11 @@ class RouteScratch {
 /// parents and paths are those of a walk over PatternGraph::outArcs with
 /// canAddCopyT deciding every hop. Masks decide most hops before the walk:
 /// heads already seen or unable to take the hop are dropped (only alive
-/// clusters relay; the destination may be any live node), and under an
-/// unlimited out-neighbor budget a hop into an alive cluster is open
-/// exactly when the sender already feeds it or it has in-neighbor room —
-/// canAddCopyT's answer there (DESIGN.md §4k). Output heads, and every hop
-/// when maxOutNeighbors applies, still call canAddCopyT.
+/// clusters relay; the destination may be any live node), and a hop into
+/// an alive cluster is open exactly when the sender already feeds it or it
+/// has in-neighbor room — canAddCopyT's answer there (DESIGN.md §4k). The
+/// one head the masks leave open, a destination outside the alive clusters
+/// (an output or input node), still calls canAddCopyT.
 template <typename Sol>
 std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
                                  const Sol& solution, ClusterId src,
@@ -106,24 +106,19 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
   const std::uint64_t relays = prepared.aliveClusterMask();
   const std::uint64_t enterable =
       relays | (prepared.isDead(dst) ? 0 : detail::pgBit(dst));
-  // Heads whose hop the masks decide (alive clusters, when no out-neighbor
-  // cap applies) and their budget state: those with in-neighbor room, and
-  // per node the ones it already feeds.
-  const std::uint64_t maskDecided =
-      prepared.problem().constraints.maxOutNeighbors < 0 ? relays : 0;
+  // The budget state of the alive clusters, whose hops the masks decide:
+  // those with in-neighbor room, and per node the ones it already feeds.
   std::uint64_t room = 0;
   std::vector<std::uint64_t>& feeds = rs.feeds();
-  if (maskDecided != 0) {
-    std::fill(feeds.begin(), feeds.end(), 0);
-    for (std::uint64_t rest = maskDecided; rest != 0; rest &= rest - 1) {
-      const ClusterId w(__builtin_ctzll(rest));
-      const std::uint64_t wBit = detail::pgBit(w);
-      const std::uint64_t senders = solution.inNbrMask(w);
-      const int cap = prepared.inCap(w);
-      if (cap < 0 || __builtin_popcountll(senders) < cap) room |= wBit;
-      for (std::uint64_t s = senders; s != 0; s &= s - 1) {
-        feeds[static_cast<std::size_t>(__builtin_ctzll(s))] |= wBit;
-      }
+  std::fill(feeds.begin(), feeds.end(), 0);
+  for (std::uint64_t rest = relays; rest != 0; rest &= rest - 1) {
+    const ClusterId w(__builtin_ctzll(rest));
+    const std::uint64_t wBit = detail::pgBit(w);
+    const std::uint64_t senders = solution.inNbrMask(w);
+    const int cap = prepared.inCap(w);
+    if (cap < 0 || __builtin_popcountll(senders) < cap) room |= wBit;
+    for (std::uint64_t s = senders; s != 0; s &= s - 1) {
+      feeds[static_cast<std::size_t>(__builtin_ctzll(s))] |= wBit;
     }
   }
 
@@ -140,8 +135,8 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
     if (!prepared.canSend(u)) continue;  // canAddCopyT refuses every hop
     // Heads are distinct, so masks taken before the walk stay exact.
     const std::uint64_t open = prepared.outHeadMask(u) & enterable & ~seen;
-    const std::uint64_t pass = open & maskDecided & (room | feeds[u.index()]);
-    std::uint64_t todo = pass | (open & ~maskDecided);
+    const std::uint64_t pass = open & relays & (room | feeds[u.index()]);
+    std::uint64_t todo = pass | (open & ~relays);
     for (const ClusterId w : prepared.outHeads(u)) {
       if (todo == 0) break;
       const std::uint64_t wBit = detail::pgBit(w);

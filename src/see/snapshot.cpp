@@ -391,15 +391,6 @@ bool DeltaSolution::flowContains(PgArcId arc, ValueId value) const {
   return false;
 }
 
-bool DeltaSolution::flowIsReal(PgArcId arc) const {
-  if (parent_->flowIsReal(arc)) return true;
-  for (const auto& [a, v] : flowAdds_) {
-    (void)v;
-    if (a == arc) return true;
-  }
-  return false;
-}
-
 bool DeltaSolution::valueSentFrom(ClusterId src, ValueId value) const {
   if (parent_->valueSent(src, value)) return true;
   for (const auto& [s, v] : outAdds_) {

@@ -120,9 +120,6 @@ class FlatSolution {
   /// True when `value` already leaves `src` on some arc.
   [[nodiscard]] bool valueSent(ClusterId src, ValueId value) const;
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId v) const;
-  [[nodiscard]] bool flowIsReal(PgArcId arc) const {
-    return flowOff_[arc.index() + 1] > flowOff_[arc.index()];
-  }
   /// The copies per PG arc, in list order.
   [[nodiscard]] machine::CopyFlow copyFlow() const;
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
@@ -260,7 +257,6 @@ class DeltaSolution {
   }
   [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId value) const;
-  [[nodiscard]] bool flowIsReal(PgArcId arc) const;
   /// The parent's clusterTermsT per position of `prepared.clusters()` (null
   /// when the rebase supplied none), and the PG nodes whose usage, value
   /// counts or in-neighbor mask this delta changed: the clusters whose

@@ -12,8 +12,8 @@
 /// every search-state representation through a small accessor/mutator
 /// interface (`Sol`):
 ///
-///   reads:  clusterOf, relayCluster, usage, inNbrMask, valueDelivered,
-///           flowContains, flowIsReal
+///   reads:  clusterOf, relayCluster, inNbrMask, valueDelivered,
+///           flowContains
 ///   writes: setNodeCluster, setRelayCluster, addOp, addFlowCopy,
 ///           noteAssigned, addCritTerm
 ///
@@ -37,7 +37,9 @@ ClusterId valueLocationT(const PreparedProblem& prepared, const Sol& sol,
 }
 
 /// True when the arc src->dst exists and adding a copy of `value` on it
-/// respects the in-neighbor budget (and unary fan-in for output nodes).
+/// respects the in-neighbor budget (and, for output nodes, the paper's
+/// outNode_MaxIn: unary fan-in). Out-neighbors are unbounded: a value can
+/// be broadcast.
 template <typename Sol>
 bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
                  ClusterId src, ClusterId dst, ValueId value) {
@@ -49,27 +51,15 @@ bool canAddCopyT(const PreparedProblem& prepared, const Sol& sol,
   if (sol.flowContains(arc, value)) {
     return true;  // already flowing: no budget change
   }
-  const auto& constraints = prepared.problem().constraints;
   const std::uint64_t dstMask = sol.inNbrMask(dst);
   if (prepared.isOutput(dst)) {
-    if (constraints.outputNodeUnaryFanIn) {
-      return dstMask == 0 || dstMask == detail::pgBit(src);
-    }
-    return true;
+    return dstMask == 0 || dstMask == detail::pgBit(src);
   }
   if ((dstMask & detail::pgBit(src)) == 0) {
     const int inCap = prepared.inCap(dst);
     if (inCap >= 0 && __builtin_popcountll(dstMask) >= inCap) {
       return false;
     }
-  }
-  if (constraints.maxOutNeighbors >= 0 && !sol.flowIsReal(arc)) {
-    // Count distinct out-neighbors of src (dst is not one yet).
-    int outNbrs = 0;
-    for (const ClusterId head : prepared.outHeads(src)) {
-      if (head != dst && sol.flowIsReal(prepared.arcId(src, head))) ++outNbrs;
-    }
-    if (outNbrs >= constraints.maxOutNeighbors) return false;
   }
   return true;
 }
@@ -82,15 +72,9 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
                 const Item& item, ClusterId cluster) {
   if (!prepared.isCluster(cluster) || prepared.isDead(cluster)) return false;
   const auto& rt = prepared.resources(cluster);
-  const auto& options = prepared.options();
 
   if (item.kind == Item::Kind::kRelay) {
-    // A relay needs an issue slot plus in/out communication patterns.
-    if (options.maxOpsPerUnit > 0 &&
-        sol.usage(cluster).instructions + 1 >
-            rt.issueSlots() * options.maxOpsPerUnit) {
-      return false;
-    }
+    // A relay needs in/out communication patterns.
     const ClusterId source = prepared.valueSource(item.value);
     const ClusterId out = prepared.outputNodeOf(item.value);
     if (!sol.valueDelivered(cluster, item.value) &&
@@ -105,20 +89,6 @@ bool canAssignT(const PreparedProblem& prepared, const Sol& sol,
   const ddg::Op op = prepared.problem().ddg->node(n).op;
   const ddg::ResourceClass rc = ddg::opResource(op);
   if (rc != ddg::ResourceClass::kNone && rt.count(rc) == 0) return false;
-  if (options.maxOpsPerUnit > 0) {
-    const auto& usage = sol.usage(cluster);
-    if (usage.instructions + 1 > rt.issueSlots() * options.maxOpsPerUnit) {
-      return false;
-    }
-    if (rc == ddg::ResourceClass::kAlu &&
-        usage.alu + 1 > rt.alu() * options.maxOpsPerUnit) {
-      return false;
-    }
-    if (rc == ddg::ResourceClass::kAg &&
-        usage.ag + 1 > rt.ag() * options.maxOpsPerUnit) {
-      return false;
-    }
-  }
 
   // Incoming copies: every located operand source must reach `cluster`,
   // cumulatively within the in-neighbor budget.

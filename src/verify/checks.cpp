@@ -163,17 +163,15 @@ void checkSeeSolutionRecord(const VerifyInput& in, const ProblemRecord& r,
       }
     }
   }
-  if (constraints.outputNodeUnaryFanIn) {
-    for (const ClusterId outNode : r.pg.outputNodes()) {
-      int feeders = 0;
-      for (const PgArcId arc : r.pg.inArcs(outNode)) {
-        if (r.flow.isReal(arc)) ++feeders;
-      }
-      if (feeders > 1) {
-        emit(out, r.path, {outNode.value()},
-             strCat("output node ", outNode.value(), " is fed by ", feeders,
-                    " real arcs (unary fan-in violated)"));
-      }
+  for (const ClusterId outNode : r.pg.outputNodes()) {
+    int feeders = 0;
+    for (const PgArcId arc : r.pg.inArcs(outNode)) {
+      if (r.flow.isReal(arc)) ++feeders;
+    }
+    if (feeders > 1) {
+      emit(out, r.path, {outNode.value()},
+           strCat("output node ", outNode.value(), " is fed by ", feeders,
+                  " real arcs (unary fan-in violated)"));
     }
   }
 

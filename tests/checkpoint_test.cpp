@@ -105,7 +105,7 @@ void expectIdenticalRun(const HcaResult& a, const HcaResult& b,
 /// escalation ladder still ends in a legal mapping where possible.
 HcaOptions budgetedOptions(int maxBeamSteps) {
   HcaOptions options;
-  options.maxBeamSteps = maxBeamSteps;
+  options.see.maxBeamSteps = maxBeamSteps;
   return options;
 }
 
@@ -851,7 +851,7 @@ TEST(ResumeIdentityTest, FullFrontierCheckpointResumesIdentically) {
   // legal entry's whole final frontier — 16 states at the default beam,
   // more than the 12 alternatives the driver tries. Padding a fresh
   // checkpoint's entries back to 16 states stands in for such a file: the
-  // states past maxAlternatives are never read, so it resumes to the same
+  // states past the twelfth are never read, so it resumes to the same
   // run, and the entries are trimmed again on the way into the cache.
   const ddg::Kernel& kernel = kernelNamed("fir2dim");
   const std::string path = tmpPath("full_frontier.ckpt");
@@ -936,10 +936,9 @@ TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
     SCOPED_TRACE(policy == core::FailurePolicy::kStrict ? "strict"
                                                         : "degrade");
     HcaOptions options;
-    options.maxBeamSteps = 1;
+    options.see.maxBeamSteps = 1;
     options.targetIiSlack = 0;
     options.searchProfiles = 3;
-    options.degradedFallback = false;
     options.failurePolicy = policy;
     const std::string path = tmpPath("non_prefix_resume.ckpt");
     removeFileIfExists(path);
@@ -995,7 +994,6 @@ TEST(ResumeIdentityTest, NonPrefixResumeFailsLikeItsLastAttempt) {
 TEST(MemoryBudgetTest, TinyArenaBudgetFailsCleanlyNotOom) {
   HcaOptions options;
   options.memoryBudgetBytes = 2048;  // 1KB arena share: trips immediately
-  options.degradedFallback = false;
   options.targetIiSlack = 0;
   options.searchProfiles = 1;
   const HcaDriver driver(paperFabric(), options);
@@ -1041,24 +1039,23 @@ TEST(MemoryBudgetTest, CacheShedsOldestUnderByteCeiling) {
 // --- trimmed cache entries --------------------------------------------------
 
 TEST(CacheTrimTest, CachedEntriesHoldAtMostMaxAlternatives) {
-  // The driver tries at most maxAlternatives states of a frontier, so that
-  // is all a cached result keeps; the checkpoint shows what was cached.
+  // The driver tries at most 12 states of a frontier (kMaxAlternatives), so
+  // that is all a cached result keeps; the checkpoint shows what was cached.
+  constexpr std::size_t kMaxAlternatives = 12;
   const ddg::Kernel& kernel = kernelNamed("fir2dim");
   const std::string path = tmpPath("trimmed_entries.ckpt");
   removeFileIfExists(path);
-  HcaOptions options;
-  options.maxAlternatives = 3;
-  (void)runWithCheckpoint(kernel, options, path);
+  (void)runWithCheckpoint(kernel, HcaOptions{}, path);
   ASSERT_TRUE(fileExists(path)) << "no attempt failed: nothing cached";
   const CheckpointData data = core::parseCheckpoint(readFile(path));
   int atCap = 0;
   for (const auto& [scope, entries] : data.cacheByScope) {
     for (const auto& [key, result] : entries) {
-      EXPECT_LE(result.frontier.size(), 3u) << scope;
-      if (result.legal && result.frontier.size() == 3u) ++atCap;
+      EXPECT_LE(result.frontier.size(), kMaxAlternatives) << scope;
+      if (result.legal && result.frontier.size() == kMaxAlternatives) ++atCap;
     }
   }
-  // The 16-wide beam returns more than three states: trimming happened.
+  // The 16-wide beam returns more than twelve states: trimming happened.
   EXPECT_GT(atCap, 0);
 }
 
@@ -1066,20 +1063,13 @@ TEST(CacheTrimTest, CacheOnAndOffAgreeForEveryMaxAlternatives) {
   // fir2dim backtracks and hits the cache hundreds of times, so the
   // alternatives loop reads trimmed cached frontiers.
   const ddg::Kernel& kernel = kernelNamed("fir2dim");
-  for (const int maxAlternatives : {1, 3, 12}) {
-    SCOPED_TRACE("maxAlternatives=" + std::to_string(maxAlternatives));
-    HcaOptions cached;
-    cached.maxAlternatives = maxAlternatives;
-    HcaOptions uncached = cached;
-    uncached.enableSubproblemCache = false;
-    const HcaResult on = HcaDriver(paperFabric(), cached).run(kernel.ddg);
-    const HcaResult off = HcaDriver(paperFabric(), uncached).run(kernel.ddg);
-    expectIdenticalRun(on, off, /*cacheCounters=*/false);
-    EXPECT_GT(on.stats.cacheHits, 0);
-    if (maxAlternatives > 1) {
-      EXPECT_GT(on.stats.backtrackAttempts, 0);
-    }
-  }
+  HcaOptions uncached;
+  uncached.enableSubproblemCache = false;
+  const HcaResult on = HcaDriver(paperFabric(), HcaOptions{}).run(kernel.ddg);
+  const HcaResult off = HcaDriver(paperFabric(), uncached).run(kernel.ddg);
+  expectIdenticalRun(on, off, /*cacheCounters=*/false);
+  EXPECT_GT(on.stats.cacheHits, 0);
+  EXPECT_GT(on.stats.backtrackAttempts, 0);
 }
 
 TEST(MemoryBudgetTest, ForEachVisitsInInsertionOrder) {

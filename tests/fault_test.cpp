@@ -403,7 +403,7 @@ TEST(BeamBudgetTest, MaxBeamStepsBoundsEveryAttempt) {
   const auto& ddg = kernels[0].ddg;
   HcaOptions options;
   options.failurePolicy = FailurePolicy::kDegrade;
-  options.maxBeamSteps = 1;  // starve every SEE attempt
+  options.see.maxBeamSteps = 1;  // starve every SEE attempt
   options.targetIiSlack = 1;
   options.searchProfiles = 1;
   const HcaDriver driver(paperFabric(), options);

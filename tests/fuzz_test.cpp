@@ -149,7 +149,7 @@ const SampleRun& sampleRun() {
     removeFileIfExists(path);
     core::CheckpointManager manager(path);
     core::HcaOptions options;
-    options.maxBeamSteps = 40;  // early attempts fail: something to save
+    options.see.maxBeamSteps = 40;  // early attempts fail: something to save
     options.checkpoint = &manager;
     const ddg::Kernel kernel = ddg::table1Kernels().front();
     out.result = core::HcaDriver(machine::DspFabricModel(config), options)

@@ -175,8 +175,6 @@ TEST(DspFabricTest, ConstraintsFollowMuxCapacity) {
   EXPECT_EQ(fabric.constraints(0).maxInNeighbors, 5);
   EXPECT_EQ(fabric.constraints(1).maxInNeighbors, 3);
   EXPECT_EQ(fabric.constraints(2).maxInNeighbors, 2);
-  EXPECT_EQ(fabric.constraints(0).maxOutNeighbors, -1);
-  EXPECT_TRUE(fabric.constraints(0).outputNodeUnaryFanIn);
 }
 
 TEST(DspFabricTest, PatternGraphPerLevel) {

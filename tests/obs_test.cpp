@@ -497,7 +497,7 @@ TEST(DriverTraceTest, DroppedLadderCacheStillReportsItsEntries) {
   machine::DspFabricConfig config;
   config.n = config.m = config.k = 8;
   core::HcaOptions options;
-  options.maxBeamSteps = 40;
+  options.see.maxBeamSteps = 40;
   const core::HcaResult result =
       core::HcaDriver(machine::DspFabricModel(config), options)
           .run(kernels[0].ddg);

@@ -300,16 +300,16 @@ TEST(PortfolioTest, AttemptErrorsMatchAcrossThreadCounts) {
 // --- aggregate stats semantics -----------------------------------------------
 
 TEST(StatsSemanticsTest, FailedSweepReportsTrueAggregates) {
-  // h264deblocking fails the direct search at N=M=K=8; with the fallback
-  // disabled the run must report every attempt of the sweep and an
+  // h264deblocking fails the direct search at N=M=K=2, where no
+  // degraded-bandwidth fallback runs (the fabric is no wider than the
+  // degraded one): the run must report every attempt of the sweep and an
   // achievedTargetIi of 0 ("none"), not the last attempt's target.
   auto kernels = ddg::table1Kernels();
   auto k = std::move(kernels[3]);
-  const auto model = paperFabric();
+  const auto model = paperFabric(2, 2, 2);
   HcaOptions options;
   options.targetIiSlack = 0;
   options.searchProfiles = 2;
-  options.degradedFallback = false;
 
   const auto serialResult = HcaDriver(model, options).run(k.ddg);
   ASSERT_FALSE(serialResult.legal);

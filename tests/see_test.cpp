@@ -158,12 +158,12 @@ TEST(EngineTest, SingleClusterNeedsNoCopies) {
 }
 
 TEST(EngineTest, CopiesAppearWhenDependencesCrossClusters) {
-  // Two clusters with one issue slot each and a hard cap force splitting.
+  // Clusters with one issue slot each: the II term (weight 100 against 4
+  // per copy) spreads the four ops, so dependences cross clusters.
   const auto ddg = diamondDdg();
   const auto pg = smallPg(4);
   auto problem = baseProblem(ddg, pg);
   SeeOptions options;
-  options.maxOpsPerUnit = 1;  // at most 1 op per unit per cluster
   options.chainGrouping = false;
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
@@ -333,38 +333,56 @@ TEST(ConstraintTest, InputNodeValuesConsumedViaBoundary) {
 // --- route allocator (paper Fig. 6) --------------------------------------------
 
 TEST(RouteAllocatorTest, PaperFigure6RoutesThroughIntermediate) {
-  // Ring of 4 clusters (reach 1), maxIn = 1. Producer on cluster 0, the
-  // consumer can only go far away once direct arcs are exhausted; routing
-  // through intermediates must kick in.
+  // Ring of 4 clusters (reach 1), maxIn = 1. The load can only go on
+  // cluster 2, the one with an AG; the add's value leaves on an output wire
+  // that only cluster 0 feeds, two hops away, outside the ring's reach.
+  // Wherever the add goes, its operand or its result must be routed
+  // through an intermediate cluster (1 or 3).
   DdgBuilder b;
-  const auto i0 = b.load(b.cst(0), 0, "i");
-  // Two consumers that will occupy cluster 0's direct neighborhood budget.
-  const auto u1 = b.add(i0, b.cst(1), "u1");
-  const auto u2 = b.mul(i0, b.cst(2), "u2");
-  b.store(b.cst(1), u1);
-  b.store(b.cst(2), u2);
+  const auto x = b.load(b.cst(0), 0, "x");
+  const auto u = b.add(x, b.cst(1), "u");
   const auto ddg = b.finish();
 
-  machine::RcpConfig config;
-  config.clusters = 4;
-  config.neighborReach = 1;  // ring: only +-1 reachable
-  config.inputPorts = 1;     // K = 1: one in-neighbor per cluster
-  config.memClusterStride = 1;
-  const auto pg = machine::rcpPatternGraph(config);
+  machine::PatternGraph pg;
+  for (int i = 0; i < 4; ++i) {
+    pg.addCluster(machine::ResourceTable(1, i == 2 ? 1 : 0));
+  }
+  for (int i = 0; i < 4; ++i) {
+    pg.addArc(ClusterId(i), ClusterId((i + 1) % 4));
+    pg.addArc(ClusterId((i + 1) % 4), ClusterId(i));
+  }
+  const auto out = pg.addOutputNode("out0");
+  pg.addArc(ClusterId(0), out);
 
   SeeProblem problem;
   problem.ddg = &ddg;
   problem.workingSet = fullWorkingSet(ddg);
   problem.pg = &pg;
-  problem.constraints = machine::rcpConstraints(config);
+  problem.constraints.maxInNeighbors = 1;
+  const ValueId xv(b.idOf(x).value());
+  const ValueId uv(b.idOf(u).value());
+  problem.outputRequirements.push_back({out, {uv}});
 
   SeeOptions options;
-  options.maxOpsPerUnit = 2;  // forces spreading over the ring
   options.beamWidth = 2;
   const SpaceExplorationEngine engine(options);
   const auto result = engine.run(problem);
   ASSERT_TRUE(result.legal) << result.failureReason;
+  EXPECT_GT(result.stats.routedOperands, 0);
   const PartialSolution solution = materialize(result);
+  const ClusterId from = solution.clusterOf(DdgNodeId(xv.value()));
+  const ClusterId to = solution.clusterOf(DdgNodeId(uv.value()));
+  EXPECT_EQ(from, ClusterId(2));
+  // A relay copy: a value reaches a cluster that holds neither op, so
+  // nothing there produces or consumes it.
+  int relayCopies = 0;
+  for (const ClusterId c : pg.clusterNodes()) {
+    if (c == from || c == to) continue;
+    for (const PgArcId arc : pg.inArcs(c)) {
+      relayCopies += static_cast<int>(solution.flow().copiesOn(arc).size());
+    }
+  }
+  EXPECT_GT(relayCopies, 0);
   // Constraint must hold in the final flow.
   for (const ClusterId c : pg.clusterNodes()) {
     EXPECT_LE(solution.flow().realInNeighbors(pg, c).size(), 1u);
@@ -747,8 +765,6 @@ TEST(OracleTest, MaskNeverExcludesAssignableClusterDiamond) {
   SeeOptions options;
   options.chainGrouping = false;
   checkMaskSoundOnRandomWalks(baseProblem(ddg, pg), options, 1u);
-  options.maxOpsPerUnit = 1;
-  checkMaskSoundOnRandomWalks(baseProblem(ddg, pg), options, 2u);
 }
 
 TEST(OracleTest, MaskNeverExcludesAssignableClusterRcp) {
@@ -765,7 +781,7 @@ TEST(OracleTest, MaskNeverExcludesAssignableClusterRcp) {
     problem.constraints = machine::rcpConstraints(config);
     SeeOptions options;
     options.chainGrouping = false;
-    options.maxOpsPerUnit = static_cast<int>(rng() % 3);
+    (void)rng();  // the retired op cap's draw keeps the later seeds
     checkMaskSoundOnRandomWalks(problem, options, rng());
   }
 }
@@ -774,9 +790,7 @@ TEST(OracleTest, MaskNeverExcludesAssignableClusterFir2Dim) {
   const auto kernel = ddg::buildFir2Dim();
   const auto pg = smallPg(6);
   auto problem = baseProblem(kernel.ddg, pg);
-  SeeOptions options;
-  options.maxOpsPerUnit = 2;
-  checkMaskSoundOnRandomWalks(problem, options, 11u);
+  checkMaskSoundOnRandomWalks(problem, SeeOptions{}, 11u);
 }
 
 TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
@@ -893,9 +907,10 @@ void checkRouteBfsOnRandomStates(const machine::PatternGraph& pg,
     problem.ddg = &empty;
     problem.pg = &pg;
     problem.constraints.maxInNeighbors = static_cast<int>(rng.range(-1, 3));
-    problem.constraints.maxOutNeighbors =
-        rng.below(4) == 0 ? static_cast<int>(rng.range(1, 3)) : -1;
-    problem.constraints.outputNodeUnaryFanIn = rng.below(4) != 0;
+    // The draws of the retired out-neighbor cap and fan-in switch keep the
+    // rest of each trial's values.
+    if (rng.below(4) == 0) (void)rng.range(1, 3);
+    (void)rng.below(4);
     const PreparedProblem prepared(problem, SeeOptions{});
     PartialSolution partial = PartialSolution::initial(prepared);
     MonotonicArena arena;
@@ -1080,10 +1095,10 @@ TEST(DeltaSearchTest, MatchesLegacyWithEagerRouting) {
 TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
   // Random loop bodies under random search knobs, so the reference is
   // checked beyond the hand-written kernels. Ring-wired fabrics and tight
-  // in-neighbor budgets send some cases through the route allocator; op
-  // caps make some infeasible. The last seeds run on complete fabrics of
-  // 16 to 64 clusters, where the route BFS and the per-cluster cost terms
-  // see flat-ICA-sized pattern graphs.
+  // in-neighbor budgets send some cases through the route allocator; every
+  // fourth seed runs without it, which makes some infeasible. The last
+  // seeds run on complete fabrics of 16 to 64 clusters, where the route
+  // BFS and the per-cluster cost terms see flat-ICA-sized pattern graphs.
   int legal = 0;
   int routed = 0;
   constexpr int kSeeds = 128;
@@ -1119,7 +1134,8 @@ TEST(DeltaSearchTest, MatchesLegacyOnRandomDdgs) {
     options.beamWidth = static_cast<int>(rng.range(1, large ? 3 : 6));
     options.candidateKeep = static_cast<int>(rng.range(1, 4));
     options.eagerRouting = rng.below(2) == 1;
-    options.maxOpsPerUnit = static_cast<int>(rng.range(0, 2));
+    (void)rng.range(0, 2);  // the retired op cap's draw keeps the corpus
+    options.enableRouteAllocator = seed % 4 != 0;
     options.chainGrouping = rng.below(2) == 1;
     SCOPED_TRACE(strCat("seed ", seed, ": ", params.numInstructions,
                         " instructions on ", clusters,
@@ -1164,13 +1180,14 @@ TEST(DeltaSearchTest, MatchesLegacyOnInterleavedChains) {
   // A delta's critical-path score merges its parent's terms with its own
   // in key (working-set) order; summing them in any other order drifts by
   // an ULP. These cases make that drift reach the frontier objectives:
-  //  * chains spread over the clusters (a per-cluster op cap with little
-  //    room, tight in-neighbor caps), so most steps add cross-cluster
-  //    terms to a parent that already has some;
+  //  * chains spread over the clusters (a load-balance term, tight
+  //    in-neighbor caps), so most steps add cross-cluster terms to a
+  //    parent that already has some;
   //  * a shuffled working set, so the search's height order and the key
   //    order disagree and a step's terms fall between its parent's;
-  //  * the critical path as the only weighted term, so the other terms'
-  //    larger magnitudes cannot round the drift away.
+  //  * the critical path as the only weighted term besides a small load
+  //    balance, so the other terms' larger magnitudes cannot round the
+  //    drift away.
   constexpr int kSeeds = 48;
   int legal = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -1187,18 +1204,15 @@ TEST(DeltaSearchTest, MatchesLegacyOnInterleavedChains) {
     options.candidateKeep = static_cast<int>(rng.range(2, 4));
     options.chainGrouping = false;
     const auto numClusters = static_cast<std::size_t>(pg.numNodes());
-    options.maxOpsPerUnit = static_cast<int>(
-        (problem.workingSet.size() + numClusters - 1) / numClusters +
-        static_cast<std::size_t>(rng.range(0, 2)));
     options.weights = CostWeights{
-        .iiEstimate = 0, .copyCount = 0, .loadBalance = 0, .wiringSlack = 0};
+        .iiEstimate = 0, .copyCount = 0, .loadBalance = 0.5, .wiringSlack = 0};
     SCOPED_TRACE(strCat("seed ", seed, ": ", problem.workingSet.size(),
                         " instructions on ", numClusters, " clusters"));
     roundTrip(problem, options);
     legal += SpaceExplorationEngine(options).run(problem).legal ? 1 : 0;
   }
-  // The op cap leaves room: most cases must map, so whole frontiers of
-  // complete solutions are compared.
+  // Most cases must map, so whole frontiers of complete solutions are
+  // compared.
   EXPECT_GT(legal, kSeeds / 2);
 }
 

@@ -103,9 +103,6 @@ class PartialSolution {
     return inNbrMask_[c.index()];
   }
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId value) const;
-  [[nodiscard]] bool flowIsReal(PgArcId arc) const {
-    return flow_.isReal(arc);
-  }
   void setNodeCluster(DdgNodeId node, ClusterId cluster) {
     nodeCluster_[node.index()] = cluster;
   }

@@ -151,9 +151,12 @@ trap 'rm -rf "${work}"' EXIT
 # The interrupted run must exit through the graceful path (not a crash) and
 # leave a loadable checkpoint; the resumed run must complete legally. The
 # kill delay scales up until at least one attempt boundary was reached.
+# --foreground makes timeout signal hcac alone: without it, timeout also
+# signals its whole process group, hcac gets a second SIGTERM, and the
+# handler takes that as "unwind too slow" and exits 143 (support/signals).
 for delay in 2 5 10 30; do
   set +e
-  timeout --preserve-status --signal=TERM "${delay}" \
+  timeout --foreground --preserve-status --signal=TERM "${delay}" \
     "${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
     --checkpoint-out "${work}/resume.ckpt" >"${work}/interrupted.log" 2>&1
   interrupted_rc=$?

@@ -374,7 +374,7 @@ int runTool(int argc, char** argv) {
     if (failurePolicy == "degrade") {
       base.failurePolicy = core::FailurePolicy::kDegrade;
     }
-    base.maxBeamSteps = maxBeamSteps;
+    base.see.maxBeamSteps = maxBeamSteps;
     base.verifyEach = verifyEach;
     base.verifyChecks = verifyChecks;
     core::BatchOptions batchTemplate;
@@ -437,7 +437,7 @@ int runTool(int argc, char** argv) {
     hcaOptions.failurePolicy = core::FailurePolicy::kDegrade;
   }
   hcaOptions.deadlineMs = deadlineMs;
-  hcaOptions.maxBeamSteps = maxBeamSteps;
+  hcaOptions.see.maxBeamSteps = maxBeamSteps;
   hcaOptions.numThreads = numThreads;
   hcaOptions.allowOversubscribe = oversubscribe;
   hcaOptions.verifyEach = verifyEach;
