@@ -1,18 +1,21 @@
 // E6: google-benchmark micro-benchmarks of the tool-chain components:
 // recurrence-MII computation, the reference interpreter, one SEE run, the
-// Mapper, the full HCA pipeline, the modulo scheduler, plus the
-// arena-vs-heap allocation comparison.
+// route BFS and flat ICA on the 64-CN fabric, the Mapper, the full HCA
+// pipeline, the modulo scheduler, plus the arena-vs-heap allocation
+// comparison.
 //
 // Emits BENCH_micro.json (google-benchmark JSON) unless the caller passes
 // an explicit --benchmark_out flag.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "baseline/flat_ica.hpp"
 #include "ddg/interp.hpp"
 #include "ddg/kernels.hpp"
 #include "hca/driver.hpp"
@@ -22,6 +25,8 @@
 #include "mapper/mapper.hpp"
 #include "sched/modulo.hpp"
 #include "see/engine.hpp"
+#include "see/route_allocator.hpp"
+#include "see/snapshot.hpp"
 #include "support/arena.hpp"
 #include "support/context.hpp"
 
@@ -99,6 +104,66 @@ void BM_SeeSingleLevel(benchmark::State& state) {
       static_cast<double>(result.stats.arenaBytesPeak);
 }
 BENCHMARK(BM_SeeSingleLevel);
+
+void BM_RouteBfsK64(benchmark::State& state) {
+  // findPathT on the flat-ICA fabric (64 single-CN clusters, in-neighbor
+  // cap 2) in blocks of eight clusters: d = 8b is fed by f = 8b+1 and 8b+2,
+  // which are fed by g = 8b+3 and 8b+4. From g the route to d is g, f, d;
+  // from 8b+5 it needs two relays, so with one it fails after the whole
+  // depth-1 ring is queued. Every query is one the direct copy refuses.
+  machine::PatternGraph pg;
+  for (int i = 0; i < 64; ++i) {
+    pg.addCluster(machine::ResourceTable::computationNode());
+  }
+  pg.connectClustersCompletely();
+  const ddg::Ddg empty;
+  see::SeeProblem problem;
+  problem.ddg = &empty;
+  problem.pg = &pg;
+  problem.constraints.maxInNeighbors = 2;
+  const see::PreparedProblem prepared(problem, see::SeeOptions{});
+  MonotonicArena arena;
+  see::DeltaSolution sol;
+  sol.init(prepared);
+  sol.reset(see::FlatSolution::initial(prepared, arena));
+  const auto copy = [&](int src, int dst) {
+    const ClusterId s(src);
+    const ClusterId d(dst);
+    sol.addFlowCopy(*pg.arcBetween(s, d), s, d, ValueId(0));
+  };
+  for (int b = 0; b < 64; b += 8) {
+    for (const int f : {b + 1, b + 2}) {
+      copy(f, b);
+      copy(b + 3, f);
+      copy(b + 4, f);
+    }
+  }
+  see::RouteScratch scratch;
+  std::int64_t found = 0;
+  for (auto _ : state) {
+    for (int b = 0; b < 64; b += 8) {
+      found += see::findPathT(prepared, sol, ClusterId(b + 3), ClusterId(b),
+                              ValueId(1), 3, scratch);
+      found += see::findPathT(prepared, sol, ClusterId(b + 5), ClusterId(b),
+                              ValueId(1), 1, scratch);
+    }
+  }
+  state.counters["found_frac"] =
+      static_cast<double>(found) /
+      static_cast<double>(std::max<std::int64_t>(1, 16 * state.iterations()));
+}
+BENCHMARK(BM_RouteBfsK64);
+
+void BM_FlatIca(benchmark::State& state) {
+  // The flat-ICA baseline on h264deblocking: one 64-cluster SEE call
+  // through all three rungs, then the hierarchy check.
+  const auto kernel = ddg::buildH264Deblocking();
+  const auto model = paperFabric();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(baseline::runFlatIca(kernel.ddg, model));
+  }
+}
+BENCHMARK(BM_FlatIca)->Unit(benchmark::kMillisecond);
 
 void BM_ArenaAlloc(benchmark::State& state) {
   // Steady-state beam-step allocation pattern: a burst of small blocks,

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "see/prepared.hpp"
 
@@ -82,6 +84,53 @@ struct ClusterScores {
   double wiringSlack = 0;
 };
 
+/// clusterScoresT's loop state: the running sums and maxima after some
+/// prefix of `prepared.clusters()`.
+struct ClusterScan {
+  ClusterScan() = default;
+  /// The state before the first cluster: the max starts at the clamp.
+  explicit ClusterScan(int target) : maxMii(target) {}
+
+  std::int64_t miiSum = 0;
+  int maxMii = 0;
+  double loadSum = 0;
+  double maxLoad = 0;
+  double slackSum = 0;
+
+  /// Adds one cluster's terms, its MII clamped to `target`.
+  void add(const ClusterTerms& t, int target) {
+    const int mii = std::max(t.mii, target);
+    miiSum += mii;
+    maxMii = std::max(maxMii, mii);
+    loadSum += t.load;
+    maxLoad = std::max(maxLoad, t.load);
+    slackSum += t.slack;
+  }
+};
+
+/// The scoring tables of one expanded frontier state, built once per beam
+/// step in the engine's scratch (never in the snapshot arenas) and read by
+/// every candidate expanded from it:
+///  * `terms` — clusterTermsT per position of `prepared.clusters()`;
+///  * `scan` — clusterScoresT's loop state before each position (n + 1
+///    entries; `scan[n]` is the parent's own);
+///  * `penalty` — the running critical-path penalty after each of the
+///    parent's sorted terms (`penalty[0]` = 0).
+/// A candidate starts from the entry at its first touched cluster or first
+/// inserted term and repeats the rest of the loop, so it performs the same
+/// floating-point additions in the same order as the full loop (DESIGN.md
+/// §4k).
+struct ParentScores {
+  const ClusterTerms* terms = nullptr;
+  std::vector<ClusterScan> scan;
+  std::vector<double> penalty;
+};
+
+/// The clamp clusterScoresT applies to every per-cluster MII.
+inline int miiTarget(const PreparedProblem& prepared) {
+  return std::max(1, prepared.options().weights.targetIi);
+}
+
 /// ii estimate — the paper's main cost factor (Section 4.2): an estimate of
 /// maxClsMII. Per-cluster MIIs are clamped to the loop's target II
 /// (iniMII): the final MII is max(iniMII, maxClsMII), so only excess above
@@ -100,58 +149,51 @@ struct ClusterScores {
 ///
 /// The MII sum is an integer and the doubles are summed in cluster order,
 /// so each score has the bits of a plain loop over clusterTermsT. A
-/// solution that knows its parent's terms and which clusters it touched (a
-/// DeltaSolution) recomputes only those and reads the rest from the
-/// parent's table; clusters() ascends by PG id, so the touched clusters'
-/// positions come out of the mask in order.
+/// solution that knows its parent's scoring tables and which clusters it
+/// touched (a DeltaSolution) starts from the parent's loop state before
+/// its first touched cluster, recomputes only the touched clusters and
+/// reads the rest from the parent's terms; clusters() ascends by PG id,
+/// so the touched clusters' positions come out of the mask in order.
 template <typename Sol>
 ClusterScores clusterScoresT(const PreparedProblem& prepared,
                              const Sol& solution) {
-  const int target = std::max(1, prepared.options().weights.targetIi);
+  const int target = miiTarget(prepared);
   const auto& clusters = prepared.clusters();
   const std::size_t n = clusters.size();
-  std::int64_t miiSum = 0;
-  int maxMii = target;
-  double loadSum = 0;
-  double maxLoad = 0;
-  double slackSum = 0;
-  const auto add = [&](const ClusterTerms& t) {
-    const int mii = std::max(t.mii, target);
-    miiSum += mii;
-    maxMii = std::max(maxMii, mii);
-    loadSum += t.load;
-    maxLoad = std::max(maxLoad, t.load);
-    slackSum += t.slack;
-  };
-  const auto scores = [&] {
+  const auto scores = [&](const ClusterScan& scan) {
     const auto numClusters = static_cast<double>(n);
     ClusterScores out;
     out.iiEstimate =
-        maxMii + 0.1 * (static_cast<double>(miiSum) / numClusters);
-    out.loadBalance = maxLoad - loadSum / numClusters;
+        scan.maxMii + 0.1 * (static_cast<double>(scan.miiSum) / numClusters);
+    out.loadBalance = scan.maxLoad - scan.loadSum / numClusters;
     out.wiringSlack =
-        prepared.problem().constraints.maxInNeighbors > 0 ? slackSum : 0.0;
+        prepared.problem().constraints.maxInNeighbors > 0 ? scan.slackSum
+                                                          : 0.0;
     return out;
   };
-  if constexpr (requires { solution.parentTerms(); }) {
-    if (const ClusterTerms* parent = solution.parentTerms()) {
-      std::size_t i = 0;
-      for (std::uint64_t touched =
-               solution.touchedNodes() & prepared.clusterMask();
-           touched != 0; touched &= touched - 1) {
-        const std::uint64_t lowest = touched & (~touched + 1);
-        const auto pos = static_cast<std::size_t>(
-            __builtin_popcountll(prepared.clusterMask() & (lowest - 1)));
-        for (; i < pos; ++i) add(parent[i]);
-        add(clusterTermsT(prepared, solution, clusters[pos]));
+  if constexpr (requires { solution.parentScores(); }) {
+    if (const ParentScores* parent = solution.parentScores()) {
+      std::uint64_t touched = solution.touchedNodes() & prepared.clusterMask();
+      if (touched == 0) return scores(parent->scan[n]);
+      std::size_t i =
+          prepared.clusterPosition(ClusterId(__builtin_ctzll(touched)));
+      ClusterScan scan = parent->scan[i];
+      for (; touched != 0; touched &= touched - 1) {
+        const ClusterId c(__builtin_ctzll(touched));
+        const std::size_t pos = prepared.clusterPosition(c);
+        for (; i < pos; ++i) scan.add(parent->terms[i], target);
+        scan.add(clusterTermsT(prepared, solution, c), target);
         i = pos + 1;
       }
-      for (; i < n; ++i) add(parent[i]);
-      return scores();
+      for (; i < n; ++i) scan.add(parent->terms[i], target);
+      return scores(scan);
     }
   }
-  for (const ClusterId c : clusters) add(clusterTermsT(prepared, solution, c));
-  return scores();
+  ClusterScan scan(target);
+  for (const ClusterId c : clusters) {
+    scan.add(clusterTermsT(prepared, solution, c), target);
+  }
+  return scores(scan);
 }
 
 /// The objective: the weighted terms in a fixed order — ii estimate, copy

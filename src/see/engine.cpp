@@ -59,7 +59,7 @@ class DeltaPool {
   explicit DeltaPool(const PreparedProblem& prepared) : prepared_(prepared) {}
 
   DeltaSolution* acquire(const FlatSolution* parent,
-                         const ClusterTerms* parentTerms) {
+                         const ParentScores* parentScores) {
     DeltaSolution* d = nullptr;
     if (!free_.empty()) {
       d = free_.back();
@@ -69,7 +69,7 @@ class DeltaPool {
       all_.back()->init(prepared_);
       d = all_.back().get();
     }
-    d->reset(parent, parentTerms);
+    d->reset(parent, parentScores);
     return d;
   }
 
@@ -152,7 +152,14 @@ SeeResult SpaceExplorationEngine::runOnce(
     result.stats.oracleRejects += routeScratch.hopRejects();
   };
 
+  const std::size_t numClusters = prepared.clusters().size();
   std::vector<const FlatSolution*> frontier;
+  // Per frontier state, its clusterTermsT per cluster position (row i of
+  // frontier state i), carried forward from the survivor's scoring: a
+  // survivor's row is its parent's with the clusters it touched
+  // recomputed. Engine scratch, not arena bytes.
+  std::vector<ClusterTerms> frontierTerms;
+  std::vector<ClusterTerms> survivorTerms;
   {
     // Scored through a delta over the snapshot: the objectiveT
     // instantiation every candidate is scored with.
@@ -162,6 +169,9 @@ SeeResult SpaceExplorationEngine::runOnce(
     pool.release(scorer);
     frontier.push_back(initial);
     ++result.stats.snapshotsMaterialized;
+    for (const ClusterId c : prepared.clusters()) {
+      frontierTerms.push_back(clusterTermsT(prepared, *initial, c));
+    }
   }
   // An illegal result keeps the best state of the frontier it stopped at.
   const auto fail = [&](const ItemGroup& group, std::string reason) {
@@ -184,9 +194,10 @@ SeeResult SpaceExplorationEngine::runOnce(
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> seenSigs;
   std::vector<const FlatSolution*> survivors;
-  // The expanded parent's clusterTermsT per cluster position: its
-  // candidates recompute only the clusters they touch (cost.hpp).
-  std::vector<ClusterTerms> parentTerms;
+  // The expanded parent's scoring tables: its candidates recompute only
+  // the clusters they touch and start every sum from the parent's running
+  // sums (cost.hpp).
+  ParentScores parentScores;
   // Membership-only signature set (frontiers are small; a linear scan
   // beats hashing and allocates nothing).
   const auto insertSig = [&seenSigs](std::uint64_t sig) {
@@ -220,10 +231,11 @@ SeeResult SpaceExplorationEngine::runOnce(
     for (const FlatSolution* state : frontier) {
       ++parentIndex;
       ++result.stats.statesExplored;
-      parentTerms.clear();
-      for (const ClusterId c : prepared.clusters()) {
-        parentTerms.push_back(clusterTermsT(prepared, *state, c));
-      }
+      buildParentScores(
+          prepared, *state,
+          frontierTerms.data() +
+              static_cast<std::size_t>(parentIndex) * numClusters,
+          parentScores);
       // Enumerate candidates via isAssignable, score survivors. With eager
       // routing, clusters that are only reachable through relays are
       // offered too (at their true copy cost).
@@ -245,7 +257,7 @@ SeeResult SpaceExplorationEngine::runOnce(
           if (eagerRoutes) ++result.stats.routeFailures;
           continue;
         }
-        DeltaSolution* candidate = pool.acquire(state, parentTerms.data());
+        DeltaSolution* candidate = pool.acquire(state, &parentScores);
         ++result.stats.copiesAvoided;
         bool direct = true;
         for (const Item& item : group.members) {
@@ -262,11 +274,11 @@ SeeResult SpaceExplorationEngine::runOnce(
           scored.push_back(candidate);
         } else if (eagerRoutes) {
           // Discard the partial direct attempt.
-          candidate->reset(state, parentTerms.data());
+          candidate->reset(state, &parentScores);
           int routed = 0;
           if (!routeAssignGroupT(prepared, *candidate, group, c,
                                  options.maxRouteHops, &routed,
-                                 &routeScratch)) {
+                                 routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
             continue;
@@ -295,11 +307,11 @@ SeeResult SpaceExplorationEngine::runOnce(
             ++result.stats.oracleRejects;
             continue;
           }
-          DeltaSolution* candidate = pool.acquire(state, parentTerms.data());
+          DeltaSolution* candidate = pool.acquire(state, &parentScores);
           ++result.stats.copiesAvoided;
           if (!routeAssignGroupT(prepared, *candidate, group, c,
                                  options.maxRouteHops, &routed,
-                                 &routeScratch)) {
+                                 routeScratch)) {
             ++result.stats.routeFailures;
             pool.release(candidate);
             continue;
@@ -375,10 +387,25 @@ SeeResult SpaceExplorationEngine::runOnce(
     // Materialize the survivors into the spare arena (their parents stay
     // readable in `cur` until after the flatten), then retire `cur`.
     survivors.clear();
+    survivorTerms.clear();
     for (const std::size_t i : chosen) {
-      survivors.push_back(FlatSolution::fromDelta(*next[i], *nxt));
+      const FlatSolution* survivor = FlatSolution::fromDelta(*next[i], *nxt);
+      survivors.push_back(survivor);
       ++result.stats.snapshotsMaterialized;
+      const ClusterTerms* row =
+          frontierTerms.data() +
+          static_cast<std::size_t>(parentOf[i]) * numClusters;
+      const std::size_t base = survivorTerms.size();
+      survivorTerms.insert(survivorTerms.end(), row, row + numClusters);
+      for (std::uint64_t touched =
+               next[i]->touchedNodes() & prepared.clusterMask();
+           touched != 0; touched &= touched - 1) {
+        const ClusterId c(__builtin_ctzll(touched));
+        survivorTerms[base + prepared.clusterPosition(c)] =
+            clusterTermsT(prepared, *survivor, c);
+      }
     }
+    frontierTerms.swap(survivorTerms);
     result.stats.statesPruned +=
         static_cast<std::int64_t>(next.size() - survivors.size());
     for (DeltaSolution* d : next) pool.release(d);

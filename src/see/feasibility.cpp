@@ -57,26 +57,33 @@ FeasibilityOracle::FeasibilityOracle(const PreparedProblem& prepared)
 // recorded for every live node (findPathT's destination may be an output
 // node), but only clusters are expanded — exactly the relay rule of the
 // dynamic BFS with all budget checks assumed to pass, so a static
-// kUnreachable implies dynamic unreachability at any budget.
+// kUnreachable implies dynamic unreachability at any budget. The BFS runs
+// one level at a time over masks: level d + 1 is every live out-head of the
+// level-d nodes that may relay, not yet reached. Shortest-path lengths do
+// not depend on the order a level is visited in.
 void FeasibilityOracle::buildHopMatrix() const {
   const PreparedProblem& prep = *prepared_;
   const auto numPg = static_cast<std::size_t>(prep.numPg());
   hop_.assign(numPg * numPg, kUnreachable);
-  std::vector<ClusterId> queue;
+  const std::uint64_t live = ~prep.deadMask();
+  const std::uint64_t relays = prep.aliveClusterMask() & prep.sendMask();
   for (std::int32_t s = 0; s < prep.numPg(); ++s) {
     const ClusterId src(s);
     std::uint8_t* dist = &hop_[static_cast<std::size_t>(s) * numPg];
     dist[src.index()] = 0;
     if (!prep.canSend(src)) continue;
-    queue.clear();
-    queue.push_back(src);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const ClusterId u = queue[head];
-      if (dist[u.index()] == kUnreachable - 1) continue;
-      for (const ClusterId w : prep.outHeads(u)) {
-        if (prep.isDead(w) || dist[w.index()] != kUnreachable) continue;
-        dist[w.index()] = static_cast<std::uint8_t>(dist[u.index()] + 1);
-        if (prep.isCluster(w) && prep.canSend(w)) queue.push_back(w);
+    std::uint64_t reached = detail::pgBit(src);
+    std::uint64_t expand = reached;
+    for (std::uint8_t d = 1; expand != 0 && d < kUnreachable; ++d) {
+      std::uint64_t level = 0;
+      for (; expand != 0; expand &= expand - 1) {
+        level |= prep.outHeadMask(ClusterId(__builtin_ctzll(expand)));
+      }
+      level &= live & ~reached;
+      reached |= level;
+      expand = level & relays;
+      for (; level != 0; level &= level - 1) {
+        dist[static_cast<std::size_t>(__builtin_ctzll(level))] = d;
       }
     }
   }

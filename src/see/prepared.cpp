@@ -39,6 +39,7 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
   arcId_.assign(numPg * numPg, PgArcId::invalid());
   outHeadOff_.assign(numPg + 1, 0);
   outHeadMask_.assign(numPg, 0);
+  headRank_.assign(numPg * numPg, 0);
   for (std::int32_t u = 0; u < numPg_; ++u) {
     const ClusterId id(u);
     const machine::PgNode& node = pg.node(id);
@@ -56,6 +57,8 @@ PreparedProblem::PreparedProblem(const SeeProblem& problem,
     for (const PgArcId a : pg.outArcs(id)) {
       const ClusterId head = pg.arc(a).dst;
       arcId_[id.index() * numPg + head.index()] = a;
+      headRank_[id.index() * numPg + head.index()] = static_cast<std::uint8_t>(
+          outHeads_.size() - static_cast<std::size_t>(outHeadOff_[id.index()]));
       outHeads_.push_back(head);
       outHeadMask_[id.index()] |= detail::pgBit(head);
     }

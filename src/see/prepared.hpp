@@ -130,6 +130,13 @@ class PreparedProblem {
   [[nodiscard]] bool isCluster(ClusterId c) const {
     return (clusterMask_ & detail::pgBit(c)) != 0;
   }
+  /// Position of cluster node `c` in clusters(), which ascends by PG id.
+  [[nodiscard]] std::size_t clusterPosition(ClusterId c) const {
+    return static_cast<std::size_t>(
+        __builtin_popcountll(clusterMask_ & (detail::pgBit(c) - 1)));
+  }
+  /// Dead nodes of every kind.
+  [[nodiscard]] std::uint64_t deadMask() const { return deadMask_; }
   [[nodiscard]] bool isDead(ClusterId c) const {
     return (deadMask_ & detail::pgBit(c)) != 0;
   }
@@ -140,6 +147,8 @@ class PreparedProblem {
   [[nodiscard]] bool canSend(ClusterId c) const {
     return (sendMask_ & detail::pgBit(c)) != 0;
   }
+  /// Every node that canSend, as a mask.
+  [[nodiscard]] std::uint64_t sendMask() const { return sendMask_; }
   /// In-neighbor budget of a node: the level's MUX capacity tightened by
   /// the node's surviving-wire override. -1 = unlimited.
   [[nodiscard]] int inCap(ClusterId c) const { return inCap_[c.index()]; }
@@ -159,6 +168,12 @@ class PreparedProblem {
   /// The same heads as a mask.
   [[nodiscard]] std::uint64_t outHeadMask(ClusterId c) const {
     return outHeadMask_[c.index()];
+  }
+  /// Per PG node w, the position of w in `outHeads(c)` (meaningful for the
+  /// heads only): a walk over a subset of c's heads in arc order maps the
+  /// subset's node bits to position bits and reads positions ascending.
+  [[nodiscard]] const std::uint8_t* headRanks(ClusterId c) const {
+    return headRank_.data() + c.index() * static_cast<std::size_t>(numPg_);
   }
 
   [[nodiscard]] std::int64_t height(DdgNodeId node) const {
@@ -216,6 +231,7 @@ class PreparedProblem {
   std::vector<std::int32_t> outHeadOff_;  // CSR per PG node
   std::vector<ClusterId> outHeads_;
   std::vector<std::uint64_t> outHeadMask_;
+  std::vector<std::uint8_t> headRank_;  // numPg x numPg, row-major by tail
   /// problem().heights when supplied, else &ownHeights_.
   const std::vector<std::int64_t>* heights_ = nullptr;
   std::vector<std::int64_t> ownHeights_;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "see/feasibility.hpp"
@@ -23,8 +22,8 @@
 namespace hca::see {
 
 /// Reusable route-allocator state for one search attempt: the BFS
-/// buffers, reused so steady-state findPathT calls allocate nothing, and
-/// the count of searches the hop matrix rejected.
+/// buffers and the last path found, reused so steady-state findPathT calls
+/// allocate nothing, and the count of searches the hop matrix rejected.
 class RouteScratch {
  public:
   RouteScratch() = default;
@@ -44,11 +43,11 @@ class RouteScratch {
   [[nodiscard]] std::int64_t hopRejects() const { return hopRejects_; }
   void noteHopReject() { ++hopRejects_; }
 
+  /// The inclusive node path of the last findPathT call that found one.
+  [[nodiscard]] const std::vector<ClusterId>& path() const { return path_; }
+
   // --- BFS scratch (used by findPathT; read only for visited nodes) ------
   [[nodiscard]] int depthOf(ClusterId c) const { return depth_[c.index()]; }
-  [[nodiscard]] ClusterId parentOf(ClusterId c) const {
-    return parent_[c.index()];
-  }
   void visit(ClusterId c, int depth, ClusterId from) {
     depth_[c.index()] = depth;
     parent_[c.index()] = from;
@@ -56,35 +55,47 @@ class RouteScratch {
   std::vector<ClusterId>& queue() { return queue_; }
   /// Per node: the nodes whose in-neighbor masks already list it.
   std::vector<std::uint64_t>& feeds() { return feeds_; }
+  /// Writes path() as the parent chain from `src` to the visited `dst`.
+  void tracePath(ClusterId src, ClusterId dst) {
+    path_.clear();
+    for (ClusterId v = dst; v != src; v = parent_[v.index()]) {
+      HCA_CHECK(v.valid(), "broken BFS parent chain");
+      path_.push_back(v);
+    }
+    path_.push_back(src);
+    std::reverse(path_.begin(), path_.end());
+  }
 
  private:
   std::vector<ClusterId> parent_;
   std::vector<int> depth_;
   std::vector<std::uint64_t> feeds_;
   std::vector<ClusterId> queue_;
+  std::vector<ClusterId> path_;
   std::int64_t hopRejects_ = 0;
 };
 
 /// BFS over cluster nodes: shortest relay path src -> dst for `value`,
 /// where every hop respects the in-neighbor budgets in `solution`.
-/// Returns the inclusive node path, empty when unreachable. With a
-/// `scratch`, reuses its BFS buffers; the returned path is the same either
-/// way.
+/// Returns false when dst is unreachable; otherwise `scratch.path()` holds
+/// the inclusive node path.
 ///
-/// A dequeued node's out-heads are walked in arc order, so visit order,
-/// parents and paths are those of a walk over PatternGraph::outArcs with
-/// canAddCopyT deciding every hop. Masks decide most hops before the walk:
-/// heads already seen or unable to take the hop are dropped (only alive
-/// clusters relay; the destination may be any live node), and a hop into
-/// an alive cluster is open exactly when the sender already feeds it or it
-/// has in-neighbor room — canAddCopyT's answer there (DESIGN.md §4k). The
-/// one head the masks leave open, a destination outside the alive clusters
-/// (an output or input node), still calls canAddCopyT.
+/// The result is that of a walk over PatternGraph::outArcs with
+/// canAddCopyT deciding every hop (DESIGN.md §4k). A dequeued node's open
+/// heads — not yet seen, and able to take the hop — are walked in arc
+/// order through the node's head-rank table, so visit order and parents
+/// are the per-arc walk's on any graph. Masks decide most hops before the
+/// walk: only alive clusters relay (the destination may be any live
+/// node), and a hop into an alive cluster is open exactly when the sender
+/// already feeds it or it has in-neighbor room — canAddCopyT's answer
+/// there. The one head the masks leave open, a destination outside the
+/// alive clusters (an output or input node), still calls canAddCopyT. The
+/// search stops when dst is discovered: a BFS parent is fixed at
+/// discovery, so the path cannot change after it.
 template <typename Sol>
-std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
-                                 const Sol& solution, ClusterId src,
-                                 ClusterId dst, ValueId value, int maxHops,
-                                 RouteScratch* scratch = nullptr) {
+bool findPathT(const PreparedProblem& prepared, const Sol& solution,
+               ClusterId src, ClusterId dst, ValueId value, int maxHops,
+               RouteScratch& scratch) {
   const int maxPathNodes = maxHops + 2;  // src + relays + dst
 
   // Static fast-reject: the oracle's hop distance ignores every budget, so
@@ -93,23 +104,23 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
   {
     const std::uint8_t d = prepared.oracle().hopDistance(src, dst);
     if (d == FeasibilityOracle::kUnreachable || d > maxPathNodes - 1) {
-      if (scratch != nullptr) scratch->noteHopReject();
-      return {};
+      scratch.noteHopReject();
+      return false;
     }
   }
+  if (src == dst) {
+    scratch.tracePath(src, dst);
+    return true;
+  }
 
-  // The caller-less path materializes its scratch lazily; with a caller
-  // scratch this costs nothing.
-  std::optional<RouteScratch> local;
-  RouteScratch& rs = scratch != nullptr ? *scratch : local.emplace();
-  rs.init(prepared);
+  scratch.init(prepared);
   const std::uint64_t relays = prepared.aliveClusterMask();
   const std::uint64_t enterable =
       relays | (prepared.isDead(dst) ? 0 : detail::pgBit(dst));
   // The budget state of the alive clusters, whose hops the masks decide:
   // those with in-neighbor room, and per node the ones it already feeds.
   std::uint64_t room = 0;
-  std::vector<std::uint64_t>& feeds = rs.feeds();
+  std::vector<std::uint64_t>& feeds = scratch.feeds();
   std::fill(feeds.begin(), feeds.end(), 0);
   for (std::uint64_t rest = relays; rest != 0; rest &= rest - 1) {
     const ClusterId w(__builtin_ctzll(rest));
@@ -123,43 +134,41 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
   }
 
   std::uint64_t seen = detail::pgBit(src);
-  auto& queue = rs.queue();
+  auto& queue = scratch.queue();
   queue.clear();
-  rs.visit(src, 0, ClusterId::invalid());
+  scratch.visit(src, 0, ClusterId::invalid());
   queue.push_back(src);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const ClusterId u = queue[head];
-    if (u == dst) break;
-    const int depth = rs.depthOf(u);
+    const int depth = scratch.depthOf(u);
     if (depth + 1 >= maxPathNodes) continue;
     if (!prepared.canSend(u)) continue;  // canAddCopyT refuses every hop
     // Heads are distinct, so masks taken before the walk stay exact.
     const std::uint64_t open = prepared.outHeadMask(u) & enterable & ~seen;
     const std::uint64_t pass = open & relays & (room | feeds[u.index()]);
-    std::uint64_t todo = pass | (open & ~relays);
-    for (const ClusterId w : prepared.outHeads(u)) {
-      if (todo == 0) break;
+    const std::uint8_t* rank = prepared.headRanks(u);
+    std::uint64_t byRank = 0;
+    for (std::uint64_t t = pass | (open & ~relays); t != 0; t &= t - 1) {
+      byRank |= 1ULL << rank[__builtin_ctzll(t)];
+    }
+    const ClusterId* heads = prepared.outHeads(u).data();
+    for (; byRank != 0; byRank &= byRank - 1) {
+      const ClusterId w = heads[__builtin_ctzll(byRank)];
       const std::uint64_t wBit = detail::pgBit(w);
-      if ((todo & wBit) == 0) continue;
-      todo &= ~wBit;
       if ((pass & wBit) == 0 &&
           !canAddCopyT(prepared, solution, u, w, value)) {
         continue;
       }
       seen |= wBit;
-      rs.visit(w, depth + 1, u);
+      scratch.visit(w, depth + 1, u);
+      if (w == dst) {
+        scratch.tracePath(src, dst);
+        return true;
+      }
       queue.push_back(w);
     }
   }
-  if ((seen & detail::pgBit(dst)) == 0) return {};
-  std::vector<ClusterId> path;
-  for (ClusterId v = dst; v.valid(); v = rs.parentOf(v)) {
-    path.push_back(v);
-    if (v == src) break;
-  }
-  std::reverse(path.begin(), path.end());
-  HCA_CHECK(path.front() == src, "broken BFS parent chain");
-  return path;
+  return false;
 }
 
 /// Routes the copies `item` needs at `cluster` into `sol` (at most
@@ -169,15 +178,16 @@ std::vector<ClusterId> findPathT(const PreparedProblem& prepared,
 template <typename Sol>
 bool routeAndAssignT(const PreparedProblem& prepared, Sol& sol,
                      const Item& item, ClusterId cluster, int maxHops,
-                     int* routedOperands, RouteScratch* scratch = nullptr) {
+                     int* routedOperands, RouteScratch& scratch) {
   // Routes one copy of `v` from `src` to `dst` unless it is already there
   // or directly addable; false when no relay path exists.
   const auto route = [&](ValueId v, ClusterId src, ClusterId dst) {
     if (sol.valueDelivered(dst, v)) return true;
     if (canAddCopyT(prepared, sol, src, dst, v)) return true;  // direct ok
-    const auto path = findPathT(prepared, sol, src, dst, v, maxHops, scratch);
-    if (path.empty()) return false;
-    applyRouteT(prepared, sol, v, path);
+    if (!findPathT(prepared, sol, src, dst, v, maxHops, scratch)) {
+      return false;
+    }
+    applyRouteT(prepared, sol, v, scratch.path());
     if (routedOperands != nullptr) ++*routedOperands;
     return true;
   };
@@ -223,7 +233,7 @@ bool routeAndAssignT(const PreparedProblem& prepared, Sol& sol,
 template <typename Sol>
 bool routeAssignGroupT(const PreparedProblem& prepared, Sol& sol,
                        const ItemGroup& group, ClusterId cluster, int maxHops,
-                       int* routedOperands, RouteScratch* scratch = nullptr) {
+                       int* routedOperands, RouteScratch& scratch) {
   if (!prepared.isCluster(cluster)) return false;
   for (const Item& item : group.members) {
     if (canAssignT(prepared, sol, item, cluster)) {

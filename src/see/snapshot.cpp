@@ -356,9 +356,9 @@ void DeltaSolution::init(const PreparedProblem& prepared) {
 }
 
 void DeltaSolution::reset(const FlatSolution* parent,
-                          const ClusterTerms* parentTerms) {
+                          const ParentScores* parentScores) {
   parent_ = parent;
-  parentTerms_ = parentTerms;
+  parentScores_ = parentScores;
   touched_ = 0;
   copyInto(nodeCluster_.data(), parent->nodeCluster_, nodeCluster_.size());
   copyInto(relayCluster_.data(), parent->relayCluster_, relayCluster_.size());
@@ -428,6 +428,29 @@ std::uint64_t DeltaSolution::signature() const {
   return h;
 }
 
+void buildParentScores(const PreparedProblem& prepared,
+                       const FlatSolution& parent, const ClusterTerms* terms,
+                       ParentScores& scores) {
+  scores.terms = terms;
+  const int target = miiTarget(prepared);
+  const std::size_t n = prepared.clusters().size();
+  scores.scan.resize(n + 1);
+  ClusterScan scan(target);
+  for (std::size_t i = 0; i < n; ++i) {
+    scores.scan[i] = scan;
+    scan.add(terms[i], target);
+  }
+  scores.scan[n] = scan;
+  const auto maxHeight = static_cast<double>(prepared.maxWsHeight());
+  scores.penalty.resize(static_cast<std::size_t>(parent.numCritTerms_) + 1);
+  double penalty = 0;
+  scores.penalty[0] = penalty;
+  for (std::int32_t k = 0; k < parent.numCritTerms_; ++k) {
+    penalty += static_cast<double>(parent.critTerms_[k].num) / maxHeight;
+    scores.penalty[static_cast<std::size_t>(k) + 1] = penalty;
+  }
+}
+
 double DeltaSolution::criticalPathScore(const PreparedProblem& prepared) {
   std::sort(critAdds_.begin(), critAdds_.end(), critKeyLess);
   const auto maxHeight = static_cast<double>(prepared.maxWsHeight());
@@ -436,6 +459,18 @@ double DeltaSolution::criticalPathScore(const PreparedProblem& prepared) {
   auto d = critAdds_.cbegin();
   const auto dEnd = critAdds_.cend();
   double penalty = 0;
+  if (parentScores_ != nullptr) {
+    // The merge takes every parent term keyed below the first addition
+    // first: their sum is the parent's running penalty there. The split is
+    // found from the end, over exactly the parent terms the merge below
+    // then adds.
+    const CritTerm* first = pEnd;
+    if (d != dEnd) {
+      while (first != p && first[-1].key > d->key) --first;
+    }
+    penalty = parentScores_->penalty[static_cast<std::size_t>(first - p)];
+    p = first;
+  }
   while (p != pEnd || d != dEnd) {
     const CritTerm& t =
         (d == dEnd || (p != pEnd && p->key < d->key)) ? *p++ : *d++;

@@ -132,6 +132,10 @@ class FlatSolution {
  private:
   friend class DeltaSolution;
   friend class FrontierSnapshot;
+  friend void buildParentScores(const PreparedProblem& prepared,
+                                const FlatSolution& parent,
+                                const ClusterTerms* terms,
+                                ParentScores& scores);
 
   /// Array lengths of one snapshot.
   struct Shape {
@@ -182,6 +186,13 @@ class FlatSolution {
   double objective_ = 0.0;
 };
 
+/// Builds the scoring tables of `parent` (cost.hpp ParentScores) over
+/// `terms`, its clusterTermsT per position of `prepared.clusters()`, which
+/// must outlive every candidate scored against the tables.
+void buildParentScores(const PreparedProblem& prepared,
+                       const FlatSolution& parent, const ClusterTerms* terms,
+                       ParentScores& scores);
+
 /// A frontier state the search hands back (SeeResult::frontier): the
 /// FlatSolution layout in one exact-size heap block the snapshot owns, so
 /// it outlives the search arenas and the PreparedProblem. It keeps no
@@ -228,11 +239,11 @@ class DeltaSolution {
   void init(const PreparedProblem& prepared);
   /// Rebases onto `parent`: memcpys the dense state, clears the edit
   /// lists. O(|WS| + PG nodes), zero allocations in steady state.
-  /// `parentTerms` (may be null) is the parent's clusterTermsT per
-  /// position of `prepared.clusters()`; it must outlive the scoring of
-  /// this delta, which then recomputes only the clusters it touched.
+  /// `parentScores` (may be null) are the parent's scoring tables
+  /// (buildParentScores); they must outlive the scoring of this delta,
+  /// which then starts each score from the parent's running sums.
   void reset(const FlatSolution* parent,
-             const ClusterTerms* parentTerms = nullptr);
+             const ParentScores* parentScores = nullptr);
 
   // --- reads -----------------------------------------------------------
   [[nodiscard]] ClusterId clusterOf(DdgNodeId node) const {
@@ -257,12 +268,11 @@ class DeltaSolution {
   }
   [[nodiscard]] bool valueDelivered(ClusterId dst, ValueId value) const;
   [[nodiscard]] bool flowContains(PgArcId arc, ValueId value) const;
-  /// The parent's clusterTermsT per position of `prepared.clusters()` (null
-  /// when the rebase supplied none), and the PG nodes whose usage, value
-  /// counts or in-neighbor mask this delta changed: the clusters whose
-  /// terms must be recomputed (cost.hpp).
-  [[nodiscard]] const ClusterTerms* parentTerms() const {
-    return parentTerms_;
+  /// The parent's scoring tables (null when the rebase supplied none), and
+  /// the PG nodes whose usage, value counts or in-neighbor mask this delta
+  /// changed: the clusters whose terms must be recomputed (cost.hpp).
+  [[nodiscard]] const ParentScores* parentScores() const {
+    return parentScores_;
   }
   [[nodiscard]] std::uint64_t touchedNodes() const { return touched_; }
   [[nodiscard]] int totalCopies() const { return totalCopies_; }
@@ -295,7 +305,9 @@ class DeltaSolution {
 
   /// Critical-path penalty: the parent's sorted terms merged with this
   /// delta's additions, summed in ascending key order (the full-scan
-  /// order). Sorts the additions in place first.
+  /// order). Sorts the additions in place first. With the parent's scoring
+  /// tables the sum starts from the parent's running penalty before the
+  /// first addition's key.
   [[nodiscard]] double criticalPathScore(const PreparedProblem& prepared);
 
  private:
@@ -305,7 +317,7 @@ class DeltaSolution {
   [[nodiscard]] bool valueSentFrom(ClusterId src, ValueId value) const;
 
   const FlatSolution* parent_ = nullptr;
-  const ClusterTerms* parentTerms_ = nullptr;
+  const ParentScores* parentScores_ = nullptr;
   std::uint64_t touched_ = 0;  // see touchedNodes()
   const std::int32_t* wsIndexOf_ = nullptr;  // PreparedProblem::wsIndexTable
   // Dense overlay, memcpy'd from the parent on reset.

@@ -440,8 +440,9 @@ TEST(RouteAllocatorTest, FindsMultiHopPath) {
   // ...but the route allocator relays through cluster 1.
   PartialSolution extended = sol;
   int routed = 0;
+  RouteScratch scratch;
   ASSERT_TRUE(routeAndAssignT(prepared, extended, negItem, ClusterId(2),
-                              /*maxHops=*/3, &routed));
+                              /*maxHops=*/3, &routed, scratch));
   EXPECT_EQ(routed, 1);
   EXPECT_EQ(extended.clusterOf(negItem.node), ClusterId(2));
   // The value crosses both arcs.
@@ -486,11 +487,12 @@ TEST(RouteAllocatorTest, RespectsHopLimit) {
   }
   sol.assign(prepared, loadItem, ClusterId(0));
   PartialSolution tooShort = sol;  // 2 hops: not enough for 3 relays
+  RouteScratch scratch;
   EXPECT_FALSE(routeAndAssignT(prepared, tooShort, negItem, ClusterId(4),
-                               /*maxHops=*/2, nullptr));
+                               /*maxHops=*/2, nullptr, scratch));
   PartialSolution enough = sol;
   EXPECT_TRUE(routeAndAssignT(prepared, enough, negItem, ClusterId(4),
-                              /*maxHops=*/3, nullptr));
+                              /*maxHops=*/3, nullptr, scratch));
 }
 
 // --- relays -------------------------------------------------------------------
@@ -671,6 +673,120 @@ TEST(CostTest, WeightedObjectiveCombines) {
             10 * clusterScoresT(prepared, partial).iiEstimate);
 }
 
+/// Walks `problem`'s priority list from the initial state, placing each
+/// group on a random cluster that takes it. At every parent, each
+/// cluster's candidate (placed directly or routed, as the engine's eager
+/// rung does) is scored twice: once from the parent's scoring tables and
+/// once by the full loops with none. The two must agree bit for bit.
+/// Counts the candidates whose cluster scan started past position 0 and
+/// those whose penalty merged new terms into a parent with terms.
+void checkPrefixTablesOnWalk(const SeeProblem& problem, std::uint64_t seed,
+                             int& laterScanStarts, int& penaltyMerges) {
+  SeeOptions options;
+  options.weights.targetIi = 2;  // MIIs above the clamp reach the sums
+  const PreparedProblem prepared(problem, options);
+  const auto& clusters = prepared.clusters();
+  const std::uint64_t clusterMask = prepared.clusterMask();
+  Rng rng(seed);
+  MonotonicArena arena;
+  DeltaSolution fromTables;
+  DeltaSolution fullLoop;
+  fromTables.init(prepared);
+  fullLoop.init(prepared);
+  RouteScratch scratch;
+  const FlatSolution* parent = FlatSolution::initial(prepared, arena);
+  std::vector<ClusterTerms> terms;
+  ParentScores scores;
+  const auto place = [&](DeltaSolution& d, const ItemGroup& group,
+                         ClusterId c) {
+    int routed = 0;
+    return routeAssignGroupT(prepared, d, group, c, /*maxHops=*/2, &routed,
+                             scratch);
+  };
+  for (std::size_t gi = 0; gi < prepared.items().size(); ++gi) {
+    const ItemGroup& group = prepared.items()[gi];
+    terms.clear();
+    for (const ClusterId c : clusters) {
+      terms.push_back(clusterTermsT(prepared, *parent, c));
+    }
+    buildParentScores(prepared, *parent, terms.data(), scores);
+    std::vector<ClusterId> takers;
+    for (const ClusterId c : clusters) {
+      fromTables.reset(parent, &scores);
+      fullLoop.reset(parent);
+      const bool placed = place(fromTables, group, c);
+      ASSERT_EQ(place(fullLoop, group, c), placed);
+      if (!placed) continue;
+      takers.push_back(c);
+      SCOPED_TRACE(strCat("group ", gi, " cluster ", c.value()));
+      const ClusterScores a = clusterScoresT(prepared, fromTables);
+      const ClusterScores b = clusterScoresT(prepared, fullLoop);
+      EXPECT_EQ(a.iiEstimate, b.iiEstimate);
+      EXPECT_EQ(a.loadBalance, b.loadBalance);
+      EXPECT_EQ(a.wiringSlack, b.wiringSlack);
+      const double penalty = fromTables.criticalPathScore(prepared);
+      EXPECT_EQ(penalty, fullLoop.criticalPathScore(prepared));
+      EXPECT_EQ(objectiveT(prepared, options.weights, fromTables),
+                objectiveT(prepared, options.weights, fullLoop));
+      const std::uint64_t touched = fromTables.touchedNodes() & clusterMask;
+      if (touched != 0 &&
+          __builtin_ctzll(touched) > __builtin_ctzll(clusterMask)) {
+        ++laterScanStarts;
+      }
+      if (scores.penalty.size() > 1 && penalty != scores.penalty.back()) {
+        ++penaltyMerges;
+      }
+    }
+    if (takers.empty()) return;
+    const ClusterId pick = takers[rng.below(takers.size())];
+    fromTables.reset(parent, &scores);
+    ASSERT_TRUE(place(fromTables, group, pick));
+    fromTables.setObjective(
+        objectiveT(prepared, options.weights, fromTables));
+    parent = FlatSolution::fromDelta(fromTables, arena);
+  }
+}
+
+TEST(CostTest, PrefixTablesMatchFullLoop) {
+  int laterScanStarts = 0;
+  int penaltyMerges = 0;
+  const auto walk = [&](const ddg::Ddg& ddg, const machine::PatternGraph& pg,
+                        int maxIn, int inWires, int outWires) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      auto problem = baseProblem(ddg, pg);
+      problem.constraints.maxInNeighbors = maxIn;
+      problem.inWiresPerCluster = inWires;
+      problem.outWiresPerCluster = outWires;
+      SCOPED_TRACE(strCat(pg.numNodes(), " clusters, cap ", maxIn, ", seed ",
+                          seed));
+      checkPrefixTablesOnWalk(problem, seed, laterScanStarts, penaltyMerges);
+    }
+  };
+  // The flat-ICA fabric: 64 single-CN clusters, two input selects each.
+  const auto idct = ddg::buildIdctHor();
+  walk(idct.ddg, smallPg(64), 2, 2, 1);
+  // 4-CN clusters, some of them with a dead CN: 3 issue slots, so loads
+  // are thirds and their sums are not exact in binary.
+  const auto fir = ddg::buildFir2Dim();
+  machine::PatternGraph degraded;
+  for (int i = 0; i < 8; ++i) {
+    degraded.addCluster(machine::ResourceTable::computationNode() *
+                        (i % 3 == 1 ? 3 : 4));
+  }
+  degraded.connectClustersCompletely();
+  walk(fir.ddg, degraded, 2, 4, 4);
+  // A 3/3/3 fabric level: in-neighbor caps of 3 make the wiring slack's
+  // squared utilizations ninths.
+  machine::PatternGraph threes;
+  for (int i = 0; i < 9; ++i) {
+    threes.addCluster(machine::ResourceTable::computationNode() * 3);
+  }
+  threes.connectClustersCompletely();
+  walk(idct.ddg, threes, 3, 3, 3);
+  EXPECT_GT(laterScanStarts, 0);
+  EXPECT_GT(penaltyMerges, 0);
+}
+
 // --- beam / filters --------------------------------------------------------------
 
 TEST(FilterTest, WiderBeamExploresMoreWithComparableQuality) {
@@ -793,6 +909,19 @@ TEST(OracleTest, MaskNeverExcludesAssignableClusterFir2Dim) {
   checkMaskSoundOnRandomWalks(problem, SeeOptions{}, 11u);
 }
 
+/// findPathT's path, empty when it finds none; with `scratch`, through
+/// that caller's buffers, else through fresh ones.
+template <typename Sol>
+std::vector<ClusterId> routeOf(const PreparedProblem& prepared,
+                               const Sol& solution, ClusterId src,
+                               ClusterId dst, ValueId value, int maxHops,
+                               RouteScratch* scratch = nullptr) {
+  RouteScratch local;
+  RouteScratch& rs = scratch != nullptr ? *scratch : local;
+  if (!findPathT(prepared, solution, src, dst, value, maxHops, rs)) return {};
+  return rs.path();
+}
+
 TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   // Directed line 0 -> 1 -> ... -> 5 with generous budgets: the dynamic
   // BFS sees exactly the static graph, so the (lazily built) hop matrix
@@ -818,8 +947,8 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   ASSERT_TRUE(v.valid());
   for (int s = 0; s < 6; ++s) {
     for (int d = 0; d < 6; ++d) {
-      const auto path = findPathT(prepared, sol, ClusterId(s), ClusterId(d),
-                                  v, /*maxHops=*/10);
+      const auto path = routeOf(prepared, sol, ClusterId(s), ClusterId(d),
+                                v, /*maxHops=*/10);
       const std::uint8_t hop = oracle.hopDistance(ClusterId(s), ClusterId(d));
       if (d >= s) {
         ASSERT_EQ(path.size(), static_cast<std::size_t>(d - s + 1))
@@ -833,10 +962,9 @@ TEST(OracleTest, HopDistanceMatchesBfsOnFreshLine) {
   }
   // The depth budget applies on top of reachability: 0 -> 4 needs 3
   // relays, so maxHops = 2 must refuse even though hop says reachable.
-  EXPECT_TRUE(findPathT(prepared, sol, ClusterId(0), ClusterId(4), v, 2)
-                  .empty());
-  EXPECT_FALSE(findPathT(prepared, sol, ClusterId(0), ClusterId(4), v, 3)
-                   .empty());
+  EXPECT_TRUE(routeOf(prepared, sol, ClusterId(0), ClusterId(4), v, 2).empty());
+  EXPECT_FALSE(
+      routeOf(prepared, sol, ClusterId(0), ClusterId(4), v, 3).empty());
 }
 
 // --- route BFS against its per-arc reference ----------------------------------
@@ -944,15 +1072,116 @@ void checkRouteBfsOnRandomStates(const machine::PatternGraph& pg,
           referenceFindPath(prepared, partial, src, dst, v, maxHops);
       ASSERT_EQ(referenceFindPath(prepared, delta, src, dst, v, maxHops),
                 expected);
-      ASSERT_EQ(findPathT(prepared, partial, src, dst, v, maxHops, &scratch),
+      ASSERT_EQ(routeOf(prepared, partial, src, dst, v, maxHops, &scratch),
                 expected);
-      ASSERT_EQ(findPathT(prepared, delta, src, dst, v, maxHops), expected);
+      ASSERT_EQ(routeOf(prepared, delta, src, dst, v, maxHops), expected);
       ++queries;
       if (!expected.empty() && src != dst) ++found;
     }
   }
   EXPECT_GT(found, 0);
   EXPECT_LT(found, queries);
+}
+
+/// The hop matrix as a per-source queue BFS that walks every out-head of
+/// each expanded node: distances to every live node, expanding only the
+/// source and alive clusters that can send.
+std::vector<std::uint8_t> referenceHopMatrix(const PreparedProblem& prep) {
+  const auto numPg = static_cast<std::size_t>(prep.numPg());
+  std::vector<std::uint8_t> hop(numPg * numPg,
+                                FeasibilityOracle::kUnreachable);
+  for (std::int32_t s = 0; s < prep.numPg(); ++s) {
+    const ClusterId src(s);
+    std::uint8_t* dist = &hop[static_cast<std::size_t>(s) * numPg];
+    dist[src.index()] = 0;
+    if (!prep.canSend(src)) continue;
+    std::vector<ClusterId> queue{src};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const ClusterId u = queue[head];
+      for (const ClusterId w : prep.outHeads(u)) {
+        if (prep.isDead(w) ||
+            dist[w.index()] != FeasibilityOracle::kUnreachable) {
+          continue;
+        }
+        dist[w.index()] = static_cast<std::uint8_t>(dist[u.index()] + 1);
+        if (prep.isCluster(w) && prep.canSend(w)) queue.push_back(w);
+      }
+    }
+  }
+  return hop;
+}
+
+void expectHopMatrixMatchesReference(const machine::PatternGraph& pg) {
+  const ddg::Ddg empty;
+  SeeProblem problem;
+  problem.ddg = &empty;
+  problem.pg = &pg;
+  const PreparedProblem prepared(problem, SeeOptions{});
+  const auto expected = referenceHopMatrix(prepared);
+  const auto numPg = static_cast<std::size_t>(pg.numNodes());
+  int reachable = 0;
+  int unreachable = 0;
+  for (std::size_t s = 0; s < numPg; ++s) {
+    for (std::size_t d = 0; d < numPg; ++d) {
+      const std::uint8_t hop = prepared.oracle().hopDistance(
+          ClusterId(static_cast<std::int32_t>(s)),
+          ClusterId(static_cast<std::int32_t>(d)));
+      ASSERT_EQ(static_cast<int>(hop),
+                static_cast<int>(expected[s * numPg + d]))
+          << s << " -> " << d;
+      ++(hop == FeasibilityOracle::kUnreachable ? unreachable : reachable);
+    }
+  }
+  EXPECT_GT(reachable, 0);
+  EXPECT_GT(unreachable, 0);
+}
+
+TEST(OracleTest, MaskBuiltHopMatrixMatchesPerSourceBfs) {
+  // K64 with dead CNs and clusters whose output wires are all dead: both
+  // end a relay chain, and only the live ones can be reached.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    machine::PatternGraph pg;
+    for (int i = 0; i < 64; ++i) {
+      pg.addCluster(machine::ResourceTable::computationNode());
+    }
+    pg.connectClustersCompletely();
+    int dead = 0;
+    int mute = 0;
+    for (const ClusterId c : pg.clusterNodes()) {
+      if (rng.below(6) == 0) {
+        pg.markDead(c);
+        ++dead;
+      } else if (rng.below(5) == 0) {
+        pg.setWireCaps(c, -1, 0);
+        ++mute;
+      }
+    }
+    ASSERT_GT(dead, 0);
+    ASSERT_GT(mute, 0);
+    SCOPED_TRACE(strCat("K64 seed ", seed));
+    expectHopMatrixMatchesReference(pg);
+  }
+  // A sparse leaf whose sources include input nodes, which send but never
+  // relay, and whose arcs are not in head order: depths above 1 occur.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    machine::PatternGraph pg;
+    for (int i = 0; i < 8; ++i) {
+      pg.addCluster(machine::ResourceTable::computationNode());
+    }
+    for (int a = 0; a < 8; ++a) {
+      for (int b = 0; b < 8; ++b) {
+        if (a != b && rng.below(4) == 0) pg.addArc(ClusterId(b), ClusterId(a));
+      }
+    }
+    pg.addInputNode({ValueId(0)}, "in");
+    pg.addOutputNode("out");
+    pg.connectBoundaryNodes();
+    injectRandomNodeFaults(pg, rng);
+    SCOPED_TRACE(strCat("leaf seed ", seed));
+    expectHopMatrixMatchesReference(pg);
+  }
 }
 
 TEST(RouteBfsTest, MatchesPerArcReferenceOnCompleteFabrics) {
@@ -1000,6 +1229,75 @@ TEST(RouteBfsTest, MatchesPerArcReferenceOnLeafWithBoundaryNodes) {
     injectRandomNodeFaults(pg, rng);
     SCOPED_TRACE(strCat("leaf seed ", seed));
     checkRouteBfsOnRandomStates(pg, seed, 8);
+  }
+}
+
+TEST(RouteBfsTest, MatchesPerArcReferenceOnRcpRingWithReach2) {
+  // Ring reach 2: node i's out-arcs run i+1, i-1, i+2, i-2, so arc order is
+  // not head order and the head-rank walk must reorder the open heads.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    machine::RcpConfig config;
+    config.clusters = 6 + 2 * static_cast<int>(seed);
+    config.neighborReach = 2;
+    config.inputPorts = 1 + static_cast<int>(seed % 2);
+    auto pg = machine::rcpPatternGraph(config);
+    const auto heads = [&pg](ClusterId c) {
+      std::vector<std::int32_t> out;
+      for (const PgArcId a : pg.outArcs(c)) {
+        out.push_back(pg.arc(a).dst.value());
+      }
+      return out;
+    };
+    ASSERT_FALSE(std::is_sorted(heads(ClusterId(3)).begin(),
+                                heads(ClusterId(3)).end()));
+    Rng rng(seed);
+    injectRandomNodeFaults(pg, rng);
+    SCOPED_TRACE(strCat("ring of ", config.clusters, " seed ", seed));
+    checkRouteBfsOnRandomStates(pg, seed, 8);
+  }
+}
+
+TEST(RouteBfsTest, StopsAtDiscoveryBehindQueuedDepthOneNodes) {
+  // K64 with in-neighbor cap 1: cluster 5 is already fed by `feeder`, so
+  // from 0 the only way in is through the feeder. BFS from 0 queues every
+  // other cluster at depth 1 and discovers 5 at depth 2 while the depth-1
+  // nodes after the feeder are still queued.
+  machine::PatternGraph pg;
+  for (int i = 0; i < 64; ++i) {
+    pg.addCluster(machine::ResourceTable::computationNode());
+  }
+  pg.connectClustersCompletely();
+  const ddg::Ddg empty;
+  SeeProblem problem;
+  problem.ddg = &empty;
+  problem.pg = &pg;
+  problem.constraints.maxInNeighbors = 1;
+  const PreparedProblem prepared(problem, SeeOptions{});
+  const ClusterId src(0);
+  const ClusterId dst(5);
+  for (const int feeder : {1, 40, 63}) {
+    SCOPED_TRACE(strCat("feeder ", feeder));
+    PartialSolution partial = PartialSolution::initial(prepared);
+    MonotonicArena arena;
+    DeltaSolution delta;
+    delta.init(prepared);
+    delta.reset(FlatSolution::initial(prepared, arena));
+    const PgArcId arc = *pg.arcBetween(ClusterId(feeder), dst);
+    partial.addFlowCopy(arc, ClusterId(feeder), dst, ValueId(0));
+    delta.addFlowCopy(arc, ClusterId(feeder), dst, ValueId(0));
+    const std::vector<ClusterId> expected = {src, ClusterId(feeder), dst};
+    RouteScratch scratch;
+    EXPECT_EQ(referenceFindPath(prepared, partial, src, dst, ValueId(1), 1),
+              expected);
+    EXPECT_EQ(routeOf(prepared, partial, src, dst, ValueId(1), 1, &scratch),
+              expected);
+    EXPECT_EQ(routeOf(prepared, delta, src, dst, ValueId(1), 1, &scratch),
+              expected);
+    // No relay allowed: the direct hop is blocked, so nothing is found.
+    EXPECT_TRUE(referenceFindPath(prepared, delta, src, dst, ValueId(1), 0)
+                    .empty());
+    EXPECT_TRUE(routeOf(prepared, delta, src, dst, ValueId(1), 0, &scratch)
+                    .empty());
   }
 }
 

@@ -51,7 +51,7 @@ std::optional<PartialSolution> assignGroupDirect(
 std::optional<PartialSolution> tryAssignGroup(
     const PreparedProblem& prepared, const PartialSolution& state,
     const ItemGroup& group, ClusterId cluster, int maxHops,
-    int* routedOperands, RouteScratch* scratch) {
+    int* routedOperands, RouteScratch& scratch) {
   PartialSolution candidate = state;
   if (!routeAssignGroupT(prepared, candidate, group, cluster, maxHops,
                          routedOperands, scratch)) {
@@ -124,7 +124,7 @@ SeeResult searchOnce(const PreparedProblem& prepared,
           int routed = 0;
           auto sol = tryAssignGroup(prepared, state, group, c,
                                     options.maxRouteHops, &routed,
-                                    &routeScratch);
+                                    routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;
@@ -149,7 +149,7 @@ SeeResult searchOnce(const PreparedProblem& prepared,
           }
           auto sol = tryAssignGroup(prepared, state, group, c,
                                     options.maxRouteHops, &routed,
-                                    &routeScratch);
+                                    routeScratch);
           if (!sol.has_value()) {
             ++result.stats.routeFailures;
             continue;
