@@ -525,9 +525,6 @@ BatchSummary runBatch(const std::vector<BatchJob>& jobs,
       case TryOutcome::Kind::kCancelled:
         jr.status = BatchJobStatus::kCancelled;
         jr.failureReason = outcome.failureReason;
-        // Durability on shutdown: persist whatever the interrupted run
-        // recorded so `--resume` continues from this boundary.
-        if (checkpoint != nullptr) checkpoint->flush();
         ++summary.cancelled;
         notify(options, job, jr.triesUsed, "cancelled");
         break;

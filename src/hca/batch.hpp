@@ -23,9 +23,9 @@
 ///
 /// Shutdown: the batch observes an external CancellationToken (the CLI
 /// wires SIGINT/SIGTERM to it). A tripped token cancels the in-flight
-/// job's search at its next poll — flushing its checkpoint, so a later
-/// `--resume` continues where it stopped — and marks the remaining jobs
-/// cancelled instead of running them.
+/// job's search at its next poll — its checkpoint already holds every
+/// attempt it completed, so a later `--resume` continues where it stopped —
+/// and marks the remaining jobs cancelled instead of running them.
 ///
 /// Manifest format (strict JSON):
 ///   {"jobs": [

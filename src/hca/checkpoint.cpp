@@ -1,6 +1,5 @@
 #include "hca/checkpoint.hpp"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -9,18 +8,17 @@
 
 #include "ddg/serialize.hpp"
 #include "hca/report.hpp"
-#include "see/serialize.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
 #include "support/str.hpp"
-#include "support/trace.hpp"
 
 namespace hca::core {
 
 namespace {
 
 constexpr const char kMagic[] = "HCACHK";
-constexpr int kVersion = 1;
+/// 2: attempt records only. 1 also held sub-problem cache snapshots.
+constexpr int kVersion = 2;
 
 [[noreturn]] void fail(CheckpointError::Kind kind, const std::string& message) {
   throw CheckpointError(kind, strCat("checkpoint: ", message));
@@ -30,43 +28,6 @@ std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   return buf;
-}
-
-// --- binary-key hex transport ----------------------------------------------
-
-std::string hexEncode(const std::string& bytes) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const auto b = static_cast<unsigned char>(c);
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xf]);
-  }
-  return out;
-}
-
-int hexNibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-std::string hexDecode(const std::string& hex) {
-  if (hex.size() % 2 != 0) {
-    fail(CheckpointError::Kind::kBadPayload, "odd-length hex cache key");
-  }
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hexNibble(hex[i]);
-    const int lo = hexNibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      fail(CheckpointError::Kind::kBadPayload, "bad hex in cache key");
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
 }
 
 // --- HcaStats ---------------------------------------------------------------
@@ -87,12 +48,6 @@ HcaStats parseStats(const JsonField& v) {
       },
       s);
   return s;
-}
-
-std::int64_t nowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             monotonicNow().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -147,22 +102,6 @@ std::string serializeCheckpoint(const CheckpointData& data) {
     json.endObject();
   }
   json.endArray();
-  json.key("caches").beginArray();
-  for (const auto& [scope, entries] : data.cacheByScope) {
-    json.beginObject();
-    json.key("scope").value(scope);
-    json.key("entries").beginArray();
-    for (const auto& [key, result] : entries) {
-      json.beginObject();
-      json.key("key").value(hexEncode(key));
-      json.key("result");
-      see::writeSeeResult(json, result);
-      json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-  }
-  json.endArray();
   json.endObject();
 
   const std::string body = payload.str();
@@ -205,9 +144,8 @@ CheckpointData parseCheckpoint(const std::string& text) {
          "payload does not match the header checksum");
   }
 
-  // Shape errors arrive as InvalidArgumentError — from the payload reader
-  // already prefixed "checkpoint: ", from the SEE-result reader not; rewrap
-  // so callers see one structured checkpoint error type.
+  // Shape errors arrive as InvalidArgumentError, already prefixed
+  // "checkpoint: "; rewrap so callers see one structured error type.
   try {
     const JsonReader reader("checkpoint");
     const JsonValue doc = reader.parse(body);
@@ -232,25 +170,9 @@ CheckpointData parseCheckpoint(const std::string& text) {
       attempt.stats = parseStats(a.member("stats"));
       return attempt;
     });
-    for (const JsonValue& c : root.member("caches").array()) {
-      const JsonField cache = reader.field(c, "cache");
-      auto& entries = data.cacheByScope[cache.member("scope").string()];
-      for (const JsonValue& e : cache.member("entries").array()) {
-        const JsonField entry = reader.field(e, "entry");
-        entries.emplace_back(
-            hexDecode(entry.member("key").string()),
-            see::parseSeeResult(entry.member("result").value()));
-      }
-    }
     return data;
-  } catch (const CheckpointError&) {
-    throw;
   } catch (const InvalidArgumentError& e) {
-    const std::string message = e.what();
-    throw CheckpointError(CheckpointError::Kind::kBadPayload,
-                          message.rfind("checkpoint: ", 0) == 0
-                              ? message
-                              : strCat("checkpoint: ", message));
+    throw CheckpointError(CheckpointError::Kind::kBadPayload, e.what());
   }
 }
 
@@ -302,8 +224,8 @@ std::string runFingerprint(const ddg::Ddg& ddg,
   return hex64(fnv1a64(id.str()));
 }
 
-CheckpointManager::CheckpointManager(std::string path, int everyMs)
-    : path_(std::move(path)), everyMs_(everyMs) {
+CheckpointManager::CheckpointManager(std::string path)
+    : path_(std::move(path)) {
   HCA_REQUIRE(!path_.empty(), "checkpoint path must not be empty");
 }
 
@@ -320,22 +242,12 @@ bool CheckpointManager::loadForResume() {
     recorded_.push_back(attempt);
     restored_.emplace(key, std::move(attempt));
   }
-  for (auto& [scope, entries] : data.cacheByScope) {
-    CacheSnapshot snapshot;
-    snapshot.entries.reserve(entries.size());
-    for (auto& [key, result] : entries) {
-      snapshot.entries.emplace_back(
-          key, std::make_shared<const see::SeeResult>(result));
-    }
-    snapshots_.emplace(scope, std::move(snapshot));
-    restoredCaches_.emplace(scope, std::move(entries));
-  }
   return true;
 }
 
 void CheckpointManager::bindRun(const std::string& fingerprint, int iniMii) {
   MutexLock lock(mutex_);
-  if (!restored_.empty() || !restoredCaches_.empty()) {
+  if (!restored_.empty()) {
     if (fingerprint_ != fingerprint) {
       fail(CheckpointError::Kind::kWrongRun,
            strCat("file was written by run ", fingerprint_,
@@ -360,68 +272,25 @@ const CheckpointAttempt* CheckpointManager::restoredAttempt(
   return it == restored_.end() ? nullptr : &it->second;
 }
 
-const std::vector<std::pair<std::string, see::SeeResult>>*
-CheckpointManager::restoredCache(const std::string& scope) const {
-  MutexLock lock(mutex_);
-  const auto it = restoredCaches_.find(scope);
-  return it == restoredCaches_.end() ? nullptr : &it->second;
-}
-
-void CheckpointManager::noteAttempt(CheckpointAttempt attempt,
-                                    const std::string& cacheScope,
-                                    const SubproblemCache* cache) {
+void CheckpointManager::noteAttempt(CheckpointAttempt attempt) {
   int total = 0;
   {
     MutexLock lock(mutex_);
     HCA_CHECK(bound_, "CheckpointManager::noteAttempt before bindRun");
     recorded_.push_back(std::move(attempt));
-    if (cache != nullptr) {
-      // Snapshot at the attempt boundary (cheap: shared_ptr copies). The
-      // snapshot replaces the previous one, so the persisted cache always
-      // corresponds to the last recorded attempt.
-      CacheSnapshot snapshot;
-      cache->forEach([&snapshot](const std::string& key,
-                                 const std::shared_ptr<const see::SeeResult>&
-                                     result) {
-        snapshot.entries.emplace_back(key, result);
-      });
-      snapshots_[cacheScope] = std::move(snapshot);
-    }
-    dirty_ = true;
     total = static_cast<int>(recorded_.size());
-    const std::int64_t now = nowMs();
-    if (everyMs_ <= 0 || lastWriteMs_ < 0 || now - lastWriteMs_ >= everyMs_) {
-      writeLocked();
-    }
+    CheckpointData data;
+    data.fingerprint = fingerprint_;
+    data.iniMii = iniMii_;
+    data.attempts = recorded_;
+    atomicWriteFile(path_, serializeCheckpoint(data));
   }
   if (onAttemptRecorded) onAttemptRecorded(total);
-}
-
-void CheckpointManager::flush() {
-  MutexLock lock(mutex_);
-  if (dirty_) writeLocked();
 }
 
 int CheckpointManager::attemptsRecorded() const {
   MutexLock lock(mutex_);
   return static_cast<int>(recorded_.size());
-}
-
-void CheckpointManager::writeLocked() {
-  CheckpointData data;
-  data.fingerprint = fingerprint_;
-  data.iniMii = iniMii_;
-  data.attempts = recorded_;
-  for (const auto& [scope, snapshot] : snapshots_) {
-    auto& entries = data.cacheByScope[scope];
-    entries.reserve(snapshot.entries.size());
-    for (const auto& [key, result] : snapshot.entries) {
-      entries.emplace_back(key, *result);
-    }
-  }
-  atomicWriteFile(path_, serializeCheckpoint(data));
-  lastWriteMs_ = nowMs();
-  dirty_ = false;
 }
 
 }  // namespace hca::core

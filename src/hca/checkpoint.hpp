@@ -3,16 +3,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "ddg/ddg.hpp"
 #include "hca/driver.hpp"
 #include "hca/records.hpp"
-#include "hca/subproblem_cache.hpp"
 #include "support/check.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
@@ -22,15 +19,15 @@
 /// The outer portfolio sweep is a sequence of independent, deterministic
 /// (target II, profile) attempts; the unit of saved work is one *completed,
 /// failed* attempt. A checkpoint records, per attempt: its phase-qualified
-/// identity (ladder rung + index), its failure reason and its HcaStats — plus
-/// a snapshot of the sub-problem cache taken at the same attempt boundary.
-/// On resume the driver skips every restored attempt (merging its recorded
-/// stats instead of re-searching) and pre-warms the cache with the snapshot,
-/// so the first re-run attempt observes *exactly* the cache state it would
-/// have seen in an uninterrupted run. That is the identity guarantee: the
-/// resumed run's FinalMapping and HcaStats are byte-identical to an
-/// uninterrupted run with the same inputs (wall-clock, per-attempt metrics
-/// and trace spans excepted — they describe the actual execution).
+/// identity (ladder rung + index), its failure reason and site, and its
+/// HcaStats — nothing else. Every attempt starts with an empty sub-problem
+/// cache of its own (subproblem_cache.hpp), so there is no cache state to
+/// carry over. On resume the driver skips every restored attempt (merging
+/// its recorded stats instead of re-searching) and re-runs the rest from
+/// scratch. That is the identity guarantee: the resumed run's FinalMapping
+/// and HcaStats are byte-identical to an uninterrupted run with the same
+/// inputs (wall-clock, metrics and trace spans excepted — they describe
+/// the actual execution).
 ///
 /// Two things are deliberately *never* checkpointed:
 ///  - attempts cut short by a deadline or shutdown signal (their partial
@@ -39,7 +36,9 @@
 ///    left to resume into).
 ///
 /// File format: a one-line header `HCACHK <version> <fnv1a64-hex> <bytes>\n`
-/// followed by a JSON payload of exactly `<bytes>` bytes. The checksum is
+/// followed by a JSON payload of exactly `<bytes>` bytes. Version 2 holds
+/// the attempt records only; version 1 also held sub-problem cache
+/// snapshots and is refused (kBadVersion). The checksum is
 /// `fnv1a64` over the payload (its offset basis is not FNV's standard one;
 /// see below); the length catches truncation, the checksum
 /// catches corruption, the version catches format drift, and a run identity
@@ -104,13 +103,6 @@ struct CheckpointData {
   std::string fingerprint;
   int iniMii = 0;
   std::vector<CheckpointAttempt> attempts;
-  /// Sub-problem cache snapshots, one per cache-owning ladder scope (""
-  /// for the root ladder, "degraded-bandwidth/" for the nested one).
-  /// Entries are in SubproblemCache::forEach order; re-inserting in that
-  /// order reproduces the per-shard insertion order.
-  std::map<std::string,
-           std::vector<std::pair<std::string, see::SeeResult>>>
-      cacheByScope;
 };
 
 /// Serializes to header + payload (the exact bytes of the file).
@@ -127,15 +119,12 @@ struct CheckpointData {
                                          const machine::DspFabricModel& model,
                                          const HcaOptions& options);
 
-/// The driver-facing manager: owns the checkpoint file path, the restored
-/// state (when resuming) and the write throttle. Thread-safe — the parallel
-/// sweep's attempts call noteAttempt() concurrently.
+/// The driver-facing manager: owns the checkpoint file path and the
+/// restored state (when resuming). Thread-safe — the parallel sweep's
+/// attempts call noteAttempt() concurrently.
 class CheckpointManager {
  public:
-  /// `everyMs` <= 0 writes on every recorded attempt; otherwise writes are
-  /// throttled to at most one per `everyMs` milliseconds (flush() and the
-  /// final write ignore the throttle).
-  CheckpointManager(std::string path, int everyMs = 0);
+  explicit CheckpointManager(std::string path);
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
@@ -158,18 +147,9 @@ class CheckpointManager {
   [[nodiscard]] const CheckpointAttempt* restoredAttempt(
       const std::string& phase, int index) const;
 
-  /// The restored cache snapshot for a ladder scope, or nullptr.
-  [[nodiscard]] const std::vector<std::pair<std::string, see::SeeResult>>*
-  restoredCache(const std::string& scope) const;
-
-  /// Records one completed, failed attempt and snapshots `cache` (may be
-  /// null) under `cacheScope`. Writes the checkpoint file unless throttled.
-  void noteAttempt(CheckpointAttempt attempt, const std::string& cacheScope,
-                   const SubproblemCache* cache);
-
-  /// Writes the current state now (no-op when nothing was ever recorded
-  /// and nothing was restored). Called on graceful shutdown.
-  void flush();
+  /// Records one completed, failed attempt and rewrites the checkpoint
+  /// file: every attempt recorded so far, restored ones included.
+  void noteAttempt(CheckpointAttempt attempt);
 
   [[nodiscard]] int attemptsRecorded() const;
 
@@ -179,15 +159,7 @@ class CheckpointManager {
   std::function<void(int)> onAttemptRecorded;
 
  private:
-  struct CacheSnapshot {
-    std::vector<std::pair<std::string, std::shared_ptr<const see::SeeResult>>>
-        entries;
-  };
-
-  void writeLocked() HCA_REQUIRES(mutex_);
-
   const std::string path_;
-  const int everyMs_;
 
   mutable Mutex mutex_;
   bool bound_ HCA_GUARDED_BY(mutex_) = false;
@@ -195,13 +167,8 @@ class CheckpointManager {
   int iniMii_ HCA_GUARDED_BY(mutex_) = 0;
   /// Restored state (resume); keyed by "phase\n<index>".
   std::map<std::string, CheckpointAttempt> restored_ HCA_GUARDED_BY(mutex_);
-  std::map<std::string, std::vector<std::pair<std::string, see::SeeResult>>>
-      restoredCaches_ HCA_GUARDED_BY(mutex_);
   /// Attempts recorded this run (includes re-persisted restored ones).
   std::vector<CheckpointAttempt> recorded_ HCA_GUARDED_BY(mutex_);
-  std::map<std::string, CacheSnapshot> snapshots_ HCA_GUARDED_BY(mutex_);
-  std::int64_t lastWriteMs_ HCA_GUARDED_BY(mutex_) = -1;
-  bool dirty_ HCA_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace hca::core

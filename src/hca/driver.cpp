@@ -64,10 +64,6 @@ std::string frontierObjectives(const see::SeeResult& result) {
 /// funneled into it stay consumable by its CNs (each CN has only
 /// `cnInWires` static selects, and intra-leaf chains consume selects too).
 constexpr int kLeafParentMaxInNeighbors = 4;
-/// Hierarchical backtracking: when a child sub-problem turns out to be
-/// infeasible, up to this many states of the parent's final search frontier
-/// (the best and its runners-up) are tried before the parent itself fails.
-constexpr int kMaxAlternatives = 12;
 /// Cap on hierarchical backtracking attempts (runner-up assignments tried
 /// after a child sub-problem failed) across one attempt's problem tree.
 constexpr int kBacktrackBudget = 256;
@@ -110,17 +106,6 @@ void runVerifyEach(const ddg::Ddg& ddg, const machine::DspFabricModel& model,
                           strJoin(record->path, "."), "]")
                  : std::string("on the legal result"),
              ":\n", outcome.formatted));
-}
-
-/// Drops the frontier states past the kMaxAlternatives the driver tries,
-/// before a result is cached.
-void keepAlternatives(see::SeeResult& result) {
-  const auto keep = static_cast<std::size_t>(kMaxAlternatives);
-  if (result.frontier.size() <= keep) return;
-  result.frontier.erase(
-      result.frontier.begin() + static_cast<std::ptrdiff_t>(keep),
-      result.frontier.end());
-  result.frontier.shrink_to_fit();
 }
 
 /// Per-level metric name: `base + ".L" + level` (DESIGN.md section 4e).
@@ -194,7 +179,7 @@ see::SeeOptions HcaDriver::profileOptions(int target, int profile) const {
 
 void HcaDriver::applyMemoryBudget(see::SeeOptions& see) const {
   if (options_.memoryBudgetBytes <= 0) return;
-  // Half the run budget is the cache's (see runLadder); the other half
+  // Half the run budget is the cache's (see runAttempt); the other half
   // bounds each SEE solve's snapshot arenas. Per-attempt, not divided by
   // thread count: a budget that depended on parallelism would break the
   // serial/parallel identity guarantee.
@@ -208,7 +193,6 @@ void HcaDriver::applyMemoryBudget(see::SeeOptions& see) const {
 HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
                                 const std::vector<DdgNodeId>& rootWs,
                                 int target, int profile,
-                                SubproblemCache* cache,
                                 const CancellationToken* cancel) const {
   const see::SeeOptions seeOptions = profileOptions(target, profile);
   HcaResult result;
@@ -229,10 +213,29 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
   }
   const std::vector<std::int64_t> heights =
       ddg.heights(model_.config().latency);
-  const SolveContext ctx{seeOptions, cache, cancel, tracer_, &levelMetrics,
+  // The attempt's own cache: no other attempt solves under its options, so
+  // no other attempt could hit it (subproblem_cache.hpp). Under a memory
+  // budget half the run's bytes bound it; the arenas have the other half.
+  SubproblemCache cache(options_.memoryBudgetBytes > 0
+                            ? std::max<std::int64_t>(
+                                  1, options_.memoryBudgetBytes / 2)
+                            : 0);
+  const SolveContext ctx{seeOptions,
+                         options_.enableSubproblemCache ? &cache : nullptr,
+                         cancel,
+                         tracer_,
+                         &levelMetrics,
                          &heights};
   result.legal = solve(ddg, /*path=*/{}, rootWs, /*relayValues=*/{},
                        Boundary{}, ctx, result);
+  if (ctx.cache != nullptr) {
+    result.metrics.add("cache.hits", cache.hits());
+    result.metrics.add("cache.misses", cache.misses());
+    result.metrics.add("cache.evictions", cache.evictions());
+    result.metrics.add("cache.entries", cache.entries());
+    result.metrics.observe("cache.bytes",
+                           static_cast<double>(cache.bytesUsed()));
+  }
   const auto wallUs = microsBetween(started, monotonicNow());
   result.metrics.observe("attempt.wall_us", static_cast<double>(wallUs));
   result.metrics.add(result.legal ? "attempt.legal" : "attempt.illegal", 1);
@@ -265,10 +268,9 @@ HcaResult HcaDriver::runAttempt(const ddg::Ddg& ddg,
 
 HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
                               const std::vector<DdgNodeId>& rootWs, int iniMii,
-                              SubproblemCache* cache, int numThreads,
+                              int numThreads,
                               const CancellationToken* deadline,
-                              const std::string& phase,
-                              const std::string& cacheScope) const {
+                              const std::string& phase) const {
   CheckpointManager* ckpt = options_.checkpoint;
   const int numProfiles = std::max(1, options_.searchProfiles);
   const int numTargets = 1 + std::max(0, options_.targetIiSlack);
@@ -302,7 +304,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     CancellationToken& token = tokens[static_cast<std::size_t>(i)];
     if (ckpt != nullptr) {
       // A failure completed in a previous run: the SEE is deterministic and
-      // the cache was pre-warmed to the same state, so a re-run would
+      // the attempt's cache starts empty either way, so a re-run would
       // reproduce exactly the recorded counters.
       if (const CheckpointAttempt* r = ckpt->restoredAttempt(phase, i)) {
         slot.restored = r;
@@ -316,8 +318,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
     try {
       const int target = iniMii + i / numProfiles;
       const int profile = i % numProfiles;
-      HcaResult result =
-          runAttempt(ddg, rootWs, target, profile, cache, &token);
+      HcaResult result = runAttempt(ddg, rootWs, target, profile, &token);
       slot.cancelled = !result.legal && token.cancelled();
       if (result.legal) {
         int current = bestLegal.load(std::memory_order_acquire);
@@ -341,7 +342,7 @@ HcaResult HcaDriver::runSweep(const ddg::Ddg& ddg,
         done.failureReason = result.failureReason;
         done.failureSite = result.failureSite;
         done.stats = result.stats;
-        ckpt->noteAttempt(std::move(done), cacheScope, cache);
+        ckpt->noteAttempt(std::move(done));
       }
       slot.result = std::move(result);
       slot.completed = true;
@@ -538,57 +539,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   };
   std::vector<std::string> escalations;
 
-  // One cache per run: the DDG (the part of a sub-problem the cache key
-  // does not serialize) is fixed for its lifetime. Under a memory budget
-  // half the run's bytes go to the cache, split evenly across its shards.
-  constexpr int kCacheShards = 16;
-  const std::int64_t maxBytesPerShard =
-      options_.memoryBudgetBytes > 0
-          ? std::max<std::int64_t>(1,
-                                   options_.memoryBudgetBytes / 2 /
-                                       kCacheShards)
-          : 0;
-  SubproblemCache cache(kCacheShards, maxBytesPerShard);
-  SubproblemCache* cachePtr =
-      options_.enableSubproblemCache ? &cache : nullptr;
-
-  // Resume: pre-warm the cache with the checkpoint's snapshot. The first
-  // re-run attempt then observes exactly the cache state it would have had
-  // in an uninterrupted run, so hit/miss counters stay byte-identical.
-  if (options_.checkpoint != nullptr && cachePtr != nullptr) {
-    if (const auto* entries = options_.checkpoint->restoredCache(scope)) {
-      for (const auto& [key, seeResult] : *entries) {
-        see::SeeResult restored = seeResult;
-        keepAlternatives(restored);
-        cachePtr->insert(key, std::move(restored));
-      }
-    }
-  }
-
-  // Folds the cache's per-shard counters into the returned result, both as
-  // run totals and as across-shard distributions (a hot shard shows up as
-  // a max far above the p50). Applied once per runLadder return; the
-  // nested degraded-bandwidth ladder harvests its own cache first and the
-  // counters sum. Once the cache's entries are dropped (before the
-  // degraded-bandwidth rung), the counters come from the snapshot taken
-  // then.
-  std::vector<SubproblemCache::ShardStats> droppedShards;
-  const auto harvestCache = [&](HcaResult& r) {
-    if (cachePtr == nullptr) return;
-    const auto shards =
-        droppedShards.empty() ? cachePtr->shardStats() : droppedShards;
-    for (const auto& s : shards) {
-      r.metrics.add("cache.hits", s.hits);
-      r.metrics.add("cache.misses", s.misses);
-      r.metrics.add("cache.evictions", s.evictions);
-      r.metrics.add("cache.entries", s.entries);
-      r.metrics.observe("cache.shard_hits", static_cast<double>(s.hits));
-      r.metrics.observe("cache.shard_entries", static_cast<double>(s.entries));
-      r.metrics.observe("cache.shard_bytes", static_cast<double>(s.bytes));
-    }
-    r.metrics.add("cache.shards", static_cast<std::int64_t>(shards.size()));
-  };
-
   // Rung 1 — the primary sweep: smallest target II first (the
   // modulo-scheduling II search applied to clusterization), a few
   // heuristic profiles per target — serially, or as a parallel portfolio
@@ -603,14 +553,10 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   {
     TraceSpan rung(tracer_, "hca", "rung:primary-sweep");
     const std::string phase = scope + "sweep";
-    best = runSweep(ddg, rootWs, iniMii, cachePtr, threads, deadline, phase,
-                    scope);
+    best = runSweep(ddg, rootWs, iniMii, threads, deadline, phase);
   }
   best.metrics.add("ladder.rung.primary", 1);
-  if (best.legal) {
-    harvestCache(best);
-    return best;
-  }
+  if (best.legal) return best;
 
   // Rung 2 (kDegrade) — retry with backoff: a widened beam and deeper
   // candidate keep explore assignments the primary profiles pruned.
@@ -622,17 +568,15 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
     wider.see.beamWidth *= 2;
     wider.see.candidateKeep += 4;
     const HcaDriver widened(model_, wider);
-    // The rung shares this ladder's cache, so its attempts snapshot under
-    // this ladder's scope — but under their own phase label (rungs reuse
+    // The rung's attempts record under their own phase label (rungs reuse
     // attempt indices 0..N).
     const std::string phase = scope + "beam-backoff";
-    HcaResult retry = widened.runSweep(ddg, rootWs, iniMii, cachePtr, threads,
-                                       deadline, phase, scope);
+    HcaResult retry =
+        widened.runSweep(ddg, rootWs, iniMii, threads, deadline, phase);
     if (retry.legal) {
       retry.stats.merge(best.stats);
       retry.metrics.merge(best.metrics);
       retry.fallbackUsed = "beam-backoff";
-      harvestCache(retry);
       return retry;
     }
     best.stats.merge(retry.stats);
@@ -659,18 +603,11 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
       escalations.push_back("degraded-bandwidth re-run (N=M=K=2)");
       best.metrics.add("ladder.rung.degraded_bandwidth", 1);
       TraceSpan rung(tracer_, "hca", "rung:degraded-bandwidth");
-      // No rung after this one looks up this ladder's cache, so its
-      // entries are freed before the nested ladder fills its own. A
-      // checkpoint keeps its own references to the entries it snapshots.
-      if (cachePtr != nullptr) {
-        droppedShards = cachePtr->shardStats();
-        cachePtr->dropEntries();
-      }
       HcaOptions degradedOptions = options_;
       degradedOptions.failurePolicy = FailurePolicy::kStrict;
       degradedOptions.targetIiSlack = std::max(options_.targetIiSlack, 6);
-      // The nested ladder owns a fresh cache; scope its attempts and cache
-      // snapshot so they never collide with this ladder's in the file.
+      // Scope the nested ladder's attempts so they never collide with this
+      // ladder's in the file.
       const HcaDriver degraded(std::move(degradedModel), degradedOptions);
       HcaResult result = degraded.runLadder(ddg, rootWs, iniMii, deadline,
                                             scope + "degraded-bandwidth/");
@@ -678,7 +615,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
         result.stats.merge(best.stats);
         result.metrics.merge(best.metrics);
         result.fallbackUsed = "degraded-bandwidth";
-        harvestCache(result);
         return result;
       }
       best.stats.merge(result.stats);
@@ -687,7 +623,6 @@ HcaResult HcaDriver::runLadder(const ddg::Ddg& ddg,
   }
 
   // Every rung exhausted (or the deadline cut the ladder short).
-  harvestCache(best);
   best.metrics.add("ladder.escalations",
                    static_cast<std::int64_t>(escalations.size()));
   if (degrade) {
@@ -805,7 +740,6 @@ bool HcaDriver::solve(const ddg::Ddg& ddg, const std::vector<int>& path,
     if (ctx.cache != nullptr && !aborted) {
       ++result.stats.cacheMisses;
       ++*lm.cacheMisses;
-      keepAlternatives(freshResult);
       cacheEntry = ctx.cache->insert(cacheKey, std::move(freshResult));
       seePtr = cacheEntry.get();
     } else {

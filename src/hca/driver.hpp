@@ -104,9 +104,10 @@ struct HcaOptions {
   /// CPU-bound portfolio strictly slower. Set to true to honor an
   /// oversubscribed `numThreads` verbatim (scheduling experiments).
   bool allowOversubscribe = false;
-  /// Memoize SEE sub-problem results across outer attempts and backtracking
-  /// alternatives (see subproblem_cache.hpp). Results are byte-identical
-  /// with the cache on or off; the cache only saves wall-clock.
+  /// Memoize SEE sub-problem results within each outer attempt, across its
+  /// backtracking alternatives (see subproblem_cache.hpp). Results are
+  /// byte-identical with the cache on or off; the cache only saves
+  /// wall-clock.
   bool enableSubproblemCache = true;
   /// See FailurePolicy. With zero faults, no deadline and a solvable
   /// problem, kDegrade produces byte-identical output to kStrict — the
@@ -135,9 +136,8 @@ struct HcaOptions {
   /// check). Unknown ids throw InvalidArgumentError at the first use.
   std::vector<std::string> verifyChecks;
   /// Crash-safe checkpoint/resume (hca/checkpoint.hpp). When non-null, the
-  /// sweeps record every completed failed outer attempt (plus the
-  /// sub-problem cache) into this manager and skip attempts it restored
-  /// from a previous run's file — the resumed run's result and HcaStats
+  /// sweeps record every completed failed outer attempt into this manager
+  /// and skip attempts it restored from a previous run's file — the resumed run's result and HcaStats
   /// are byte-identical to an uninterrupted run. Not owned; must outlive
   /// the run.
   CheckpointManager* checkpoint = nullptr;
@@ -149,8 +149,8 @@ struct HcaOptions {
   /// it never changes results, only when the run stops.
   const CancellationToken* externalCancel = nullptr;
   /// Soft memory ceiling for the run in bytes; 0 = unlimited. Half the
-  /// budget bounds the sub-problem cache (oldest entries are shed, trading
-  /// hit rate for footprint), half becomes each SEE solve's
+  /// budget bounds each attempt's sub-problem cache (oldest entries are
+  /// shed, trading hit rate for footprint), half becomes each SEE solve's
   /// SeeOptions::arenaBudgetBytes — an attempt that would blow it reports
   /// "memory budget exceeded" and the escalation ladder re-plans (the
   /// degraded-bandwidth rung shrinks per-problem state) instead of the
@@ -235,7 +235,7 @@ class HcaDriver {
   };
 
   /// Per-attempt execution context threaded through the recursion: the
-  /// attempt's SEE options, the run-wide sub-problem cache (may be null),
+  /// attempt's SEE options, its sub-problem cache (may be null),
   /// the portfolio's soft-cancellation token (may be null), the run's
   /// span tracer (may be null = tracing off) and the attempt's per-level
   /// metric handles (indexed by hierarchy level).
@@ -257,12 +257,12 @@ class HcaDriver {
   /// half the run budget becomes the per-solve arena ceiling.
   void applyMemoryBudget(see::SeeOptions& see) const;
 
-  /// Runs one complete outer attempt (a full hierarchical solve). On
-  /// success the result is validated and its stats finalized.
+  /// Runs one complete outer attempt (a full hierarchical solve) with a
+  /// sub-problem cache of its own, whose counters it adds to the result's
+  /// metrics. On success the result is validated and its stats finalized.
   [[nodiscard]] HcaResult runAttempt(const ddg::Ddg& ddg,
                                      const std::vector<DdgNodeId>& rootWs,
                                      int target, int profile,
-                                     SubproblemCache* cache,
                                      const CancellationToken* cancel) const;
 
   /// The outer sweep: attempts in (target asc, profile asc) order, the
@@ -272,16 +272,13 @@ class HcaDriver {
   /// the deadline; otherwise every attempt is a task on a pool of
   /// `numThreads` workers. The result does not depend on the thread count.
   /// Per-attempt tokens chain to `deadline` (may be null). `phase` is this
-  /// sweep's checkpoint label and `cacheScope` the ladder scope owning
-  /// `cache` (both ignored when no checkpoint manager is configured);
-  /// attempts are recorded in completion order.
+  /// sweep's checkpoint label (ignored when no checkpoint manager is
+  /// configured); attempts are recorded in completion order.
   [[nodiscard]] HcaResult runSweep(const ddg::Ddg& ddg,
                                    const std::vector<DdgNodeId>& rootWs,
-                                   int iniMii, SubproblemCache* cache,
-                                   int numThreads,
+                                   int iniMii, int numThreads,
                                    const CancellationToken* deadline,
-                                   const std::string& phase,
-                                   const std::string& cacheScope) const;
+                                   const std::string& phase) const;
 
   /// run() minus the input validation / report wrapping: computes iniMii,
   /// arms the deadline and walks the ladder.
@@ -290,10 +287,9 @@ class HcaDriver {
   /// The escalation ladder: primary sweep, then (kDegrade) a widened-beam
   /// retry, then the degraded-bandwidth re-run. Returns the first legal
   /// result, or the primary failure annotated with a report under
-  /// kDegrade. `scope` prefixes the ladder's checkpoint phases and cache
-  /// snapshot: "" for the root ladder, "degraded-bandwidth/" for the
-  /// nested one the degraded-bandwidth rung runs, so the two never collide
-  /// in the file.
+  /// kDegrade. `scope` prefixes the ladder's checkpoint phases: "" for the
+  /// root ladder, "degraded-bandwidth/" for the nested one the
+  /// degraded-bandwidth rung runs, so the two never collide in the file.
   [[nodiscard]] HcaResult runLadder(const ddg::Ddg& ddg,
                                     const std::vector<DdgNodeId>& rootWs,
                                     int iniMii,

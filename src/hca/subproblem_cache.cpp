@@ -1,9 +1,6 @@
 #include "hca/subproblem_cache.hpp"
 
 #include <cstring>
-#include <functional>
-
-#include "support/check.hpp"
 
 namespace hca::core {
 
@@ -47,13 +44,8 @@ void appendI64(std::string& out, std::int64_t v) {
 void appendOptions(std::string& out, const see::SeeOptions& o) {
   appendI32(out, o.beamWidth);
   appendI32(out, o.candidateKeep);
-  // Retired op cap (always off): a literal 0 keeps the keys.
-  appendI32(out, 0);
   appendI32(out, o.enableRouteAllocator ? 1 : 0);
   appendI32(out, o.eagerRouting ? 1 : 0);
-  // Retired retry-ladder switch (always on): a literal 1 keeps the keys,
-  // and so the shard hashes, of default options.
-  appendI32(out, 1);
   appendI32(out, o.maxRouteHops);
   appendI32(out, o.maxBeamSteps);
   // The arena ceiling aborts a search mid-flight, so a result computed
@@ -100,10 +92,6 @@ std::string subproblemKey(
   appendI32(key, pg.numArcs());
 
   appendI32(key, constraints.maxInNeighbors);
-  // Retired constraint fields, fixed by the architecture (unbounded
-  // out-neighbors, unary fan-in on output nodes): literals keep the keys.
-  appendI32(key, -1);
-  appendI32(key, 1);
 
   appendI32(key, latency.alu);
   appendI32(key, latency.mul);
@@ -124,119 +112,51 @@ std::string subproblemKey(
   return key;
 }
 
-SubproblemCache::SubproblemCache(int numShards, std::int64_t maxBytesPerShard)
-    : maxBytesPerShard_(maxBytesPerShard),
-      shards_(static_cast<std::size_t>(numShards)) {
-  HCA_REQUIRE(numShards >= 1, "cache needs at least one shard");
-}
+SubproblemCache::SubproblemCache(std::int64_t maxBytes)
+    : maxBytes_(maxBytes) {}
 
 std::int64_t SubproblemCache::entryBytes(const std::string& key,
                                          const see::SeeResult& result) {
   return static_cast<std::int64_t>(key.size()) + result.bytes();
 }
 
-SubproblemCache::Shard& SubproblemCache::shardOf(const std::string& key) const {
-  const std::size_t h = std::hash<std::string>()(key);
-  return shards_[h % shards_.size()];
-}
-
 std::shared_ptr<const see::SeeResult> SubproblemCache::lookup(
-    const std::string& key) const {
-  Shard& shard = shardOf(key);
-  MutexLock lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    ++shard.misses;
+    const std::string& key) {
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses_;
     return nullptr;
   }
-  ++shard.hits;
+  ++hits_;
   return it->second;
-}
-
-void SubproblemCache::evictOldest(Shard& shard) {
-  const Map::value_type* victim = shard.insertionOrder.front();
-  shard.insertionOrder.pop_front();
-  shard.bytes -= entryBytes(victim->first, *victim->second);
-  shard.map.erase(shard.map.find(victim->first));
-  ++shard.evictions;
 }
 
 std::shared_ptr<const see::SeeResult> SubproblemCache::insert(
     const std::string& key, see::SeeResult result) {
+  const auto keep = static_cast<std::size_t>(kMaxAlternatives);
+  if (result.frontier.size() > keep) {
+    result.frontier.erase(
+        result.frontier.begin() + static_cast<std::ptrdiff_t>(keep),
+        result.frontier.end());
+    result.frontier.shrink_to_fit();
+  }
   auto entry = std::make_shared<const see::SeeResult>(std::move(result));
-  Shard& shard = shardOf(key);
-  MutexLock lock(shard.mutex);
-  const auto [it, inserted] = shard.map.emplace(key, std::move(entry));
-  if (inserted) {
-    shard.insertionOrder.push_back(&*it);
-    shard.bytes += entryBytes(key, *it->second);
-    // Byte-budget shedding: drop oldest-inserted residents (never the entry
-    // just stored, the newest — the caller is about to replay it) until
-    // back under the ceiling. Evicted sub-problems are re-solved on their
-    // next miss, so the budget degrades hit rate, never correctness.
-    if (maxBytesPerShard_ > 0) {
-      while (shard.bytes > maxBytesPerShard_ &&
-             shard.insertionOrder.size() > 1) {
-        evictOldest(shard);
-      }
-    }
+  const auto [it, inserted] = map_.emplace(key, std::move(entry));
+  if (!inserted) return it->second;  // first writer wins
+  insertionOrder_.push_back(&*it);
+  bytes_ += entryBytes(key, *it->second);
+  // Byte-budget shedding: drop oldest-inserted residents (never the entry
+  // just stored, the newest — the caller is about to replay it) until
+  // back under the ceiling. Evicted sub-problems are re-solved on their
+  // next miss, so the budget degrades hit rate, never correctness.
+  while (maxBytes_ > 0 && bytes_ > maxBytes_ && insertionOrder_.size() > 1) {
+    const Map::value_type* victim = insertionOrder_.front();
+    insertionOrder_.pop_front();
+    bytes_ -= entryBytes(victim->first, *victim->second);
+    map_.erase(map_.find(victim->first));
+    ++evictions_;
   }
-  return it->second;  // first writer wins
-}
-
-std::int64_t SubproblemCache::entries() const {
-  std::int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    total += static_cast<std::int64_t>(shard.map.size());
-  }
-  return total;
-}
-
-std::int64_t SubproblemCache::bytesUsed() const {
-  std::int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    total += shard.bytes;
-  }
-  return total;
-}
-
-void SubproblemCache::dropEntries() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    shard.insertionOrder.clear();
-    shard.map.clear();
-    shard.bytes = 0;
-  }
-}
-
-std::vector<SubproblemCache::ShardStats> SubproblemCache::shardStats() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    ShardStats s;
-    s.hits = shard.hits;
-    s.misses = shard.misses;
-    s.evictions = shard.evictions;
-    s.entries = static_cast<std::int64_t>(shard.map.size());
-    s.bytes = shard.bytes;
-    out.push_back(s);
-  }
-  return out;
-}
-
-void SubproblemCache::forEach(
-    const std::function<void(const std::string& key,
-                             const std::shared_ptr<const see::SeeResult>&
-                                 result)>& fn) const {
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mutex);
-    for (const Map::value_type* entry : shard.insertionOrder) {
-      fn(entry->first, entry->second);
-    }
-  }
+  return it->second;
 }
 
 }  // namespace hca::core

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -12,26 +10,24 @@
 #include "machine/pattern_graph.hpp"
 #include "mapper/mapper.hpp"
 #include "see/engine.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
-/// Memoization of single-level SEE sub-problems (one HcaDriver::run).
+/// Memoization of single-level SEE sub-problems within one outer attempt.
 ///
-/// The outer portfolio search re-solves the same 4-ish-node sub-problems
-/// over and over: backtracking alternatives re-enter identical children,
-/// and different heuristic profiles share every sub-problem whose options
-/// they do not perturb. The SEE is deterministic, so a sub-problem is fully
-/// described by the *content* of its inputs — pattern-graph shape, working
-/// set, relay values, boundary ILIs, constraints, latency model, and a
-/// fingerprint of the SeeOptions — and its SeeResult can be replayed from a
-/// hash lookup. Keys are exact serialized content (compared byte-for-byte on
-/// lookup), never a lossy hash, so a hit is guaranteed to byte-match a fresh
-/// solve. The map is sharded: each shard has its own mutex, so concurrent
-/// portfolio attempts rarely contend.
+/// An outer (target II, profile) attempt re-solves the same 4-ish-node
+/// sub-problems over and over: backtracking alternatives re-enter identical
+/// children. The SEE is deterministic, so a sub-problem is fully described
+/// by the *content* of its inputs — pattern-graph shape, working set, relay
+/// values, boundary ILIs, constraints, latency model, and every SeeOptions
+/// field — and its SeeResult can be replayed from a lookup. Keys are exact
+/// serialized content (compared byte-for-byte on lookup), never a lossy
+/// hash, so a hit is guaranteed to byte-match a fresh solve.
 ///
 /// The problem path is deliberately *not* part of the key: identical
-/// sub-problems at different positions of the problem tree (or in different
-/// outer attempts) share one entry.
+/// sub-problems at different positions of the attempt's problem tree share
+/// one entry. Attempts never share entries: the key holds every SeeOptions
+/// field, the target II included, and no two attempts of a run solve under
+/// the same options. So each attempt owns its cache (HcaDriver::runAttempt),
+/// uses it from one thread, and frees it when it returns.
 namespace hca::core {
 
 /// Serializes everything the SEE result depends on, except the DDG itself
@@ -47,65 +43,45 @@ namespace hca::core {
     const std::vector<DdgNodeId>& workingSet,
     const std::vector<ValueId>& relayValues, const see::SeeOptions& options);
 
+/// Hierarchical backtracking: when a child sub-problem turns out to be
+/// infeasible, up to this many states of the parent's final search frontier
+/// (the best and its runners-up) are tried before the parent itself fails.
+/// A cached result keeps no more states than that.
+inline constexpr int kMaxAlternatives = 12;
+
 class SubproblemCache {
  public:
-  /// Per-shard traffic counters for the observability layer. Shard-level
-  /// granularity shows whether the key hash actually spreads the portfolio
-  /// attempts (a hot shard = lock contention the aggregate would hide).
-  struct ShardStats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-    std::int64_t entries = 0;
-    std::int64_t bytes = 0;  ///< resident footprint (entryBytes sum)
-  };
-
-  /// `maxBytesPerShard` <= 0 = no byte ceiling (the default — one run's
+  /// `maxBytes` <= 0 = no byte ceiling (the default — one attempt's
   /// sub-problem population is small). When set, every insert adds the
-  /// entry's bytes (entryBytes) to the shard's tally and sheds
-  /// oldest-inserted entries until the shard is back under its ceiling,
-  /// counting each in ShardStats::evictions — the cache half of the
-  /// driver's `HcaOptions::memoryBudgetBytes` contract: degrade hit rate,
-  /// never OOM. Evicted sub-problems are simply re-solved on the next miss.
-  explicit SubproblemCache(int numShards = 16,
-                           std::int64_t maxBytesPerShard = 0);
+  /// entry's bytes (entryBytes) to the tally and sheds oldest-inserted
+  /// entries until the cache is back under its ceiling, counting each in
+  /// evictions() — the cache half of the driver's
+  /// `HcaOptions::memoryBudgetBytes` contract: degrade hit rate, never OOM.
+  /// Evicted sub-problems are simply re-solved on the next miss.
+  explicit SubproblemCache(std::int64_t maxBytes = 0);
 
   SubproblemCache(const SubproblemCache&) = delete;
   SubproblemCache& operator=(const SubproblemCache&) = delete;
 
   /// Returns the cached result for `key`, or nullptr on a miss.
   [[nodiscard]] std::shared_ptr<const see::SeeResult> lookup(
-      const std::string& key) const;
+      const std::string& key);
 
-  /// Inserts `result` if the key is absent and returns the stored entry
-  /// (the first writer wins, so concurrent attempts all observe the same
-  /// object — with a deterministic SEE both candidates are identical
-  /// anyway).
+  /// Stores `result`, its frontier cut to kMaxAlternatives states, if the
+  /// key is absent, and returns the stored entry (the first writer wins).
+  /// The caller holds the entry while it replays it: a later insert may
+  /// evict it from the cache meanwhile.
   std::shared_ptr<const see::SeeResult> insert(const std::string& key,
                                                see::SeeResult result);
 
-  [[nodiscard]] std::int64_t entries() const;
-
-  /// Resident bytes across all shards.
-  [[nodiscard]] std::int64_t bytesUsed() const;
-
-  /// Frees every entry (not an eviction: the counters are untouched). The
-  /// driver calls it once a cache will see no more lookups.
-  void dropEntries();
-
-  /// Snapshot of the per-shard counters, in shard order.
-  [[nodiscard]] std::vector<ShardStats> shardStats() const;
-
-  /// Visits every resident entry: shards in index order, entries within a
-  /// shard in insertion order (each shard's lock is held for its pass).
-  /// The deterministic order matters to the checkpoint layer — restoring
-  /// entries in visit order reproduces the per-shard insertion order, so a
-  /// resumed run's eviction decisions match the original's. `fn` must not
-  /// reenter the cache.
-  void forEach(const std::function<void(
-                   const std::string& key,
-                   const std::shared_ptr<const see::SeeResult>& result)>& fn)
-      const;
+  [[nodiscard]] std::int64_t hits() const { return hits_; }
+  [[nodiscard]] std::int64_t misses() const { return misses_; }
+  [[nodiscard]] std::int64_t evictions() const { return evictions_; }
+  [[nodiscard]] std::int64_t entries() const {
+    return static_cast<std::int64_t>(map_.size());
+  }
+  /// Resident bytes (the entryBytes sum).
+  [[nodiscard]] std::int64_t bytesUsed() const { return bytes_; }
 
   /// Footprint of one cache entry, the unit of the byte accounting above:
   /// its key plus the bytes its result owns (SeeResult::bytes — the
@@ -118,26 +94,17 @@ class SubproblemCache {
   using Map =
       std::unordered_map<std::string, std::shared_ptr<const see::SeeResult>>;
 
-  struct Shard {
-    mutable Mutex mutex;
-    /// Point lookups only; every walk (forEach, eviction) goes through
-    /// `insertionOrder` below, so hash order never reaches a result.
-    Map map HCA_GUARDED_BY(mutex);
-    /// The map's entries in insertion order — oldest first, the eviction
-    /// order. Map nodes never move, so this holds each key once.
-    std::deque<Map::value_type*> insertionOrder HCA_GUARDED_BY(mutex);
-    std::int64_t hits HCA_GUARDED_BY(mutex) = 0;
-    std::int64_t misses HCA_GUARDED_BY(mutex) = 0;
-    std::int64_t evictions HCA_GUARDED_BY(mutex) = 0;
-    std::int64_t bytes HCA_GUARDED_BY(mutex) = 0;
-  };
-
-  [[nodiscard]] Shard& shardOf(const std::string& key) const;
-  /// Erases the shard's oldest entry.
-  static void evictOldest(Shard& shard) HCA_REQUIRES(shard.mutex);
-
-  const std::int64_t maxBytesPerShard_;
-  mutable std::vector<Shard> shards_;
+  const std::int64_t maxBytes_;
+  /// Point lookups only; eviction walks `insertionOrder_` below, so hash
+  /// order never reaches a result.
+  Map map_;
+  /// The map's entries in insertion order — oldest first, the eviction
+  /// order. Map nodes never move, so this holds each key once.
+  std::deque<Map::value_type*> insertionOrder_;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
+  std::int64_t evictions_ = 0;
+  std::int64_t bytes_ = 0;
 };
 
 }  // namespace hca::core

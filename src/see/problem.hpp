@@ -156,8 +156,8 @@ enum class CounterMerge {
   kWinner,  ///< a property of the winning attempt: merging leaves it alone
 };
 
-/// Whether a serialized snapshot (SEE result, checkpointed attempt) must
-/// carry a counter. Counters added after the first checkpoint schema are
+/// Whether a serialized record (a checkpointed attempt; a SEE result in the
+/// tests' reference JSON) must carry a counter. Counters added after the first checkpoint schema are
 /// optional: a missing key reads as 0, so older files still load.
 enum class CounterField { kRequired, kOptional };
 
@@ -169,7 +169,7 @@ constexpr void mergeCounter(CounterMerge op, T& into, T from) {
 
 // The counter table (DESIGN.md section 4l): one row per search counter, in
 // declaration order, which is also the key order of every JSON object the
-// rows feed. Both merges, both serializers, the SeeStats -> HcaStats fold,
+// rows feed. Both merges, the serializers, the SeeStats -> HcaStats fold,
 // the per-level metrics and the run report's counters are generated from
 // it, so adding a counter means declaring its field and appending a row.
 //

@@ -5,7 +5,6 @@
 #include <new>
 
 #include "see/solution_ops.hpp"
-#include "support/check.hpp"
 
 namespace hca::see {
 
@@ -140,7 +139,8 @@ FlatSolution::Shape FlatSolution::shape() const {
   return shape;
 }
 
-FlatSolution::Shape FlatSolution::shapeOf(const SnapshotRows& rows) {
+FlatSolution* FlatSolution::fromRows(const SnapshotRows& rows,
+                                     MonotonicArena& arena) {
   Shape shape;
   shape.numWs = static_cast<std::int32_t>(rows.nodeCluster.size());
   shape.numRelays = static_cast<std::int32_t>(rows.relayCluster.size());
@@ -153,14 +153,11 @@ FlatSolution::Shape FlatSolution::shapeOf(const SnapshotRows& rows) {
   for (const auto& values : rows.flow) {
     shape.flowTotal += static_cast<std::int32_t>(values.size());
   }
-  return shape;
-}
-
-void FlatSolution::fillFrom(const SnapshotRows& rows) {
-  copyInto(nodeCluster_, rows.nodeCluster);
-  copyInto(relayCluster_, rows.relayCluster);
-  copyInto(usage_, rows.usage);
-  copyInto(inNbrMask_, rows.inNbrMask);
+  FlatSolution* flat = create(shape, arena);
+  copyInto(flat->nodeCluster_, rows.nodeCluster);
+  copyInto(flat->relayCluster_, rows.relayCluster);
+  copyInto(flat->usage_, rows.usage);
+  copyInto(flat->inNbrMask_, rows.inNbrMask);
   const auto fillCsr = [](const std::vector<std::vector<ValueId>>& lists,
                           std::int32_t* off, ValueId* vals,
                           std::int32_t* counts) {
@@ -176,11 +173,13 @@ void FlatSolution::fillFrom(const SnapshotRows& rows) {
     off[lists.size()] = at;
     return at;
   };
-  fillCsr(rows.inValues, inOff_, inVals_, inCount_);
-  fillCsr(rows.outValues, outOff_, outVals_, outCount_);
-  totalCopies_ = fillCsr(rows.flow, flowOff_, flowVals_, nullptr);
-  assigned_ = rows.assigned;
-  objective_ = rows.objective;
+  fillCsr(rows.inValues, flat->inOff_, flat->inVals_, flat->inCount_);
+  fillCsr(rows.outValues, flat->outOff_, flat->outVals_, flat->outCount_);
+  flat->totalCopies_ =
+      fillCsr(rows.flow, flat->flowOff_, flat->flowVals_, nullptr);
+  flat->assigned_ = rows.assigned;
+  flat->objective_ = rows.objective;
+  return flat;
 }
 
 FlatSolution* FlatSolution::initial(const PreparedProblem& prepared,
@@ -205,9 +204,8 @@ FlatSolution* FlatSolution::initial(const PreparedProblem& prepared,
       }
     }
   }
-  FlatSolution* flat = create(shapeOf(rows), arena);
+  FlatSolution* flat = fromRows(rows, arena);
   flat->wsIndexOf_ = prepared.wsIndexTable();
-  flat->fillFrom(rows);
   return flat;
 }
 
@@ -249,28 +247,6 @@ const FlatSolution* FlatSolution::fromDelta(DeltaSolution& delta,
   flat->assigned_ = delta.assigned_;
   flat->objective_ = delta.objective_;
   return flat;
-}
-
-SnapshotRows FlatSolution::rows() const {
-  const auto csrRows = [](std::int32_t n, const std::int32_t* off,
-                          const ValueId* vals) {
-    std::vector<std::vector<ValueId>> lists;
-    for (std::int32_t i = 0; i < n; ++i) {
-      lists.emplace_back(vals + off[i], vals + off[i + 1]);
-    }
-    return lists;
-  };
-  SnapshotRows rows;
-  rows.nodeCluster.assign(nodeCluster_, nodeCluster_ + numWs_);
-  rows.relayCluster.assign(relayCluster_, relayCluster_ + numRelays_);
-  rows.usage.assign(usage_, usage_ + numPg_);
-  rows.inNbrMask.assign(inNbrMask_, inNbrMask_ + numPg_);
-  rows.inValues = csrRows(numPg_, inOff_, inVals_);
-  rows.outValues = csrRows(numPg_, outOff_, outVals_);
-  rows.flow = csrRows(numArcs_, flowOff_, flowVals_);
-  rows.assigned = assigned_;
-  rows.objective = objective_;
-  return rows;
 }
 
 machine::CopyFlow FlatSolution::copyFlow() const {
@@ -322,16 +298,6 @@ FrontierSnapshot::FrontierSnapshot(const FlatSolution& state) {
   state_.totalCopies_ = state.totalCopies_;
   state_.assigned_ = state.assigned_;
   state_.objective_ = state.objective_;
-}
-
-FrontierSnapshot::FrontierSnapshot(const SnapshotRows& rows) {
-  const std::size_t nodes = rows.usage.size();
-  HCA_REQUIRE(rows.inNbrMask.size() == nodes &&
-                  rows.inValues.size() == nodes &&
-                  rows.outValues.size() == nodes,
-              "SEE snapshot: per-cluster vectors disagree on node count");
-  allocate(FlatSolution::shapeOf(rows));
-  state_.fillFrom(rows);
 }
 
 void FrontierSnapshot::allocate(const FlatSolution::Shape& shape) {

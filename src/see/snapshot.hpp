@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "machine/pattern_graph.hpp"
@@ -34,8 +35,8 @@
 /// (`PreparedProblem::wsIndex`), not by DDG node id: a sub-problem's WS is
 /// a small slice of the DDG (about 13 of h264deblocking's 225 nodes at a
 /// leaf), so rebasing, snapshotting and hashing a state cost O(|WS|).
-/// Readers outside the search (the driver, flat ICA, the checkpoint
-/// serializer) read a snapshot by working-set position and by row.
+/// Readers outside the search (the driver, flat ICA) read a snapshot by
+/// working-set position.
 ///
 /// Exactness (the contract the identity tests hold against the deep-copy
 /// reference search in tests/support): both representations run the
@@ -53,9 +54,8 @@ namespace hca::see {
 
 class DeltaSolution;
 
-/// One search state as plain rows: the form the checkpoint stores, read
-/// out of a snapshot by `FlatSolution::rows` and turned back into one by
-/// `FrontierSnapshot`'s row constructor.
+/// One search state as plain rows, turned into a snapshot by
+/// `FlatSolution::fromRows`.
 struct SnapshotRows {
   std::vector<ClusterId> nodeCluster;   ///< per working-set position
   std::vector<ClusterId> relayCluster;  ///< per relay value
@@ -79,6 +79,11 @@ class FlatSolution {
   /// 0 until the engine scores it (setObjective).
   static FlatSolution* initial(const PreparedProblem& prepared,
                                MonotonicArena& arena);
+  /// The state `rows` describe in `arena`, without critical-path terms or
+  /// a working-set index table (read it by position). Every per-PG-node row
+  /// must have one entry per PG node.
+  static FlatSolution* fromRows(const SnapshotRows& rows,
+                                MonotonicArena& arena);
   /// Flattens parent + delta into a new snapshot in `arena` (which must
   /// not be the arena holding the delta's parent mid-reset). Sorts the
   /// delta's critical-path additions in place; the objective has usually
@@ -98,6 +103,8 @@ class FlatSolution {
   [[nodiscard]] ClusterId relayCluster(std::size_t relayIndex) const {
     return relayCluster_[relayIndex];
   }
+  [[nodiscard]] std::int32_t numRelays() const { return numRelays_; }
+  [[nodiscard]] std::int32_t numPgNodes() const { return numPg_; }
   [[nodiscard]] const machine::ResourceUsage& usage(ClusterId c) const {
     return usage_[c.index()];
   }
@@ -106,6 +113,13 @@ class FlatSolution {
   }
   [[nodiscard]] int distinctValuesOut(ClusterId c) const {
     return outCount_[c.index()];
+  }
+  /// The distinct values entering (leaving) `c`, in list order.
+  [[nodiscard]] std::span<const ValueId> valuesIn(ClusterId c) const {
+    return {inVals_ + inOff_[c.index()], inVals_ + inOff_[c.index() + 1]};
+  }
+  [[nodiscard]] std::span<const ValueId> valuesOut(ClusterId c) const {
+    return {outVals_ + outOff_[c.index()], outVals_ + outOff_[c.index() + 1]};
   }
   [[nodiscard]] std::uint64_t inNbrMask(ClusterId c) const {
     return inNbrMask_[c.index()];
@@ -126,8 +140,6 @@ class FlatSolution {
   [[nodiscard]] int assignedCount() const { return assigned_; }
   [[nodiscard]] double objective() const { return objective_; }
   void setObjective(double value) { objective_ = value; }
-  /// Every field but the critical-path terms, lists in list order.
-  [[nodiscard]] SnapshotRows rows() const;
 
  private:
   friend class DeltaSolution;
@@ -149,8 +161,6 @@ class FlatSolution {
     std::int32_t critTotal = 0;
   };
   [[nodiscard]] Shape shape() const;
-  /// The shape of `rows`, without critical-path terms.
-  static Shape shapeOf(const SnapshotRows& rows);
 
   /// An uninitialized snapshot of the given shape in `arena`.
   static FlatSolution* create(const Shape& shape, MonotonicArena& arena);
@@ -158,9 +168,6 @@ class FlatSolution {
   /// one fixed order (the arena's byte accounting depends on it).
   template <typename Alloc>
   void allocateArrays(const Shape& shape, Alloc& alloc);
-  /// Fills every array but the critical-path terms from `rows`; the arrays
-  /// must have `shapeOf(rows)`.
-  void fillFrom(const SnapshotRows& rows);
 
   std::int32_t numWs_ = 0;
   std::int32_t numRelays_ = 0;
@@ -201,10 +208,6 @@ void buildParentScores(const PreparedProblem& prepared,
 class FrontierSnapshot {
  public:
   explicit FrontierSnapshot(const FlatSolution& state);
-  /// A state read from rows (a checkpoint, the reference search). Throws
-  /// InvalidArgumentError when the per-PG-node rows disagree on the node
-  /// count.
-  explicit FrontierSnapshot(const SnapshotRows& rows);
   FrontierSnapshot(const FrontierSnapshot& other)
       : FrontierSnapshot(other.state_) {}
   FrontierSnapshot& operator=(const FrontierSnapshot& other) {

@@ -87,7 +87,7 @@ class JsonField;
 
 /// The strict reading contract: what a read of a parsed document accepts.
 /// A reader carries the error prefix (`where`: "batch manifest", "history
-/// line 3", "SEE snapshot", ...); every accessor of the JsonFields it hands
+/// line 3", "checkpoint", ...); every accessor of the JsonFields it hands
 /// out throws InvalidArgumentError as "<where>: '<name>' must be …",
 /// "<where>: missing member '<name>'" or "<where>: unknown member
 /// '<name>'". Nothing is coerced: an ill-typed, non-integral or

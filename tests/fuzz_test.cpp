@@ -32,7 +32,6 @@
 #include "hca/driver.hpp"
 #include "hca/progress.hpp"
 #include "hca/report.hpp"
-#include "see/serialize.hpp"
 #include "support/check.hpp"
 #include "support/context.hpp"
 #include "support/history.hpp"
@@ -154,7 +153,6 @@ const SampleRun& sampleRun() {
     const ddg::Kernel kernel = ddg::table1Kernels().front();
     out.result = core::HcaDriver(machine::DspFabricModel(config), options)
                      .run(kernel.ddg);
-    manager.flush();
     out.checkpoint = core::parseCheckpoint(readFile(path));
     removeFileIfExists(path);
     out.meta.workload = kernel.name;
@@ -165,30 +163,11 @@ const SampleRun& sampleRun() {
   return run;
 }
 
-/// The sample checkpoint cut down to its first attempt and the smallest
-/// legal and illegal cache entries of its first scope.
+/// The sample checkpoint cut down to its first attempt.
 CheckpointData smallCheckpoint() {
-  const CheckpointData& full = sampleRun().checkpoint;
-  EXPECT_FALSE(full.attempts.empty());
-  EXPECT_FALSE(full.cacheByScope.empty());
-  CheckpointData small;
-  small.fingerprint = full.fingerprint;
-  small.iniMii = full.iniMii;
-  small.attempts.push_back(full.attempts.front());
-  const auto& [scope, entries] = *full.cacheByScope.begin();
-  for (const bool legal : {true, false}) {
-    const std::pair<std::string, see::SeeResult>* smallest = nullptr;
-    for (const auto& entry : entries) {
-      if (entry.second.legal != legal) continue;
-      if (smallest == nullptr ||
-          entry.second.bytes() < smallest->second.bytes()) {
-        smallest = &entry;
-      }
-    }
-    if (smallest != nullptr) small.cacheByScope[scope].push_back(*smallest);
-  }
-  EXPECT_EQ(small.cacheByScope.begin()->second.size(), 2u)
-      << "the sample run cached no legal or no illegal result";
+  CheckpointData small = sampleRun().checkpoint;
+  EXPECT_FALSE(small.attempts.empty());
+  small.attempts.resize(1);
   return small;
 }
 
@@ -197,7 +176,7 @@ std::string framed(const std::string& payload) {
   char checksum[17];
   std::snprintf(checksum, sizeof(checksum), "%016" PRIx64,
                 core::fnv1a64(payload));
-  return strCat("HCACHK 1 ", checksum, " ", payload.size(), "\n", payload);
+  return strCat("HCACHK 2 ", checksum, " ", payload.size(), "\n", payload);
 }
 
 TEST(KindConfusionSweep, Checkpoint) {
@@ -213,17 +192,6 @@ TEST(KindConfusionSweep, Checkpoint) {
       ADD_FAILURE() << "not a CheckpointError: " << e.what();
     }
   });
-}
-
-TEST(KindConfusionSweep, SeeResult) {
-  const CheckpointData small = smallCheckpoint();
-  for (const auto& [key, result] : small.cacheByScope.begin()->second) {
-    std::ostringstream os;
-    JsonWriter json(os);
-    see::writeSeeResult(json, result);
-    sweep(parsed(os.str()),
-          [](const JsonValue& doc) { (void)see::parseSeeResult(doc); });
-  }
 }
 
 TEST(KindConfusionSweep, BatchManifest) {

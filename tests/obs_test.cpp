@@ -305,58 +305,64 @@ TEST(MetricsTest, PrintTableListsEveryName) {
   EXPECT_NE(os.str().find("beta"), std::string::npos);
 }
 
-// --- sub-problem cache shard stats ------------------------------------------
+// --- sub-problem cache counters ----------------------------------------------
 
 TEST(CacheStatsTest, CountsHitsMissesPerShard) {
-  core::SubproblemCache cache(/*numShards=*/1);
+  core::SubproblemCache cache;
   see::SeeResult result;
   result.legal = true;
   EXPECT_EQ(cache.lookup("k1"), nullptr);
   cache.insert("k1", result);
   EXPECT_NE(cache.lookup("k1"), nullptr);
   EXPECT_NE(cache.lookup("k1"), nullptr);
-  const auto stats = cache.shardStats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].hits, 2);
-  EXPECT_EQ(stats[0].misses, 1);
-  EXPECT_EQ(stats[0].evictions, 0);
-  EXPECT_EQ(stats[0].entries, 1);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.entries(), 1);
 }
 
 TEST(CacheStatsTest, BoundedCacheEvictsOldestFirst) {
   see::SeeResult result;
   // A byte ceiling with room for exactly two entries of equal size.
   core::SubproblemCache cache(
-      /*numShards=*/1,
-      /*maxBytesPerShard=*/2 * core::SubproblemCache::entryBytes("a", result));
+      /*maxBytes=*/2 * core::SubproblemCache::entryBytes("a", result));
   cache.insert("a", result);
   cache.insert("b", result);
   cache.insert("c", result);  // evicts "a"
   EXPECT_EQ(cache.lookup("a"), nullptr);
   EXPECT_NE(cache.lookup("b"), nullptr);
   EXPECT_NE(cache.lookup("c"), nullptr);
-  const auto stats = cache.shardStats();
-  EXPECT_EQ(stats[0].evictions, 1);
-  EXPECT_EQ(stats[0].entries, 2);
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_EQ(cache.entries(), 2);
 }
 
 TEST(CacheStatsTest, DroppedEntriesFreeTheirBytesAndKeepTheCounters) {
-  core::SubproblemCache cache(/*numShards=*/1);
+  // The driver frees an attempt's cache when the attempt returns, after
+  // adding its counters to the attempt's metrics. An entry a solve frame
+  // still holds outlives both an eviction and the cache itself.
   see::SeeResult result;
   result.failureReason = "no candidates";
-  cache.insert("k1", result);
-  EXPECT_NE(cache.lookup("k1"), nullptr);
-  EXPECT_EQ(cache.lookup("k2"), nullptr);
-  EXPECT_EQ(cache.bytesUsed(),
-            core::SubproblemCache::entryBytes("k1", result));
-  cache.dropEntries();
-  EXPECT_EQ(cache.entries(), 0);
-  EXPECT_EQ(cache.bytesUsed(), 0);
-  const auto stats = cache.shardStats();
-  EXPECT_EQ(stats[0].hits, 1);
-  EXPECT_EQ(stats[0].misses, 1);
-  EXPECT_EQ(stats[0].evictions, 0);
-  EXPECT_EQ(cache.lookup("k1"), nullptr);
+  std::shared_ptr<const see::SeeResult> held;
+  {
+    core::SubproblemCache cache(
+        /*maxBytes=*/core::SubproblemCache::entryBytes("k1", result));
+    held = cache.insert("k1", result);
+    EXPECT_NE(cache.lookup("k1"), nullptr);
+    EXPECT_EQ(cache.lookup("k2"), nullptr);
+    EXPECT_EQ(cache.bytesUsed(),
+              core::SubproblemCache::entryBytes("k1", result));
+    EXPECT_EQ(held.use_count(), 2);
+    cache.insert("k2", result);  // evicts "k1"
+    EXPECT_EQ(cache.lookup("k1"), nullptr);
+    EXPECT_EQ(cache.entries(), 1);
+    EXPECT_EQ(cache.bytesUsed(),
+              core::SubproblemCache::entryBytes("k2", result));
+    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.misses(), 2);
+    EXPECT_EQ(cache.evictions(), 1);
+  }
+  ASSERT_EQ(held.use_count(), 1);
+  EXPECT_EQ(held->failureReason, "no candidates");
 }
 
 // --- driver integration -----------------------------------------------------
@@ -481,18 +487,18 @@ TEST(DriverTraceTest, UntracedRunCollectsMetricsOnly) {
   }
   EXPECT_EQ(hits, result.stats.cacheHits);
   EXPECT_EQ(misses, result.stats.cacheMisses);
-  const Histogram* bytes = result.metrics.findHistogram("cache.shard_bytes");
+  // One resident-bytes sample per attempt, taken as its cache is freed.
+  const Histogram* bytes = result.metrics.findHistogram("cache.bytes");
   ASSERT_NE(bytes, nullptr);
-  EXPECT_EQ(bytes->stats().count(),
-            result.metrics.counterValue("cache.shards"));
+  EXPECT_EQ(bytes->stats().count(), result.stats.outerAttempts);
   EXPECT_GT(bytes->stats().sum(), 0.0);
 }
 
 TEST(DriverTraceTest, DroppedLadderCacheStillReportsItsEntries) {
   // Under a tight beam budget fir2dim falls back to the degraded-bandwidth
-  // rung, before which the root ladder frees its cache entries. The
-  // cache.* metrics must still count them: without evictions every miss
-  // inserted one entry, in either ladder.
+  // rung. Every attempt of either ladder frees its cache when it returns;
+  // the cache.* metrics must still count the entries it held: without
+  // evictions every miss inserted one entry.
   const auto kernels = ddg::table1Kernels();
   machine::DspFabricConfig config;
   config.n = config.m = config.k = 8;
@@ -508,7 +514,41 @@ TEST(DriverTraceTest, DroppedLadderCacheStillReportsItsEntries) {
             result.metrics.counterValue("cache.misses"));
   EXPECT_EQ(result.metrics.counterValue("cache.misses"),
             result.stats.cacheMisses);
-  EXPECT_EQ(result.metrics.counterValue("cache.shards"), 32);
+  EXPECT_EQ(result.metrics.counterValue("cache.evictions"), 0);
+  const Histogram* bytes = result.metrics.findHistogram("cache.bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->stats().count(), result.stats.outerAttempts);
+}
+
+TEST(DriverTraceTest, AttemptCachesHarvestTheRunsCacheCounters) {
+  // Each attempt owns its cache and adds its counters to the run's metrics
+  // when it frees it. Summed over every attempt of either ladder (the
+  // degrade runs reach the nested degraded-bandwidth ladder), they are the
+  // run's cache counters, and without evictions every miss left one entry.
+  const auto kernels = ddg::table1Kernels();
+  machine::DspFabricConfig config;
+  config.n = config.m = config.k = 3;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}}) {
+    for (const auto policy :
+         {core::FailurePolicy::kStrict, core::FailurePolicy::kDegrade}) {
+      SCOPED_TRACE(strCat(kernels[k].name, policy == core::FailurePolicy::kStrict
+                                               ? " strict"
+                                               : " degrade"));
+      core::HcaOptions options;
+      options.failurePolicy = policy;
+      const core::HcaResult result =
+          core::HcaDriver(machine::DspFabricModel(config), options)
+              .run(kernels[k].ddg);
+      const auto counter = [&](const char* name) {
+        return result.metrics.counterValue(name);
+      };
+      EXPECT_GT(counter("cache.hits"), 0);
+      EXPECT_EQ(counter("cache.hits"), result.stats.cacheHits);
+      EXPECT_EQ(counter("cache.misses"), result.stats.cacheMisses);
+      EXPECT_EQ(counter("cache.entries"),
+                counter("cache.misses") - counter("cache.evictions"));
+    }
+  }
 }
 
 TEST(ReportTest, RunReportJsonIsValidAndComplete) {

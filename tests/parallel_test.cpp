@@ -123,7 +123,7 @@ TEST(CancellationTokenTest, SeeUnwindsWhenCancelled) {
 // --- sub-problem cache -------------------------------------------------------
 
 TEST(SubproblemCacheTest, InsertLookupRoundTrip) {
-  SubproblemCache cache(4);
+  SubproblemCache cache;
   EXPECT_EQ(cache.lookup("absent"), nullptr);
 
   see::SeeResult result;

@@ -11,7 +11,6 @@
 #include "see/cost.hpp"
 #include "see/engine.hpp"
 #include "see/route_allocator.hpp"
-#include "see/serialize.hpp"
 #include "see/solution_ops.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -1515,7 +1514,7 @@ TEST(DeltaSearchTest, MatchesLegacyOnInterleavedChains) {
 }
 
 /// The whole result — winning solution, frontier alternatives, failure
-/// item and reason, every counter — as its checkpoint JSON. With
+/// item and reason, every counter — as the reference SEE-result JSON. With
 /// `dropCowCounters` the three counters only the delta path keeps
 /// (copiesAvoided, snapshotsMaterialized, arenaBytesPeak) are zeroed, so a
 /// reference and a delta result compare equal exactly when they are the same
@@ -1528,7 +1527,7 @@ std::string resultJson(SeeResult result, bool dropCowCounters) {
   }
   std::ostringstream os;
   JsonWriter json(os);
-  writeSeeResult(json, result);
+  writeReferenceSeeResult(json, result);
   return os.str();
 }
 
@@ -1711,12 +1710,12 @@ TEST(DeltaSearchTest, SuppliedHeightsMatchComputedHeights) {
 // --- frontier snapshots --------------------------------------------------------
 
 /// A result whose frontier is rebuilt from its own materialized states
-/// through FrontierSnapshot's row constructor.
+/// through FlatSolution::fromRows.
 SeeResult rebuiltFromPartials(const SeeResult& result) {
   SeeResult copy = result;
   copy.frontier.clear();
   for (std::size_t i = 0; i < result.frontier.size(); ++i) {
-    copy.frontier.emplace_back(materialize(result, i).rows(result.workingSet));
+    copy.frontier.push_back(materialize(result, i).snapshot(result.workingSet));
   }
   return copy;
 }
@@ -1889,110 +1888,6 @@ TEST(ReferenceSearchTest, EngineMatchesReferenceOnDifferentialCorpus) {
   }
   EXPECT_GT(legal, 0);
   EXPECT_GE(illegal, 2);
-}
-
-// --- checkpoint JSON ------------------------------------------------------------
-
-/// `result` through the reference writer (materialized PartialSolutions).
-std::string referenceJson(const SeeResult& result) {
-  std::ostringstream os;
-  JsonWriter json(os);
-  writeReferenceSeeResult(json, result);
-  return os.str();
-}
-
-SeeResult parsed(const std::string& text) {
-  JsonValue value;
-  std::string error;
-  HCA_CHECK(parseJson(text, &value, &error), error);
-  return parseSeeResult(value);
-}
-
-TEST(CheckpointWriterTest, SnapshotWriterMatchesReferenceWriter) {
-  const DifferentialCorpus corpus;
-  std::vector<SeeResult> results;
-  for (const auto& c : corpus.cases()) {
-    results.push_back(SpaceExplorationEngine(c.options).run(*c.problem));
-  }
-  results.emplace_back();  // no frontier at all
-  int legal = 0;
-  for (const SeeResult& result : results) {
-    const std::string json = resultJson(result, false);
-    EXPECT_EQ(json, referenceJson(result));
-    EXPECT_EQ(resultJson(parsed(json), false), json);
-    legal += result.legal ? 1 : 0;
-  }
-  EXPECT_GT(legal, 0);
-  EXPECT_LT(legal, static_cast<int>(results.size()) - 2);
-}
-
-/// `json` with every non-negative entry of its `member` id arrays replaced
-/// by `id`.
-std::string withClusterIds(const std::string& json, const std::string& member,
-                           const std::string& id) {
-  const std::string open = "\"" + member + "\":[";
-  std::string out;
-  std::size_t at = 0;
-  for (std::size_t hit = json.find(open); hit != std::string::npos;
-       hit = json.find(open, at)) {
-    const std::size_t begin = hit + open.size();
-    const std::size_t end = json.find(']', begin);
-    out += json.substr(at, begin - at);
-    std::istringstream list(json.substr(begin, end - begin));
-    std::string entry;
-    for (bool first = true; std::getline(list, entry, ','); first = false) {
-      if (!first) out += ',';
-      out += entry.front() == '-' ? entry : id;
-    }
-    at = end;
-  }
-  return out + json.substr(at);
-}
-
-TEST(CheckpointParseTest, ClusterIdOutsideThePatternGraphRejected) {
-  // A node or relay placed on a PG node the state does not have must be
-  // refused while parsing, not reach the driver as an assignment to a
-  // non-cluster node. 8 clusters: ids 0..7 exist.
-  const auto kernel = ddg::buildFir2Dim();
-  const auto pg = smallPg(8);
-  const std::string nodes = resultJson(
-      SpaceExplorationEngine().run(baseProblem(kernel.ddg, pg)), false);
-  EXPECT_EQ(resultJson(parsed(withClusterIds(nodes, "nc", "7")), false),
-            withClusterIds(nodes, "nc", "7"));
-  for (const char* id : {"8", "99"}) {
-    EXPECT_THROW((void)parsed(withClusterIds(nodes, "nc", id)),
-                 InvalidArgumentError)
-        << id;
-  }
-  EXPECT_THROW((void)parsed(withClusterIds(nodes, "nc", "-2")),
-               InvalidArgumentError);
-
-  // RelayTest's pass-through: one relay on a 4-node PG (2 clusters, an
-  // input and an output).
-  DdgBuilder b;
-  const auto x = b.load(b.cst(0), 0, "x");
-  b.store(b.cst(1), x);
-  const auto ddg = b.finish();
-  const ValueId v(b.idOf(x).value());
-  auto relayPg = smallPg(2);
-  const auto in = relayPg.addInputNode({v}, "in");
-  const auto out = relayPg.addOutputNode("out");
-  relayPg.connectBoundaryNodes();
-  SeeProblem problem;
-  problem.ddg = &ddg;
-  problem.pg = &relayPg;
-  problem.relayValues = {v};
-  problem.valueSources[v] = in;
-  problem.outputRequirements.push_back({out, {v}});
-  const SeeResult relayed = SpaceExplorationEngine().run(problem);
-  ASSERT_TRUE(relayed.legal) << relayed.failureReason;
-  const std::string relays = resultJson(relayed, false);
-  EXPECT_NO_THROW((void)parsed(withClusterIds(relays, "rc", "3")));
-  for (const char* id : {"4", "99", "-2"}) {
-    EXPECT_THROW((void)parsed(withClusterIds(relays, "rc", id)),
-                 InvalidArgumentError)
-        << id;
-  }
 }
 
 }  // namespace

@@ -114,25 +114,32 @@ std::uint64_t PartialSolution::signature() const {
 PartialSolution PartialSolution::fromSnapshot(
     const FlatSolution& state, const std::vector<DdgNodeId>& workingSet,
     std::int32_t ddgNodes) {
-  SnapshotRows rows = state.rows();
   PartialSolution out;
   out.nodeCluster_.assign(static_cast<std::size_t>(ddgNodes),
                           ClusterId::invalid());
-  for (std::size_t i = 0; i < rows.nodeCluster.size(); ++i) {
-    out.nodeCluster_[workingSet[i].index()] = rows.nodeCluster[i];
+  for (std::size_t i = 0; i < workingSet.size(); ++i) {
+    out.nodeCluster_[workingSet[i].index()] = state.clusterAt(i);
   }
-  out.relayCluster_ = std::move(rows.relayCluster);
-  out.usage_ = std::move(rows.usage);
-  out.inNbrMask_ = std::move(rows.inNbrMask);
-  out.inValues_ = std::move(rows.inValues);
-  out.outValues_ = std::move(rows.outValues);
+  for (std::int32_t r = 0; r < state.numRelays(); ++r) {
+    out.relayCluster_.push_back(
+        state.relayCluster(static_cast<std::size_t>(r)));
+  }
+  for (std::int32_t p = 0; p < state.numPgNodes(); ++p) {
+    const ClusterId c(p);
+    out.usage_.push_back(state.usage(c));
+    out.inNbrMask_.push_back(state.inNbrMask(c));
+    const auto in = state.valuesIn(c);
+    const auto sent = state.valuesOut(c);
+    out.inValues_.emplace_back(in.begin(), in.end());
+    out.outValues_.emplace_back(sent.begin(), sent.end());
+  }
   out.flow_ = state.copyFlow();
-  out.assigned_ = rows.assigned;
-  out.objective_ = rows.objective;
+  out.assigned_ = state.assignedCount();
+  out.objective_ = state.objective();
   return out;
 }
 
-SnapshotRows PartialSolution::rows(
+FrontierSnapshot PartialSolution::snapshot(
     const std::vector<DdgNodeId>& workingSet) const {
   SnapshotRows rows;
   for (const DdgNodeId n : workingSet) rows.nodeCluster.push_back(clusterOf(n));
@@ -147,7 +154,8 @@ SnapshotRows PartialSolution::rows(
   }
   rows.assigned = assigned_;
   rows.objective = objective_;
-  return rows;
+  MonotonicArena arena;
+  return FrontierSnapshot(*FlatSolution::fromRows(rows, arena));
 }
 
 void PartialSolution::writeJson(JsonWriter& json) const {

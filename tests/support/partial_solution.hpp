@@ -37,13 +37,12 @@ class PartialSolution {
                                       const std::vector<DdgNodeId>& workingSet,
                                       std::int32_t ddgNodes);
 
-  /// The rows of this state over `workingSet` (FrontierSnapshot's row
-  /// constructor turns them into a snapshot).
-  [[nodiscard]] SnapshotRows rows(
+  /// This state over `workingSet` as a frontier snapshot, built from its
+  /// rows by FlatSolution::fromRows.
+  [[nodiscard]] FrontierSnapshot snapshot(
       const std::vector<DdgNodeId>& workingSet) const;
-  /// The state as the checkpoint stored it before snapshots had a writer
-  /// of their own: the reference for writeSeeResult's "solution" and
-  /// "alternatives" entries.
+  /// The state as the checkpoint once stored it: the "solution" and
+  /// "alternatives" entries of writeReferenceSeeResult.
   void writeJson(JsonWriter& json) const;
 
   /// The paper's isAssignable interface: cluster kind, resource

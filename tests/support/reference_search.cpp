@@ -80,7 +80,7 @@ SeeResult searchOnce(const PreparedProblem& prepared,
     result.legal = false;
     result.failedItem = group.members.front();
     result.failureReason = std::move(reason);
-    result.frontier.emplace_back(frontier.front().rows(result.workingSet));
+    result.frontier.push_back(frontier.front().snapshot(result.workingSet));
     finishStats();
     return std::move(result);
   };
@@ -227,7 +227,7 @@ SeeResult searchOnce(const PreparedProblem& prepared,
   result.legal = true;
   result.frontier.reserve(frontier.size());
   for (const PartialSolution& state : frontier) {
-    result.frontier.emplace_back(state.rows(result.workingSet));
+    result.frontier.push_back(state.snapshot(result.workingSet));
   }
   finishStats();
   return result;

@@ -19,7 +19,7 @@
 namespace hca::see {
 
 /// Runs the reference search. Its result converts every final state to a
-/// snapshot through FrontierSnapshot's row constructor, so it compares
+/// snapshot through FlatSolution::fromRows, so it compares
 /// directly with the engine's: equal up to the three counters only the
 /// engine keeps (copiesAvoided, snapshotsMaterialized, arenaBytesPeak),
 /// which read 0 here.
@@ -30,8 +30,9 @@ namespace hca::see {
 [[nodiscard]] PartialSolution materialize(const SeeResult& result,
                                           std::size_t i = 0);
 
-/// `result` in the checkpoint's SEE-result JSON, written from materialized
-/// PartialSolutions: the reference for see::writeSeeResult.
+/// `result` in the SEE-result JSON the checkpoint once stored, written from
+/// materialized PartialSolutions: the text the SEE and delta-identity
+/// suites digest.
 void writeReferenceSeeResult(JsonWriter& json, const SeeResult& result);
 
 /// FNV-1a 64 of `text`: the digest the SEE and delta-identity suites pin.

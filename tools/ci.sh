@@ -32,7 +32,8 @@
 #                 assertion, or sanitizer abort inside the benchmarked
 #                 paths, never on timing. It also runs the memory tripwire:
 #                 a Release `hcac --kernel h264deblocking` must peak under
-#                 100 MB of RSS (tools/peak_rss.py)
+#                 25 MB of RSS, with and without --checkpoint-out
+#                 (tools/peak_rss.py)
 #   4a. perfbench — the benchmark's helper unit tests, then short
 #                 table1-direct and flat-ica runs of perfbench/run.py as
 #                 smokes (flat-ica puts the 64-cluster route BFS under its
@@ -116,10 +117,16 @@ cmake --build "${root}/build-perf" -j "${jobs}" --target bench_micro hcac
 (cd "${root}/build-perf/bench" &&
   ./bench_micro --strict-build \
     --benchmark_min_time=0.01 --benchmark_repetitions=1)
-# Memory tripwire: h264deblocking's peak RSS must stay under 100 MB (the
-# trimmed, compact sub-problem cache keeps it near 30 MB).
-python3 "${root}/tools/peak_rss.py" --max-mb 100 -- \
+# Memory tripwire: h264deblocking's peak RSS must stay under 25 MB, also
+# when checkpointing (each attempt frees its own sub-problem cache, and a
+# checkpoint holds attempt records only; the run peaks near 14 MB).
+python3 "${root}/tools/peak_rss.py" --max-mb 25 -- \
   "${root}/build-perf/tools/hcac" --kernel h264deblocking
+perf_ckpt="$(mktemp)"
+python3 "${root}/tools/peak_rss.py" --max-mb 25 -- \
+  "${root}/build-perf/tools/hcac" --kernel h264deblocking \
+  --checkpoint-out "${perf_ckpt}"
+rm -f "${perf_ckpt}"
 echo "ci: perf smoke passed (timings informational; BENCH_micro.json written)"
 
 echo "=== ci: perfbench (helper tests + table1-direct and flat-ica smokes) ==="
@@ -169,6 +176,12 @@ for delay in 2 5 10 30; do
   [[ -s "${work}/resume.ckpt" ]] && break
 done
 [[ -s "${work}/resume.ckpt" ]] || { echo "ci: no checkpoint written"; exit 1; }
+# A checkpoint holds attempt records only: a few KB, never megabytes.
+ckpt_bytes="$(stat -c %s "${work}/resume.ckpt")"
+if (( ckpt_bytes > 1048576 )); then
+  echo "ci: checkpoint is ${ckpt_bytes} bytes, over the 1 MB bound"
+  exit 1
+fi
 "${hcac}" --kernel h264deblocking --n 3 --m 3 --k 3 \
   --checkpoint-out "${work}/resume.ckpt" --resume \
   --report-out "${work}/resumed.json" >"${work}/resumed.log" 2>&1

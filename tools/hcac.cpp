@@ -90,11 +90,10 @@ void usage() {
       "  --report-out PATH    write the structured run report as JSON\n"
       "  --stats              print the metrics registry after the run\n"
       "  --checkpoint-out PATH  crash-safe checkpoint file: the outer sweep\n"
-      "                       records every completed failed attempt (plus\n"
-      "                       the sub-problem cache) so an interrupted run\n"
-      "                       can be resumed without repeating work\n"
-      "  --checkpoint-every-ms INT  throttle checkpoint writes to at most\n"
-      "                       one per interval (default 0 = every attempt)\n"
+      "                       rewrites it after every completed failed\n"
+      "                       attempt (its reason, site and counters) so an\n"
+      "                       interrupted run can be resumed without\n"
+      "                       repeating work\n"
       "  --resume             resume from --checkpoint-out; a missing file\n"
       "                       starts fresh, a corrupt or foreign one is\n"
       "                       invalid input (exit 2). The resumed run's\n"
@@ -252,7 +251,6 @@ int runTool(int argc, char** argv) {
   bool verifyEach = false;
   std::vector<std::string> verifyChecks;
   std::string checkpointOut;
-  int checkpointEveryMs = 0;
   bool resume = false;
   int memoryBudgetMb = 0;
   std::string batchManifest;
@@ -314,8 +312,6 @@ int runTool(int argc, char** argv) {
     else if (arg == "--report-out") reportOut = value();
     else if (arg == "--stats") printStats = true;
     else if (arg == "--checkpoint-out") checkpointOut = value();
-    else if (arg == "--checkpoint-every-ms")
-      checkpointEveryMs = parseIntFlag(arg, value());
     else if (arg == "--resume") resume = true;
     else if (arg == "--memory-budget-mb")
       memoryBudgetMb = parseIntFlag(arg, value());
@@ -447,8 +443,7 @@ int runTool(int argc, char** argv) {
   hcaOptions.externalCancel = &shutdownToken();
   std::unique_ptr<core::CheckpointManager> checkpoint;
   if (!checkpointOut.empty()) {
-    checkpoint = std::make_unique<core::CheckpointManager>(checkpointOut,
-                                                           checkpointEveryMs);
+    checkpoint = std::make_unique<core::CheckpointManager>(checkpointOut);
     if (resume && checkpoint->loadForResume()) {
       // Corruption / wrong-run throws CheckpointError -> exit 2.
       std::printf("resuming from %s (%d recorded attempts)\n",
@@ -466,10 +461,8 @@ int runTool(int argc, char** argv) {
       // A finished run has nothing to resume into.
       removeFileIfExists(checkpoint->path());
     } else {
-      // Persist the final state past the write throttle, so `--resume`
-      // (after a signal, deadline or plain failure) skips all completed
-      // attempts.
-      checkpoint->flush();
+      // Every completed failed attempt is already on disk, so `--resume`
+      // (after a signal, deadline or plain failure) skips them all.
       std::printf("checkpoint written to %s (%d recorded attempts)\n",
                   checkpointOut.c_str(), checkpoint->attemptsRecorded());
     }
