@@ -3,8 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 
 #include "ddg/serialize.hpp"
 #include "hca/report.hpp"
@@ -170,6 +172,15 @@ CheckpointData parseCheckpoint(const std::string& text) {
       attempt.stats = parseStats(a.member("stats"));
       return attempt;
     });
+    // One record per attempt: a second record for the same attempt means
+    // the file was written by two runs sharing one manager.
+    std::set<std::pair<std::string, int>> seen;
+    for (const CheckpointAttempt& attempt : data.attempts) {
+      if (!seen.emplace(attempt.phase, attempt.index).second) {
+        reader.fail(strCat("attempt ", attempt.phase, " #", attempt.index,
+                           " is recorded twice"));
+      }
+    }
     return data;
   } catch (const InvalidArgumentError& e) {
     throw CheckpointError(CheckpointError::Kind::kBadPayload, e.what());
@@ -247,6 +258,8 @@ bool CheckpointManager::loadForResume() {
 
 void CheckpointManager::bindRun(const std::string& fingerprint, int iniMii) {
   MutexLock lock(mutex_);
+  // One run per manager: a second run would re-record the first's attempts.
+  HCA_CHECK(!bound_, "CheckpointManager::bindRun called twice");
   if (!restored_.empty()) {
     if (fingerprint_ != fingerprint) {
       fail(CheckpointError::Kind::kWrongRun,

@@ -108,7 +108,8 @@ struct CheckpointData {
 /// Serializes to header + payload (the exact bytes of the file).
 [[nodiscard]] std::string serializeCheckpoint(const CheckpointData& data);
 
-/// Strict inverse; throws CheckpointError on any corruption.
+/// Strict inverse; throws CheckpointError on any corruption, including two
+/// records of one (phase, index) attempt (kBadPayload).
 [[nodiscard]] CheckpointData parseCheckpoint(const std::string& text);
 
 /// The run identity fingerprint (see CheckpointData::fingerprint).
@@ -139,7 +140,8 @@ class CheckpointManager {
   /// Called by the driver once per run (runChecked) before the ladder
   /// starts. Verifies the restored state (if any) belongs to this exact
   /// run — throws CheckpointError(kWrongRun) otherwise — and arms the
-  /// manager for recording.
+  /// manager for recording. A manager serves one run: a second call
+  /// throws InternalError.
   void bindRun(const std::string& fingerprint, int iniMii);
 
   /// The restored attempt at (phase, index), or nullptr when that attempt

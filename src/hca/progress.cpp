@@ -24,7 +24,7 @@ std::string eventLineJson(const ProgressEvent& event, std::int64_t seq) {
   json.key("job").value(event.job);
   json.key("state").value(event.state);
   json.key("outcome").value(event.outcome);
-  json.key("try").value(event.tryNumber);
+  json.key("try").value(event.event == "job-state" ? 1 : 0);
   json.key("phase").value(event.phase);
   json.key("jobs_total").value(event.jobsTotal);
   json.key("jobs_done").value(event.jobsDone);
@@ -108,7 +108,8 @@ ProgressLine parseProgressLine(const std::string& line) {
   if (const auto f = root.find("job")) out.job = f->string();
   if (const auto f = root.find("state")) out.state = f->string();
   if (const auto f = root.find("outcome")) out.outcome = f->string();
-  if (const auto f = root.find("try")) out.tryNumber = f->int32();
+  // Checked, not kept: the writer's value is a literal (see the header).
+  if (const auto f = root.find("try")) (void)f->int32();
   if (const auto f = root.find("phase")) out.phase = f->string();
   if (const auto f = root.find("jobs_total")) out.jobsTotal = f->int32();
   if (const auto f = root.find("jobs_done")) out.jobsDone = f->int32();

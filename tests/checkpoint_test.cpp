@@ -33,6 +33,7 @@
 #include "support/check.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
+#include "support/str.hpp"
 #include "support/thread_pool.hpp"
 
 namespace hca {
@@ -239,6 +240,12 @@ TEST(CheckpointFormatTest, ChecksummedGarbagePayloadRejected) {
      << core::fnv1a64(payload) << std::dec << " " << payload.size() << "\n"
      << payload;
   EXPECT_EQ(parseKind(os.str()), CheckpointError::Kind::kBadPayload);
+
+  // Two records of one (phase, index) attempt are refused, not merged.
+  CheckpointData twice = sampleData();
+  twice.attempts.push_back(twice.attempts[0]);
+  EXPECT_EQ(parseKind(core::serializeCheckpoint(twice)),
+            CheckpointError::Kind::kBadPayload);
 }
 
 // --- format pins -------------------------------------------------------------
@@ -659,6 +666,14 @@ TEST(CheckpointManagerTest, MissingFileMeansFreshStart) {
   EXPECT_EQ(manager.attemptsRecorded(), 0);
 }
 
+TEST(CheckpointManagerTest, SecondBindRunIsAnInternalError) {
+  // A manager serves one run: a second would re-record the first's
+  // attempts into the same file.
+  CheckpointManager manager(tmpPath("bound_twice.ckpt"));
+  manager.bindRun("00c0ffee00c0ffee", 3);
+  EXPECT_THROW(manager.bindRun("00c0ffee00c0ffee", 3), InternalError);
+}
+
 TEST(CheckpointManagerTest, ResumeAgainstDifferentRunRejected) {
   const std::string path = tmpPath("wrong_run.ckpt");
   removeFileIfExists(path);
@@ -984,26 +999,20 @@ TEST(CacheTrimTest, CacheOnAndOffAgreeForEveryMaxAlternatives) {
 TEST(BatchManifestTest, ParsesFullSchema) {
   const auto jobs = core::parseManifest(R"({"jobs": [
     {"name": "a", "kernel": "fir2dim", "deadline_ms": 250,
-     "max_retries": 2, "backoff_base_ms": 5, "degrade_on_last_retry": false,
-     "fail_first_attempts": 1, "checkpoint": "a.ckpt",
-     "memory_budget_mb": 64, "threads": 2, "target_ii_slack": 3,
-     "faults": "cn:3"},
+     "checkpoint": "a.ckpt", "memory_budget_mb": 64, "threads": 2,
+     "target_ii_slack": 3, "faults": "cn:3"},
     {"name": "b", "ddg": "b.ddg"}
   ]})");
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].kernel, "fir2dim");
   EXPECT_EQ(jobs[0].deadlineMs, 250);
-  EXPECT_EQ(jobs[0].maxRetries, 2);
-  EXPECT_EQ(jobs[0].backoffBaseMs, 5);
-  EXPECT_FALSE(jobs[0].degradeOnLastRetry);
-  EXPECT_EQ(jobs[0].failFirstAttempts, 1);
   EXPECT_EQ(jobs[0].checkpointPath, "a.ckpt");
   EXPECT_EQ(jobs[0].memoryBudgetBytes, std::int64_t{64} * 1024 * 1024);
   EXPECT_EQ(jobs[0].threads, 2);
   EXPECT_EQ(jobs[0].targetIiSlack, 3);
   EXPECT_EQ(jobs[0].faults, "cn:3");
   EXPECT_EQ(jobs[1].ddgPath, "b.ddg");
-  EXPECT_TRUE(jobs[1].degradeOnLastRetry);  // default
+  EXPECT_EQ(jobs[1].deadlineMs, 0);  // default
 }
 
 TEST(BatchManifestTest, RejectsMalformedManifests) {
@@ -1037,8 +1046,18 @@ TEST(BatchManifestTest, RejectsMalformedManifests) {
   // negative budget
   EXPECT_THROW(
       core::parseManifest(
-          R"({"jobs": [{"name": "a", "kernel": "x", "max_retries": -1}]})"),
+          R"({"jobs": [{"name": "a", "kernel": "x", "deadline_ms": -1}]})"),
       InvalidArgumentError);
+  // retired retry members: a job is one compile
+  for (const char* member : {R"("max_retries": 2)", R"("backoff_base_ms": 5)",
+                             R"("degrade_on_last_retry": false)",
+                             R"("fail_first_attempts": 1)"}) {
+    EXPECT_THROW(core::parseManifest(strCat(
+                     R"({"jobs": [{"name": "a", "kernel": "fir2dim", )",
+                     member, "}]}")),
+                 InvalidArgumentError)
+        << member;
+  }
   // unknown root member: a misspelled second list is not silently dropped
   try {
     (void)core::parseManifest(
@@ -1053,45 +1072,25 @@ TEST(BatchManifestTest, RejectsMalformedManifests) {
   }
 }
 
-TEST(BatchBackoffTest, DeterministicExponentialWithJitterAndCap) {
-  const std::int64_t first = core::backoffDelayMs("job", 2, 100);
-  const std::int64_t second = core::backoffDelayMs("job", 3, 100);
-  EXPECT_EQ(first, core::backoffDelayMs("job", 2, 100));  // deterministic
-  EXPECT_GE(first, 100);
-  EXPECT_LT(first, 200);  // base + jitter in [0, base)
-  EXPECT_GE(second, 200);
-  EXPECT_LT(second, 300);
-  // Different jobs de-synchronize.
-  EXPECT_NE(core::backoffDelayMs("job-a", 2, 1000),
-            core::backoffDelayMs("job-b", 2, 1000));
-  // The exponential is capped at 30s (plus jitter below base).
-  EXPECT_LE(core::backoffDelayMs("job", 40, 10'000), 40'000);
-}
-
 TEST(BatchDriverTest, IsolationRetriesAndSummary) {
+  // Under a 60-step SEE budget idcthor fails even through the kDegrade
+  // ladder while fir2dim still maps.
   core::BatchJob ok;
   ok.name = "ok";
   ok.kernel = "fir2dim";
   core::BatchJob doomed;
   doomed.name = "doomed";
-  doomed.kernel = "fir2dim";
-  doomed.maxRetries = 2;
-  doomed.failFirstAttempts = 3;  // every try fails by injection
-  doomed.degradeOnLastRetry = false;
-  doomed.backoffBaseMs = 1;
+  doomed.kernel = "idcthor";
   core::BatchJob invalid;
   invalid.name = "invalid";
   invalid.kernel = "no-such-kernel";
-  invalid.maxRetries = 5;  // must NOT be retried: invalid is permanent
 
   core::BatchOptions options;
-  std::vector<std::int64_t> delays;
-  options.sleeper = [&delays](std::int64_t ms) { delays.push_back(ms); };
+  options.base.see.maxBeamSteps = 60;
   std::vector<std::string> events;
-  options.observer = [&events](const core::BatchJob& job, int tryNumber,
+  options.observer = [&events](const core::BatchJob& job,
                                const std::string& event) {
-    events.push_back(job.name + "/" + std::to_string(tryNumber) + "/" +
-                     event);
+    events.push_back(job.name + "/" + event);
   };
 
   const core::BatchSummary summary =
@@ -1103,34 +1102,39 @@ TEST(BatchDriverTest, IsolationRetriesAndSummary) {
   EXPECT_EQ(summary.cancelled, 0);
   ASSERT_EQ(summary.jobs.size(), 3u);
   EXPECT_EQ(summary.jobs[0].status, core::BatchJobStatus::kOk);
-  EXPECT_EQ(summary.jobs[0].triesUsed, 1);
   EXPECT_EQ(summary.jobs[1].status, core::BatchJobStatus::kFailed);
-  EXPECT_EQ(summary.jobs[1].triesUsed, 3);
+  EXPECT_FALSE(summary.jobs[1].failureReason.empty());
   EXPECT_EQ(summary.jobs[2].status, core::BatchJobStatus::kInvalid);
-  // Backoff before tries 2 and 3, with the documented deterministic delays.
-  ASSERT_EQ(delays.size(), 2u);
-  EXPECT_EQ(delays[0], core::backoffDelayMs("doomed", 2, 1));
-  EXPECT_EQ(delays[1], core::backoffDelayMs("doomed", 3, 1));
-  // The invalid job fails on load, before any try starts.
-  EXPECT_TRUE(std::find(events.begin(), events.end(), "invalid/0/invalid") !=
-              events.end());
+  // Each job runs once; the invalid job fails on load, before it starts.
+  EXPECT_EQ(events, (std::vector<std::string>{"ok/start", "ok/ok",
+                                              "doomed/start", "doomed/failed",
+                                              "invalid/invalid"}));
 }
 
-TEST(BatchDriverTest, DegradeOnLastRetryProducesDegradedRun) {
+TEST(BatchDriverTest, FailedCheckpointedJobRerunsAsFailed) {
+  // A failed job leaves its checkpoint for a later batch. Re-running the
+  // batch restores every attempt, fails the same way, and rewrites
+  // nothing: one compile per job means one run per checkpoint manager.
   core::BatchJob job;
-  job.name = "recovers";
-  job.kernel = "fir2dim";
-  job.maxRetries = 1;
-  job.failFirstAttempts = 1;  // try 1 injected-fails, try 2 runs for real
-  job.backoffBaseMs = 1;
+  job.name = "doomed";
+  job.kernel = "idcthor";
+  job.checkpointPath = tmpPath("batch_failed_job.ckpt");
+  removeFileIfExists(job.checkpointPath);
   core::BatchOptions options;
-  options.sleeper = [](std::int64_t) {};
-  const core::BatchSummary summary = core::runBatch({job}, options);
-  ASSERT_EQ(summary.jobs.size(), 1u);
-  EXPECT_EQ(summary.jobs[0].status, core::BatchJobStatus::kOk);
-  EXPECT_EQ(summary.jobs[0].triesUsed, 2);
-  EXPECT_TRUE(summary.jobs[0].degraded);
-  EXPECT_GT(summary.jobs[0].achievedTargetIi, 0);
+  options.base.see.maxBeamSteps = 60;
+
+  const core::BatchSummary first = core::runBatch({job}, options);
+  ASSERT_EQ(first.jobs.size(), 1u);
+  ASSERT_EQ(first.jobs[0].status, core::BatchJobStatus::kFailed);
+  const std::string bytes = readFile(job.checkpointPath);
+  EXPECT_FALSE(core::parseCheckpoint(bytes).attempts.empty());
+
+  const core::BatchSummary second = core::runBatch({job}, options);
+  ASSERT_EQ(second.jobs.size(), 1u);
+  EXPECT_EQ(second.jobs[0].status, core::BatchJobStatus::kFailed);
+  EXPECT_EQ(second.jobs[0].failureReason, first.jobs[0].failureReason);
+  EXPECT_EQ(readFile(job.checkpointPath), bytes);
+  removeFileIfExists(job.checkpointPath);
 }
 
 TEST(BatchDriverTest, TrippedTokenCancelsRemainingJobs) {

@@ -197,8 +197,7 @@ TEST(KindConfusionSweep, Checkpoint) {
 TEST(KindConfusionSweep, BatchManifest) {
   const std::string manifest =
       R"({"jobs":[{"name":"a","kernel":"fir2dim","deadline_ms":100,)"
-      R"("max_retries":1,"backoff_base_ms":5,"degrade_on_last_retry":true,)"
-      R"("fail_first_attempts":0,"checkpoint":"a.ckpt",)"
+      R"("checkpoint":"a.ckpt",)"
       R"("memory_budget_mb":64,"threads":1,"target_ii_slack":2,)"
       R"("faults":"cn:3"},{"name":"b","ddg":"b.ddg"}]})";
   sweep(parsed(manifest), [](const JsonValue& doc) {
@@ -235,8 +234,7 @@ TEST(KindConfusionSweep, ProgressLine) {
     core::ProgressEvent event;
     event.event = "job-state";
     event.job = "a";
-    event.state = "running";
-    event.tryNumber = 2;
+    event.state = "start";
     event.etaMs = 1500;
     log.write(event);
     event.event = "heartbeat";

@@ -46,9 +46,10 @@
 #                 with metrics.* excused: the metrics registry is not
 #                 checkpointed, so a resumed run's registry only covers
 #                 the attempts it re-ran) and a 3-job batch manifest with
-#                 one deliberately failing job (retry/backoff/isolation
-#                 must run, the summary must be non-zero-exit and still
-#                 report the two good jobs ok)
+#                 one job that fails under a 60-step SEE budget (the
+#                 summary must be non-zero-exit and still report the two
+#                 good jobs ok; a second run of the batch must resume the
+#                 failing job's checkpoint and fail the same way)
 #   6. regress  — two-commit regression smoke: compile one Table 1 kernel
 #                 twice with --report-out/--history-out, then
 #                 `hcac --compare` must exit 0 (the search is
@@ -200,40 +201,45 @@ grep -q "resuming from" "${work}/resumed.log" || {
     cat "${work}/resume_compare.log"; exit 1; }
 echo "ci: kill-and-resume identity passed"
 
-# Batch isolation: three jobs, the middle one fails every try by injection.
-# The batch must exit non-zero, retry the bad job with backoff, and still
-# compile the two good jobs.
-cat >"${work}/manifest.json" <<'MANIFEST'
+# Batch isolation: three jobs under a 60-step SEE budget. idcthor fails
+# even through the kDegrade ladder; fir2dim and mpeg2inter map on its
+# degraded-bandwidth rung. The batch must exit 4 and still compile the two
+# good jobs. The failing job keeps its checkpoint, so a second run of the
+# same batch resumes it and must fail the same way, not as invalid input.
+cat >"${work}/manifest.json" <<MANIFEST
 {"jobs": [
   {"name": "fir", "kernel": "fir2dim"},
-  {"name": "doomed", "kernel": "idcthor", "max_retries": 2,
-   "backoff_base_ms": 1, "fail_first_attempts": 3,
-   "degrade_on_last_retry": false},
-  {"name": "idct", "kernel": "idcthor"}
+  {"name": "doomed", "kernel": "idcthor",
+   "checkpoint": "${work}/doomed.ckpt"},
+  {"name": "mpeg", "kernel": "mpeg2inter"}
 ]}
 MANIFEST
 mkdir -p "${work}/reports"
-set +e
-"${hcac}" --batch "${work}/manifest.json" --report-dir "${work}/reports" \
-  --report-out "${work}/summary.json" >"${work}/batch.log" 2>&1
-batch_rc=$?
-set -e
-if [[ "${batch_rc}" -ne 4 ]]; then
-  echo "ci: batch with a failing job exited ${batch_rc}, expected 4"
-  cat "${work}/batch.log"
-  exit 1
-fi
-grep -q '"ok":2' "${work}/summary.json" || {
-  echo "ci: batch summary does not report 2 ok jobs"
-  cat "${work}/summary.json"; exit 1; }
-grep -q '"failed":1' "${work}/summary.json" || {
-  echo "ci: batch summary does not report the failing job"
-  cat "${work}/summary.json"; exit 1; }
-grep -q '"tries_used":3' "${work}/summary.json" || {
-  echo "ci: the failing job was not retried to exhaustion"
-  cat "${work}/summary.json"; exit 1; }
-[[ -s "${work}/reports/fir.report.json" && -s "${work}/reports/idct.report.json" ]] || {
-  echo "ci: per-job reports missing"; exit 1; }
+rm -f "${work}/doomed.ckpt"
+for run in first second; do
+  set +e
+  "${hcac}" --batch "${work}/manifest.json" --max-beam-steps 60 \
+    --report-dir "${work}/reports" --report-out "${work}/summary.json" \
+    >"${work}/batch.log" 2>&1
+  batch_rc=$?
+  set -e
+  if [[ "${batch_rc}" -ne 4 ]]; then
+    echo "ci: ${run} batch with a failing job exited ${batch_rc}, expected 4"
+    cat "${work}/batch.log"
+    exit 1
+  fi
+  grep -q '"ok":2' "${work}/summary.json" || {
+    echo "ci: ${run} batch summary does not report 2 ok jobs"
+    cat "${work}/summary.json"; exit 1; }
+  grep -q '"failed":1' "${work}/summary.json" || {
+    echo "ci: ${run} batch summary does not report the failing job"
+    cat "${work}/summary.json"; exit 1; }
+  grep -q '"invalid":0' "${work}/summary.json" || {
+    echo "ci: ${run} batch refused an input (its own checkpoint?)"
+    cat "${work}/summary.json"; exit 1; }
+  [[ -s "${work}/reports/fir.report.json" && -s "${work}/reports/mpeg.report.json" ]] || {
+    echo "ci: per-job reports missing"; exit 1; }
+done
 echo "ci: batch isolation smoke passed"
 
 echo "=== ci: regression gate smoke (hcac --compare) ==="

@@ -104,10 +104,11 @@ void usage() {
       "                       that would blow it fails cleanly and the\n"
       "                       ladder re-plans (0 = unlimited)\n"
       "  --batch PATH         run a manifest of compile jobs with per-job\n"
-      "                       isolation, deadlines, retry with backoff and\n"
-      "                       checkpoints (see hca/batch.hpp for the JSON\n"
-      "                       schema); prints a summary JSON, exit 0 only\n"
-      "                       when every job produced a legal mapping\n"
+      "                       isolation, deadlines and checkpoints, each\n"
+      "                       job one compile under the degrade policy\n"
+      "                       (see hca/batch.hpp for the JSON schema);\n"
+      "                       prints a summary JSON, exit 0 only when\n"
+      "                       every job produced a legal mapping\n"
       "  --report-dir DIR     batch mode: write one run report per job\n"
       "                       into DIR (atomic, best-so-far on failure)\n"
       "  --progress-out FILE  batch mode: append a JSONL progress heartbeat\n"
@@ -212,10 +213,9 @@ int runBatchTool(const std::string& manifestPath, const std::string& reportDir,
   batchOptions.cancel = &shutdownToken();
   batchOptions.reportDir = reportDir;
   batchOptions.base = baseOptions;
-  batchOptions.observer = [](const core::BatchJob& job, int tryNumber,
+  batchOptions.observer = [](const core::BatchJob& job,
                              const std::string& event) {
-    std::printf("batch: %-20s try %d: %s\n", job.name.c_str(), tryNumber,
-                event.c_str());
+    std::printf("batch: %-20s %s\n", job.name.c_str(), event.c_str());
     std::fflush(stdout);
   };
   const core::BatchSummary summary = core::runBatch(jobs, batchOptions);
@@ -237,7 +237,7 @@ int runTool(int argc, char** argv) {
   std::string filePath;
   int n = 8, m = 8, k = 8;
   std::string faultsText;
-  std::string failurePolicy = "strict";
+  std::string failurePolicy;  // "" = strict
   int deadlineMs = 0;
   int maxBeamSteps = 0;
   int numThreads = 1;
@@ -345,7 +345,8 @@ int runTool(int argc, char** argv) {
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
-  HCA_REQUIRE(failurePolicy == "strict" || failurePolicy == "degrade",
+  HCA_REQUIRE(failurePolicy.empty() || failurePolicy == "strict" ||
+                  failurePolicy == "degrade",
               "--failure-policy must be 'strict' or 'degrade', got '"
                   << failurePolicy << "'");
   HCA_REQUIRE(!resume || !checkpointOut.empty(),
@@ -366,10 +367,10 @@ int runTool(int argc, char** argv) {
     HCA_REQUIRE(kernelName.empty() && filePath.empty(),
                 "--batch is exclusive with --kernel/--file (jobs name their "
                 "own inputs)");
+    HCA_REQUIRE(failurePolicy.empty(),
+                "--failure-policy does not apply to --batch: batch jobs "
+                "always run the kDegrade ladder");
     core::HcaOptions base;
-    if (failurePolicy == "degrade") {
-      base.failurePolicy = core::FailurePolicy::kDegrade;
-    }
     base.see.maxBeamSteps = maxBeamSteps;
     base.verifyEach = verifyEach;
     base.verifyChecks = verifyChecks;
